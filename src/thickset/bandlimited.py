@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,12 +26,12 @@ from .errors import (
     InvalidIntervalError,
     ZeroFunctionError,
 )
-from .quadrature import golden_max, panel_nodes
+from .quadrature import panel_nodes, panel_width, sup_abs
 from .sets import IntervalSet
 
 TWO_PI = 2.0 * math.pi
 
-# Cap on nodes*terms per evaluation block, to bound temporary memory.
+# Cap on nodes * (baby + giant steps) per evaluation block, to bound memory.
 _EVAL_BLOCK = 2_000_000
 
 
@@ -127,23 +128,48 @@ class TrigPoly:
     def is_zero(self) -> bool:
         return bool(np.all(self.coeffs == 0))
 
+    @cached_property
+    def _step_table(self) -> np.ndarray:
+        """Coefficient of mode ms[0] + q*B + j at [q, j]; B = ceil(sqrt(span)), absent modes 0."""
+        span = int(self.ms[-1] - self.ms[0]) + 1
+        baby = math.isqrt(span - 1) + 1
+        table = np.zeros(-(-span // baby) * baby, dtype=np.complex128)
+        table[self.ms - self.ms[0]] = self.coeffs
+        return table.reshape(-1, baby)
+
     def eval(self, x):
-        """Value(s) of f at x (scalar or array), exact up to rounding."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.ms.size == 0:
-            out = np.zeros(xs.shape, dtype=np.complex128)
-        else:
-            nu = self.frequencies
-            out = np.empty(xs.size, dtype=np.complex128)
-            block = max(1, _EVAL_BLOCK // max(1, nu.size))
-            flat = xs.ravel()
+        """Value(s) of f at x: a complex for a scalar, else an array of x's shape.
+
+        Powers of z = exp(2 pi i (x mod L) / L) over the mode range: baby
+        steps z^0..z^B, one matrix product with the step table, Horner in
+        z^B over its rows, times z^m_min.  x and x + L give the same bits
+        when x + L is exact.  Error against 40-digit references: below
+        1e-13 * ||c||_2 at span 257, about 2e-11 * ||c||_2 at span 65537.
+        """
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel()
+        out = np.zeros(flat.size, dtype=np.complex128)
+        if self.ms.size:
+            table = self._step_table
+            giant, baby = table.shape
+            block = max(1, _EVAL_BLOCK // (baby + giant))
             for i in range(0, flat.size, block):
-                xi = flat[i : i + block]
-                out[i : i + block] = np.exp(1j * np.outer(xi, nu)) @ self.coeffs
-            out = out.reshape(xs.shape)
-        if np.ndim(x) == 0:
-            return complex(out[()] if out.ndim == 0 else out[0])
-        return out
+                turns = np.mod(flat[i : i + block], self.period) / self.period
+                z = np.exp(1j * (TWO_PI * turns))
+                powers = np.empty((baby + 1, z.size), dtype=np.complex128)
+                powers[0] = 1.0
+                for j in range(1, baby + 1):
+                    np.multiply(powers[j - 1], z, out=powers[j])
+                rows = table @ powers[:baby]
+                acc = rows[-1]
+                for q in range(giant - 2, -1, -1):
+                    acc *= powers[baby]
+                    acc += rows[q]
+                shift = np.exp(1j * (TWO_PI * np.mod(self.ms[0] * turns, 1.0)))
+                out[i : i + block] = acc * shift
+        if xs.ndim == 0:
+            return complex(out[0])
+        return out.reshape(xs.shape)
 
     def derivative(self, order: int = 1) -> "TrigPoly":
         """Termwise derivative of the given nonnegative integer order."""
@@ -207,12 +233,6 @@ def full_torus(period: float) -> IntervalSet:
     return IntervalSet(((0.0, float(period)),), period=float(period))
 
 
-def _panel_width(f: TrigPoly, resolution: int) -> float:
-    nu_max = f.max_frequency
-    base = 1.0 if nu_max == 0.0 else min(1.0, TWO_PI / nu_max)
-    return base / resolution
-
-
 def _pieces_for(f: TrigPoly, E: IntervalSet) -> tuple[tuple[float, float], ...]:
     if E.period is None:
         return E.intervals
@@ -232,9 +252,11 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     f : TrigPoly
     query : NormQuery
         For finite p the result is a composite Gauss-Legendre integral with
-        panel width ``min(1, 2 pi / nu_max) / resolution``.  For ``p = inf``
-        the maximum of |f| is taken over a grid with the same spacing and
-        sharpened once by golden-section search around the grid argmax.
+        panel width ``min(1, 2 pi / nu_max) / resolution``, the nodes of all
+        pieces evaluated in one call.  For ``p = inf`` the maximum of |f| is
+        taken over a grid with the same spacing on every piece and refined
+        around each piece's grid argmax by ``quadrature.sup_abs``; a peak
+        away from those argmaxes may be missed.
 
     Returns
     -------
@@ -244,25 +266,14 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     pieces = _pieces_for(f, query.set)
     if not pieces or sum(b - a for a, b in pieces) <= 0:
         raise EmptySetError("norm query over a set of zero measure")
-    width = _panel_width(f, query.resolution)
+    width = panel_width(f.max_frequency, query.resolution)
     if math.isinf(query.p):
-        best = 0.0
-        for lo, hi in pieces:
-            n = max(3, int(math.ceil((hi - lo) / width)) + 1)
-            xs = np.linspace(lo, hi, n)
-            vals = np.abs(f.eval(xs))
-            i = int(np.argmax(vals))
-            best = max(best, float(vals[i]))
-            a, b = xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]
-            if b > a:
-                x_star = golden_max(lambda t: abs(f.eval(t)), a, b)
-                best = max(best, abs(f.eval(x_star)))
-        return best
-    total = 0.0
-    for lo, hi in pieces:
-        xs, ws = panel_nodes(lo, hi, width)
-        total += float(ws @ np.abs(f.eval(xs)) ** query.p)
-    return total ** (1.0 / query.p)
+        counts = [max(3, int(math.ceil((hi - lo) / width)) + 1) for lo, hi in pieces]
+        return sup_abs(f.eval, pieces, counts)
+    panels = [panel_nodes(lo, hi, width) for lo, hi in pieces]
+    xs = np.concatenate([x for x, _ in panels])
+    ws = np.concatenate([w for _, w in panels])
+    return float(ws @ np.abs(f.eval(xs)) ** query.p) ** (1.0 / query.p)
 
 
 def lattice_indices(spec: BandSpec, period: float) -> np.ndarray:

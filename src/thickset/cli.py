@@ -39,6 +39,7 @@ from .bounds import (
 from .concentration import min_concentration, sharpness_gap
 from .errors import ConfigError, ThicksetError
 from .extremal import extremal_pair, extremal_ratio
+from .quadrature import panel_nodes, panel_width
 from .sets import IntervalSet, normalize, thickness, two_sliver_set
 
 SEED_ENV_VAR = "THICKSET_SEED"
@@ -545,10 +546,7 @@ def _suite_taylor(config: dict, jobs: int) -> RunResult:
         rebuilt = split.exp_sum(xs) + split.remainder(xs)
         scale = float(np.max(np.abs(direct))) or 1.0
         identity_error = float(np.max(np.abs(direct - rebuilt))) / scale
-        width = min(1.0, 2.0 * math.pi / max(b / 2.0, 1e-9)) / 8.0
-        from .quadrature import panel_nodes
-
-        xs_q, ws_q = panel_nodes(interval[0], interval[1], width)
+        xs_q, ws_q = panel_nodes(interval[0], interval[1], panel_width(b / 2.0, 8))
         lhs = float(ws_q @ np.abs(split.remainder(xs_q)) ** p)
         rhs = proofcheck.taylor_remainder_bound(split, p)
         return identity_error, lhs, rhs
@@ -715,9 +713,9 @@ def run(config: dict, jobs: int = 1) -> RunResult:
         raise _fail(f"'command' must be one of {COMMANDS}, got {command!r}")
     try:
         return _RUNNERS[command](config, jobs)
-    except ConfigError:
+    except ThicksetError:
         raise
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise _fail(f"malformed config for {command!r}: {exc}") from exc
 
 

@@ -63,6 +63,81 @@ class TestTrigPoly:
         assert math.isclose(f.max_frequency, 1.0, rel_tol=1e-15)
 
 
+def _mp_reference(f, xs, dps=40):
+    """Values of f at xs in `dps`-digit arithmetic, for consecutive modes.
+
+    f(x) = z^m_min * sum_k c_k z^k with z = exp(2 pi i x / L), the sum by
+    mpmath's Horner scheme; its rounding (span * 10^-dps) is far below
+    double precision.
+    """
+    import mpmath
+
+    assert np.array_equal(np.diff(f.ms), np.ones(f.ms.size - 1))
+    with mpmath.workdps(dps):
+        coeffs = [mpmath.mpc(c.real, c.imag) for c in f.coeffs[::-1]]
+        out = []
+        for x in xs:
+            z = mpmath.expj(2 * mpmath.pi * mpmath.mpf(float(x)) / f.period)
+            out.append(complex(z ** int(f.ms[0]) * mpmath.polyval(coeffs, z)))
+        return np.array(out)
+
+
+class TestEval:
+    @pytest.mark.parametrize("span, m_min, n_points", [(257, -128, 8), (4097, 1000, 8), (65537, -40000, 1)])
+    def test_matches_mpmath_reference(self, span, m_min, n_points):
+        rng = np.random.default_rng(span)
+        L = 8.0
+        coeffs = rng.standard_normal(span) + 1j * rng.standard_normal(span)
+        f = TrigPoly(L, np.arange(m_min, m_min + span), coeffs)
+        xs = np.concatenate([[0.0, L - 1e-3, -3.3], rng.uniform(-2 * L, 2 * L, n_points)])
+        err = np.max(np.abs(f.eval(xs) - _mp_reference(f, xs)))
+        assert err <= 1e-10 * np.linalg.norm(coeffs)
+
+    def test_period_shift_is_bitwise(self):
+        f = random_bandlimited(BandSpec((0.0, 12.0 * math.pi), 4.0 * math.pi), 8.0, seed=3)
+        xs = np.arange(-64, 64) / 16.0  # x + 8 is exact for these
+        assert np.array_equal(f.eval(xs + 8.0), f.eval(xs))
+        assert np.array_equal(f.eval(xs - 16.0), f.eval(xs))
+
+    def test_input_shapes(self):
+        f = TrigPoly.from_terms(8.0, [(-2, 1.0 + 2.0j), (5, -0.5j)])
+        grid = np.linspace(0.0, 8.0, 12).reshape(3, 4)
+        values = f.eval(grid)
+        assert values.shape == (3, 4)
+        assert isinstance(f.eval(1.25), complex)
+        assert isinstance(f.eval(np.float64(1.25)), complex)
+        assert f.eval(np.array(1.25)) == f.eval(1.25)
+        assert f.eval([1.25]).shape == (1,)
+        assert f.eval(np.empty(0)).shape == (0,)
+        assert values[1, 2] == f.eval(grid[1, 2])
+
+    def test_empty_spectrum_is_zero(self):
+        f = TrigPoly(8.0, np.array([], dtype=np.int64), np.array([], dtype=complex))
+        assert f.eval(0.5) == 0j
+        assert np.array_equal(f.eval(np.ones((2, 3))), np.zeros((2, 3), dtype=complex))
+
+    def test_sparse_spectrum_within_block_cap(self):
+        # two modes span 60001 lattice steps: the step table covers the
+        # whole range, and blocks of nodes keep the temporaries bounded
+        import tracemalloc
+
+        L = 8.0
+        f = TrigPoly.from_terms(L, [(0, 1.0 - 1.0j), (60000, 0.5j)])
+        xs = np.linspace(-1.0, 9.0, 40_000)
+        tracemalloc.start()
+        try:
+            got = f.eval(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        phase = 2.0 * np.pi * np.mod(60000 * (np.mod(xs, L) / L), 1.0)
+        want = (1.0 - 1.0j) + 0.5j * np.exp(1j * phase)
+        assert np.max(np.abs(got - want)) < 1e-10
+        # one block of nodes * (baby + giant steps) complex temporaries is
+        # 32 MB; 40k nodes unblocked would take about 300 MB
+        assert peak < 100e6
+
+
 class TestLpNorm:
     def test_unimodular_on_set(self):
         # |f| = 1 for a single unit-coefficient mode, so the

@@ -147,6 +147,20 @@ class TestMain:
         assert rc == 2
         assert "bad config" in capsys.readouterr().err
 
+    def test_unparsable_number_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"command": "concentration", "gamma": "abc", "b": 12.566370614359172})
+        assert main(["--config", path]) == 2
+        assert "bad config" in capsys.readouterr().err
+
+    def test_set_period_not_dividing_torus_exits_two(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {"command": "concentration", "freqs": [0, 1, 2], "L": 8.0,
+             "set": {"intervals": [[0.0, 0.5]], "period": 3.0}},
+        )
+        assert main(["--config", path]) == 2
+        assert "set period must divide" in capsys.readouterr().err
+
     def test_domain_error_exits_two(self, tmp_path, capsys):
         # schema is fine but the parameters are outside the math domain
         path = write_config(tmp_path, {"command": "bound", "gamma": 2.0, "ab": 1, "p": 2})
