@@ -27,7 +27,7 @@ from .errors import (
     ZeroFunctionError,
 )
 from .quadrature import panel_nodes, panel_width, sup_abs
-from .sets import IntervalSet
+from .sets import IntervalSet, period_ratio
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,17 +233,6 @@ def full_torus(period: float) -> IntervalSet:
     return IntervalSet(((0.0, float(period)),), period=float(period))
 
 
-def _pieces_for(f: TrigPoly, E: IntervalSet) -> tuple[tuple[float, float], ...]:
-    if E.period is None:
-        return E.intervals
-    ratio = f.period / E.period
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise ValueError(
-            "set period must divide the function period to integrate over the torus"
-        )
-    return E.materialize(0.0, f.period)
-
-
 def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     """Lp norm of f over the query set.
 
@@ -263,7 +252,9 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     float
         ``( integral_E |f|^p )^(1/p)`` or the refined sup for ``p = inf``.
     """
-    pieces = _pieces_for(f, query.set)
+    E = query.set
+    period_ratio(E, f.period)  # raises unless E's period divides f's
+    pieces = E.intervals if E.period is None else E.materialize(0.0, f.period)
     if not pieces or sum(b - a for a, b in pieces) <= 0:
         raise EmptySetError("norm query over a set of zero measure")
     width = panel_width(f.max_frequency, query.resolution)

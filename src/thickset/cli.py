@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,19 +154,11 @@ def _seed_base(config: dict) -> int:
     return seed
 
 
-def _pmap(fn, items, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _run_bound(config: dict, jobs: int) -> RunResult:
+def _run_bound(config: dict) -> RunResult:
     which = config.get("which", "theorem1")
     constants = _constants_from_config(config)
     rows: list[tuple] = []
@@ -234,7 +225,7 @@ def _run_bound(config: dict, jobs: int) -> RunResult:
     return RunResult(ExperimentTable(header, tuple(rows)), ())
 
 
-def _run_thickness(config: dict, jobs: int) -> RunResult:
+def _run_thickness(config: dict) -> RunResult:
     E = _set_from_config(config.get("set", {}))
     domain = config.get("domain")
     domain = tuple(float(v) for v in domain) if domain is not None else None
@@ -245,7 +236,7 @@ def _run_thickness(config: dict, jobs: int) -> RunResult:
     return RunResult(ExperimentTable(("a", "gamma"), tuple(rows)), ())
 
 
-def _run_concentration(config: dict, jobs: int) -> RunResult:
+def _run_concentration(config: dict) -> RunResult:
     constants = _constants_from_config(config)
     violations: list[str] = []
     if "freqs" in config:
@@ -287,7 +278,7 @@ def _run_concentration(config: dict, jobs: int) -> RunResult:
         )
         return report
 
-    reports = _pmap(one, cells, jobs)
+    reports = [one(cell) for cell in cells]
     rows = []
     for (gamma, b), report in zip(cells, reports):
         rows.append(
@@ -310,7 +301,7 @@ def _run_concentration(config: dict, jobs: int) -> RunResult:
     return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
 
 
-def _run_extremal(config: dict, jobs: int) -> RunResult:
+def _run_extremal(config: dict) -> RunResult:
     constants = _constants_from_config(config)
     gammas = _listify(config, "gamma")
     b_values = _listify(config, "b")
@@ -338,7 +329,7 @@ def _run_extremal(config: dict, jobs: int) -> RunResult:
         holds = math.log10(ratio) >= bound_log10 if ratio > 0 else False
         return inst, ratio, bound_log10, example_log10, holds
 
-    results = _pmap(one, cells, jobs)
+    results = [one(cell) for cell in cells]
     rows = []
     violations = []
     for (b, gamma, p), (inst, ratio, bound_log10, example_log10, holds) in zip(
@@ -352,7 +343,7 @@ def _run_extremal(config: dict, jobs: int) -> RunResult:
     return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
 
 
-def _run_classify(config: dict, jobs: int) -> RunResult:
+def _run_classify(config: dict) -> RunResult:
     seed = _seed_base(config)
     b = float(config.get("b", 4.0 * math.pi))
     p = _parse_p(config.get("p", 2))
@@ -391,7 +382,7 @@ def _run_classify(config: dict, jobs: int) -> RunResult:
 # verify suites
 
 
-def _suite_good_bad(config: dict, jobs: int) -> RunResult:
+def _suite_good_bad(config: dict) -> RunResult:
     base = _seed_base(config)
     n_seeds = int(config.get("seeds", 10))
     period = float(config.get("L", 8.0))
@@ -418,7 +409,7 @@ def _suite_good_bad(config: dict, jobs: int) -> RunResult:
         good_fraction = proofcheck.good_mass_check(f, labels)
         return labels, good_fraction, params
 
-    results = _pmap(one, cases, jobs)
+    results = [one(case) for case in cases]
     rows = []
     violations = []
     for (seed, b, p), (labels, good_fraction, params) in zip(cases, results):
@@ -437,7 +428,7 @@ def _suite_good_bad(config: dict, jobs: int) -> RunResult:
     return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
 
 
-def _suite_local_estimate(config: dict, jobs: int) -> RunResult:
+def _suite_local_estimate(config: dict) -> RunResult:
     base = _seed_base(config)
     n_seeds = int(config.get("seeds", 5))
     period = float(config.get("L", 8.0))
@@ -467,7 +458,7 @@ def _suite_local_estimate(config: dict, jobs: int) -> RunResult:
                 n_holds += 1
         return len(goods), n_holds
 
-    results = _pmap(one, cases, jobs)
+    results = [one(case) for case in cases]
     rows = []
     violations = []
     for (seed, b, p, gamma), (n_good, n_holds) in zip(cases, results):
@@ -481,7 +472,7 @@ def _suite_local_estimate(config: dict, jobs: int) -> RunResult:
     return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
 
 
-def _suite_growth(config: dict, jobs: int) -> RunResult:
+def _suite_growth(config: dict) -> RunResult:
     base = _seed_base(config)
     n_seeds = int(config.get("seeds", 5))
     period = float(config.get("L", 8.0))
@@ -501,7 +492,7 @@ def _suite_growth(config: dict, jobs: int) -> RunResult:
             out.append((iv[0], env.ratio, env.bound, env.holds))
         return out
 
-    results = _pmap(one, cases, jobs)
+    results = [one(case) for case in cases]
     rows = []
     violations = []
     for (seed, b, p), checks in zip(cases, results):
@@ -514,7 +505,7 @@ def _suite_growth(config: dict, jobs: int) -> RunResult:
     return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
 
 
-def _suite_taylor(config: dict, jobs: int) -> RunResult:
+def _suite_taylor(config: dict) -> RunResult:
     base = _seed_base(config)
     n_seeds = int(config.get("seeds", 5))
     period = float(config.get("L", 8.0))
@@ -551,7 +542,7 @@ def _suite_taylor(config: dict, jobs: int) -> RunResult:
         rhs = proofcheck.taylor_remainder_bound(split, p)
         return identity_error, lhs, rhs
 
-    results = _pmap(one, cases, jobs)
+    results = [one(case) for case in cases]
     rows = []
     violations = []
     for (seed, b, p, m), (identity_error, lhs, rhs) in zip(cases, results):
@@ -568,7 +559,7 @@ def _suite_taylor(config: dict, jobs: int) -> RunResult:
     return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
 
 
-def _suite_band_norms(config: dict, jobs: int) -> RunResult:
+def _suite_band_norms(config: dict) -> RunResult:
     base = _seed_base(config)
     n_seeds = int(config.get("seeds", 5))
     period = float(config.get("L", 8.0))
@@ -589,7 +580,7 @@ def _suite_band_norms(config: dict, jobs: int) -> RunResult:
             gap = abs(sum(v * v for v in report.norms) - total * total) / total ** 2
         return report.max_ratio, gap
 
-    results = _pmap(one, cases, jobs)
+    results = [one(case) for case in cases]
     rows = []
     violations = []
     for (seed, b, p), (max_ratio, gap) in zip(cases, results):
@@ -605,7 +596,7 @@ def _suite_band_norms(config: dict, jobs: int) -> RunResult:
     return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
 
 
-def _suite_expsum(config: dict, jobs: int) -> RunResult:
+def _suite_expsum(config: dict) -> RunResult:
     base = _seed_base(config)
     n_instances = int(config.get("seeds", 8))
     constants = _constants_from_config(config)
@@ -664,7 +655,7 @@ def _suite_expsum(config: dict, jobs: int) -> RunResult:
         return worst, slope, cap, minimal, failures
 
     cells = [(n, m, p) for n in ns for m in ms for p in ps]
-    outcomes = _pmap(cell_job, cells, jobs)
+    outcomes = [cell_job(cell) for cell in cells]
     for (n, m, p), (worst, slope, cap, minimal, failures) in zip(cells, outcomes):
         violations.extend(failures)
         if slope > cap:
@@ -687,11 +678,11 @@ _SUITES = {
 }
 
 
-def _run_verify(config: dict, jobs: int) -> RunResult:
+def _run_verify(config: dict) -> RunResult:
     suite = config.get("suite")
     if suite not in _SUITES:
         raise _fail(f"'suite' must be one of {sorted(_SUITES)}, got {suite!r}")
-    return _SUITES[suite](config, jobs)
+    return _SUITES[suite](config)
 
 
 _RUNNERS = {
@@ -704,7 +695,7 @@ _RUNNERS = {
 }
 
 
-def run(config: dict, jobs: int = 1) -> RunResult:
+def run(config: dict) -> RunResult:
     """Validate and execute one experiment config."""
     if not isinstance(config, dict):
         raise _fail("config must be a JSON object")
@@ -712,7 +703,7 @@ def run(config: dict, jobs: int = 1) -> RunResult:
     if command not in COMMANDS:
         raise _fail(f"'command' must be one of {COMMANDS}, got {command!r}")
     try:
-        return _RUNNERS[command](config, jobs)
+        return _RUNNERS[command](config)
     except ThicksetError:
         raise
     except (TypeError, KeyError, ValueError) as exc:
@@ -726,7 +717,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to a JSON config file")
     parser.add_argument("--out", help="CSV output path (default: config 'output' or stdout)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for grid cells")
     parser.add_argument("--verbose", action="store_true", help="print a run summary")
     args = parser.parse_args(argv)
     try:
@@ -736,7 +726,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        result = run(config, jobs=max(1, args.jobs))
+        result = run(config)
     except ConfigError as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2

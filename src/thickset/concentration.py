@@ -7,9 +7,18 @@ For lattice modes m_1..m_N and a set E inside one period, the Gram matrix
 is Hermitian positive semidefinite with eigenvalues in [0, 1].  Its smallest
 eigenvalue is the exact squared p = 2 constant: the worst value of
 ||f||_{L2(E)}^2 / ||f||_{L2(torus)}^2 over functions with that spectrum.
-Entries come from the antiderivative of the character, so the matrix is
-exact up to rounding and the module serves as the independent oracle for the
-closed-form bounds.
+
+A set of period P = L / q covers the torus with q copies of one cell, and
+the characters summed over the copies cancel unless q divides m_j - m_k.
+So G is block diagonal over the residue classes m mod q, with exact zeros
+between classes, and a within-class entry is the one-cell integral
+
+    (1/P) integral_{E in [0, P]} exp(i 2 pi d x / P) dx,  d = (m_j - m_k) / q,
+
+whose phase d x / P stays within d turns (an aperiodic set has q = 1 and
+P = L).  Entries come from the closed form of that integral, so the matrix
+is exact up to rounding and the module serves as the independent oracle for
+the closed-form bounds; the eigenproblem is solved one block at a time.
 """
 from __future__ import annotations
 
@@ -28,7 +37,7 @@ from .bounds import (
     theorem2_bound_log10,
 )
 from .errors import DuplicateFrequencyError, SizeLimitError
-from .sets import IntervalSet, thickness
+from .sets import IntervalSet, period_ratio, thickness
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,13 +48,26 @@ MAX_DENSE_SIZE = 2000
 RESIDUAL_TOL = 1e-10
 
 
+def _residue_blocks(ms: np.ndarray, stride: int) -> list[np.ndarray]:
+    residues = np.mod(ms, stride)
+    order = np.argsort(residues, kind="stable")
+    classes = np.split(order, np.flatnonzero(np.diff(residues[order])) + 1)
+    sizes = sorted({c.size for c in classes})
+    return [np.stack([c for c in classes if c.size == n]) for n in sizes]
+
+
 @dataclass(frozen=True)
 class GramMatrix:
-    """Frequencies, period and the Hermitian matrix itself (read-only)."""
+    """Frequencies, period and the Hermitian matrix itself (read-only).
+
+    `stride` is the number q of set periods in the torus period; entries
+    between modes of different residue classes m mod q are exact zeros.
+    """
 
     freqs: tuple[int, ...]
     period: float
     matrix: np.ndarray
+    stride: int = 1
 
     @property
     def size(self) -> int:
@@ -56,16 +78,12 @@ class GramMatrix:
         """|E| / L; equals every diagonal entry."""
         return float(self.matrix[0, 0].real)
 
+    def blocks(self) -> list[np.ndarray]:
+        """Matrix indices of the residue classes m mod stride, in mode order.
 
-def _pieces_in_period(E: IntervalSet, period: float) -> tuple[tuple[float, float], ...]:
-    if E.period is not None:
-        ratio = period / E.period
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError("set period must divide the torus period")
-        return E.materialize(0.0, period)
-    if E.intervals[0][0] < -1e-9 or E.intervals[-1][1] > period + 1e-9:
-        raise ValueError("aperiodic set must lie inside one period [0, L]")
-    return E.intervals
+        One array per class size; each row holds the indices of one class.
+        """
+        return _residue_blocks(np.asarray(self.freqs, dtype=np.int64), self.stride)
 
 
 def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
@@ -76,7 +94,8 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     freqs : iterable of int
         Distinct lattice modes m_j (frequency 2 pi m_j / period).
     E : IntervalSet
-        Observation set; periodic sets are unrolled over one torus period.
+        Observation set; a periodic set's period must divide the torus
+        period, an aperiodic set must lie inside [0, period].
     period : float
         Torus length L.
 
@@ -84,7 +103,8 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     -------
     GramMatrix
         Hermitian by construction: entries are computed for nonnegative
-        mode differences and mirrored by conjugation.
+        mode differences and mirrored by conjugation.  Entries between
+        residue classes m mod stride are exact zeros.
     """
     ms = np.asarray(list(freqs), dtype=np.int64)
     if ms.size == 0:
@@ -92,85 +112,32 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     if np.unique(ms).size != ms.size:
         raise DuplicateFrequencyError("repeated lattice mode")
     period = float(period)
-    pieces = _pieces_in_period(E, period)
-    if not pieces:
-        raise ValueError("set has no mass inside one period")
+    q = period_ratio(E, period)
+    cell = period / q
+    if E.period is None:
+        if E.intervals[0][0] < -1e-9 or E.intervals[-1][1] > period + 1e-9:
+            raise ValueError("aperiodic set must lie inside one period [0, L]")
+        pieces = E.intervals
+    else:
+        pieces = E.materialize(0.0, cell)
     starts = np.array([a for a, _ in pieces])
     stops = np.array([b for _, b in pieces])
+    # integral over (a, b) of exp(i 2 pi d x / P) / P
+    #   = w sinc(d w) exp(i 2 pi d c), with c the midpoint and w the width in cells
+    centers = (starts + stops) / (2.0 * cell)
+    widths = (stops - starts) / cell
 
-    diff = ms[:, None] - ms[None, :]
-    unique = np.unique(np.abs(diff))
-    values = np.empty(unique.size, dtype=np.complex128)
-    for idx, delta in enumerate(unique.tolist()):
-        if delta == 0:
-            values[idx] = np.sum(stops - starts) / period
-        else:
-            kappa = TWO_PI * delta / period
-            seg = (np.exp(1j * kappa * stops) - np.exp(1j * kappa * starts)).sum()
-            values[idx] = seg / (1j * kappa * period)
-    table = values[np.searchsorted(unique, np.abs(diff))]
-    matrix = np.where(diff >= 0, table, np.conj(table))
+    blocks = _residue_blocks(ms, q)
+    steps = [(ms[ix][:, :, None] - ms[ix][:, None, :]) // q for ix in blocks]
+    unique = np.unique(np.abs(np.concatenate([s.ravel() for s in steps])))
+    phases = np.exp(1j * (TWO_PI * np.mod(np.outer(unique, centers), 1.0)))
+    values = (phases * (widths * np.sinc(np.outer(unique, widths)))).sum(axis=1)
+    matrix = np.zeros((ms.size, ms.size), dtype=np.complex128)
+    for ix, step in zip(blocks, steps):
+        table = values[np.searchsorted(unique, np.abs(step))]
+        matrix[ix[:, :, None], ix[:, None, :]] = np.where(step >= 0, table, np.conj(table))
     matrix.setflags(write=False)
-    return GramMatrix(freqs=tuple(ms.tolist()), period=period, matrix=matrix)
-
-
-def jacobi_eigh(
-    a: np.ndarray, rel_tol: float = 1e-13, max_sweeps: int = 30
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a real symmetric matrix.
-
-    Sweeps rotate away off-diagonal entries until their Frobenius mass is
-    below ``rel_tol`` times the matrix norm.  Quadratically convergent and
-    dependency-free; used as the cross-check route for the LAPACK solve.
-    """
-    A = np.array(a, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("matrix must be square")
-    V = np.eye(n)
-    scale = float(np.linalg.norm(A))
-    if scale == 0.0 or n == 1:
-        w = np.diag(A).copy()
-        order = np.argsort(w, kind="stable")
-        return w[order], V[:, order]
-    skip_tol = 0.01 * rel_tol * scale / n
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float((A * A).sum() - (np.diag(A) ** 2).sum())))
-        if off <= rel_tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip_tol:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                vec_p = V[:, p].copy()
-                vec_q = V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
-
-
-def _real_embedding(G: np.ndarray) -> np.ndarray:
-    """[[X, -Y], [Y, X]] for G = X + iY; same spectrum, each value twice."""
-    X = G.real
-    Y = G.imag
-    top = np.hstack([X, -Y])
-    bottom = np.hstack([Y, X])
-    return np.vstack([top, bottom])
+    return GramMatrix(freqs=tuple(ms.tolist()), period=period, matrix=matrix, stride=q)
 
 
 @dataclass(frozen=True)
@@ -184,44 +151,39 @@ class ConcentrationResult:
     gram: GramMatrix
 
 
-def min_concentration(
-    freqs, E: IntervalSet, period: float, method: str = "lapack"
-) -> ConcentrationResult:
+def min_concentration(freqs, E: IntervalSet, period: float) -> ConcentrationResult:
     """Smallest concentration eigenvalue and a unit witness vector.
 
-    Parameters
-    ----------
-    method : {"lapack", "jacobi"}
-        "lapack" solves the complex Hermitian problem directly; "jacobi"
-        runs the cyclic Jacobi solver on the doubled real-symmetric
-        embedding.  Both must satisfy the residual contract
-        ``||G v - lambda v|| <= 1e-10 ||G||``.
+    LAPACK solves each residue block of the Gram matrix on its own.  The
+    block with the smallest eigenvalue supplies lambda_min, and its
+    eigenvector, zero outside the block, is the witness; `eigenvalues` is
+    the sorted union of the block spectra.  The witness must satisfy the
+    residual contract ``||G v - lambda v|| <= 1e-10 ||G||`` on the full
+    matrix.
     """
+    freqs = list(freqs)
+    if len(freqs) > MAX_DENSE_SIZE:
+        raise SizeLimitError(f"{len(freqs)} frequencies exceed the dense cap {MAX_DENSE_SIZE}")
     g = gram_matrix(freqs, E, period)
     n = g.size
-    if n > MAX_DENSE_SIZE:
-        raise SizeLimitError(f"{n} frequencies exceed the dense cap {MAX_DENSE_SIZE}")
     G = g.matrix
-    if method == "lapack":
-        w, V = np.linalg.eigh(G)
-        lam = float(w[0])
-        witness = V[:, 0]
-        eigenvalues = w
-    elif method == "jacobi":
-        w2, V2 = jacobi_eigh(_real_embedding(G))
-        lam = float(w2[0])
-        witness = V2[:n, 0] + 1j * V2[n:, 0]
-        eigenvalues = w2[0::2].copy()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    witness = witness / np.linalg.norm(witness)
-    norm = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
+    spectra = []
+    lam = math.inf
+    for ix in g.blocks():
+        w, V = np.linalg.eigh(G[ix[:, :, None], ix[:, None, :]])
+        spectra.append(w.ravel())
+        low = int(np.argmin(w[:, 0]))
+        if w[low, 0] < lam:
+            lam = float(w[low, 0])
+            witness = np.zeros(n, dtype=np.complex128)
+            witness[ix[low]] = V[low, :, 0] / np.linalg.norm(V[low, :, 0])
+    eigenvalues = np.sort(np.concatenate(spectra))
+    norm = float(np.max(np.abs(eigenvalues)))
     residual = float(np.linalg.norm(G @ witness - lam * witness))
     if residual > RESIDUAL_TOL * max(norm, 1e-300):
         raise RuntimeError(
             f"eigensolver residual {residual:.3e} violates the contract"
         )
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
     eigenvalues.setflags(write=False)
     witness.setflags(write=False)
     return ConcentrationResult(

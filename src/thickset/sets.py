@@ -127,6 +127,21 @@ def normalize(
     return IntervalSet(_merge(pairs), period)
 
 
+def period_ratio(E: IntervalSet, period: float) -> int:
+    """Number q of set periods in a torus of length `period`; 1 if aperiodic.
+
+    A periodic set lives on the torus only when its period divides the
+    torus length; otherwise ValueError.
+    """
+    if E.period is None:
+        return 1
+    ratio = float(period) / E.period
+    q = round(ratio)
+    if abs(ratio - q) > 1e-9 or q < 1:
+        raise ValueError("set period must divide the torus period")
+    return q
+
+
 def measure_within(E: IntervalSet, window: tuple[float, float]) -> float:
     """Exact Lebesgue measure of E intersected with the open window."""
     lo, hi = float(window[0]), float(window[1])

@@ -83,17 +83,6 @@ class TestRun:
         with pytest.raises(ConfigError):
             run({"command": "verify", "suite": "nope"})
 
-    def test_jobs_do_not_change_rows(self):
-        cfg = {
-            "command": "concentration",
-            "gamma_list": [0.2, 0.5],
-            "b_list": [6.283185307179586, 12.566370614359172],
-            "L": 8.0,
-        }
-        serial = emit_csv(run(cfg, jobs=1).table)
-        threaded = emit_csv(run(cfg, jobs=4).table)
-        assert serial == threaded
-
     def test_classify_deterministic_per_seed(self):
         cfg = {"command": "classify", "seed": 3, "b": 12.566370614359172, "p": 2}
         a = emit_csv(run(cfg).table)
@@ -169,7 +158,7 @@ class TestMain:
     def test_violation_manifest_exits_one(self, tmp_path, capsys, monkeypatch):
         from thickset import cli as cli_mod
 
-        def fake(config, jobs):
+        def fake(config):
             return RunResult(ExperimentTable(("a",), ((1,),)), ("synthetic failure",))
 
         monkeypatch.setitem(cli_mod._RUNNERS, "thickness", fake)

@@ -1,5 +1,6 @@
 """Gram matrices of restricted characters and their smallest eigenvalues."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from thickset import (
     IntervalSet,
     SizeLimitError,
     gram_matrix,
-    jacobi_eigh,
+    lattice_indices,
     min_concentration,
     sharpness_gap,
     theorem1_bound,
@@ -17,6 +18,57 @@ from thickset import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def mpmath_lambda_min(modes, E, period, dps=40):
+    """Smallest Gram eigenvalue at `dps` digits, independent of the package.
+
+    Each entry integrates the character over every copy of the set's cell
+    in [0, period].  Entries between modes that differ by a non-multiple of
+    the copy count q are checked to vanish; the classes m mod q are then
+    solved one at a time.
+    """
+    import mpmath
+
+    modes = [int(m) for m in modes]
+    q = round(period / E.period)
+    with mpmath.workdps(dps):
+        L = mpmath.mpf(period)
+        P = mpmath.mpf(E.period)
+        pieces = [
+            (mpmath.mpf(a) + c * P, mpmath.mpf(b) + c * P)
+            for c in range(q)
+            for a, b in E.intervals
+        ]
+
+        def entry(delta):
+            if delta == 0:
+                return sum(b - a for a, b in pieces) / L
+            k = 2 * mpmath.pi * delta / L
+            seg = sum(mpmath.expj(k * b) - mpmath.expj(k * a) for a, b in pieces)
+            return seg / (1j * k * L)
+
+        values = {d: entry(d) for d in {abs(j - k) for j in modes for k in modes}}
+        assert all(abs(v) < mpmath.mpf(10) ** (5 - dps) for d, v in values.items() if d % q)
+        lowest = []
+        for r in range(q):
+            cls = [m for m in modes if m % q == r]
+            if not cls:
+                continue
+            A = mpmath.matrix(
+                [
+                    [values[j - k] if j >= k else mpmath.conj(values[k - j]) for k in cls]
+                    for j in cls
+                ]
+            )
+            lowest.append(min(mpmath.eigh(A, eigvals_only=True)))
+        return float(min(lowest))
+
+
+def random_periodic_set(rng, cell):
+    """Two to four random intervals inside [0, cell], repeated with that period."""
+    edges = np.sort(rng.uniform(0.0, cell, size=2 * int(rng.integers(2, 5))))
+    return IntervalSet(tuple(map(tuple, edges.reshape(-1, 2))), period=cell)
 
 
 class TestGramMatrix:
@@ -84,32 +136,70 @@ class TestMinConcentration:
         rayleigh = (v.conj() @ (G @ v)).real / (v.conj() @ v).real
         assert math.isclose(rayleigh, res.lambda_min, rel_tol=0, abs_tol=1e-6)
 
-    def test_jacobi_matches_lapack(self):
-        E = two_sliver_set(0.35)
-        a = min_concentration(list(range(-4, 5)), E, 4.0, method="lapack")
-        b = min_concentration(list(range(-4, 5)), E, 4.0, method="jacobi")
-        assert math.isclose(a.lambda_min, b.lambda_min, rel_tol=0, abs_tol=1e-11)
-        assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-11)
+    @pytest.mark.parametrize(
+        "gamma, modes, period",
+        [
+            (0.35, range(-4, 5), 4.0),
+            (0.3, lattice_indices(BandSpec((0.0,), 16.0 * math.pi), 32.0), 32.0),
+        ],
+        ids=["gamma0.35-L4", "gamma0.3-b16pi-L32"],
+    )
+    def test_lambda_min_matches_mpmath(self, gamma, modes, period):
+        E = two_sliver_set(gamma)
+        res = min_concentration(list(modes), E, period)
+        want = mpmath_lambda_min(modes, E, period)
+        assert abs(res.lambda_min - want) <= 1e-14
 
     def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            min_concentration(list(range(2001)), IntervalSet(((0.0, 1.0),)), 8.0)
+        # refused before the 2001 x 2001 matrix is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                min_concentration(list(range(2001)), IntervalSet(((0.0, 1.0),)), 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
-class TestJacobiEigh:
-    def test_diagonal_matrix(self):
-        w, V = jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
+class TestBlockSolve:
+    # (copies q of the set's cell in the torus, modes); the sparse lists
+    # leave some residue classes empty and others with gaps
+    CASES = [
+        (1, list(range(-6, 7))),
+        (2, [-9, -4, -3, 0, 1, 2, 7, 10, 15]),
+        (3, list(range(-10, 11))),
+        (3, [-13, -5, -2, 0, 4, 6, 11, 12]),
+        (32, list(range(-40, 41))),
+        (32, [-64, -33, -1, 0, 31, 32, 64, 96]),
+    ]
 
-    def test_random_symmetric_cross_check(self):
-        rng = np.random.default_rng(0)
-        for n in (2, 5, 9):
-            A = rng.standard_normal((n, n))
-            A = (A + A.T) / 2.0
-            w, V = jacobi_eigh(A)
-            ref = np.linalg.eigvalsh(A)
-            assert np.allclose(w, ref, atol=1e-10)
-            assert np.allclose(A @ V, V @ np.diag(w), atol=1e-9)
+    @pytest.mark.parametrize(
+        "q, modes", CASES, ids=["q1", "q2-sparse", "q3", "q3-sparse", "q32", "q32-sparse"]
+    )
+    def test_blocks_match_dense_solve(self, q, modes):
+        rng = np.random.default_rng([q, len(modes)])
+        for _ in range(3):
+            cell = float(rng.choice([0.5, 1.0, 2.0]))
+            E = random_periodic_set(rng, cell)
+            res = min_concentration(modes, E, q * cell)
+            g = res.gram
+            G = g.matrix
+            assert g.stride == q
+            assert np.array_equal(G, G.conj().T)
+            diff = np.subtract.outer(modes, modes)
+            assert np.all(G[diff % q != 0] == 0)
+            assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(G), rtol=0, atol=1e-12)
+            support = np.flatnonzero(res.witness)
+            assert len({modes[i] % q for i in support}) == 1
+            v = res.witness
+            rayleigh = (v.conj() @ (G @ v)).real
+            assert math.isclose(rayleigh, res.lambda_min, rel_tol=0, abs_tol=1e-14)
+
+    def test_aperiodic_set_has_stride_one(self):
+        g = gram_matrix(list(range(-3, 4)), IntervalSet(((0.2, 0.9), (1.5, 3.0))), 4.0)
+        assert g.stride == 1
+        assert len(g.blocks()) == 1
 
 
 class TestSharpnessGap:

@@ -15,6 +15,7 @@ from thickset import (
     thickness,
     two_sliver_set,
 )
+from thickset.sets import period_ratio
 
 
 class TestIntervalSet:
@@ -79,6 +80,20 @@ class TestMeasureWithin:
     def test_periodic_window_longer_than_period(self):
         E = two_sliver_set(0.2)
         assert math.isclose(measure_within(E, (0.0, 2.0)), 0.4, rel_tol=1e-12)
+
+
+class TestPeriodRatio:
+    def test_copies_of_the_cell(self):
+        assert period_ratio(two_sliver_set(0.2), 32.0) == 32
+        assert period_ratio(IntervalSet(((0.0, 1.0),), period=2.5), 7.5) == 3
+
+    def test_aperiodic_set_is_one(self):
+        assert period_ratio(IntervalSet(((0.0, 1.0),)), 8.0) == 1
+
+    @pytest.mark.parametrize("period", [3.5, 0.5])
+    def test_period_must_divide(self, period):
+        with pytest.raises(ValueError, match="set period must divide"):
+            period_ratio(IntervalSet(((0.0, 0.5),), period=1.0), period)
 
 
 class TestThickness:
