@@ -29,7 +29,6 @@ from .errors import (
 from .quadrature import panel_nodes, panel_width, sup_abs
 from .sets import IntervalSet, period_ratio
 
-TWO_PI = 2.0 * math.pi
 
 # Cap on nodes * (baby + giant steps) per evaluation block, to bound memory.
 _EVAL_BLOCK = 2_000_000
@@ -110,7 +109,7 @@ class TrigPoly:
 
     @property
     def frequencies(self) -> np.ndarray:
-        return TWO_PI * self.ms / self.period
+        return math.tau * self.ms / self.period
 
     @property
     def max_frequency(self) -> float:
@@ -155,7 +154,7 @@ class TrigPoly:
             block = max(1, _EVAL_BLOCK // (baby + giant))
             for i in range(0, flat.size, block):
                 turns = np.mod(flat[i : i + block], self.period) / self.period
-                z = np.exp(1j * (TWO_PI * turns))
+                z = np.exp(1j * (math.tau * turns))
                 powers = np.empty((baby + 1, z.size), dtype=np.complex128)
                 powers[0] = 1.0
                 for j in range(1, baby + 1):
@@ -165,7 +164,7 @@ class TrigPoly:
                 for q in range(giant - 2, -1, -1):
                     acc *= powers[baby]
                     acc += rows[q]
-                shift = np.exp(1j * (TWO_PI * np.mod(self.ms[0] * turns, 1.0)))
+                shift = np.exp(1j * (math.tau * np.mod(self.ms[0] * turns, 1.0)))
                 out[i : i + block] = acc * shift
         if xs.ndim == 0:
             return complex(out[0])
@@ -271,8 +270,8 @@ def lattice_indices(spec: BandSpec, period: float) -> np.ndarray:
     """Sorted integer modes m with 2 pi m / period inside some band."""
     found: set[int] = set()
     for lo, hi in spec.bands():
-        m_lo = math.ceil(lo * period / TWO_PI - 1e-9)
-        m_hi = math.floor(hi * period / TWO_PI + 1e-9)
+        m_lo = math.ceil(lo * period / math.tau - 1e-9)
+        m_hi = math.floor(hi * period / math.tau + 1e-9)
         if m_hi < m_lo:
             raise EmptyBandError(
                 f"band ({lo:g}, {hi:g}) holds no lattice frequency at period {period:g}"

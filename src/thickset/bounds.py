@@ -168,33 +168,6 @@ def theorem2_bound(
     return _exp(theorem2_bound_log10(gamma, n, ab, p, constants) * _LN10)
 
 
-def theorem2prime_bound(
-    gamma: float,
-    n: int,
-    ab: float,
-    p: float,
-    constants: BoundConstants = DEFAULT_CONSTANTS,
-) -> float:
-    """n-band lower bound in direct form:
-    (gamma/C)^(ab (C/gamma)^n + n - (p-1)/p).
-
-    Algebraically identical to `theorem2_bound`; kept as an independent
-    evaluation route.
-    """
-    gamma = _check_gamma_positive(gamma)
-    n = _check_count(n)
-    ab = _check_ab(ab)
-    check_exponent(p)
-    c = constants.c_multi
-    log_base = math.log(gamma / c)
-    tower = _exp(n * math.log(c / gamma))
-    first = 0.0 if ab == 0 else ab * tower
-    expo = first + n - holder_share(p)
-    if math.isinf(expo):
-        return 0.0 if log_base < 0 else math.inf
-    return _exp(expo * log_base)
-
-
 @dataclass(frozen=True)
 class Remark1Bounds:
     """Sharpened small-ab / near-full-density bounds; None when inapplicable."""

@@ -6,10 +6,15 @@ significant digits, rows in a fixed grid order, LF line endings; identical
 configs and seeds produce byte-identical files.  Exit status is 0 when all
 asserted contracts hold, 1 with a failure manifest otherwise, 2 for usage
 or config-schema errors.
+
+Every command builds its table through one grid loop, `_tabulate`: a cell
+function runs at each point of the cross product of the command's axes and
+returns its rows and violations.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -22,7 +27,6 @@ from . import proofcheck
 from .bandlimited import BandSpec, NormQuery, full_torus, lp_norm, random_bandlimited
 from .bounds import (
     BoundConstants,
-    DEFAULT_CONSTANTS,
     holder_share,
     lemma1_corollary_bound,
     lemma3_bound,
@@ -33,7 +37,6 @@ from .bounds import (
     theorem1_bound,
     theorem1_bound_log10,
     theorem2_bound,
-    theorem2prime_bound,
 )
 from .concentration import min_concentration, sharpness_gap
 from .errors import ConfigError, ThicksetError
@@ -91,15 +94,11 @@ def emit_csv(table: ExperimentTable) -> bytes:
 # config plumbing
 
 
-def _fail(message: str) -> ConfigError:
-    return ConfigError(message)
-
-
 def _parse_p(value) -> float:
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
-        raise _fail(f"unrecognized exponent {value!r}")
+        raise ConfigError(f"unrecognized exponent {value!r}")
     return float(value)
 
 
@@ -112,32 +111,32 @@ def _listify(config: dict, key: str, default=None, parser=float) -> list:
     elif default is not None:
         raw = default
     else:
-        raise _fail(f"config needs {key!r} or {key!r}_list")
+        raise ConfigError(f"config needs {key!r} or {key!r}_list")
     if not isinstance(raw, list):
         raw = [raw]
     if not raw:
-        raise _fail(f"{key}_list must not be empty")
+        raise ConfigError(f"{key}_list must not be empty")
     return [parser(v) for v in raw]
 
 
 def _set_from_config(data) -> IntervalSet:
     if not isinstance(data, dict):
-        raise _fail("'set' must be an object")
+        raise ConfigError("'set' must be an object")
     if "two_sliver" in data:
         return two_sliver_set(float(data["two_sliver"]))
     if "intervals" in data:
         return normalize(data["intervals"], period=data.get("period"))
-    raise _fail("'set' needs either 'two_sliver' or 'intervals'")
+    raise ConfigError("'set' needs either 'two_sliver' or 'intervals'")
 
 
 def _constants_from_config(config: dict) -> BoundConstants:
     overrides = config.get("constants", {})
     if not isinstance(overrides, dict):
-        raise _fail("'constants' must be an object")
+        raise ConfigError("'constants' must be an object")
     allowed = {"c_one", "c_one_sup", "k_one", "c_multi", "c_aux"}
     unknown = set(overrides) - allowed
     if unknown:
-        raise _fail(f"unknown constants {sorted(unknown)}")
+        raise ConfigError(f"unknown constants {sorted(unknown)}")
     return BoundConstants(**{k: float(v) for k, v in overrides.items()})
 
 
@@ -147,11 +146,43 @@ def _seed_base(config: dict) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise _fail(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
     seed = config.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise _fail(f"'seed' must be a nonnegative integer, got {seed!r}")
+        raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
     return seed
+
+
+def _seeds(config: dict, default: int) -> list[int]:
+    """Instance seeds base, base + 1, ... of a sweep of `seeds` instances."""
+    base = _seed_base(config)
+    return [base + i for i in range(int(config.get("seeds", default)))]
+
+
+def _tabulate(header: tuple[str, ...], axes, cell) -> RunResult:
+    """Run `cell(*point)` over the product of `axes`, first axis outermost.
+
+    Each cell returns (rows, violations); both are concatenated in grid order.
+    """
+    rows: list[tuple] = []
+    violations: list[str] = []
+    for point in itertools.product(*axes):
+        cell_rows, cell_violations = cell(*point)
+        rows.extend(cell_rows)
+        violations.extend(cell_violations)
+    return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
+
+
+def _classified(b: float, p: float, period: float, seed: int):
+    """A random instance with band [-b/2, b/2] and its good/bad classification."""
+    f = random_bandlimited(BandSpec((0.0,), b), period, seed=seed)
+    return f, proofcheck.classify_intervals(f, b, proofcheck.ClassifierParams(p=p))
+
+
+def _mass_budget(f, labels) -> tuple[float, float, float]:
+    """Bad and good mass fractions of a classification and its bad-mass budget 1 / (A^p - 1)."""
+    good = proofcheck.good_mass_check(f, labels)
+    return 1.0 - good, good, 1.0 / (labels.params.bad_threshold ** labels.params.p - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,101 +192,116 @@ def _seed_base(config: dict) -> int:
 def _run_bound(config: dict) -> RunResult:
     which = config.get("which", "theorem1")
     constants = _constants_from_config(config)
-    rows: list[tuple] = []
-    if which in ("theorem1", "theorem2", "theorem2prime"):
-        gammas = _listify(config, "gamma")
-        abs_ = _listify(config, "ab")
-        ps = _listify(config, "p", parser=_parse_p)
-        ns = _listify(config, "n", default=[1], parser=int) if which != "theorem1" else [None]
-        header = ("which", "gamma", "n", "ab", "p", "value")
-        for gamma in gammas:
-            for n in ns:
-                for ab in abs_:
-                    for p in ps:
-                        if which == "theorem1":
-                            value = theorem1_bound(gamma, ab, p, constants)
-                        elif which == "theorem2":
-                            value = theorem2_bound(gamma, n, ab, p, constants)
-                        else:
-                            value = theorem2prime_bound(gamma, n, ab, p, constants)
-                        rows.append((which, gamma, 0 if n is None else n, ab, p, value))
+    if which == "theorem1":
+        header = ("gamma", "n", "ab", "p", "value")
+        axes = (
+            _listify(config, "gamma"),
+            _listify(config, "ab"),
+            _listify(config, "p", parser=_parse_p),
+        )
+
+        def values(gamma, ab, p):
+            return gamma, 0, ab, p, theorem1_bound(gamma, ab, p, constants)
+    elif which == "theorem2":
+        header = ("gamma", "n", "ab", "p", "value")
+        axes = (
+            _listify(config, "gamma"),
+            _listify(config, "n", default=[1], parser=int),
+            _listify(config, "ab"),
+            _listify(config, "p", parser=_parse_p),
+        )
+
+        def values(gamma, n, ab, p):
+            return gamma, n, ab, p, theorem2_bound(gamma, n, ab, p, constants)
     elif which == "remark1":
-        header = ("which", "gamma", "ab", "p", "small_ab", "near_full")
-        for gamma in _listify(config, "gamma"):
-            for ab in _listify(config, "ab"):
-                for p in _listify(config, "p", parser=_parse_p):
-                    pair = remark1_bounds(gamma, ab, p)
-                    rows.append((which, gamma, ab, p, pair.small_ab, pair.near_full))
+        header = ("gamma", "ab", "p", "small_ab", "near_full")
+        axes = (
+            _listify(config, "gamma"),
+            _listify(config, "ab"),
+            _listify(config, "p", parser=_parse_p),
+        )
+
+        def values(gamma, ab, p):
+            pair = remark1_bounds(gamma, ab, p)
+            return gamma, ab, p, pair.small_ab, pair.near_full
     elif which == "lemma1":
-        header = ("which", "meas_E", "M", "p", "value")
-        ps = _listify(config, "p", parser=_parse_p) if ("p" in config or "p_list" in config) else [None]
-        for meas in _listify(config, "meas_E"):
-            for m_ratio in _listify(config, "M"):
-                for p in ps:
-                    value = lemma1_corollary_bound(meas, m_ratio, p, constants)
-                    rows.append((which, meas, m_ratio, math.inf if p is None else p, value))
+        # p = inf is the sup form, the one used when no p is given
+        header = ("meas_E", "M", "p", "value")
+        axes = (
+            _listify(config, "meas_E"),
+            _listify(config, "M"),
+            _listify(config, "p", default=[math.inf], parser=_parse_p),
+        )
+
+        def values(meas, m_ratio, p):
+            return meas, m_ratio, p, lemma1_corollary_bound(meas, m_ratio, p, constants)
     elif which == "lemma3":
-        header = ("which", "len_I", "meas_E", "n", "m", "p", "value")
-        for len_i in _listify(config, "len_I", default=[1.0]):
-            for meas in _listify(config, "meas_E"):
-                for n in _listify(config, "n", parser=int):
-                    for m in _listify(config, "m", parser=int):
-                        for p in _listify(config, "p", parser=_parse_p):
-                            value = lemma3_bound(len_i, meas, n, m, p, constants)
-                            rows.append((which, len_i, meas, n, m, p, value))
+        header = ("len_I", "meas_E", "n", "m", "p", "value")
+        axes = (
+            _listify(config, "len_I", default=[1.0]),
+            _listify(config, "meas_E"),
+            _listify(config, "n", parser=int),
+            _listify(config, "m", parser=int),
+            _listify(config, "p", parser=_parse_p),
+        )
+
+        def values(len_i, meas, n, m, p):
+            return len_i, meas, n, m, p, lemma3_bound(len_i, meas, n, m, p, constants)
     elif which == "nazarov_remez":
-        header = ("which", "len_I", "meas_E", "n", "nazarov", "remez")
-        for len_i in _listify(config, "len_I", default=[1.0]):
-            for meas in _listify(config, "meas_E"):
-                for n in _listify(config, "n", parser=int):
-                    pair = nazarov_remez_bounds(len_i, meas, n, constants)
-                    rows.append((which, len_i, meas, n, pair.nazarov, pair.remez))
+        header = ("len_I", "meas_E", "n", "nazarov", "remez")
+        axes = (
+            _listify(config, "len_I", default=[1.0]),
+            _listify(config, "meas_E"),
+            _listify(config, "n", parser=int),
+        )
+
+        def values(len_i, meas, n):
+            pair = nazarov_remez_bounds(len_i, meas, n, constants)
+            return len_i, meas, n, pair.nazarov, pair.remez
     elif which == "multidim":
-        header = ("which", "gamma", "d", "sum_ab", "n", "p", "value")
+        # without n the single-band form is evaluated, printed as n = 0
+        header = ("gamma", "d", "sum_ab", "n", "p", "value")
         products = tuple(float(v) for v in config.get("ab_products", [1.0]))
         params = MultiDimParams(d=len(products), ab_products=products)
-        ns = _listify(config, "n", parser=int) if ("n" in config or "n_list" in config) else [None]
-        for gamma in _listify(config, "gamma"):
-            for n in ns:
-                for p in _listify(config, "p", default=[2.0], parser=_parse_p):
-                    value = multidim_bound(gamma, params, p, n, constants)
-                    rows.append((which, gamma, params.d, sum(products), 0 if n is None else n, p, value))
+        axes = (
+            _listify(config, "gamma"),
+            _listify(config, "n", parser=int) if ("n" in config or "n_list" in config) else [None],
+            _listify(config, "p", default=[2.0], parser=_parse_p),
+        )
+
+        def values(gamma, n, p):
+            value = multidim_bound(gamma, params, p, n, constants)
+            return gamma, params.d, sum(products), 0 if n is None else n, p, value
     else:
-        raise _fail(f"unknown bound evaluator {which!r}")
-    return RunResult(ExperimentTable(header, tuple(rows)), ())
+        raise ConfigError(f"unknown bound evaluator {which!r}")
+    return _tabulate(("which",) + header, axes, lambda *point: ([(which, *values(*point))], ()))
 
 
 def _run_thickness(config: dict) -> RunResult:
     E = _set_from_config(config.get("set", {}))
     domain = config.get("domain")
     domain = tuple(float(v) for v in domain) if domain is not None else None
-    rows = []
-    for a in _listify(config, "a", default=[1.0]):
-        cert = thickness(E, a, domain=domain)
-        rows.append((a, cert.gamma))
-    return RunResult(ExperimentTable(("a", "gamma"), tuple(rows)), ())
+
+    def cell(a):
+        return [(a, thickness(E, a, domain=domain).gamma)], ()
+
+    return _tabulate(("a", "gamma"), (_listify(config, "a", default=[1.0]),), cell)
 
 
 def _run_concentration(config: dict) -> RunResult:
     constants = _constants_from_config(config)
-    violations: list[str] = []
     if "freqs" in config:
         freqs = [int(m) for m in config["freqs"]]
         E = _set_from_config(config.get("set", {}))
         period = float(config.get("L", 1.0))
-        result = min_concentration(freqs, E, period)
         header = ("n_freqs", "measure_fraction", "lambda_min", "residual")
-        rows = (
-            (
-                len(freqs),
-                result.gram.measure_fraction,
-                result.lambda_min,
-                result.residual,
-            ),
-        )
-        return RunResult(ExperimentTable(header, rows), ())
-    gammas = _listify(config, "gamma")
-    b_values = _listify(config, "b")
+
+        def explicit():
+            result = min_concentration(freqs, E, period)
+            row = (len(freqs), result.gram.measure_fraction, result.lambda_min, result.residual)
+            return [row], ()
+
+        return _tabulate(header, (), explicit)
     period = float(config.get("L", 8.0))
     window = float(config.get("window", 1.0))
     header = (
@@ -269,43 +315,33 @@ def _run_concentration(config: dict) -> RunResult:
         "log10_margin",
         "holds",
     )
-    cells = [(gamma, b) for gamma in gammas for b in b_values]
 
-    def one(cell):
-        gamma, b = cell
+    def cell(gamma, b):
         report = sharpness_gap(
             BandSpec((0.0,), b), two_sliver_set(gamma), period, constants, window
         )
-        return report
-
-    reports = [one(cell) for cell in cells]
-    rows = []
-    for (gamma, b), report in zip(cells, reports):
-        rows.append(
-            (
-                report.gamma,
-                b,
-                report.n_freqs,
-                report.lambda_min,
-                report.exact,
-                report.bound,
-                report.log10_bound,
-                report.log10_margin,
-                report.holds,
-            )
+        row = (
+            report.gamma,
+            b,
+            report.n_freqs,
+            report.lambda_min,
+            report.exact,
+            report.bound,
+            report.log10_bound,
+            report.log10_margin,
+            report.holds,
         )
-        if not report.holds:
-            violations.append(
-                f"concentration: exact {report.exact:.6g} below bound at gamma={gamma:g} b={b:g}"
-            )
-    return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
+        violations = [] if report.holds else [
+            f"concentration: exact {report.exact:.6g} below bound at gamma={gamma:g} b={b:g}"
+        ]
+        return [row], violations
+
+    axes = (_listify(config, "gamma"), _listify(config, "b"))
+    return _tabulate(header, axes, cell)
 
 
 def _run_extremal(config: dict) -> RunResult:
     constants = _constants_from_config(config)
-    gammas = _listify(config, "gamma")
-    b_values = _listify(config, "b")
-    ps = _listify(config, "p", default=[2.0], parser=_parse_p)
     truncation = config.get("truncation")
     truncation = float(truncation) if truncation is not None else None
     header = (
@@ -318,29 +354,24 @@ def _run_extremal(config: dict) -> RunResult:
         "example_log10",
         "holds",
     )
-    cells = [(b, gamma, p) for b in b_values for gamma in gammas for p in ps]
 
-    def one(cell):
-        b, gamma, p = cell
+    def cell(b, gamma, p):
         inst = extremal_pair(b, gamma)
         ratio = extremal_ratio(inst, p, truncation)
         bound_log10 = theorem1_bound_log10(gamma, b, p, constants)
         example_log10 = (inst.power - 1) * math.log10(gamma)
         holds = math.log10(ratio) >= bound_log10 if ratio > 0 else False
-        return inst, ratio, bound_log10, example_log10, holds
+        violations = [] if holds else [
+            f"extremal: ratio {ratio:.6g} below bound at b={b:g} gamma={gamma:g} p={p:g}"
+        ]
+        return [(b, gamma, p, inst.power, ratio, bound_log10, example_log10, holds)], violations
 
-    results = [one(cell) for cell in cells]
-    rows = []
-    violations = []
-    for (b, gamma, p), (inst, ratio, bound_log10, example_log10, holds) in zip(
-        cells, results
-    ):
-        rows.append((b, gamma, p, inst.power, ratio, bound_log10, example_log10, holds))
-        if not holds:
-            violations.append(
-                f"extremal: ratio {ratio:.6g} below bound at b={b:g} gamma={gamma:g} p={p:g}"
-            )
-    return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
+    axes = (
+        _listify(config, "b"),
+        _listify(config, "gamma"),
+        _listify(config, "p", default=[2.0], parser=_parse_p),
+    )
+    return _tabulate(header, axes, cell)
 
 
 def _run_classify(config: dict) -> RunResult:
@@ -348,34 +379,34 @@ def _run_classify(config: dict) -> RunResult:
     b = float(config.get("b", 4.0 * math.pi))
     p = _parse_p(config.get("p", 2))
     period = float(config.get("L", 8.0))
-    f = random_bandlimited(BandSpec((0.0,), b), period, seed=seed)
-    params = proofcheck.ClassifierParams(p=p)
-    labels = proofcheck.classify_intervals(f, b, params)
-    good_fraction = proofcheck.good_mass_check(f, labels)
-    bad_fraction = 1.0 - good_fraction
-    budget = 1.0 / (params.bad_threshold ** p - 1.0)
     header = ("index", "lo", "hi", "good", "first_bad_order", "mass")
-    rows = tuple(
-        (i, lo, hi, bool(g), int(order), mass)
-        for i, ((lo, hi), g, order, mass) in enumerate(
-            zip(
-                labels.intervals,
-                labels.good.tolist(),
-                labels.first_bad_order.tolist(),
-                labels.mass.tolist(),
+
+    def instance():
+        f, labels = _classified(b, p, period, seed)
+        bad_fraction, good_fraction, budget = _mass_budget(f, labels)
+        rows = [
+            (i, lo, hi, bool(g), int(order), mass)
+            for i, ((lo, hi), g, order, mass) in enumerate(
+                zip(
+                    labels.intervals,
+                    labels.good.tolist(),
+                    labels.first_bad_order.tolist(),
+                    labels.mass.tolist(),
+                )
             )
-        )
-    )
-    violations = []
-    if bad_fraction > budget + 1e-4:
-        violations.append(
-            f"classify: bad mass fraction {bad_fraction:.6g} exceeds budget {budget:.6g}"
-        )
-    if good_fraction < 0.5 - 1e-4:
-        violations.append(
-            f"classify: good mass fraction {good_fraction:.6g} below one half"
-        )
-    return RunResult(ExperimentTable(header, rows), tuple(violations))
+        ]
+        violations = []
+        if bad_fraction > budget + 1e-4:
+            violations.append(
+                f"classify: bad mass fraction {bad_fraction:.6g} exceeds budget {budget:.6g}"
+            )
+        if good_fraction < 0.5 - 1e-4:
+            violations.append(
+                f"classify: good mass fraction {good_fraction:.6g} below one half"
+            )
+        return rows, violations
+
+    return _tabulate(header, (), instance)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +414,7 @@ def _run_classify(config: dict) -> RunResult:
 
 
 def _suite_good_bad(config: dict) -> RunResult:
-    base = _seed_base(config)
-    n_seeds = int(config.get("seeds", 10))
     period = float(config.get("L", 8.0))
-    b_values = _listify(config, "b", default=[4.0 * math.pi])
-    ps = _listify(config, "p", default=[1.0, 2.0], parser=_parse_p)
     header = (
         "seed",
         "b",
@@ -397,26 +424,12 @@ def _suite_good_bad(config: dict) -> RunResult:
         "good_mass_fraction",
         "bad_budget",
     )
-    cases = [
-        (base + i, b, p) for b in b_values for p in ps for i in range(n_seeds)
-    ]
 
-    def one(case):
-        seed, b, p = case
-        f = random_bandlimited(BandSpec((0.0,), b), period, seed=seed)
-        params = proofcheck.ClassifierParams(p=p)
-        labels = proofcheck.classify_intervals(f, b, params)
-        good_fraction = proofcheck.good_mass_check(f, labels)
-        return labels, good_fraction, params
-
-    results = [one(case) for case in cases]
-    rows = []
-    violations = []
-    for (seed, b, p), (labels, good_fraction, params) in zip(cases, results):
-        bad_fraction = 1.0 - good_fraction
-        budget = 1.0 / (params.bad_threshold ** p - 1.0)
+    def cell(b, p, seed):
+        f, labels = _classified(b, p, period, seed)
+        bad_fraction, good_fraction, budget = _mass_budget(f, labels)
         n_bad = int((~labels.good).sum())
-        rows.append((seed, b, p, n_bad, bad_fraction, good_fraction, budget))
+        violations = []
         if bad_fraction > budget + 1e-4:
             violations.append(
                 f"good_bad: seed={seed} b={b:g} p={p:g} bad mass {bad_fraction:.6g} over budget"
@@ -425,106 +438,77 @@ def _suite_good_bad(config: dict) -> RunResult:
             violations.append(
                 f"good_bad: seed={seed} b={b:g} p={p:g} good mass {good_fraction:.6g} under half"
             )
-    return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
+        return [(seed, b, p, n_bad, bad_fraction, good_fraction, budget)], violations
+
+    axes = (
+        _listify(config, "b", default=[4.0 * math.pi]),
+        _listify(config, "p", default=[1.0, 2.0], parser=_parse_p),
+        _seeds(config, 10),
+    )
+    return _tabulate(header, axes, cell)
 
 
 def _suite_local_estimate(config: dict) -> RunResult:
-    base = _seed_base(config)
-    n_seeds = int(config.get("seeds", 5))
     period = float(config.get("L", 8.0))
     constants = _constants_from_config(config)
-    b_values = _listify(config, "b", default=[4.0 * math.pi])
-    ps = _listify(config, "p", default=[1.0, 2.0], parser=_parse_p)
-    gammas = _listify(config, "gamma", default=[0.1, 0.3, 0.7])
     header = ("seed", "b", "p", "gamma", "n_good", "n_holds", "all_hold")
-    cases = [
-        (base + i, b, p, gamma)
-        for b in b_values
-        for p in ps
-        for gamma in gammas
-        for i in range(n_seeds)
-    ]
 
-    def one(case):
-        seed, b, p, gamma = case
-        f = random_bandlimited(BandSpec((0.0,), b), period, seed=seed)
-        labels = proofcheck.classify_intervals(f, b, proofcheck.ClassifierParams(p=p))
+    def cell(b, p, gamma, seed):
+        f, labels = _classified(b, p, period, seed)
         E = two_sliver_set(gamma)
-        n_holds = 0
         goods = labels.good_intervals
-        for iv in goods:
-            check = proofcheck.local_estimate_check(f, E, iv, p, constants)
-            if check.holds:
-                n_holds += 1
-        return len(goods), n_holds
+        n_holds = sum(
+            proofcheck.local_estimate_check(f, E, iv, p, constants).holds for iv in goods
+        )
+        all_hold = n_holds == len(goods)
+        violations = [] if all_hold else [
+            f"local_estimate: seed={seed} b={b:g} p={p:g} gamma={gamma:g} "
+            f"{len(goods) - n_holds} good intervals fail"
+        ]
+        return [(seed, b, p, gamma, len(goods), n_holds, all_hold)], violations
 
-    results = [one(case) for case in cases]
-    rows = []
-    violations = []
-    for (seed, b, p, gamma), (n_good, n_holds) in zip(cases, results):
-        all_hold = n_holds == n_good
-        rows.append((seed, b, p, gamma, n_good, n_holds, all_hold))
-        if not all_hold:
-            violations.append(
-                f"local_estimate: seed={seed} b={b:g} p={p:g} gamma={gamma:g} "
-                f"{n_good - n_holds} good intervals fail"
-            )
-    return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
+    axes = (
+        _listify(config, "b", default=[4.0 * math.pi]),
+        _listify(config, "p", default=[1.0, 2.0], parser=_parse_p),
+        _listify(config, "gamma", default=[0.1, 0.3, 0.7]),
+        _seeds(config, 5),
+    )
+    return _tabulate(header, axes, cell)
 
 
 def _suite_growth(config: dict) -> RunResult:
-    base = _seed_base(config)
-    n_seeds = int(config.get("seeds", 5))
     period = float(config.get("L", 8.0))
     radius = float(config.get("radius", 4.5))
-    b_values = _listify(config, "b", default=[4.0 * math.pi])
-    ps = _listify(config, "p", default=[1.0, 2.0], parser=_parse_p)
     header = ("seed", "b", "p", "interval_lo", "ratio", "bound", "holds")
-    cases = [(base + i, b, p) for b in b_values for p in ps for i in range(n_seeds)]
 
-    def one(case):
-        seed, b, p = case
-        f = random_bandlimited(BandSpec((0.0,), b), period, seed=seed)
-        labels = proofcheck.classify_intervals(f, b, proofcheck.ClassifierParams(p=p))
-        out = []
+    def cell(b, p, seed):
+        f, labels = _classified(b, p, period, seed)
+        rows = []
+        violations = []
         for iv in labels.good_intervals:
             env = proofcheck.growth_envelope(f, iv, radius, p)
-            out.append((iv[0], env.ratio, env.bound, env.holds))
-        return out
-
-    results = [one(case) for case in cases]
-    rows = []
-    violations = []
-    for (seed, b, p), checks in zip(cases, results):
-        for lo, ratio, bound, holds in checks:
-            rows.append((seed, b, p, lo, ratio, bound, holds))
-            if not holds:
+            rows.append((seed, b, p, iv[0], env.ratio, env.bound, env.holds))
+            if not env.holds:
                 violations.append(
-                    f"growth: seed={seed} b={b:g} p={p:g} interval at {lo:g} breaks the envelope"
+                    f"growth: seed={seed} b={b:g} p={p:g} interval at {iv[0]:g} breaks the envelope"
                 )
-    return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
+        return rows, violations
+
+    axes = (
+        _listify(config, "b", default=[4.0 * math.pi]),
+        _listify(config, "p", default=[1.0, 2.0], parser=_parse_p),
+        _seeds(config, 5),
+    )
+    return _tabulate(header, axes, cell)
 
 
 def _suite_taylor(config: dict) -> RunResult:
-    base = _seed_base(config)
-    n_seeds = int(config.get("seeds", 5))
     period = float(config.get("L", 8.0))
-    b_values = _listify(config, "b", default=[2.0 * math.pi])
-    ps = _listify(config, "p", default=[2.0], parser=_parse_p)
-    degrees = _listify(config, "m", default=[3], parser=int)
     n_bands = int(config.get("n", 2))
     window = float(config.get("window", 0.5))
     header = ("seed", "b", "p", "m", "identity_error", "lhs", "rhs", "holds")
-    cases = [
-        (base + i, b, p, m)
-        for b in b_values
-        for p in ps
-        for m in degrees
-        for i in range(n_seeds)
-    ]
 
-    def one(case):
-        seed, b, p, m = case
+    def cell(b, p, m, seed):
         centers = tuple(3.0 * b * k for k in range(n_bands))
         components = [
             random_bandlimited(BandSpec((0.0,), b), period, seed=seed + 1000 * k)
@@ -540,14 +524,8 @@ def _suite_taylor(config: dict) -> RunResult:
         xs_q, ws_q = panel_nodes(interval[0], interval[1], panel_width(b / 2.0, 8))
         lhs = float(ws_q @ np.abs(split.remainder(xs_q)) ** p)
         rhs = proofcheck.taylor_remainder_bound(split, p)
-        return identity_error, lhs, rhs
-
-    results = [one(case) for case in cases]
-    rows = []
-    violations = []
-    for (seed, b, p, m), (identity_error, lhs, rhs) in zip(cases, results):
         holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
-        rows.append((seed, b, p, m, identity_error, lhs, rhs, holds))
+        violations = []
         if identity_error > 1e-8:
             violations.append(
                 f"taylor: seed={seed} b={b:g} m={m} identity error {identity_error:.3e}"
@@ -556,53 +534,52 @@ def _suite_taylor(config: dict) -> RunResult:
             violations.append(
                 f"taylor: seed={seed} b={b:g} m={m} remainder mass over budget"
             )
-    return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
+        return [(seed, b, p, m, identity_error, lhs, rhs, holds)], violations
+
+    axes = (
+        _listify(config, "b", default=[2.0 * math.pi]),
+        _listify(config, "p", default=[2.0], parser=_parse_p),
+        _listify(config, "m", default=[3], parser=int),
+        _seeds(config, 5),
+    )
+    return _tabulate(header, axes, cell)
 
 
 def _suite_band_norms(config: dict) -> RunResult:
-    base = _seed_base(config)
-    n_seeds = int(config.get("seeds", 5))
     period = float(config.get("L", 8.0))
-    b_values = _listify(config, "b", default=[2.0 * math.pi])
-    ps = _listify(config, "p", default=[2.0], parser=_parse_p)
     n_bands = int(config.get("n", 2))
     header = ("seed", "b", "p", "n", "max_ratio", "parseval_gap")
-    cases = [(base + i, b, p) for b in b_values for p in ps for i in range(n_seeds)]
 
-    def one(case):
-        seed, b, p = case
+    def cell(b, p, seed):
         spec = BandSpec(tuple(3.0 * b * k for k in range(n_bands)), b)
         f = random_bandlimited(spec, period, seed=seed)
         report = proofcheck.band_component_norms(f, spec, p)
         gap = math.nan
+        violations = []
         if p == 2.0:
             total = lp_norm(f, NormQuery(2.0, full_torus(period)))
             gap = abs(sum(v * v for v in report.norms) - total * total) / total ** 2
-        return report.max_ratio, gap
+            if report.max_ratio > 1.0 + 1e-6:
+                violations.append(
+                    f"band_norms: seed={seed} b={b:g} component ratio "
+                    f"{report.max_ratio:.6g} over 1 at p=2"
+                )
+            if gap > 1e-6:
+                violations.append(f"band_norms: seed={seed} b={b:g} Parseval gap {gap:.3e}")
+        return [(seed, b, p, n_bands, report.max_ratio, gap)], violations
 
-    results = [one(case) for case in cases]
-    rows = []
-    violations = []
-    for (seed, b, p), (max_ratio, gap) in zip(cases, results):
-        rows.append((seed, b, p, n_bands, max_ratio, gap))
-        if p == 2.0 and max_ratio > 1.0 + 1e-6:
-            violations.append(
-                f"band_norms: seed={seed} b={b:g} component ratio {max_ratio:.6g} over 1 at p=2"
-            )
-        if p == 2.0 and gap > 1e-6:
-            violations.append(
-                f"band_norms: seed={seed} b={b:g} Parseval gap {gap:.3e}"
-            )
-    return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
+    axes = (
+        _listify(config, "b", default=[2.0 * math.pi]),
+        _listify(config, "p", default=[2.0], parser=_parse_p),
+        _seeds(config, 5),
+    )
+    return _tabulate(header, axes, cell)
 
 
 def _suite_expsum(config: dict) -> RunResult:
     base = _seed_base(config)
     n_instances = int(config.get("seeds", 8))
     constants = _constants_from_config(config)
-    ns = _listify(config, "n", default=[1, 2, 3], parser=int)
-    ms = _listify(config, "m", default=[1, 2, 3], parser=int)
-    ps = _listify(config, "p", default=[2.0, math.inf], parser=_parse_p)
     fractions = _listify(
         config, "fraction", default=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     )
@@ -617,14 +594,10 @@ def _suite_expsum(config: dict) -> RunResult:
         "slope_cap",
         "minimal_c",
     )
-    rows = []
-    violations = []
-    interval = (0.0, 1.0)
 
-    def cell_job(cell):
-        n, m, p = cell
+    def cell(n, m, p):
         worst: list[tuple[float, float]] = []
-        failures: list[str] = []
+        violations: list[str] = []
         for fraction in fractions:
             E = IntervalSet(((0.0, fraction),))
             best = 0.0
@@ -640,10 +613,10 @@ def _suite_expsum(config: dict) -> RunResult:
                     )
                     for lam in lams
                 ]
-                check = proofcheck.exp_sum_verifier(terms, interval, E, p, constants)
+                check = proofcheck.exp_sum_verifier(terms, (0.0, 1.0), E, p, constants)
                 best = max(best, check.ratio)
                 if not check.holds:
-                    failures.append(
+                    violations.append(
                         f"expsum: n={n} m={m} p={p:g} fraction={fraction:g} ratio over bound"
                     )
             worst.append((1.0 / fraction, best))
@@ -652,20 +625,22 @@ def _suite_expsum(config: dict) -> RunResult:
         slope = float(np.polyfit(scales, ratios, 1)[0])
         cap = n * m - holder_share(p) + 0.1
         minimal = proofcheck.minimal_transfer_constant(worst, n * m - holder_share(p))
-        return worst, slope, cap, minimal, failures
-
-    cells = [(n, m, p) for n in ns for m in ms for p in ps]
-    outcomes = [cell_job(cell) for cell in cells]
-    for (n, m, p), (worst, slope, cap, minimal, failures) in zip(cells, outcomes):
-        violations.extend(failures)
         if slope > cap:
             violations.append(
                 f"expsum: n={n} m={m} p={p:g} slope {slope:.3f} over cap {cap:.3f}"
             )
-        for (scale, best), fraction in zip(worst, fractions):
+        rows = []
+        for (_, best), fraction in zip(worst, fractions):
             bound = lemma3_bound(1.0, fraction, n, m, p, constants)
             rows.append((n, m, p, fraction, best, bound, slope, cap, minimal))
-    return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
+        return rows, violations
+
+    axes = (
+        _listify(config, "n", default=[1, 2, 3], parser=int),
+        _listify(config, "m", default=[1, 2, 3], parser=int),
+        _listify(config, "p", default=[2.0, math.inf], parser=_parse_p),
+    )
+    return _tabulate(header, axes, cell)
 
 
 _SUITES = {
@@ -681,7 +656,7 @@ _SUITES = {
 def _run_verify(config: dict) -> RunResult:
     suite = config.get("suite")
     if suite not in _SUITES:
-        raise _fail(f"'suite' must be one of {sorted(_SUITES)}, got {suite!r}")
+        raise ConfigError(f"'suite' must be one of {sorted(_SUITES)}, got {suite!r}")
     return _SUITES[suite](config)
 
 
@@ -698,16 +673,16 @@ _RUNNERS = {
 def run(config: dict) -> RunResult:
     """Validate and execute one experiment config."""
     if not isinstance(config, dict):
-        raise _fail("config must be a JSON object")
+        raise ConfigError("config must be a JSON object")
     command = config.get("command")
     if command not in COMMANDS:
-        raise _fail(f"'command' must be one of {COMMANDS}, got {command!r}")
+        raise ConfigError(f"'command' must be one of {COMMANDS}, got {command!r}")
     try:
         return _RUNNERS[command](config)
     except ThicksetError:
         raise
     except (TypeError, KeyError, ValueError) as exc:
-        raise _fail(f"malformed config for {command!r}: {exc}") from exc
+        raise ConfigError(f"malformed config for {command!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:

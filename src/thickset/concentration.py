@@ -39,7 +39,6 @@ from .bounds import (
 from .errors import DuplicateFrequencyError, SizeLimitError
 from .sets import IntervalSet, period_ratio, thickness
 
-TWO_PI = 2.0 * math.pi
 
 # Dense eigensolves above this size are refused.
 MAX_DENSE_SIZE = 2000
@@ -130,7 +129,7 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     blocks = _residue_blocks(ms, q)
     steps = [(ms[ix][:, :, None] - ms[ix][:, None, :]) // q for ix in blocks]
     unique = np.unique(np.abs(np.concatenate([s.ravel() for s in steps])))
-    phases = np.exp(1j * (TWO_PI * np.mod(np.outer(unique, centers), 1.0)))
+    phases = np.exp(1j * (math.tau * np.mod(np.outer(unique, centers), 1.0)))
     values = (phases * (widths * np.sinc(np.outer(unique, widths)))).sum(axis=1)
     matrix = np.zeros((ms.size, ms.size), dtype=np.complex128)
     for ix, step in zip(blocks, steps):

@@ -23,7 +23,6 @@ from .errors import (
 from .quadrature import panel_nodes
 from .sets import IntervalSet, two_sliver_set
 
-TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 # Below this the kernel switches to its even Taylor expansion; the next
@@ -36,11 +35,11 @@ def _unit_kernel(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = np.abs(x) < _SMALL_X
-    u = TWO_PI * x[small]
+    u = math.tau * x[small]
     u2 = u * u
     out[small] = 1.0 - u2 / 6.0 + u2 * u2 / 120.0
     xl = x[~small]
-    out[~small] = np.sin(TWO_PI * xl) / (TWO_PI * xl)
+    out[~small] = np.sin(math.tau * xl) / (math.tau * xl)
     return out
 
 
@@ -58,7 +57,7 @@ class ExtremalInstance:
         kernel = _unit_kernel(x) ** self.power
         if normalized:
             return kernel
-        return kernel * (TWO_PI ** self.power)
+        return kernel * (math.tau ** self.power)
 
 
 def extremal_pair(bandwidth: float, gamma: float) -> ExtremalInstance:
@@ -85,7 +84,7 @@ def default_truncation(inst: ExtremalInstance, p: float, rel_tol: float = 1e-10)
     xs, ws = panel_nodes(-2.0, 2.0, width)
     central = float(ws @ np.abs(_unit_kernel(xs)) ** mp)
     target = rel_tol * central
-    log_tail_at_one = math.log(2.0) - mp * math.log(TWO_PI) - math.log(mp - 1.0)
+    log_tail_at_one = math.log(2.0) - mp * math.log(math.tau) - math.log(mp - 1.0)
     # tail(X) = exp(log_tail_at_one) * X^(1-mp) <= target
     log_x = (math.log(target) - log_tail_at_one) / (1.0 - mp)
     x = math.exp(min(log_x, 700.0))
@@ -145,7 +144,7 @@ def spectral_mass_outside_band(
     xs = -x_max + dx * np.arange(n)
     vals = inst.eval(xs)
     spectrum = np.fft.fft(vals)
-    omegas = TWO_PI * np.fft.fftfreq(n, d=dx)
+    omegas = math.tau * np.fft.fftfreq(n, d=dx)
     energy = np.abs(spectrum) ** 2
     outside = np.abs(omegas) > inst.bandwidth / 2.0 + 1e-9
     return float(energy[outside].sum() / energy.sum())

@@ -19,6 +19,7 @@ from .bandlimited import BandSpec, NormQuery, TrigPoly, full_torus, lp_norm
 from .bounds import (
     DEFAULT_CONSTANTS,
     BoundConstants,
+    _exp,
     check_exponent,
     inv_p,
     lemma3_bound,
@@ -35,15 +36,7 @@ from .errors import (
     ZeroFunctionError,
 )
 from .quadrature import panel_nodes, panel_width, sup_abs
-from .sets import IntervalSet, measure_within
-
-
-def _exp_sat(x: float) -> float:
-    if x > 709.0:
-        return math.inf
-    if x < -745.0:
-        return 0.0
-    return math.exp(x)
+from .sets import IntervalSet
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +51,11 @@ class ClassifierParams:
     integral_I |f^(alpha)|^p >= (A * C * b)^(alpha p) integral_I |f|^p with
     A = bad_threshold and C = bernstein_constant.  The default alpha_max
     keeps the untested tail sum_{alpha > alpha_max} A^(-alpha p) below
-    tail_eps.  pointwise_threshold records the constant of the pointwise
-    growth claim used downstream; the classifier itself does not consume it.
+    tail_eps.
     """
 
     p: float
     bad_threshold: float = 3.0
-    pointwise_threshold: float = 3.0
     bernstein_constant: float = 0.5
     alpha_max: int | None = None
     tail_eps: float = 1e-6
@@ -257,7 +248,7 @@ def local_estimate_check(
     b_eff = 2.0 * f.max_frequency
     c = constants.c_one
     log_factor = (c * b_eff * p + 2.0) * math.log(density / c)
-    rhs = _exp_sat(log_factor) * whole
+    rhs = _exp(log_factor) * whole
     return LocalEstimate(
         lhs=lhs,
         rhs=rhs,
@@ -314,7 +305,7 @@ def growth_envelope(
     if denom == 0:
         raise ZeroFunctionError("zero norm on the base interval")
     b_eff = 2.0 * f.max_frequency
-    bound = (2.0 ** inv_p(p)) * _exp_sat(envelope_constant * b_eff * (radius + 0.5))
+    bound = (2.0 ** inv_p(p)) * _exp(envelope_constant * b_eff * (radius + 0.5))
     ratio = peak / denom
     return GrowthEnvelope(ratio=ratio, bound=bound, holds=ratio <= bound)
 

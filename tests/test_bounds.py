@@ -1,6 +1,7 @@
 """Closed-form lower bounds: frozen values, edge cases, and monotonicity."""
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,7 @@ from thickset import (
     theorem1_bound,
     theorem1_bound_log10,
     theorem2_bound,
-    theorem2prime_bound,
+    theorem2_bound_log10,
 )
 
 
@@ -85,15 +86,24 @@ class TestTheorem2:
         assert math.isclose(theorem2_bound(300.0, 2, 1.0, 2.0), 1.0, rel_tol=1e-12)
 
     def test_prime_form_agrees(self):
-        for gamma in (0.1, 0.4, 0.9):
-            for n in (1, 2, 3):
-                for p in (1.0, 2.0, math.inf):
-                    a = theorem2_bound(gamma, n, 0.7, p)
-                    b = theorem2prime_bound(gamma, n, 0.7, p)
-                    if a == 0.0:
-                        assert b == 0.0
-                    else:
-                        assert math.isclose(a, b, rel_tol=1e-9)
+        # 40-digit reference of the direct form (gamma/C)^(ab (C/gamma)^n + n - (p-1)/p)
+        smallest = mpmath.mpf(2.0) ** -1074
+        with mpmath.workdps(40):
+            c = mpmath.mpf(300.0)
+            ab = mpmath.mpf(0.7)
+            for gamma in (0.1, 0.4, 0.9):
+                g = mpmath.mpf(gamma)
+                for n in (1, 2, 3):
+                    for p in (1.0, 2.0, math.inf):
+                        share = 1 if math.isinf(p) else (mpmath.mpf(p) - 1) / p
+                        ref = (g / c) ** (ab * (c / g) ** n + n - share)
+                        got = theorem2_bound(gamma, n, 0.7, p)
+                        if ref < smallest:
+                            assert got == 0.0
+                        else:
+                            assert got == pytest.approx(float(ref), rel=1e-9)
+                        got_log10 = theorem2_bound_log10(gamma, n, 0.7, p)
+                        assert got_log10 == pytest.approx(float(mpmath.log10(ref)), rel=1e-9)
 
     def test_decreasing_in_n(self):
         vals = [theorem2_bound(0.3, n, 0.5, 2.0) for n in (1, 2, 3)]

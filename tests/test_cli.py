@@ -1,8 +1,11 @@
 """Config parsing, CSV determinism, exit codes, and seed plumbing."""
+import itertools
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,8 @@ from thickset.cli import (
     main,
     run,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -71,6 +76,13 @@ class TestRun:
         b = emit_csv(run(cfg).table)
         assert a == b
 
+    def test_readme_examples_run(self):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        configs = [c for c in map(json.loads, blocks) if "command" in c]
+        assert configs
+        for config in configs:
+            assert run(config).exit_status == 0, config
+
     def test_unknown_command(self):
         with pytest.raises(ConfigError):
             run({"command": "frobnicate"})
@@ -94,6 +106,38 @@ class TestRun:
     def test_violation_exit_status(self):
         result = RunResult(ExperimentTable(("a",), ()), ("broken",))
         assert result.exit_status == 1
+
+
+class TestGridOrder:
+    """Rows follow itertools.product of the axes, first axis outermost."""
+
+    def test_verify_rows(self):
+        bs, ps = [2.0 * math.pi, 4.0 * math.pi], [1.0, 2.0]
+        cfg = {"command": "verify", "suite": "good_bad", "b_list": bs, "p_list": ps,
+               "seeds": 2, "seed": 4}
+        rows = run(cfg).table.rows
+        assert [(row[1], row[2], row[0]) for row in rows] == list(
+            itertools.product(bs, ps, [4, 5])
+        )
+
+    def test_bound_rows(self):
+        axes = ([0.1, 0.5], [1, 2], [0.0, 1.0], [1.0, 2.0])
+        cfg = {"command": "bound", "which": "theorem2", "gamma_list": axes[0],
+               "n_list": axes[1], "ab_list": axes[2], "p_list": axes[3]}
+        table = run(cfg).table
+        assert table.header[1:5] == ("gamma", "n", "ab", "p")
+        assert [row[1:5] for row in table.rows] == list(itertools.product(*axes))
+
+    def test_violation_names_failing_row(self):
+        # at b = 320 pi, gamma = 0.05, p = 4 the extremal ratio underflows to 0
+        cfg = {"command": "extremal", "b_list": [40.0 * math.pi, 320.0 * math.pi],
+               "gamma_list": [0.05, 0.4], "p_list": [2, 4]}
+        result = run(cfg)
+        failing = [row for row in result.table.rows if not row[-1]]
+        assert len(failing) == 1 and len(result.violations) == 1
+        b, gamma, p = failing[0][:3]
+        assert (b, gamma, p) == (320.0 * math.pi, 0.05, 4.0)
+        assert f"b={b:g} gamma={gamma:g} p={p:g}" in result.violations[0]
 
 
 class TestMain:
