@@ -243,8 +243,9 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
         panel width ``min(1, 2 pi / nu_max) / resolution``, the nodes of all
         pieces evaluated in one call.  For ``p = inf`` the maximum of |f| is
         taken over a grid with the same spacing on every piece and refined
-        around each piece's grid argmax by ``quadrature.sup_abs``; a peak
-        away from those argmaxes may be missed.
+        around each piece's grid argmax by one ``quadrature.sup_abs`` call,
+        whose per-piece maxima are reduced with ``.max()``; a peak away from
+        those argmaxes may be missed.
 
     Returns
     -------
@@ -259,7 +260,7 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     width = panel_width(f.max_frequency, query.resolution)
     if math.isinf(query.p):
         counts = [max(3, int(math.ceil((hi - lo) / width)) + 1) for lo, hi in pieces]
-        return sup_abs(f.eval, pieces, counts)
+        return float(sup_abs(f.eval, pieces, counts).max())
     panels = [panel_nodes(lo, hi, width) for lo, hi in pieces]
     xs = np.concatenate([x for x, _ in panels])
     ws = np.concatenate([w for _, w in panels])

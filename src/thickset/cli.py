@@ -111,7 +111,7 @@ def _listify(config: dict, key: str, default=None, parser=float) -> list:
     elif default is not None:
         raw = default
     else:
-        raise ConfigError(f"config needs {key!r} or {key!r}_list")
+        raise ConfigError(f"config needs {key!r} or {key + '_list'!r}")
     if not isinstance(raw, list):
         raw = [raw]
     if not raw:
@@ -153,10 +153,18 @@ def _seed_base(config: dict) -> int:
     return seed
 
 
+def _seed_count(config: dict, default: int) -> int:
+    """Number of instances per cell: `seeds`, an integer >= 1."""
+    count = config.get("seeds", default)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ConfigError(f"'seeds' must be a positive integer, got {count!r}")
+    return count
+
+
 def _seeds(config: dict, default: int) -> list[int]:
     """Instance seeds base, base + 1, ... of a sweep of `seeds` instances."""
     base = _seed_base(config)
-    return [base + i for i in range(int(config.get("seeds", default)))]
+    return [base + i for i in range(_seed_count(config, default))]
 
 
 def _tabulate(header: tuple[str, ...], axes, cell) -> RunResult:
@@ -578,11 +586,13 @@ def _suite_band_norms(config: dict) -> RunResult:
 
 def _suite_expsum(config: dict) -> RunResult:
     base = _seed_base(config)
-    n_instances = int(config.get("seeds", 8))
+    n_instances = _seed_count(config, 8)
     constants = _constants_from_config(config)
     fractions = _listify(
         config, "fraction", default=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     )
+    if len(set(fractions)) < 2:
+        raise ConfigError("expsum needs at least two distinct 'fraction' values to fit a slope")
     header = (
         "n",
         "m",

@@ -280,8 +280,9 @@ def growth_envelope(
     The contract is ratio <= 2^(1/p) * exp(envelope_constant * b * (radius + 1/2))
     with b the tightest band width; the measured side is the max of |f| on
     a grid at the quadrature spacing, refined around the grid argmax by
-    ``quadrature.sup_abs``, so a higher peak elsewhere in the window can be
-    missed.
+    ``quadrature.sup_abs`` with the window as its one piece (entry ``[0]``
+    of its per-piece result), so a higher peak elsewhere in the window can
+    be missed.
     """
     p = check_exponent(p)
     lo, hi = float(interval[0]), float(interval[1])
@@ -296,11 +297,8 @@ def growth_envelope(
     # points one period apart, which f.eval's argument reduction makes tie;
     # unreduced phases break those ties as the benchmark's recorded growth
     # rows (seeds 501724, 473638 and 169677) expect.
-    peak = sup_abs(
-        lambda x: np.exp(1j * np.outer(x, f.frequencies)) @ f.coeffs,
-        ((center - radius, center + radius),),
-        (n,),
-    )
+    dense = lambda x: np.exp(1j * np.outer(x, f.frequencies)) @ f.coeffs
+    peak = float(sup_abs(dense, ((center - radius, center + radius),), (n,))[0])
     denom = lp_norm(f, NormQuery(p, IntervalSet(((lo, hi),)), resolution))
     if denom == 0:
         raise ZeroFunctionError("zero norm on the base interval")
@@ -334,10 +332,8 @@ class TaylorSplit:
 
     def exp_sum(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        u = xs - self.base
-        out = np.zeros(xs.shape, dtype=np.complex128)
-        for lam, coeffs in zip(self.centers, self.poly_coeffs):
-            out += npoly.polyval(u, coeffs) * np.exp(1j * lam * xs)
+        evaluate = _expsum_closure(np.array(self.centers), self.poly_coeffs, self.base)
+        out = evaluate(xs.ravel()).reshape(xs.shape)
         return complex(out[0]) if np.ndim(x) == 0 else out
 
     def remainder(self, x):
@@ -514,19 +510,24 @@ class ExpSumCheck:
 
 
 def _expsum_closure(lams: np.ndarray, coeff_arrays, x0: float):
+    """Vectorized x -> sum_k p_k(x - x0) exp(i lam_k x) over 1-D arrays.
+
+    The coefficients are padded into one n x m table and Horner runs over
+    every term at once, with the operations and order of a per-term
+    ``npoly.polyval``; the terms are then summed in order.
+    """
+    table = np.zeros((len(coeff_arrays), max(arr.size for arr in coeff_arrays)), np.complex128)
+    for row, arr in zip(table, coeff_arrays):
+        row[: arr.size] = arr
+
     def evaluate(xs: np.ndarray) -> np.ndarray:
         u = xs - x0
-        out = np.zeros(xs.shape, dtype=np.complex128)
-        for lam, coeffs in zip(lams.tolist(), coeff_arrays):
-            out += npoly.polyval(u, coeffs) * np.exp(1j * lam * xs)
-        return out
+        acc = table[:, -1:]
+        for j in range(table.shape[1] - 2, -1, -1):
+            acc = acc * u + table[:, j : j + 1]
+        return (acc * np.exp(1j * (lams[:, None] * xs))).sum(axis=0)
 
     return evaluate
-
-
-def _sup_on_pieces(evaluate, pieces, width: float) -> float:
-    counts = [max(17, 2 * int(math.ceil((b - a) / width)) + 1) for a, b in pieces]
-    return sup_abs(evaluate, pieces, counts)
 
 
 def _sup_poly_exact(coeffs: np.ndarray, pieces, x0: float) -> float:
@@ -610,8 +611,12 @@ def exp_sum_verifier(
             norm_I = _sup_poly_exact(coeff_arrays[0], ((lo, hi),), x0)
             norm_E = _sup_poly_exact(coeff_arrays[0], pieces, x0)
         else:
-            norm_I = _sup_on_pieces(evaluate, ((lo, hi),), width)
-            norm_E = _sup_on_pieces(evaluate, pieces, width)
+            # one zoom search for both sups: row 0 is I, the rest E's pieces
+            spans = ((lo, hi),) + pieces
+            counts = [max(17, 2 * int(math.ceil((b - a) / width)) + 1) for a, b in spans]
+            sups = sup_abs(evaluate, spans, counts)
+            norm_I = float(sups[0])
+            norm_E = float(sups[1:].max())
     else:
         xs, ws = panel_nodes(lo, hi, width)
         norm_I = float(ws @ np.abs(evaluate(xs)) ** p) ** (1.0 / p)

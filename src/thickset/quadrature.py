@@ -57,21 +57,22 @@ def panel_nodes(
     return nodes, weights.copy()
 
 
-def sup_abs(evaluate, pieces, counts) -> float:
-    """Max of |evaluate| over the union of closed pieces [lo, hi].
+def sup_abs(evaluate, pieces, counts) -> np.ndarray:
+    """Max of |evaluate| over each closed piece [lo, hi], one entry per piece.
 
     Piece i is sampled at counts[i] >= 2 equally spaced points, every piece
     in one call of the vectorized `evaluate`.  The two grid cells around
     each piece's grid argmax are then zoomed, all pieces in one call per
     round: ZOOM_POINTS equally spaced points, keeping the two cells around
-    the best, until every bracket is at most ZOOM_TOL wide.  The result is the
-    largest value sampled.  Like any local refinement it finds the peak the
+    the best, until every bracket is at most ZOOM_TOL wide.  Entry i is the
+    largest value sampled on piece i, so the sup over the union is the
+    `.max()` of the result.  Like any local refinement it finds the peak the
     grid argmax sits on, which need not be the highest one.
     """
     grids = [np.linspace(lo, hi, n) for (lo, hi), n in zip(pieces, counts)]
-    vals = np.abs(evaluate(np.concatenate(grids)))
-    best = float(vals.max())
-    argmax = [int(np.argmax(v)) for v in np.split(vals, np.cumsum(counts)[:-1])]
+    vals = np.split(np.abs(evaluate(np.concatenate(grids))), np.cumsum(counts)[:-1])
+    best = np.array([v.max() for v in vals])
+    argmax = [int(np.argmax(v)) for v in vals]
     lo = np.array([xs[max(i - 1, 0)] for xs, i in zip(grids, argmax)])
     hi = np.array([xs[min(i + 1, xs.size - 1)] for xs, i in zip(grids, argmax)])
     rows = np.arange(lo.size)
@@ -82,8 +83,8 @@ def sup_abs(evaluate, pieces, counts) -> float:
         xs = lo[:, None] + (hi - lo)[:, None] * steps
         xs[:, -1] = hi
         vals = np.abs(evaluate(xs.ravel())).reshape(xs.shape)
-        best = max(best, float(vals.max()))
         k = np.argmax(vals, axis=1)
+        best = np.maximum(best, vals[rows, k])
         lo = xs[rows, np.maximum(k - 1, 0)]
         hi = xs[rows, np.minimum(k + 1, ZOOM_POINTS - 1)]
     return best

@@ -91,6 +91,31 @@ class TestRun:
         with pytest.raises(ConfigError):
             run({"command": "bound"})  # no gamma
 
+    def test_missing_key_message_quotes_list_key(self):
+        with pytest.raises(ConfigError, match=r"^config needs 'gamma' or 'gamma_list'$"):
+            run({"command": "bound"})
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"command": "verify", "suite": "good_bad", "seeds": 0},
+            {"command": "verify", "suite": "taylor", "seeds": -3},
+            {"command": "verify", "suite": "expsum", "seeds": 0, "n": 1, "m": 1, "p": 2},
+            {"command": "verify", "suite": "growth", "seeds": 2.5},
+            {"command": "verify", "suite": "band_norms", "seeds": True},
+        ],
+    )
+    def test_sweep_without_instances_rejected(self, config):
+        with pytest.raises(ConfigError, match="'seeds' must be a positive integer"):
+            run(config)
+
+    @pytest.mark.parametrize("fraction", [{"fraction": 0.5}, {"fraction_list": [0.5, 0.5]}])
+    def test_expsum_needs_two_fractions(self, fraction):
+        # a slope through one point is arbitrary, so it is never checked
+        config = {"command": "verify", "suite": "expsum", "seeds": 1, "n": 1, "m": 1, "p": 2}
+        with pytest.raises(ConfigError, match="two distinct 'fraction'"):
+            run({**config, **fraction})
+
     def test_bad_suite(self):
         with pytest.raises(ConfigError):
             run({"command": "verify", "suite": "nope"})
@@ -193,6 +218,11 @@ class TestMain:
         )
         assert main(["--config", path]) == 2
         assert "set period must divide" in capsys.readouterr().err
+
+    def test_zero_seeds_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"command": "verify", "suite": "good_bad", "seeds": 0})
+        assert main(["--config", path]) == 2
+        assert "'seeds' must be a positive integer" in capsys.readouterr().err
 
     def test_domain_error_exits_two(self, tmp_path, capsys):
         # schema is fine but the parameters are outside the math domain

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from thickset import (
     BandOverlapError,
@@ -32,6 +33,7 @@ from thickset import (
     two_sliver_set,
     unit_partition,
 )
+from thickset import proofcheck
 
 B4 = 4.0 * math.pi
 L = 8.0
@@ -267,6 +269,65 @@ class TestExpSumVerifier:
             for p in (2.0, math.inf):
                 check = exp_sum_verifier(terms, (0.0, 1.0), E, p)
                 assert check.holds
+
+
+    def test_sup_norms_match_dense_scan(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        terms = [
+            (float(lam), rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            for lam, m in ((-17.0, 2), (4.5, 3), (21.0, 1))
+        ]
+        E = IntervalSet(((0.05, 0.2), (0.45, 0.6), (0.8, 0.95)))
+        calls = []
+        real_sup_abs = proofcheck.sup_abs
+
+        def counted(*args):
+            calls.append(args[1])
+            return real_sup_abs(*args)
+
+        monkeypatch.setattr(proofcheck, "sup_abs", counted)
+        check = exp_sum_verifier(terms, (0.0, 1.0), E, math.inf)
+        # both sups come from one search, the interval first
+        assert len(calls) == 1
+        assert calls[0] == ((0.0, 1.0),) + E.intervals
+
+        def fn(xs):
+            u = xs - 0.5
+            return sum(npoly.polyval(u, c) * np.exp(1j * lam * xs) for lam, c in terms)
+
+        def scan(a, b):
+            # a 10^5-point scan, then a second one around its argmax whose
+            # spacing (~4e-10) leaves it ~1e-16 relative below the peak
+            xs = np.linspace(a, b, 100_001)
+            k = int(np.argmax(np.abs(fn(xs))))
+            h = xs[1] - xs[0]
+            fine = np.linspace(max(a, xs[k] - 2 * h), min(b, xs[k] + 2 * h), 100_001)
+            return float(np.max(np.abs(fn(fine))))
+
+        assert math.isclose(check.norm_I, scan(0.0, 1.0), rel_tol=1e-12)
+        assert math.isclose(
+            check.norm_E, max(scan(a, b) for a, b in E.intervals), rel_tol=1e-12
+        )
+
+
+class TestExpSumClosure:
+    def test_stacked_horner_matches_per_term_polyval(self):
+        rng = np.random.default_rng(3)
+        lams = np.array([-7.5, 0.0, 12.25])
+        coeff_arrays = [
+            rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (1, 3, 2)
+        ]
+        x0 = 0.3
+        xs = np.linspace(-1.0, 2.0, 1001)
+        got = proofcheck._expsum_closure(lams, coeff_arrays, x0)(xs)
+        want = np.zeros(xs.shape, dtype=np.complex128)
+        scale = np.zeros(xs.shape)
+        for lam, coeffs in zip(lams.tolist(), coeff_arrays):
+            term = npoly.polyval(xs - x0, coeffs)
+            want += term * np.exp(1j * lam * xs)
+            scale += np.abs(term)
+        assert got.shape == xs.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
 class TestMinimalTransferConstant:
