@@ -206,7 +206,6 @@ class SharpnessReport:
     exact: float
     bound: float
     log10_bound: float
-    margin: float
     log10_margin: float
     holds: bool
 
@@ -222,7 +221,6 @@ def sharpness_gap(
 
     The thickness of E is certified at the given window length; the bound is
     the single-band form for one band and the n-band tower otherwise.
-    `margin` is exact/bound (inf when the bound underflows to zero);
     `log10_margin` stays finite as long as the exact value is positive.
     """
     ms = lattice_indices(spec, period)
@@ -236,7 +234,6 @@ def sharpness_gap(
     else:
         bound = theorem2_bound(cert.gamma, spec.count, ab, 2, constants)
         log10_bound = theorem2_bound_log10(cert.gamma, spec.count, ab, 2, constants)
-    margin = math.inf if bound == 0.0 else exact / bound
     log10_margin = math.log10(exact) - log10_bound if exact > 0 else -math.inf
     return SharpnessReport(
         gamma=cert.gamma,
@@ -247,7 +244,6 @@ def sharpness_gap(
         exact=exact,
         bound=bound,
         log10_bound=log10_bound,
-        margin=margin,
         log10_margin=log10_margin,
         holds=exact >= bound,
     )

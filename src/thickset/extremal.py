@@ -69,24 +69,38 @@ def extremal_pair(bandwidth: float, gamma: float) -> ExtremalInstance:
     return ExtremalInstance(bandwidth=b, power=m, gamma=float(gamma), set=two_sliver_set(gamma))
 
 
+def _log_mass(pieces, mp: float) -> float:
+    """log of sum w |kernel|^mp over Gauss-Legendre panels of width 0.5/mp.
+
+    Every piece's nodes go through one kernel evaluation and one
+    log-sum-exp, so the mass never underflows; -inf when no node carries mass.
+    """
+    rules = [panel_nodes(a, b, 0.5 / mp) for a, b in pieces]
+    xs = np.concatenate([np.empty(0)] + [x for x, _ in rules])
+    ws = np.concatenate([np.empty(0)] + [w for _, w in rules])
+    with np.errstate(divide="ignore"):
+        terms = np.log(ws) + mp * np.log(np.abs(_unit_kernel(xs)))
+    top = terms.max(initial=-np.inf)
+    if top == -np.inf:
+        return -math.inf
+    return float(top + np.log(np.exp(terms - top).sum()))
+
+
 def default_truncation(inst: ExtremalInstance, p: float, rel_tol: float = 1e-10) -> float:
     """Half-width X making the closed-form tail below rel_tol of the mass.
 
     Uses |kernel(x)| <= 1/(2 pi |x|), so the tail beyond X is at most
-    2 (2 pi)^(-mp) X^(1-mp) / (mp - 1); the central mass is estimated by
-    quadrature on [-2, 2].
+    2 (2 pi)^(-mp) X^(1-mp) / (mp - 1); the central mass on [-2, 2] is twice
+    the even kernel's quadrature on [0, 2] at panel width 0.5/(mp).
     """
     p = float(p)
     mp = inst.power * p
     if mp <= 1.0:
         raise NonIntegrableError(f"kernel power m*p = {mp:g} is not integrable")
-    width = 1.0 / (8.0 * inst.power * max(p, 1.0))
-    xs, ws = panel_nodes(-2.0, 2.0, width)
-    central = float(ws @ np.abs(_unit_kernel(xs)) ** mp)
-    target = rel_tol * central
+    log_target = math.log(rel_tol) + math.log(2.0) + _log_mass([(0.0, 2.0)], mp)
     log_tail_at_one = math.log(2.0) - mp * math.log(math.tau) - math.log(mp - 1.0)
     # tail(X) = exp(log_tail_at_one) * X^(1-mp) <= target
-    log_x = (math.log(target) - log_tail_at_one) / (1.0 - mp)
+    log_x = (log_target - log_tail_at_one) / (1.0 - mp)
     x = math.exp(min(log_x, 700.0))
     if x > 1e6:
         raise InvalidWindowError(
@@ -98,8 +112,11 @@ def default_truncation(inst: ExtremalInstance, p: float, rel_tol: float = 1e-10)
 def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = None) -> float:
     """||f||_{Lp(E)} / ||f||_p on [-X, X], X the (supplied or derived) half-width.
 
-    Finite p only; mp <= 1 diverges.  Both integrals use the normalized
-    kernel, so the ratio is exact for the unnormalized family as well.
+    Finite p only; mp <= 1 diverges.  Both masses are log-sum-exps over
+    panels of width 0.5/(mp): the total is twice the even kernel's mass on
+    [0, X], the kept mass runs over the pieces of E in [-X, X] as they are.
+    Both use the normalized kernel, so the ratio is exact for the
+    unnormalized family as well, and it underflows only below ~1e-308.
     """
     p = float(p)
     if math.isinf(p):
@@ -114,14 +131,9 @@ def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = 
     x_max = float(truncation)
     if not x_max > 0:
         raise InvalidWindowError(f"truncation must be positive, got {truncation}")
-    width = 1.0 / (8.0 * inst.power * max(p, 1.0))
-    xs, ws = panel_nodes(-x_max, x_max, width)
-    total = float(ws @ np.abs(_unit_kernel(xs)) ** mp)
-    kept = 0.0
-    for a, b in inst.set.materialize(-x_max, x_max):
-        xs, ws = panel_nodes(a, b, width)
-        kept += float(ws @ np.abs(_unit_kernel(xs)) ** mp)
-    return (kept / total) ** (1.0 / p)
+    log_total = math.log(2.0) + _log_mass([(0.0, x_max)], mp)
+    log_kept = _log_mass(inst.set.materialize(-x_max, x_max), mp)
+    return math.exp((log_kept - log_total) / p)
 
 
 def spectral_mass_outside_band(

@@ -153,16 +153,35 @@ class TestGridOrder:
         assert table.header[1:5] == ("gamma", "n", "ab", "p")
         assert [row[1:5] for row in table.rows] == list(itertools.product(*axes))
 
-    def test_violation_names_failing_row(self):
-        # at b = 320 pi, gamma = 0.05, p = 4 the extremal ratio underflows to 0
+    def test_violation_names_failing_row(self, monkeypatch):
+        from thickset import cli as cli_mod
+
+        real = cli_mod.extremal_ratio
+        chosen = (40.0 * math.pi, 0.4, 2.0)
+
+        def fake(inst, p, truncation=None):
+            if (inst.bandwidth, inst.gamma, p) == chosen:
+                return 0.0
+            return real(inst, p, truncation)
+
+        monkeypatch.setattr(cli_mod, "extremal_ratio", fake)
         cfg = {"command": "extremal", "b_list": [40.0 * math.pi, 320.0 * math.pi],
                "gamma_list": [0.05, 0.4], "p_list": [2, 4]}
         result = run(cfg)
         failing = [row for row in result.table.rows if not row[-1]]
         assert len(failing) == 1 and len(result.violations) == 1
         b, gamma, p = failing[0][:3]
-        assert (b, gamma, p) == (320.0 * math.pi, 0.05, 4.0)
+        assert (b, gamma, p) == chosen
         assert f"b={b:g} gamma={gamma:g} p={p:g}" in result.violations[0]
+
+    def test_tiny_extremal_ratio_holds(self):
+        # the kept mass is ~1e-412 of the total here, far below the double
+        # range, yet the log-space ratio (~1e-103) is resolved and holds
+        cfg = {"command": "extremal", "b": 320.0 * math.pi, "gamma": 0.05, "p": 4}
+        result = run(cfg)
+        (row,) = result.table.rows
+        assert row[-1] and not result.violations
+        assert row[4] == pytest.approx(8.984e-104, rel=1e-4)
 
 
 class TestMain:
