@@ -102,8 +102,16 @@ def _parse_p(value) -> float:
     return float(value)
 
 
+def _parse_int(value, key: str, positive: bool = False) -> int:
+    """An integer field: an int, not a bool; 2.5, true and "2" are refused."""
+    if not isinstance(value, int) or isinstance(value, bool) or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise ConfigError(f"{key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def _listify(config: dict, key: str, default=None, parser=float) -> list:
-    """Accept `key` as a scalar or `key`/`key_list` as a list."""
+    """Accept `key` as a scalar or `key`/`key_list` as a list; `parser=int` is `_parse_int`."""
     if f"{key}_list" in config:
         raw = config[f"{key}_list"]
     elif key in config:
@@ -116,7 +124,8 @@ def _listify(config: dict, key: str, default=None, parser=float) -> list:
         raw = [raw]
     if not raw:
         raise ConfigError(f"{key}_list must not be empty")
-    return [parser(v) for v in raw]
+    parse = (lambda v: _parse_int(v, key)) if parser is int else parser
+    return [parse(v) for v in raw]
 
 
 def _set_from_config(data) -> IntervalSet:
@@ -155,10 +164,7 @@ def _seed_base(config: dict) -> int:
 
 def _seed_count(config: dict, default: int) -> int:
     """Number of instances per cell: `seeds`, an integer >= 1."""
-    count = config.get("seeds", default)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ConfigError(f"'seeds' must be a positive integer, got {count!r}")
-    return count
+    return _parse_int(config.get("seeds", default), "seeds", positive=True)
 
 
 def _seeds(config: dict, default: int) -> list[int]:
@@ -299,7 +305,7 @@ def _run_thickness(config: dict) -> RunResult:
 def _run_concentration(config: dict) -> RunResult:
     constants = _constants_from_config(config)
     if "freqs" in config:
-        freqs = [int(m) for m in config["freqs"]]
+        freqs = [_parse_int(m, "freqs") for m in config["freqs"]]
         E = _set_from_config(config.get("set", {}))
         period = float(config.get("L", 1.0))
         header = ("n_freqs", "measure_fraction", "lambda_min", "residual")
@@ -512,7 +518,7 @@ def _suite_growth(config: dict) -> RunResult:
 
 def _suite_taylor(config: dict) -> RunResult:
     period = float(config.get("L", 8.0))
-    n_bands = int(config.get("n", 2))
+    n_bands = _parse_int(config.get("n", 2), "n")
     window = float(config.get("window", 0.5))
     header = ("seed", "b", "p", "m", "identity_error", "lhs", "rhs", "holds")
 
@@ -555,7 +561,7 @@ def _suite_taylor(config: dict) -> RunResult:
 
 def _suite_band_norms(config: dict) -> RunResult:
     period = float(config.get("L", 8.0))
-    n_bands = int(config.get("n", 2))
+    n_bands = _parse_int(config.get("n", 2), "n")
     header = ("seed", "b", "p", "n", "max_ratio", "parseval_gap")
 
     def cell(b, p, seed):
@@ -604,26 +610,25 @@ def _suite_expsum(config: dict) -> RunResult:
         "slope_cap",
         "minimal_c",
     )
+    sets = [IntervalSet(((0.0, fraction),)) for fraction in fractions]
 
     def cell(n, m, p):
+        checks = []  # instance i depends on (i, n, m) only: one call checks every fraction
+        for i in range(n_instances):
+            rng = np.random.default_rng(base + 7919 * i + 13 * n + 101 * m)
+            lams = np.sort(rng.uniform(-25.0, 25.0, size=n))
+            while np.unique(lams).size < n:
+                lams = np.sort(rng.uniform(-25.0, 25.0, size=n))
+            terms = [
+                (float(lam), rng.standard_normal(m) + 1j * rng.standard_normal(m))
+                for lam in lams
+            ]
+            checks.append(proofcheck.exp_sum_verifier(terms, (0.0, 1.0), sets, p, constants))
         worst: list[tuple[float, float]] = []
         violations: list[str] = []
-        for fraction in fractions:
-            E = IntervalSet(((0.0, fraction),))
+        for fraction, column in zip(fractions, zip(*checks)):
             best = 0.0
-            for i in range(n_instances):
-                rng = np.random.default_rng(base + 7919 * i + 13 * n + 101 * m)
-                lams = np.sort(rng.uniform(-25.0, 25.0, size=n))
-                while np.unique(lams).size < n:
-                    lams = np.sort(rng.uniform(-25.0, 25.0, size=n))
-                terms = [
-                    (
-                        float(lam),
-                        rng.standard_normal(m) + 1j * rng.standard_normal(m),
-                    )
-                    for lam in lams
-                ]
-                check = proofcheck.exp_sum_verifier(terms, (0.0, 1.0), E, p, constants)
+            for check in column:
                 best = max(best, check.ratio)
                 if not check.holds:
                     violations.append(

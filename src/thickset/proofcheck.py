@@ -530,8 +530,8 @@ def _expsum_closure(lams: np.ndarray, coeff_arrays, x0: float):
     return evaluate
 
 
-def _sup_poly_exact(coeffs: np.ndarray, pieces, x0: float) -> float:
-    """Sup of |polynomial| over intervals via critical points of |p|^2."""
+def _sup_poly_exact(coeffs: np.ndarray, spans, x0: float) -> np.ndarray:
+    """Sup of |polynomial| on each interval, one entry per span, via critical points of |p|^2."""
     square = np.real(np.convolve(coeffs, np.conj(coeffs)))
     roots: list[float] = []
     if square.size > 1:
@@ -540,24 +540,23 @@ def _sup_poly_exact(coeffs: np.ndarray, pieces, x0: float) -> float:
             for r in npoly.polyroots(derivative):
                 if abs(r.imag) < 1e-9:
                     roots.append(float(r.real))
-    best = 0.0
-    for a, b in pieces:
+    best = []
+    for a, b in spans:
         cands = [a - x0, b - x0]
         cands.extend(r for r in roots if a - x0 < r < b - x0)
-        vals = np.abs(npoly.polyval(np.array(cands), coeffs))
-        best = max(best, float(np.max(vals)))
-    return best
+        best.append(float(np.max(np.abs(npoly.polyval(np.array(cands), coeffs)))))
+    return np.array(best)
 
 
 def exp_sum_verifier(
     terms,
     interval: tuple[float, float],
-    E: IntervalSet,
+    sets,
     p: float,
     constants: BoundConstants = DEFAULT_CONSTANTS,
     resolution: int = 8,
-) -> ExpSumCheck:
-    """Measure ||r||_{Lp(I)} / ||r||_{Lp(E)} for r = sum_k p_k(x) e^(i lam_k x).
+) -> tuple[ExpSumCheck, ...]:
+    """Measure ||r||_{Lp(I)} / ||r||_{Lp(E)} for r = sum_k p_k(x) e^(i lam_k x), each E in `sets`.
 
     Parameters
     ----------
@@ -566,13 +565,17 @@ def exp_sum_verifier(
         coefficients in the centered variable x - midpoint(I).
     interval : (lo, hi)
         The ambient interval I.
-    E : IntervalSet
-        Observation subset; only its part inside I is used.
+    sets : sequence of IntervalSet
+        Observation subsets E, at least one; only their parts inside I are
+        used.  One check is returned per set, in order.
     p : float
         Exponent in [1, inf]; for p = inf sups are used, with an exact
         critical-point evaluation in the pure-polynomial case.
 
-    The reported `bound` is the norm-transfer bound with the configured
+    One value per span (I, then each set's pieces in order) comes from one
+    ``sup_abs`` search at p = inf, or from one evaluation at the panel nodes
+    of every span at finite p, so norm_I is shared by every set.  The
+    reported `bound` is the norm-transfer bound with the configured
     constants; the Nazarov (pure exponential sums, p = inf) and Remez
     (single zero-frequency polynomial, p = inf) forms are attached when
     they apply.
@@ -597,59 +600,61 @@ def exp_sum_verifier(
         raise ZeroFunctionError("the zero exponential sum has no norm ratio")
     n = int(lams.size)
     m = max(arr.size for arr in coeff_arrays)
-    pieces = E.materialize(lo, hi)
-    meas = sum(b - a for a, b in pieces)
-    if meas <= 0:
-        raise EmptySetError("the set misses the interval entirely")
+    piece_lists = [E.materialize(lo, hi) for E in sets]
+    if not piece_lists:
+        raise ValueError("need at least one set")
+    measures = [sum(b - a for a, b in pieces) for pieces in piece_lists]
+    if min(measures) <= 0:
+        raise EmptySetError("a set misses the interval entirely")
     x0 = 0.5 * (lo + hi)
     evaluate = _expsum_closure(lams, coeff_arrays, x0)
-    lam_max = float(np.max(np.abs(lams)))
-    width = panel_width(lam_max, resolution)
+    width = panel_width(float(np.max(np.abs(lams))), resolution)
     pure_poly = n == 1 and lams[0] == 0.0
-    if math.isinf(p):
-        if pure_poly:
-            norm_I = _sup_poly_exact(coeff_arrays[0], ((lo, hi),), x0)
-            norm_E = _sup_poly_exact(coeff_arrays[0], pieces, x0)
-        else:
-            # one zoom search for both sups: row 0 is I, the rest E's pieces
-            spans = ((lo, hi),) + pieces
-            counts = [max(17, 2 * int(math.ceil((b - a) / width)) + 1) for a, b in spans]
-            sups = sup_abs(evaluate, spans, counts)
-            norm_I = float(sups[0])
-            norm_E = float(sups[1:].max())
+    spans = ((lo, hi),) + sum(piece_lists, ())
+    if not math.isinf(p):
+        nodes = [panel_nodes(a, b, width) for a, b in spans]
+        vals = np.abs(evaluate(np.concatenate([xs for xs, _ in nodes])))
+        ends = np.cumsum([ws.size for _, ws in nodes]).tolist()
+        per_span = [float(ws @ vals[e - ws.size : e] ** p) for (_, ws), e in zip(nodes, ends)]
+    elif pure_poly:
+        per_span = _sup_poly_exact(coeff_arrays[0], spans, x0)
     else:
-        xs, ws = panel_nodes(lo, hi, width)
-        norm_I = float(ws @ np.abs(evaluate(xs)) ** p) ** (1.0 / p)
-        acc = 0.0
-        for a, b in pieces:
-            xs, ws = panel_nodes(a, b, width)
-            acc += float(ws @ np.abs(evaluate(xs)) ** p)
-        norm_E = acc ** (1.0 / p)
-    ratio = norm_I / norm_E
-    bound = lemma3_bound(length, meas, n, m, p, constants)
-    nazarov = None
-    remez = None
-    if math.isinf(p):
-        pair = nazarov_remez_bounds(length, meas, n, constants)
-        if m == 1:
-            nazarov = pair.nazarov
-        if pure_poly:
-            arr = coeff_arrays[0]
-            degree = int(np.max(np.nonzero(arr != 0)[0]))
-            remez = nazarov_remez_bounds(length, meas, degree, constants).remez
-    # the bound is attained with equality by a single pure exponential at
-    # p = inf, so the verdict carries a small relative tolerance
-    return ExpSumCheck(
-        ratio=ratio,
-        bound=bound,
-        holds=ratio <= bound * (1.0 + 1e-9),
-        n_terms=n,
-        poly_order=m,
-        norm_I=norm_I,
-        norm_E=norm_E,
-        nazarov_bound=nazarov,
-        remez_bound=remez,
-    )
+        counts = [max(17, 2 * int(math.ceil((b - a) / width)) + 1) for a, b in spans]
+        per_span = sup_abs(evaluate, spans, counts)
+    norm_I = float(per_span[0]) if math.isinf(p) else per_span[0] ** (1.0 / p)
+    degree = int(np.max(np.nonzero(coeff_arrays[0] != 0)[0])) if pure_poly else 0
+    checks = []
+    start = 1
+    for pieces, meas in zip(piece_lists, measures):
+        own, start = per_span[start : start + len(pieces)], start + len(pieces)
+        nazarov = remez = None
+        if math.isinf(p):
+            norm_E = float(max(own))
+            if m == 1:
+                nazarov = nazarov_remez_bounds(length, meas, n, constants).nazarov
+            if pure_poly:
+                remez = nazarov_remez_bounds(length, meas, degree, constants).remez
+        else:
+            # cumsum adds the piece masses left to right, unlike np.sum
+            norm_E = float(np.cumsum(own)[-1]) ** (1.0 / p)
+        ratio = norm_I / norm_E
+        bound = lemma3_bound(length, meas, n, m, p, constants)
+        # the bound is attained with equality by a single pure exponential at
+        # p = inf, so the verdict carries a small relative tolerance
+        checks.append(
+            ExpSumCheck(
+                ratio=ratio,
+                bound=bound,
+                holds=ratio <= bound * (1.0 + 1e-9),
+                n_terms=n,
+                poly_order=m,
+                norm_I=norm_I,
+                norm_E=norm_E,
+                nazarov_bound=nazarov,
+                remez_bound=remez,
+            )
+        )
+    return tuple(checks)
 
 
 # Grid of candidate constants scanned by minimal_transfer_constant: the

@@ -184,6 +184,51 @@ class TestGridOrder:
         assert row[4] == pytest.approx(8.984e-104, rel=1e-4)
 
 
+class TestExpsumSuite:
+    def test_one_verifier_call_and_one_sup_search_per_instance(self, monkeypatch):
+        from thickset import proofcheck
+
+        calls = {"exp_sum_verifier": 0, "sup_abs": 0}
+
+        def counted(name):
+            real = getattr(proofcheck, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(proofcheck, name, wrapper)
+
+        counted("exp_sum_verifier")
+        counted("sup_abs")
+        run({"command": "verify", "suite": "expsum", "seeds": 3, "n": 2, "m": 2, "p": "inf"})
+        # each instance is checked against all nine default fractions at once
+        assert calls == {"exp_sum_verifier": 3, "sup_abs": 3}
+
+    @pytest.mark.parametrize(
+        "extra, tails",
+        [
+            ({"seed": 5}, ["fraction=0.9 ratio over bound"]),
+            (
+                {"seed": 0, "seeds": 12, "fraction_list": [0.95, 0.5, 0.9, 0.99]},
+                [
+                    "fraction=0.95 ratio over bound",
+                    "fraction=0.5 ratio over bound",
+                    "fraction=0.9 ratio over bound",
+                    "fraction=0.9 ratio over bound",
+                    "slope 1.520 over cap 1.100",
+                ],
+            ),
+        ],
+    )
+    def test_violations_fraction_major(self, extra, tails):
+        # lines follow the fraction list, then the instances within a fraction
+        config = {"command": "verify", "suite": "expsum", "n": 1, "m": 2, "p": "inf",
+                  "constants": {"c_aux": 1.01}}
+        result = run({**config, **extra})
+        assert result.violations == tuple(f"expsum: n=1 m=2 p=inf {t}" for t in tails)
+
+
 class TestMain:
     def test_stdout_output(self, tmp_path, capsys):
         path = write_config(tmp_path, {"command": "bound", "gamma": 0.5, "ab": 1, "p": 2})
@@ -242,6 +287,34 @@ class TestMain:
         path = write_config(tmp_path, {"command": "verify", "suite": "good_bad", "seeds": 0})
         assert main(["--config", path]) == 2
         assert "'seeds' must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"command": "bound", "which": "theorem2", "gamma": 0.5, "ab": 1, "p": 2}, "n"),
+            ({"command": "bound", "which": "lemma3", "meas_E": 0.5, "n": 1, "p": 2}, "m"),
+            ({"command": "verify", "suite": "taylor", "seeds": 1}, "m"),
+            ({"command": "verify", "suite": "taylor", "seeds": 1}, "n"),
+            ({"command": "verify", "suite": "band_norms", "seeds": 1}, "n"),
+            ({"command": "verify", "suite": "expsum", "seeds": 1, "m": 1, "p": 2}, "n"),
+            ({"command": "verify", "suite": "expsum", "seeds": 1, "n": 1, "p": 2}, "m"),
+        ],
+    )
+    def test_non_integer_field_exits_two(self, tmp_path, capsys, config, key, value):
+        # int() would run 2.5 as 2, true as 1 and "2" as 2
+        path = write_config(tmp_path, {**config, key: value})
+        assert main(["--config", path]) == 2
+        assert f"'{key}' must be an integer, got {value!r}" in capsys.readouterr().err
+
+    def test_fractional_mode_exits_two(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {"command": "concentration", "freqs": [0, 1.5], "L": 8.0,
+             "set": {"intervals": [[0.0, 0.5]]}},
+        )
+        assert main(["--config", path]) == 2
+        assert "'freqs' must be an integer, got 1.5" in capsys.readouterr().err
 
     def test_domain_error_exits_two(self, tmp_path, capsys):
         # schema is fine but the parameters are outside the math domain

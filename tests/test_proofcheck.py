@@ -1,6 +1,7 @@
 """Constructive checks: interval classifier, local estimates, Taylor split,
 band component norms, and the exponential-sum transfer verifier."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from thickset import (
     BandSpec,
     ClassifierParams,
     DuplicateFrequencyError,
+    EmptySetError,
     IntervalSet,
     InvalidBandError,
     InvalidExponentError,
@@ -214,15 +216,20 @@ class TestBandComponentNorms:
 
 class TestExpSumVerifier:
     def test_single_exponential_l2_exact(self):
-        # |r| constant: ratio = (|I| / |E|)^(1/2) exactly
-        E = IntervalSet(((0.0, 0.4),))
-        check = exp_sum_verifier([(3.0, [1.0 + 0.5j])], (0.0, 1.0), E, 2.0)
-        assert math.isclose(check.ratio, math.sqrt(1.0 / 0.4), rel_tol=1e-10)
-        assert check.holds
+        # |r| constant: ratio = (|I| / |E|)^(1/2) exactly, whatever the pieces
+        sets = (
+            IntervalSet(((0.0, 0.4),)),
+            IntervalSet(((0.1, 0.2), (0.5, 0.8))),
+            IntervalSet(((0.0, 0.05), (0.3, 0.35), (0.9, 1.0))),
+        )
+        checks = exp_sum_verifier([(3.0, [1.0 + 0.5j])], (0.0, 1.0), sets, 2.0)
+        for meas, check in zip((0.4, 0.4, 0.2), checks):
+            assert math.isclose(check.ratio, math.sqrt(1.0 / meas), rel_tol=1e-10)
+            assert check.holds
 
     def test_single_exponential_sup_is_one(self):
         E = IntervalSet(((0.0, 0.4),))
-        check = exp_sum_verifier([(3.0, [2.0])], (0.0, 1.0), E, math.inf)
+        (check,) = exp_sum_verifier([(3.0, [2.0])], (0.0, 1.0), (E,), math.inf)
         assert math.isclose(check.ratio, 1.0, rel_tol=1e-12)
         assert math.isclose(check.bound, 1.0, rel_tol=1e-12)
         assert check.holds
@@ -233,7 +240,7 @@ class TestExpSumVerifier:
         u = 1.0 / 0.45
         coeffs = [0.0, -3.0 * u, 0.0, 4.0 * u ** 3]
         E = IntervalSet(((-0.45, 0.45),))
-        check = exp_sum_verifier([(0.0, coeffs)], (-1.0, 1.0), E, math.inf)
+        (check,) = exp_sum_verifier([(0.0, coeffs)], (-1.0, 1.0), (E,), math.inf)
         want = 4.0 * u ** 3 - 3.0 * u
         assert math.isclose(check.ratio, want, rel_tol=1e-9)
         assert check.remez_bound is not None
@@ -243,19 +250,60 @@ class TestExpSumVerifier:
     def test_nazarov_bound_attached_for_pure_exponentials(self):
         E = IntervalSet(((0.0, 0.25),))
         terms = [(1.0, [1.0]), (4.0, [0.5]), (9.0, [1.0j])]
-        check = exp_sum_verifier(terms, (0.0, 1.0), E, math.inf)
+        (check,) = exp_sum_verifier(terms, (0.0, 1.0), (E,), math.inf)
         assert check.nazarov_bound is not None
         assert check.ratio <= check.nazarov_bound * (1.0 + 1e-9)
 
     def test_duplicate_frequency_rejected(self):
         with pytest.raises(DuplicateFrequencyError):
             exp_sum_verifier(
-                [(1.0, [1.0]), (1.0, [2.0])], (0.0, 1.0), IntervalSet(((0.0, 0.5),)), 2.0
+                [(1.0, [1.0]), (1.0, [2.0])], (0.0, 1.0), (IntervalSet(((0.0, 0.5),)),), 2.0
             )
 
     def test_zero_sum_rejected(self):
         with pytest.raises(ZeroFunctionError):
-            exp_sum_verifier([(1.0, [0.0])], (0.0, 1.0), IntervalSet(((0.0, 0.5),)), 2.0)
+            exp_sum_verifier([(1.0, [0.0])], (0.0, 1.0), (IntervalSet(((0.0, 0.5),)),), 2.0)
+
+    def test_empty_set_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one set"):
+            exp_sum_verifier([(1.0, [1.0])], (0.0, 1.0), (), 2.0)
+
+    def test_set_missing_the_interval_rejected(self):
+        sets = (IntervalSet(((0.0, 0.5),)), IntervalSet(((2.0, 3.0),)))
+        with pytest.raises(EmptySetError):
+            exp_sum_verifier([(1.0, [1.0])], (0.0, 1.0), sets, 2.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("pure_poly", [False, True])
+    def test_sets_match_one_set_at_a_time(self, p, pure_poly):
+        # piece counts 2, 1, 3 and 1, so a slice off by one piece reads a
+        # neighbouring set's value
+        sets = (
+            IntervalSet(((0.1, 0.3), (0.6, 0.7))),
+            IntervalSet(((0.0, 0.5),)),
+            IntervalSet(((0.05, 0.15), (0.4, 0.45), (0.8, 0.98))),
+            IntervalSet(((0.55, 0.9),)),
+        )
+        rng = np.random.default_rng(21)
+        if pure_poly:
+            terms = [(0.0, rng.standard_normal(4) + 1j * rng.standard_normal(4))]
+        else:
+            terms = [
+                (lam, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+                for lam, m in ((-13.0, 2), (2.5, 3), (18.0, 1))
+            ]
+        together = exp_sum_verifier(terms, (0.0, 1.0), sets, p)
+        assert len(together) == len(sets)
+        for E, got in zip(sets, together):
+            (want,) = exp_sum_verifier(terms, (0.0, 1.0), (E,), p)
+            if math.isinf(p) and not pure_poly:
+                # a zoom row that has finished keeps zooming while others narrow
+                for name in ("norm_I", "norm_E", "ratio"):
+                    assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-15)
+                got = replace(got, norm_I=want.norm_I, norm_E=want.norm_E, ratio=want.ratio)
+            assert got == want
+        # the sets differ, so a swapped or shifted slice cannot pass
+        assert len({c.norm_E for c in together}) == len(sets)
 
     def test_bound_holds_on_random_instances(self):
         rng = np.random.default_rng(5)
@@ -267,7 +315,7 @@ class TestExpSumVerifier:
                 for lam in lams
             ]
             for p in (2.0, math.inf):
-                check = exp_sum_verifier(terms, (0.0, 1.0), E, p)
+                (check,) = exp_sum_verifier(terms, (0.0, 1.0), (E,), p)
                 assert check.holds
 
 
@@ -286,7 +334,7 @@ class TestExpSumVerifier:
             return real_sup_abs(*args)
 
         monkeypatch.setattr(proofcheck, "sup_abs", counted)
-        check = exp_sum_verifier(terms, (0.0, 1.0), E, math.inf)
+        (check,) = exp_sum_verifier(terms, (0.0, 1.0), (E,), math.inf)
         # both sups come from one search, the interval first
         assert len(calls) == 1
         assert calls[0] == ((0.0, 1.0),) + E.intervals
