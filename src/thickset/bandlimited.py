@@ -66,10 +66,6 @@ class BandSpec:
             return math.inf
         return min(b - a for a, b in zip(self.centers, self.centers[1:]))
 
-    def well_separated(self) -> bool:
-        """Spacing of at least twice the width between consecutive centers."""
-        return self.min_gap() >= 2.0 * self.width - 1e-12
-
     def overlapping(self) -> bool:
         return self.min_gap() < self.width - 1e-12
 
@@ -129,21 +125,16 @@ class TrigPoly:
 
     @cached_property
     def _step_table(self) -> np.ndarray:
-        """Coefficient of mode ms[0] + q*B + j at [q, j]; B = ceil(sqrt(span)), absent modes 0."""
-        span = int(self.ms[-1] - self.ms[0]) + 1
-        baby = math.isqrt(span - 1) + 1
-        table = np.zeros(-(-span // baby) * baby, dtype=np.complex128)
-        table[self.ms - self.ms[0]] = self.coeffs
-        return table.reshape(-1, baby)
+        return _step_tables(self.ms, self.coeffs[None])
 
     def eval(self, x):
         """Value(s) of f at x: a complex for a scalar, else an array of x's shape.
 
-        Powers of z = exp(2 pi i (x mod L) / L) over the mode range: baby
-        steps z^0..z^B, one matrix product with the step table, Horner in
-        z^B over its rows, times z^m_min.  x and x + L give the same bits
-        when x + L is exact.  Error against 40-digit references: below
-        1e-13 * ||c||_2 at span 257, about 2e-11 * ||c||_2 at span 65537.
+        The one-row case of ``_eval_rows``: baby steps, one matrix product
+        with the step table, Horner in z^B, times z^m_min, over blocks of
+        at most _EVAL_BLOCK // (B + giant) points.  x and x + L give the
+        same bits when x + L is exact.  Error against 40-digit references:
+        below 1e-13 * ||c||_2 at span 257, about 2e-11 * ||c||_2 at span 65537.
         """
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel()
@@ -153,19 +144,7 @@ class TrigPoly:
             giant, baby = table.shape
             block = max(1, _EVAL_BLOCK // (baby + giant))
             for i in range(0, flat.size, block):
-                turns = np.mod(flat[i : i + block], self.period) / self.period
-                z = np.exp(1j * (math.tau * turns))
-                powers = np.empty((baby + 1, z.size), dtype=np.complex128)
-                powers[0] = 1.0
-                for j in range(1, baby + 1):
-                    np.multiply(powers[j - 1], z, out=powers[j])
-                rows = table @ powers[:baby]
-                acc = rows[-1]
-                for q in range(giant - 2, -1, -1):
-                    acc *= powers[baby]
-                    acc += rows[q]
-                shift = np.exp(1j * (math.tau * np.mod(self.ms[0] * turns, 1.0)))
-                out[i : i + block] = acc * shift
+                out[i : i + block] = _eval_rows(table, 1, self.period, self.ms[0], flat[i : i + block])[0]
         if xs.ndim == 0:
             return complex(out[0])
         return out.reshape(xs.shape)
@@ -207,6 +186,41 @@ class TrigPoly:
         data = json.loads(text)
         terms = [(int(m), complex(re, im)) for m, re, im in data["terms"]]
         return cls.from_terms(float(data["L"]), terms)
+
+
+def _step_tables(ms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Coefficient rows over the sorted modes ms as one stacked step table.
+
+    Shape (giant*k, B) with B = ceil(sqrt(span)): row r's coefficient of
+    mode ms[0] + q*B + j sits at [q*k + r, j], absent modes 0.
+    """
+    span = int(ms[-1] - ms[0]) + 1
+    baby = math.isqrt(span - 1) + 1
+    table = np.zeros((rows.shape[0], -(-span // baby) * baby), dtype=np.complex128)
+    table[:, ms - ms[0]] = rows
+    return table.reshape(rows.shape[0], -1, baby).transpose(1, 0, 2).reshape(-1, baby)
+
+
+def _eval_rows(table: np.ndarray, k: int, period: float, m_min, x: np.ndarray) -> np.ndarray:
+    """The k rows sum_m c_rm z^m at the 1-D points x, shape (k, x.size).
+
+    table = _step_tables(ms, c) and z = exp(2 pi i (x mod L) / L): powers
+    z^0..z^B, one product with the table, Horner in z^B over all k rows at
+    once, times z^m_min.
+    """
+    baby = table.shape[1]
+    turns = np.mod(x, period) / period
+    z = np.exp(1j * (math.tau * turns))
+    powers = np.empty((baby + 1, z.size), dtype=np.complex128)
+    powers[0] = 1.0
+    for j in range(1, baby + 1):
+        np.multiply(powers[j - 1], z, out=powers[j])
+    rows = table @ powers[:baby]
+    acc, step = rows[-k:], powers[baby:]  # (1, n): one-row work runs on same-shape loops
+    for q in range(table.shape[0] // k - 2, -1, -1):
+        acc *= step
+        acc += rows[q * k : (q + 1) * k]
+    return acc * np.exp(1j * (math.tau * np.mod(m_min * turns, 1.0)))[None, :]
 
 
 @dataclass(frozen=True)
@@ -261,9 +275,7 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     if math.isinf(query.p):
         counts = [max(3, int(math.ceil((hi - lo) / width)) + 1) for lo, hi in pieces]
         return float(sup_abs(f.eval, pieces, counts).max())
-    panels = [panel_nodes(lo, hi, width) for lo, hi in pieces]
-    xs = np.concatenate([x for x, _ in panels])
-    ws = np.concatenate([w for _, w in panels])
+    xs, ws = panel_nodes(pieces, width)
     return float(ws @ np.abs(f.eval(xs)) ** query.p) ** (1.0 / query.p)
 
 

@@ -94,12 +94,20 @@ def emit_csv(table: ExperimentTable) -> bytes:
 # config plumbing
 
 
-def _parse_p(value) -> float:
+def _parse_float(value, key: str) -> float:
+    """A real field: a JSON number (int or float), not a bool; true and "2" are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _parse_p(value, key: str) -> float:
+    """An exponent: a number, or "inf"/"infinity" in any case."""
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(f"unrecognized exponent {value!r}")
-    return float(value)
+    return _parse_float(value, key)
 
 
 def _parse_int(value, key: str, positive: bool = False) -> int:
@@ -110,8 +118,8 @@ def _parse_int(value, key: str, positive: bool = False) -> int:
     return value
 
 
-def _listify(config: dict, key: str, default=None, parser=float) -> list:
-    """Accept `key` as a scalar or `key`/`key_list` as a list; `parser=int` is `_parse_int`."""
+def _listify(config: dict, key: str, default=None, parser=_parse_float) -> list:
+    """Accept `key` as a scalar or `key`/`key_list` as a list; `parser(value, key)` reads each."""
     if f"{key}_list" in config:
         raw = config[f"{key}_list"]
     elif key in config:
@@ -124,15 +132,14 @@ def _listify(config: dict, key: str, default=None, parser=float) -> list:
         raw = [raw]
     if not raw:
         raise ConfigError(f"{key}_list must not be empty")
-    parse = (lambda v: _parse_int(v, key)) if parser is int else parser
-    return [parse(v) for v in raw]
+    return [parser(v, key) for v in raw]
 
 
 def _set_from_config(data) -> IntervalSet:
     if not isinstance(data, dict):
         raise ConfigError("'set' must be an object")
     if "two_sliver" in data:
-        return two_sliver_set(float(data["two_sliver"]))
+        return two_sliver_set(_parse_float(data["two_sliver"], "two_sliver"))
     if "intervals" in data:
         return normalize(data["intervals"], period=data.get("period"))
     raise ConfigError("'set' needs either 'two_sliver' or 'intervals'")
@@ -146,7 +153,7 @@ def _constants_from_config(config: dict) -> BoundConstants:
     unknown = set(overrides) - allowed
     if unknown:
         raise ConfigError(f"unknown constants {sorted(unknown)}")
-    return BoundConstants(**{k: float(v) for k, v in overrides.items()})
+    return BoundConstants(**{k: _parse_float(v, k) for k, v in overrides.items()})
 
 
 def _seed_base(config: dict) -> int:
@@ -193,10 +200,16 @@ def _classified(b: float, p: float, period: float, seed: int):
     return f, proofcheck.classify_intervals(f, b, proofcheck.ClassifierParams(p=p))
 
 
-def _mass_budget(f, labels) -> tuple[float, float, float]:
-    """Bad and good mass fractions of a classification and its bad-mass budget 1 / (A^p - 1)."""
+def _mass_budget(f, labels, where: str) -> tuple[float, float, float, list[str]]:
+    """Bad and good mass fractions, the bad-mass budget 1 / (A^p - 1) and the violated ones."""
     good = proofcheck.good_mass_check(f, labels)
-    return 1.0 - good, good, 1.0 / (labels.params.bad_threshold ** labels.params.p - 1.0)
+    bad, budget = 1.0 - good, 1.0 / (labels.params.bad_threshold ** labels.params.p - 1.0)
+    violations = []
+    if bad > budget + 1e-4:
+        violations.append(f"{where}: bad mass fraction {bad:.6g} exceeds budget {budget:.6g}")
+    if good < 0.5 - 1e-4:
+        violations.append(f"{where}: good mass fraction {good:.6g} below one half")
+    return bad, good, budget, violations
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +233,7 @@ def _run_bound(config: dict) -> RunResult:
         header = ("gamma", "n", "ab", "p", "value")
         axes = (
             _listify(config, "gamma"),
-            _listify(config, "n", default=[1], parser=int),
+            _listify(config, "n", default=[1], parser=_parse_int),
             _listify(config, "ab"),
             _listify(config, "p", parser=_parse_p),
         )
@@ -254,8 +267,8 @@ def _run_bound(config: dict) -> RunResult:
         axes = (
             _listify(config, "len_I", default=[1.0]),
             _listify(config, "meas_E"),
-            _listify(config, "n", parser=int),
-            _listify(config, "m", parser=int),
+            _listify(config, "n", parser=_parse_int),
+            _listify(config, "m", parser=_parse_int),
             _listify(config, "p", parser=_parse_p),
         )
 
@@ -266,7 +279,7 @@ def _run_bound(config: dict) -> RunResult:
         axes = (
             _listify(config, "len_I", default=[1.0]),
             _listify(config, "meas_E"),
-            _listify(config, "n", parser=int),
+            _listify(config, "n", parser=_parse_int),
         )
 
         def values(len_i, meas, n):
@@ -275,11 +288,11 @@ def _run_bound(config: dict) -> RunResult:
     elif which == "multidim":
         # without n the single-band form is evaluated, printed as n = 0
         header = ("gamma", "d", "sum_ab", "n", "p", "value")
-        products = tuple(float(v) for v in config.get("ab_products", [1.0]))
+        products = tuple(_parse_float(v, "ab_products") for v in config.get("ab_products", [1.0]))
         params = MultiDimParams(d=len(products), ab_products=products)
         axes = (
             _listify(config, "gamma"),
-            _listify(config, "n", parser=int) if ("n" in config or "n_list" in config) else [None],
+            _listify(config, "n", parser=_parse_int) if ("n" in config or "n_list" in config) else [None],
             _listify(config, "p", default=[2.0], parser=_parse_p),
         )
 
@@ -294,7 +307,7 @@ def _run_bound(config: dict) -> RunResult:
 def _run_thickness(config: dict) -> RunResult:
     E = _set_from_config(config.get("set", {}))
     domain = config.get("domain")
-    domain = tuple(float(v) for v in domain) if domain is not None else None
+    domain = tuple(_parse_float(v, "domain") for v in domain) if domain is not None else None
 
     def cell(a):
         return [(a, thickness(E, a, domain=domain).gamma)], ()
@@ -307,7 +320,7 @@ def _run_concentration(config: dict) -> RunResult:
     if "freqs" in config:
         freqs = [_parse_int(m, "freqs") for m in config["freqs"]]
         E = _set_from_config(config.get("set", {}))
-        period = float(config.get("L", 1.0))
+        period = _parse_float(config.get("L", 1.0), "L")
         header = ("n_freqs", "measure_fraction", "lambda_min", "residual")
 
         def explicit():
@@ -316,8 +329,8 @@ def _run_concentration(config: dict) -> RunResult:
             return [row], ()
 
         return _tabulate(header, (), explicit)
-    period = float(config.get("L", 8.0))
-    window = float(config.get("window", 1.0))
+    period = _parse_float(config.get("L", 8.0), "L")
+    window = _parse_float(config.get("window", 1.0), "window")
     header = (
         "gamma",
         "b",
@@ -357,7 +370,7 @@ def _run_concentration(config: dict) -> RunResult:
 def _run_extremal(config: dict) -> RunResult:
     constants = _constants_from_config(config)
     truncation = config.get("truncation")
-    truncation = float(truncation) if truncation is not None else None
+    truncation = _parse_float(truncation, "truncation") if truncation is not None else None
     header = (
         "b",
         "gamma",
@@ -390,34 +403,17 @@ def _run_extremal(config: dict) -> RunResult:
 
 def _run_classify(config: dict) -> RunResult:
     seed = _seed_base(config)
-    b = float(config.get("b", 4.0 * math.pi))
-    p = _parse_p(config.get("p", 2))
-    period = float(config.get("L", 8.0))
+    b = _parse_float(config.get("b", 4.0 * math.pi), "b")
+    p = _parse_p(config.get("p", 2), "p")
+    period = _parse_float(config.get("L", 8.0), "L")
     header = ("index", "lo", "hi", "good", "first_bad_order", "mass")
 
     def instance():
         f, labels = _classified(b, p, period, seed)
-        bad_fraction, good_fraction, budget = _mass_budget(f, labels)
-        rows = [
-            (i, lo, hi, bool(g), int(order), mass)
-            for i, ((lo, hi), g, order, mass) in enumerate(
-                zip(
-                    labels.intervals,
-                    labels.good.tolist(),
-                    labels.first_bad_order.tolist(),
-                    labels.mass.tolist(),
-                )
-            )
-        ]
-        violations = []
-        if bad_fraction > budget + 1e-4:
-            violations.append(
-                f"classify: bad mass fraction {bad_fraction:.6g} exceeds budget {budget:.6g}"
-            )
-        if good_fraction < 0.5 - 1e-4:
-            violations.append(
-                f"classify: good mass fraction {good_fraction:.6g} below one half"
-            )
+        violations = _mass_budget(f, labels, "classify")[3]
+        columns = (labels.good.tolist(), labels.first_bad_order.tolist(), labels.mass.tolist())
+        indexed = enumerate(zip(labels.intervals, *columns))
+        rows = [(i, lo, hi, *rest) for i, ((lo, hi), *rest) in indexed]
         return rows, violations
 
     return _tabulate(header, (), instance)
@@ -428,7 +424,7 @@ def _run_classify(config: dict) -> RunResult:
 
 
 def _suite_good_bad(config: dict) -> RunResult:
-    period = float(config.get("L", 8.0))
+    period = _parse_float(config.get("L", 8.0), "L")
     header = (
         "seed",
         "b",
@@ -441,17 +437,9 @@ def _suite_good_bad(config: dict) -> RunResult:
 
     def cell(b, p, seed):
         f, labels = _classified(b, p, period, seed)
-        bad_fraction, good_fraction, budget = _mass_budget(f, labels)
+        where = f"good_bad: seed={seed} b={b:g} p={p:g}"
+        bad_fraction, good_fraction, budget, violations = _mass_budget(f, labels, where)
         n_bad = int((~labels.good).sum())
-        violations = []
-        if bad_fraction > budget + 1e-4:
-            violations.append(
-                f"good_bad: seed={seed} b={b:g} p={p:g} bad mass {bad_fraction:.6g} over budget"
-            )
-        if good_fraction < 0.5 - 1e-4:
-            violations.append(
-                f"good_bad: seed={seed} b={b:g} p={p:g} good mass {good_fraction:.6g} under half"
-            )
         return [(seed, b, p, n_bad, bad_fraction, good_fraction, budget)], violations
 
     axes = (
@@ -463,7 +451,7 @@ def _suite_good_bad(config: dict) -> RunResult:
 
 
 def _suite_local_estimate(config: dict) -> RunResult:
-    period = float(config.get("L", 8.0))
+    period = _parse_float(config.get("L", 8.0), "L")
     constants = _constants_from_config(config)
     header = ("seed", "b", "p", "gamma", "n_good", "n_holds", "all_hold")
 
@@ -491,8 +479,8 @@ def _suite_local_estimate(config: dict) -> RunResult:
 
 
 def _suite_growth(config: dict) -> RunResult:
-    period = float(config.get("L", 8.0))
-    radius = float(config.get("radius", 4.5))
+    period = _parse_float(config.get("L", 8.0), "L")
+    radius = _parse_float(config.get("radius", 4.5), "radius")
     header = ("seed", "b", "p", "interval_lo", "ratio", "bound", "holds")
 
     def cell(b, p, seed):
@@ -517,9 +505,9 @@ def _suite_growth(config: dict) -> RunResult:
 
 
 def _suite_taylor(config: dict) -> RunResult:
-    period = float(config.get("L", 8.0))
+    period = _parse_float(config.get("L", 8.0), "L")
     n_bands = _parse_int(config.get("n", 2), "n")
-    window = float(config.get("window", 0.5))
+    window = _parse_float(config.get("window", 0.5), "window")
     header = ("seed", "b", "p", "m", "identity_error", "lhs", "rhs", "holds")
 
     def cell(b, p, m, seed):
@@ -535,7 +523,7 @@ def _suite_taylor(config: dict) -> RunResult:
         rebuilt = split.exp_sum(xs) + split.remainder(xs)
         scale = float(np.max(np.abs(direct))) or 1.0
         identity_error = float(np.max(np.abs(direct - rebuilt))) / scale
-        xs_q, ws_q = panel_nodes(interval[0], interval[1], panel_width(b / 2.0, 8))
+        xs_q, ws_q = panel_nodes((interval,), panel_width(b / 2.0, 8))
         lhs = float(ws_q @ np.abs(split.remainder(xs_q)) ** p)
         rhs = proofcheck.taylor_remainder_bound(split, p)
         holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
@@ -553,14 +541,14 @@ def _suite_taylor(config: dict) -> RunResult:
     axes = (
         _listify(config, "b", default=[2.0 * math.pi]),
         _listify(config, "p", default=[2.0], parser=_parse_p),
-        _listify(config, "m", default=[3], parser=int),
+        _listify(config, "m", default=[3], parser=_parse_int),
         _seeds(config, 5),
     )
     return _tabulate(header, axes, cell)
 
 
 def _suite_band_norms(config: dict) -> RunResult:
-    period = float(config.get("L", 8.0))
+    period = _parse_float(config.get("L", 8.0), "L")
     n_bands = _parse_int(config.get("n", 2), "n")
     header = ("seed", "b", "p", "n", "max_ratio", "parseval_gap")
 
@@ -651,8 +639,8 @@ def _suite_expsum(config: dict) -> RunResult:
         return rows, violations
 
     axes = (
-        _listify(config, "n", default=[1, 2, 3], parser=int),
-        _listify(config, "m", default=[1, 2, 3], parser=int),
+        _listify(config, "n", default=[1, 2, 3], parser=_parse_int),
+        _listify(config, "m", default=[1, 2, 3], parser=_parse_int),
         _listify(config, "p", default=[2.0, math.inf], parser=_parse_p),
     )
     return _tabulate(header, axes, cell)

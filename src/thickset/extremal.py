@@ -75,9 +75,7 @@ def _log_mass(pieces, mp: float) -> float:
     Every piece's nodes go through one kernel evaluation and one
     log-sum-exp, so the mass never underflows; -inf when no node carries mass.
     """
-    rules = [panel_nodes(a, b, 0.5 / mp) for a, b in pieces]
-    xs = np.concatenate([np.empty(0)] + [x for x, _ in rules])
-    ws = np.concatenate([np.empty(0)] + [w for _, w in rules])
+    xs, ws = panel_nodes(pieces, 0.5 / mp)
     with np.errstate(divide="ignore"):
         terms = np.log(ws) + mp * np.log(np.abs(_unit_kernel(xs)))
     top = terms.max(initial=-np.inf)

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .bandlimited import BandSpec, NormQuery, TrigPoly, full_torus, lp_norm
+from .bandlimited import _eval_rows, _step_tables
 from .bounds import (
     DEFAULT_CONSTANTS,
     BoundConstants,
@@ -35,12 +36,15 @@ from .errors import (
     InvalidWindowError,
     ZeroFunctionError,
 )
-from .quadrature import panel_nodes, panel_width, sup_abs
+from .quadrature import GL_ORDER, panel_count, panel_nodes, panel_width, sup_abs
 from .sets import IntervalSet
 
 
 # ---------------------------------------------------------------------------
 # interval classification
+
+# Cap on nodes * (baby + rows * giant) per _interval_masses chunk: 256 kB.
+_MASS_SLAB = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -100,10 +104,6 @@ class IntervalClassification:
     params: ClassifierParams
 
     @property
-    def total_mass(self) -> float:
-        return float(self.mass.sum())
-
-    @property
     def good_intervals(self) -> tuple[tuple[float, float], ...]:
         return tuple(iv for iv, g in zip(self.intervals, self.good.tolist()) if g)
 
@@ -130,7 +130,8 @@ def classify_intervals(
 
     The order-alpha test compares the mass of the rescaled derivative
     g_alpha = f^(alpha) / (A C b)^alpha against the mass of f itself, term
-    by term on the spectrum, so no overflow occurs at any order.
+    by term on the spectrum, so no overflow occurs at any order.  The rows
+    of every order are evaluated together by ``_interval_masses``.
     """
     if not band_width > 0:
         raise InvalidBandError(f"band width must be positive, got {band_width}")
@@ -144,39 +145,43 @@ def classify_intervals(
         partition = tuple((float(lo), float(hi)) for lo, hi in partition)
         if any(hi <= lo for lo, hi in partition):
             raise InvalidWindowError("partition intervals need lo < hi")
-    p = params.p
-    alpha_cap = params.resolved_alpha_max()
-    damping = 1j * f.frequencies / (
-        params.bad_threshold * params.bernstein_constant * band_width
-    )
-    width = panel_width(f.max_frequency, params.resolution)
-    good = np.ones(len(partition), dtype=bool)
-    mass = np.zeros(len(partition))
-    first_bad = np.zeros(len(partition), dtype=np.int64)
-    for idx, (lo, hi) in enumerate(partition):
-        xs, ws = panel_nodes(lo, hi, width)
-        characters = np.exp(1j * np.outer(xs, f.frequencies))
-        base_mass = float(ws @ np.abs(characters @ f.coeffs) ** p)
-        mass[idx] = base_mass
-        current = f.coeffs.copy()
-        for alpha in range(1, alpha_cap + 1):
-            current = current * damping
-            alpha_mass = float(ws @ np.abs(characters @ current) ** p)
-            if alpha_mass >= base_mass:
-                good[idx] = False
-                first_bad[idx] = alpha
-                break
-    good.setflags(write=False)
-    mass.setflags(write=False)
-    first_bad.setflags(write=False)
-    return IntervalClassification(
-        intervals=partition,
-        good=good,
-        mass=mass,
-        first_bad_order=first_bad,
-        band_width=float(band_width),
-        params=params,
-    )
+    damping = 1j * f.frequencies / (params.bad_threshold * params.bernstein_constant * band_width)
+    rows = np.empty((params.resolved_alpha_max() + 1, f.ms.size), dtype=np.complex128)
+    rows[0] = f.coeffs
+    for alpha in range(1, rows.shape[0]):
+        rows[alpha] = rows[alpha - 1] * damping
+    masses = _interval_masses(f, rows, partition, params.p, params.resolution)
+    bad = masses[1:] >= masses[0]
+    first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
+    good, mass = first_bad == 0, masses[0].copy()
+    for arr in (good, mass, first_bad):
+        arr.setflags(write=False)
+    return IntervalClassification(partition, good, mass, first_bad, float(band_width), params)
+
+
+def _interval_masses(f: TrigPoly, rows: np.ndarray, partition, p: float, resolution: int):
+    """Masses integral_I |sum_m rows[r, m] e^(i nu_m x)|^p, shape (rows, intervals).
+
+    Every row (coefficients on f's modes) is evaluated at once over the
+    partition's panel nodes, in chunks, and summed per interval by reduceat.
+    """
+    width = panel_width(f.max_frequency, resolution)
+    xs, ws = panel_nodes(partition, width)
+    owner = np.repeat(np.arange(len(partition)), _node_counts(partition, width))
+    masses = np.zeros((rows.shape[0], len(partition)))
+    table = _step_tables(f.ms, rows)
+    block = max(1, _MASS_SLAB // sum(table.shape))
+    for i in range(0, xs.size, block):
+        vals = _eval_rows(table, rows.shape[0], f.period, f.ms[0], xs[i : i + block])
+        ids = owner[i : i + block]
+        cuts = np.flatnonzero(np.diff(ids, prepend=-1))
+        masses[:, ids[cuts]] += np.add.reduceat(ws[i : i + block] * np.abs(vals) ** p, cuts, axis=1)
+    return masses
+
+
+def _node_counts(pieces, width: float) -> np.ndarray:
+    """Number of panel_nodes nodes on each piece, in order."""
+    return GL_ORDER * np.array([panel_count(lo, hi, width) for lo, hi in pieces], dtype=np.int64)
 
 
 def good_mass_check(f: TrigPoly, labels: IntervalClassification) -> float:
@@ -185,19 +190,13 @@ def good_mass_check(f: TrigPoly, labels: IntervalClassification) -> float:
     Recomputed from f by quadrature (not read off the classification), so a
     tampered label set changes the answer honestly.
     """
-    p = labels.params.p
-    width = panel_width(f.max_frequency, labels.params.resolution)
-    total = 0.0
-    kept = 0.0
-    for (lo, hi), is_good in zip(labels.intervals, labels.good.tolist()):
-        xs, ws = panel_nodes(lo, hi, width)
-        piece = float(ws @ np.abs(f.eval(xs)) ** p)
-        total += piece
-        if is_good:
-            kept += piece
-    if total <= 0:
+    params, total = labels.params, 0.0
+    if not f.is_zero:  # an empty spectrum has no step table
+        masses = _interval_masses(f, f.coeffs[None], labels.intervals, params.p, params.resolution)[0]
+        total = float(masses.sum())
+    if not total > 0:
         raise ZeroFunctionError("no mass on the partition")
-    return kept / total
+    return float(masses[labels.good].sum()) / total
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +238,9 @@ def local_estimate_check(
     if density <= 0:
         raise EmptySetError("the set misses the interval entirely")
     width = panel_width(f.max_frequency, 8)
-    lhs = 0.0
-    for a, b in pieces:
-        xs, ws = panel_nodes(a, b, width)
-        lhs += float(ws @ np.abs(f.eval(xs)) ** p)
-    xs, ws = panel_nodes(lo, hi, width)
+    xs, ws = panel_nodes(pieces, width)
+    lhs = float(ws @ np.abs(f.eval(xs)) ** p)
+    xs, ws = panel_nodes(((lo, hi),), width)
     whole = float(ws @ np.abs(f.eval(xs)) ** p)
     b_eff = 2.0 * f.max_frequency
     c = constants.c_one
@@ -345,15 +342,13 @@ class TaylorSplit:
         width = panel_width(nu_max, 8)
         live = np.flatnonzero(flat != self.base)
         if live.size:
-            # the panels of every x, concatenated, so each component is
-            # evaluated once and summed per x by reduceat
+            # one rule over every x's panels: each component is evaluated once
             ends = flat[live]
-            panels = [panel_nodes(min(self.base, v), max(self.base, v), width) for v in ends.tolist()]
-            sizes = [ts.size for ts, _ in panels]
-            ts = np.concatenate([t for t, _ in panels])
-            ws = np.concatenate([w for _, w in panels])
+            pieces = [(min(self.base, v), max(self.base, v)) for v in ends.tolist()]
+            ts, ws = panel_nodes(pieces, width)
+            sizes = _node_counts(pieces, width)
             kernel = ws * (np.repeat(ends, sizes) - ts) ** (m - 1)
-            starts = np.cumsum([0] + sizes[:-1])
+            starts = np.cumsum(sizes) - sizes
             acc = np.zeros(live.size, dtype=np.complex128)
             for lam, g in zip(self.centers, self.mth_derivatives):
                 acc += np.exp(1j * lam * ends) * np.add.reduceat(g.eval(ts) * kernel, starts)
@@ -612,10 +607,10 @@ def exp_sum_verifier(
     pure_poly = n == 1 and lams[0] == 0.0
     spans = ((lo, hi),) + sum(piece_lists, ())
     if not math.isinf(p):
-        nodes = [panel_nodes(a, b, width) for a, b in spans]
-        vals = np.abs(evaluate(np.concatenate([xs for xs, _ in nodes])))
-        ends = np.cumsum([ws.size for _, ws in nodes]).tolist()
-        per_span = [float(ws @ vals[e - ws.size : e] ** p) for (_, ws), e in zip(nodes, ends)]
+        xs, ws = panel_nodes(spans, width)
+        vals = np.abs(evaluate(xs)) ** p
+        ends = np.cumsum(_node_counts(spans, width)).tolist()
+        per_span = [float(ws[a:e] @ vals[a:e]) for a, e in zip([0] + ends, ends)]
     elif pure_poly:
         per_span = _sup_poly_exact(coeff_arrays[0], spans, x0)
     else:

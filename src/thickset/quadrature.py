@@ -1,7 +1,8 @@
 """Composite Gauss-Legendre panels and a batched sup search.
 
 The fixed order-16 rule integrates polynomials up to degree 31 exactly per
-panel; callers control accuracy through the panel width alone.
+panel; callers control accuracy through the panel width alone.  One call
+of ``panel_nodes`` or ``sup_abs`` covers every piece of a set at once.
 """
 from __future__ import annotations
 
@@ -41,20 +42,26 @@ def panel_count(lo: float, hi: float, max_width: float) -> int:
     return max(1, int(math.ceil((hi - lo) / max_width - 1e-12)))
 
 
-def panel_nodes(
-    lo: float, hi: float, max_width: float, order: int = GL_ORDER
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule on [lo, hi]."""
-    n = panel_count(lo, hi, max_width)
-    if n == 0:
-        return np.empty(0), np.empty(0)
-    edges = np.linspace(lo, hi, n + 1)
+def panel_nodes(pieces, max_width: float, order: int = GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule on every piece (lo, hi), in order.
+
+    Piece [lo, hi] gets panel_count(lo, hi, max_width) equal panels with the
+    edges of np.linspace(lo, hi, n + 1), so the result has the bits of the
+    single-piece rules concatenated; a piece with hi <= lo adds no node.
+    """
+    counts = np.array([panel_count(lo, hi, max_width) for lo, hi in pieces], dtype=np.int64)
+    lo, hi = np.array(pieces, dtype=float).reshape(-1, 2)[counts > 0].T
+    counts = counts[counts > 0]
+    step, last = (hi - lo) / counts, np.cumsum(counts)
+    j = np.arange(last[-1] if last.size else 0) - np.repeat(last - counts, counts)
+    left = j * np.repeat(step, counts) + np.repeat(lo, counts)
+    right = np.empty_like(left)  # the next panel's left edge, hi on a piece's last panel
+    right[:-1] = left[1:]
+    right[last - 1] = hi
+    half = 0.5 * (np.where(counts == 1, hi, step + lo) - lo)[:, None]
     x, w = _gl_rule(order)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * x[None, :]).ravel()
-    weights = np.broadcast_to(half * w, (n, order)).ravel()
-    return nodes, weights.copy()
+    nodes = (0.5 * (left + right))[:, None] + np.repeat(half * x, counts, axis=0)
+    return nodes.ravel(), np.repeat(half * w, counts, axis=0).ravel()
 
 
 def sup_abs(evaluate, pieces, counts) -> np.ndarray:

@@ -138,6 +138,82 @@ class TestEval:
         assert peak < 100e6
 
 
+def _parent_eval(f, x, cap):
+    """Reference copy of the one-table evaluator, blocks of cap // (baby + giant) points."""
+    span = int(f.ms[-1] - f.ms[0]) + 1
+    baby = math.isqrt(span - 1) + 1
+    table = np.zeros(-(-span // baby) * baby, dtype=np.complex128)
+    table[f.ms - f.ms[0]] = f.coeffs
+    table = table.reshape(-1, baby)
+    giant = table.shape[0]
+    flat = np.asarray(x, dtype=float).ravel()
+    out = np.zeros(flat.size, dtype=np.complex128)
+    block = max(1, cap // (baby + giant))
+    for i in range(0, flat.size, block):
+        turns = np.mod(flat[i : i + block], f.period) / f.period
+        z = np.exp(1j * (math.tau * turns))
+        powers = np.empty((baby + 1, z.size), dtype=np.complex128)
+        powers[0] = 1.0
+        for j in range(1, baby + 1):
+            np.multiply(powers[j - 1], z, out=powers[j])
+        rows = table @ powers[:baby]
+        acc = rows[-1]
+        for q in range(giant - 2, -1, -1):
+            acc *= powers[baby]
+            acc += rows[q]
+        shift = np.exp(1j * (math.tau * np.mod(f.ms[0] * turns, 1.0)))
+        out[i : i + block] = acc * shift
+    return out
+
+
+# Spans of at least 3 give the one-row table two or more rows, and blocks
+# of at least two points keep every product a BLAS gemm and every complex
+# multiply a vector one: numpy sends one-point and one-row work to other
+# kernels, whose last bits differ.
+STACK_CASES = [
+    (TrigPoly.from_terms(8.0, [(-2, 1.0 + 2.0j), (5, -0.5j)]), 3),
+    (random_bandlimited(BandSpec((0.0,), 4.0 * math.pi), 32.0, seed=1), 14),
+    (random_bandlimited(BandSpec((0.0, 12.0 * math.pi), 4.0 * math.pi), 8.0, seed=2), 5),
+]
+
+
+class TestStackedEval:
+    @pytest.mark.parametrize("f, _", STACK_CASES)
+    @pytest.mark.parametrize("n_points", [1, 7, 1000, 5003])
+    def test_eval_matches_parent_routine(self, monkeypatch, f, _, n_points):
+        from thickset import bandlimited
+
+        xs = np.random.default_rng(n_points).uniform(-20.0, 40.0, n_points)
+        assert f.eval(xs).tobytes() == _parent_eval(f, xs, bandlimited._EVAL_BLOCK).tobytes()
+        # a small cap splits the larger node counts into many blocks
+        monkeypatch.setattr(bandlimited, "_EVAL_BLOCK", 97)
+        assert f.eval(xs).tobytes() == _parent_eval(f, xs, 97).tobytes()
+        for x in xs[:20].tolist():
+            assert np.complex128(f.eval(x)).tobytes() == _parent_eval(f, x, 97).tobytes()
+
+    @pytest.mark.parametrize("f, k", STACK_CASES)
+    @pytest.mark.parametrize("block", [2, 13, 400])
+    def test_stacked_rows_match_separate_evals(self, monkeypatch, f, k, block):
+        from thickset import bandlimited
+
+        rng = np.random.default_rng(k)
+        rows = rng.standard_normal((k, f.ms.size)) + 1j * rng.standard_normal((k, f.ms.size))
+        xs = rng.uniform(-20.0, 40.0, 1000)  # crosses block boundaries, no one-point block
+        table = bandlimited._step_tables(f.ms, rows)
+        stacked = np.concatenate(
+            [
+                bandlimited._eval_rows(table, k, f.period, f.ms[0], xs[i : i + block])
+                for i in range(0, xs.size, block)
+            ],
+            axis=1,
+        )
+        # the one-row evals then use the same blocks of points
+        monkeypatch.setattr(bandlimited, "_EVAL_BLOCK", block * (table.shape[1] + table.shape[0] // k))
+        for r in range(k):
+            separate = TrigPoly(f.period, f.ms, rows[r]).eval(xs)
+            assert stacked[r].tobytes() == separate.tobytes()
+
+
 class TestLpNorm:
     def test_unimodular_on_set(self):
         # |f| = 1 for a single unit-coefficient mode, so the

@@ -307,6 +307,41 @@ class TestMain:
         assert main(["--config", path]) == 2
         assert f"'{key}' must be an integer, got {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, key, value",
+        [
+            ({"command": "thickness", "set": {"two_sliver": 0.5}, "a": True}, "a", True),
+            ({"command": "thickness", "set": {"two_sliver": 0.5}, "a": "2"}, "a", "2"),
+            ({"command": "verify", "suite": "band_norms", "seeds": 1, "L": True}, "L", True),
+            ({"command": "thickness", "set": {"two_sliver": "0.5"}}, "two_sliver", "0.5"),
+            ({"command": "bound", "gamma": 0.5, "ab": 1, "p": 2, "constants": {"c_one": "2"}},
+             "c_one", "2"),
+            ({"command": "extremal", "b": 40.0, "gamma": 0.1, "truncation": True},
+             "truncation", True),
+            ({"command": "classify", "b": "12"}, "b", "12"),
+            ({"command": "classify", "p": True}, "p", True),
+            ({"command": "verify", "suite": "growth", "seeds": 1, "radius": "4"}, "radius", "4"),
+            ({"command": "concentration", "gamma": 0.3, "b": 12.0, "window": True},
+             "window", True),
+        ],
+    )
+    def test_non_number_real_field_exits_two(self, tmp_path, capsys, config, key, value):
+        # float() would run true as 1.0 and "2" as 2.0
+        path = write_config(tmp_path, config)
+        assert main(["--config", path]) == 2
+        assert f"'{key}' must be a number, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"command": "classify", "seed": 0}, "L"),
+            ({"command": "thickness", "set": {"two_sliver": 0.5}}, "a"),
+        ],
+    )
+    def test_integer_real_field_accepted(self, config, key):
+        as_int = emit_csv(run({**config, key: 32}).table)
+        assert as_int == emit_csv(run({**config, key: 32.0}).table)
+
     def test_fractional_mode_exits_two(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

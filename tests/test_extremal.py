@@ -206,8 +206,8 @@ class TestExtremalRatio:
     def test_node_count(self, monkeypatch):
         nodes = []
 
-        def counted(lo, hi, width):
-            xs, ws = panel_nodes(lo, hi, width)
+        def counted(pieces, width):
+            xs, ws = panel_nodes(pieces, width)
             nodes.append(xs.size)
             return xs, ws
 

@@ -36,6 +36,7 @@ from thickset import (
     unit_partition,
 )
 from thickset import proofcheck
+from thickset.quadrature import panel_nodes, panel_width
 
 B4 = 4.0 * math.pi
 L = 8.0
@@ -101,6 +102,87 @@ class TestClassifier:
         assert all(labels.good.tolist())
 
 
+def _dense_classify(f, band_width, params, partition):
+    """Reference: per interval, a nodes x modes character matrix and one matvec per order."""
+    damping = 1j * f.frequencies / (params.bad_threshold * params.bernstein_constant * band_width)
+    width = panel_width(f.max_frequency, params.resolution)
+    good, mass, first_bad = [], [], []
+    for lo, hi in partition:
+        xs, ws = panel_nodes([(lo, hi)], width)
+        characters = np.exp(1j * np.outer(xs, f.frequencies))
+        base_mass = float(ws @ np.abs(characters @ f.coeffs) ** params.p)
+        current = f.coeffs.copy()
+        order = 0
+        for alpha in range(1, params.resolved_alpha_max() + 1):
+            current = current * damping
+            if float(ws @ np.abs(characters @ current) ** params.p) >= base_mass:
+                order = alpha
+                break
+        good.append(order == 0)
+        mass.append(base_mass)
+        first_bad.append(order)
+    return np.array(good), np.array(mass), np.array(first_bad)
+
+
+class TestClassifierOracle:
+    """The stacked evaluation against the per-interval dense algorithm."""
+
+    def _check(self, f, b, params, partition=None):
+        labels = classify_intervals(f, b, params, partition)
+        good, mass, first_bad = _dense_classify(f, b, params, labels.intervals)
+        assert np.array_equal(labels.good, good)
+        assert np.array_equal(labels.first_bad_order, first_bad)
+        np.testing.assert_allclose(labels.mass, mass, rtol=1e-12, atol=0.0)
+        kept = float(mass[good].sum()) / float(mass.sum())
+        assert math.isclose(good_mass_check(f, labels), kept, rel_tol=1e-12)
+        return labels
+
+    # The defaults damp every order by at least 1/(2 A C) = 1/3, so no
+    # interval is bad; A = 1.5, C = 0.3 gives good intervals and first bad
+    # orders from 1 to about 35 on these instances.
+    SHARP = {"bad_threshold": 1.5, "bernstein_constant": 0.3}
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("period", [8.0, 32.0])
+    @pytest.mark.parametrize("b", [B4, 4.0 * B4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("constants", [{}, SHARP])
+    def test_matches_dense(self, p, period, b, seed, constants):
+        f = make_poly(b=b, seed=seed, period=period)
+        self._check(f, b, ClassifierParams(p=p, **constants))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha_max", [2, 3])
+    def test_explicit_alpha_max(self, p, alpha_max):
+        # interval [1, 2] of this instance first fails at order 3
+        params = ClassifierParams(p=p, alpha_max=alpha_max, **self.SHARP)
+        labels = self._check(make_poly(seed=6), B4, params)
+        assert labels.first_bad_order.tolist() == [0, 3 if alpha_max == 3 else 0] + [0] * 6
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    @pytest.mark.parametrize("constants", [{}, SHARP])
+    def test_uneven_partition(self, p, constants):
+        partition = ((0.0, 0.5), (0.5, 2.0), (2.0, 8.0))
+        labels = self._check(make_poly(seed=6), B4, ClassifierParams(p=p, **constants), partition)
+        assert labels.intervals == partition
+
+    def test_wide_band_memory(self):
+        # the dense route builds a 2048 x 1025 character matrix (about 34 MB)
+        # per interval here, a 100 MB peak; chunked, the peak is about 3 MB
+        import tracemalloc
+
+        b = 16.0 * B4
+        f = make_poly(b=b, seed=2, period=32.0)
+        tracemalloc.start()
+        try:
+            labels = classify_intervals(f, b, ClassifierParams(p=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(labels.intervals) == 32
+        assert peak < 8e6
+
+
 class TestLocalEstimate:
     def test_superset_always_holds(self):
         # E containing the interval makes lhs = int_I |f|^p >= rhs trivially
@@ -163,9 +245,7 @@ class TestTaylorSplit:
         for degree in (2, 3, 4):
             split = taylor_split(comps, centers, interval, degree)
             p = 2.0
-            from thickset.quadrature import panel_nodes
-
-            xs, ws = panel_nodes(*interval, 0.05)
+            xs, ws = panel_nodes([interval], 0.05)
             lhs = float(ws @ np.abs(split.remainder(xs)) ** p)
             rhs = taylor_remainder_bound(split, p)
             assert lhs <= rhs * (1.0 + 1e-9)

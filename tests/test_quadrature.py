@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from thickset.quadrature import GL_ORDER, panel_count, panel_nodes, panel_width, sup_abs
 
@@ -14,21 +15,51 @@ def test_panel_count_ceils():
 
 def test_high_degree_polynomial_exact():
     # order-16 Gauss-Legendre integrates degree <= 31 exactly per panel
-    xs, ws = panel_nodes(0.0, 1.0, 1.0)
+    xs, ws = panel_nodes([(0.0, 1.0)], 1.0)
     got = float(ws @ xs ** 31)
     assert math.isclose(got, 1.0 / 32.0, rel_tol=1e-13)
 
 
 def test_oscillatory_integral():
-    xs, ws = panel_nodes(0.0, 2.0 * math.pi, 0.25)
+    xs, ws = panel_nodes([(0.0, 2.0 * math.pi)], 0.25)
     got = float(ws @ np.sin(xs) ** 2)
     assert math.isclose(got, math.pi, rel_tol=1e-12)
 
 
 def test_weights_sum_to_length():
-    xs, ws = panel_nodes(-1.5, 4.0, 0.37)
+    xs, ws = panel_nodes([(-1.5, 4.0)], 0.37)
     assert math.isclose(float(ws.sum()), 5.5, rel_tol=1e-13)
     assert len(xs) % GL_ORDER == 0
+
+
+def _one_piece_rule(lo, hi, max_width):
+    """Reference: the composite rule of one piece, built on its own."""
+    n = panel_count(lo, hi, max_width)
+    if n == 0:
+        return np.empty(0), np.empty(0)
+    edges = np.linspace(lo, hi, n + 1)
+    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
+    half = 0.5 * (edges[1] - edges[0])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return (mids[:, None] + half * x[None, :]).ravel(), np.broadcast_to(half * w, (n, GL_ORDER)).ravel()
+
+
+@pytest.mark.parametrize(
+    "pieces, width",
+    [
+        ([], 0.1),
+        ([(0.0, 1.0)], 0.3),
+        ([(0.0, 1e-13), (1e-13, 2e-13), (0.5, 0.5 + 4e-16), (-5e-324, 0.0)], 0.1),  # tiny
+        ([(-1.5, 0.2), (0.2, 0.7), (0.7, 3.1)], 0.37),  # adjacent
+        ([(0.0, 0.0), (1.0, 2.0), (2.0, 2.0), (3.0, 2.5), (4.0, 4.25)], 0.05),  # zero-length
+        ([(0.45, 0.55), (1.45, 1.55), (-7.55, -7.45), (10.0, 42.0)], 1.0 / 256),
+    ],
+)
+def test_multi_piece_rule_is_concatenation(pieces, width):
+    xs, ws = panel_nodes(pieces, width)
+    rules = [_one_piece_rule(lo, hi, width) for lo, hi in pieces]
+    assert xs.tobytes() == np.concatenate([np.empty(0)] + [x for x, _ in rules]).tobytes()
+    assert ws.tobytes() == np.concatenate([np.empty(0)] + [w for _, w in rules]).tobytes()
 
 
 def test_panel_width_tracks_top_frequency():
