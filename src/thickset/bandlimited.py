@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bounds import check_exponent
 from .errors import (
     DuplicateFrequencyError,
     EmptyBandError,
@@ -232,10 +233,7 @@ class NormQuery:
     resolution: int = 8
 
     def __post_init__(self) -> None:
-        p = float(self.p)
-        object.__setattr__(self, "p", p)
-        if not (p >= 1.0):  # also rejects NaN
-            raise InvalidExponentError(f"p must be in [1, inf], got {self.p}")
+        object.__setattr__(self, "p", check_exponent(self.p))
         if int(self.resolution) != self.resolution or self.resolution < 1:
             raise InvalidExponentError(f"resolution must be a positive integer")
         object.__setattr__(self, "resolution", int(self.resolution))

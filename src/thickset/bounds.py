@@ -40,6 +40,14 @@ def check_exponent(p: float) -> float:
     return p
 
 
+def finite_exponent(p: float, what: str) -> float:
+    """check_exponent(p), refusing p = inf as well: `what` is an integral."""
+    p = check_exponent(p)
+    if math.isinf(p):
+        raise InvalidExponentError(f"{what} is integral-based; p must be finite")
+    return p
+
+
 def inv_p(p: float) -> float:
     """1/p with the p = inf convention 1/inf = 0."""
     p = check_exponent(p)

@@ -157,15 +157,18 @@ def _constants_from_config(config: dict) -> BoundConstants:
 
 
 def _seed_base(config: dict) -> int:
+    """First instance seed: THICKSET_SEED when set, else config `seed` (default 0)."""
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if env is None:
+        name, seed = "'seed'", config.get("seed", 0)
+    else:
+        name, seed = SEED_ENV_VAR, env
         try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    seed = config.get("seed", 0)
+            seed = int(env)
+        except ValueError:
+            pass  # a non-integer stays a string and is refused below
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
+        raise ConfigError(f"{name} must be a nonnegative integer, got {seed!r}")
     return seed
 
 
@@ -307,6 +310,8 @@ def _run_bound(config: dict) -> RunResult:
 def _run_thickness(config: dict) -> RunResult:
     E = _set_from_config(config.get("set", {}))
     domain = config.get("domain")
+    if domain is not None and (not isinstance(domain, list) or len(domain) != 2):
+        raise ConfigError(f"'domain' must be a list of two numbers, got {domain!r}")
     domain = tuple(_parse_float(v, "domain") for v in domain) if domain is not None else None
 
     def cell(a):

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import finite_exponent
 from .errors import (
     BandTooSmallError,
     InsufficientDataError,
-    InvalidExponentError,
     InvalidWindowError,
     NonIntegrableError,
 )
@@ -91,7 +91,7 @@ def default_truncation(inst: ExtremalInstance, p: float, rel_tol: float = 1e-10)
     2 (2 pi)^(-mp) X^(1-mp) / (mp - 1); the central mass on [-2, 2] is twice
     the even kernel's quadrature on [0, 2] at panel width 0.5/(mp).
     """
-    p = float(p)
+    p = finite_exponent(p, "the extremal ratio")
     mp = inst.power * p
     if mp <= 1.0:
         raise NonIntegrableError(f"kernel power m*p = {mp:g} is not integrable")
@@ -116,11 +116,7 @@ def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = 
     Both use the normalized kernel, so the ratio is exact for the
     unnormalized family as well, and it underflows only below ~1e-308.
     """
-    p = float(p)
-    if math.isinf(p):
-        raise InvalidExponentError("the extremal ratio is defined for finite p")
-    if p < 1:
-        raise InvalidExponentError(f"p must be in [1, inf], got {p}")
+    p = finite_exponent(p, "the extremal ratio")
     mp = inst.power * p
     if mp <= 1.0:
         raise NonIntegrableError(f"kernel power m*p = {mp:g} is not integrable")

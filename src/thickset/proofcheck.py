@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .bandlimited import BandSpec, NormQuery, TrigPoly, full_torus, lp_norm
 from .bandlimited import _eval_rows, _step_tables
@@ -22,6 +21,7 @@ from .bounds import (
     BoundConstants,
     _exp,
     check_exponent,
+    finite_exponent,
     inv_p,
     lemma3_bound,
     nazarov_remez_bounds,
@@ -32,18 +32,17 @@ from .errors import (
     EmptySetError,
     InvalidBandError,
     InvalidDegreeError,
-    InvalidExponentError,
     InvalidWindowError,
     ZeroFunctionError,
 )
-from .quadrature import GL_ORDER, panel_count, panel_nodes, panel_width, sup_abs
+from .quadrature import panel_width, piece_integrals, sup_abs
 from .sets import IntervalSet
 
 
 # ---------------------------------------------------------------------------
 # interval classification
 
-# Cap on nodes * (baby + rows * giant) per _interval_masses chunk: 256 kB.
+# Cap on nodes * (baby + rows * giant) per _interval_masses run: 256 kB.
 _MASS_SLAB = 1 << 14
 
 
@@ -66,10 +65,7 @@ class ClassifierParams:
     resolution: int = 8
 
     def __post_init__(self) -> None:
-        p = check_exponent(self.p)
-        if math.isinf(p):
-            raise InvalidExponentError("the classifier is integral-based; p must be finite")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", finite_exponent(self.p, "the classifier"))
         if not self.bad_threshold > 1.0:
             raise ValueError("bad_threshold must exceed 1")
         if not self.bernstein_constant > 0.0:
@@ -162,26 +158,17 @@ def classify_intervals(
 def _interval_masses(f: TrigPoly, rows: np.ndarray, partition, p: float, resolution: int):
     """Masses integral_I |sum_m rows[r, m] e^(i nu_m x)|^p, shape (rows, intervals).
 
-    Every row (coefficients on f's modes) is evaluated at once over the
-    partition's panel nodes, in chunks, and summed per interval by reduceat.
+    Every row (coefficients on f's modes) is evaluated at once by one
+    ``piece_integrals`` call, in runs of nodes that keep each run's
+    (nodes x step table) slab under _MASS_SLAB entries.
     """
-    width = panel_width(f.max_frequency, resolution)
-    xs, ws = panel_nodes(partition, width)
-    owner = np.repeat(np.arange(len(partition)), _node_counts(partition, width))
-    masses = np.zeros((rows.shape[0], len(partition)))
     table = _step_tables(f.ms, rows)
-    block = max(1, _MASS_SLAB // sum(table.shape))
-    for i in range(0, xs.size, block):
-        vals = _eval_rows(table, rows.shape[0], f.period, f.ms[0], xs[i : i + block])
-        ids = owner[i : i + block]
-        cuts = np.flatnonzero(np.diff(ids, prepend=-1))
-        masses[:, ids[cuts]] += np.add.reduceat(ws[i : i + block] * np.abs(vals) ** p, cuts, axis=1)
-    return masses
-
-
-def _node_counts(pieces, width: float) -> np.ndarray:
-    """Number of panel_nodes nodes on each piece, in order."""
-    return GL_ORDER * np.array([panel_count(lo, hi, width) for lo, hi in pieces], dtype=np.int64)
+    return piece_integrals(
+        lambda x, _: np.abs(_eval_rows(table, rows.shape[0], f.period, f.ms[0], x)) ** p,
+        partition,
+        panel_width(f.max_frequency, resolution),
+        block=max(1, _MASS_SLAB // sum(table.shape)),
+    )
 
 
 def good_mass_check(f: TrigPoly, labels: IntervalClassification) -> float:
@@ -227,9 +214,7 @@ def local_estimate_check(
     tightest symmetric band holding the spectrum.  The factor is evaluated
     in log space; far below double range it underflows to an exact 0 rhs.
     """
-    p = check_exponent(p)
-    if math.isinf(p):
-        raise InvalidExponentError("the local estimate is integral-based; p must be finite")
+    p = finite_exponent(p, "the local estimate")
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise InvalidWindowError(f"invalid interval ({lo}, {hi})")
@@ -238,10 +223,8 @@ def local_estimate_check(
     if density <= 0:
         raise EmptySetError("the set misses the interval entirely")
     width = panel_width(f.max_frequency, 8)
-    xs, ws = panel_nodes(pieces, width)
-    lhs = float(ws @ np.abs(f.eval(xs)) ** p)
-    xs, ws = panel_nodes(((lo, hi),), width)
-    whole = float(ws @ np.abs(f.eval(xs)) ** p)
+    masses = piece_integrals(lambda x, _: np.abs(f.eval(x)) ** p, pieces + ((lo, hi),), width)
+    lhs, whole = float(masses[:-1].sum()), float(masses[-1])  # the pieces of E in I, then I
     b_eff = 2.0 * f.max_frequency
     c = constants.c_one
     log_factor = (c * b_eff * p + 2.0) * math.log(density / c)
@@ -335,25 +318,17 @@ class TaylorSplit:
 
     def remainder(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        flat = xs.ravel()
-        out = np.zeros(flat.size, dtype=np.complex128)
-        m = self.degree
-        nu_max = max(g.max_frequency for g in self.mth_derivatives)
-        width = panel_width(nu_max, 8)
-        live = np.flatnonzero(flat != self.base)
-        if live.size:
-            # one rule over every x's panels: each component is evaluated once
-            ends = flat[live]
-            pieces = [(min(self.base, v), max(self.base, v)) for v in ends.tolist()]
-            ts, ws = panel_nodes(pieces, width)
-            sizes = _node_counts(pieces, width)
-            kernel = ws * (np.repeat(ends, sizes) - ts) ** (m - 1)
-            starts = np.cumsum(sizes) - sizes
-            acc = np.zeros(live.size, dtype=np.complex128)
-            for lam, g in zip(self.centers, self.mth_derivatives):
-                acc += np.exp(1j * lam * ends) * np.add.reduceat(g.eval(ts) * kernel, starts)
-            out[live] = np.sign(ends - self.base) * acc / math.factorial(m - 1)
-        out = out.reshape(xs.shape)
+        ends, m = xs.ravel(), self.degree
+        # one rule over every x's panels: each component is evaluated once;
+        # x = base gives an empty piece, so a zero remainder
+        integrals = piece_integrals(
+            lambda t, piece: np.stack([g.eval(t) for g in self.mth_derivatives])
+            * (ends[piece] - t) ** (m - 1),
+            [(min(self.base, v), max(self.base, v)) for v in ends.tolist()],
+            panel_width(max(g.max_frequency for g in self.mth_derivatives), 8),
+        )
+        acc = (np.exp(1j * np.outer(self.centers, ends)) * integrals).sum(axis=0)
+        out = (np.sign(ends - self.base) * acc / math.factorial(m - 1)).reshape(xs.shape)
         return complex(out[0]) if np.ndim(x) == 0 else out
 
     def total(self, x):
@@ -419,9 +394,7 @@ def taylor_split(
 
 def taylor_remainder_bound(split: TaylorSplit, p: float) -> float:
     """Closed-form budget n^(p-1) a^(pm) / (m!)^p * sum_k integral_I |f_k^(m)|^p."""
-    p = check_exponent(p)
-    if math.isinf(p):
-        raise InvalidExponentError("the remainder budget is integral-based; p must be finite")
+    p = finite_exponent(p, "the remainder budget")
     n = len(split.components)
     m = split.degree
     a = split.length
@@ -525,24 +498,6 @@ def _expsum_closure(lams: np.ndarray, coeff_arrays, x0: float):
     return evaluate
 
 
-def _sup_poly_exact(coeffs: np.ndarray, spans, x0: float) -> np.ndarray:
-    """Sup of |polynomial| on each interval, one entry per span, via critical points of |p|^2."""
-    square = np.real(np.convolve(coeffs, np.conj(coeffs)))
-    roots: list[float] = []
-    if square.size > 1:
-        derivative = npoly.polyder(square)
-        if np.any(derivative != 0):
-            for r in npoly.polyroots(derivative):
-                if abs(r.imag) < 1e-9:
-                    roots.append(float(r.real))
-    best = []
-    for a, b in spans:
-        cands = [a - x0, b - x0]
-        cands.extend(r for r in roots if a - x0 < r < b - x0)
-        best.append(float(np.max(np.abs(npoly.polyval(np.array(cands), coeffs)))))
-    return np.array(best)
-
-
 def exp_sum_verifier(
     terms,
     interval: tuple[float, float],
@@ -564,13 +519,12 @@ def exp_sum_verifier(
         Observation subsets E, at least one; only their parts inside I are
         used.  One check is returned per set, in order.
     p : float
-        Exponent in [1, inf]; for p = inf sups are used, with an exact
-        critical-point evaluation in the pure-polynomial case.
+        Exponent in [1, inf]; for p = inf sups are used.
 
     One value per span (I, then each set's pieces in order) comes from one
-    ``sup_abs`` search at p = inf, or from one evaluation at the panel nodes
-    of every span at finite p, so norm_I is shared by every set.  The
-    reported `bound` is the norm-transfer bound with the configured
+    ``sup_abs`` search at p = inf, pure polynomials included, or from one
+    ``piece_integrals`` call at finite p, so norm_I is shared by every set.
+    The reported `bound` is the norm-transfer bound with the configured
     constants; the Nazarov (pure exponential sums, p = inf) and Remez
     (single zero-frequency polynomial, p = inf) forms are attached when
     they apply.
@@ -601,22 +555,16 @@ def exp_sum_verifier(
     measures = [sum(b - a for a, b in pieces) for pieces in piece_lists]
     if min(measures) <= 0:
         raise EmptySetError("a set misses the interval entirely")
-    x0 = 0.5 * (lo + hi)
-    evaluate = _expsum_closure(lams, coeff_arrays, x0)
+    evaluate = _expsum_closure(lams, coeff_arrays, 0.5 * (lo + hi))
     width = panel_width(float(np.max(np.abs(lams))), resolution)
     pure_poly = n == 1 and lams[0] == 0.0
     spans = ((lo, hi),) + sum(piece_lists, ())
-    if not math.isinf(p):
-        xs, ws = panel_nodes(spans, width)
-        vals = np.abs(evaluate(xs)) ** p
-        ends = np.cumsum(_node_counts(spans, width)).tolist()
-        per_span = [float(ws[a:e] @ vals[a:e]) for a, e in zip([0] + ends, ends)]
-    elif pure_poly:
-        per_span = _sup_poly_exact(coeff_arrays[0], spans, x0)
-    else:
+    if math.isinf(p):
         counts = [max(17, 2 * int(math.ceil((b - a) / width)) + 1) for a, b in spans]
         per_span = sup_abs(evaluate, spans, counts)
-    norm_I = float(per_span[0]) if math.isinf(p) else per_span[0] ** (1.0 / p)
+    else:
+        per_span = piece_integrals(lambda x, _: np.abs(evaluate(x)) ** p, spans, width)
+    norm_I = float(per_span[0]) if math.isinf(p) else float(per_span[0]) ** (1.0 / p)
     degree = int(np.max(np.nonzero(coeff_arrays[0] != 0)[0])) if pure_poly else 0
     checks = []
     start = 1

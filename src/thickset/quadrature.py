@@ -1,8 +1,9 @@
-"""Composite Gauss-Legendre panels and a batched sup search.
+"""Composite Gauss-Legendre panels, per-piece integrals and a batched sup search.
 
 The fixed order-16 rule integrates polynomials up to degree 31 exactly per
 panel; callers control accuracy through the panel width alone.  One call
-of ``panel_nodes`` or ``sup_abs`` covers every piece of a set at once.
+of ``panel_nodes``, ``piece_integrals`` or ``sup_abs`` covers every piece
+of a set at once, and only this module knows how nodes map to pieces.
 """
 from __future__ import annotations
 
@@ -62,6 +63,30 @@ def panel_nodes(pieces, max_width: float, order: int = GL_ORDER) -> tuple[np.nda
     x, w = _gl_rule(order)
     nodes = (0.5 * (left + right))[:, None] + np.repeat(half * x, counts, axis=0)
     return nodes.ravel(), np.repeat(half * w, counts, axis=0).ravel()
+
+
+def piece_integrals(integrand, pieces, max_width: float, block: int | None = None) -> np.ndarray:
+    """Composite-rule integral of `integrand` over each piece, shape (..., len(pieces)).
+
+    integrand(x, piece) gets 1-D ``panel_nodes`` x and each node's piece
+    index, and returns shape (..., x.size).  Nodes go through it in runs of
+    at most `block` (all at once for None), each added to its pieces' sums
+    by np.add.reduceat, so a run may split a piece.  A piece with hi <= lo
+    has no node and integrates to 0.
+    """
+    xs, ws = panel_nodes(pieces, max_width)
+    sizes = [GL_ORDER * panel_count(lo, hi, max_width) for lo, hi in pieces]
+    owner = np.repeat(np.arange(len(pieces)), sizes)
+    run = max(1, xs.size if block is None else block)
+    total = None
+    for i in range(0, max(xs.size, 1), run):  # one empty run when there is no node
+        ids = owner[i : i + run]
+        cuts = np.flatnonzero(np.diff(ids, prepend=-1))
+        sums = np.add.reduceat(ws[i : i + run] * integrand(xs[i : i + run], ids), cuts, axis=-1)
+        if total is None:
+            total = np.zeros(sums.shape[:-1] + (len(pieces),), dtype=sums.dtype)
+        total[..., ids[cuts]] += sums
+    return total
 
 
 def sup_abs(evaluate, pieces, counts) -> np.ndarray:

@@ -351,6 +351,15 @@ class TestMain:
         assert main(["--config", path]) == 2
         assert "'freqs' must be an integer, got 1.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("domain", [[0], [0, 1, 5]])
+    def test_thickness_domain_needs_two_numbers(self, tmp_path, capsys, domain):
+        path = write_config(
+            tmp_path,
+            {"command": "thickness", "set": {"intervals": [[0.2, 0.4]]}, "a": 0.5, "domain": domain},
+        )
+        assert main(["--config", path]) == 2
+        assert f"'domain' must be a list of two numbers, got {domain!r}" in capsys.readouterr().err
+
     def test_domain_error_exits_two(self, tmp_path, capsys):
         # schema is fine but the parameters are outside the math domain
         path = write_config(tmp_path, {"command": "bound", "gamma": 2.0, "ab": 1, "p": 2})
@@ -378,6 +387,13 @@ class TestSeedEnv:
         assert baseline != overridden
         monkeypatch.setenv(SEED_ENV_VAR, "3")
         assert emit_csv(run(cfg).table) == baseline
+
+    @pytest.mark.parametrize("suite", ["expsum", "good_bad"])
+    def test_negative_env_seed_exits_two(self, tmp_path, capsys, monkeypatch, suite):
+        monkeypatch.setenv(SEED_ENV_VAR, "-3")
+        path = write_config(tmp_path, {"command": "verify", "suite": suite, "seeds": 1})
+        assert main(["--config", path]) == 2
+        assert f"{SEED_ENV_VAR} must be a nonnegative integer, got -3" in capsys.readouterr().err
 
     def test_bad_env_seed_rejected(self, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")

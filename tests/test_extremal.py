@@ -154,6 +154,13 @@ class TestExtremalRatio:
         with pytest.raises(InvalidExponentError):
             extremal_ratio(inst, math.inf)
 
+    @pytest.mark.parametrize("p", [math.nan, 0.5])
+    @pytest.mark.parametrize("fn", [extremal_ratio, default_truncation])
+    def test_invalid_exponent_rejected(self, fn, p):
+        inst = extremal_pair(2.0 * FOUR_PI, 0.3)
+        with pytest.raises(InvalidExponentError):
+            fn(inst, p)
+
     def test_ratio_in_unit_interval(self):
         inst = extremal_pair(2.0 * FOUR_PI, 0.3)
         r = extremal_ratio(inst, 2.0)

@@ -399,11 +399,14 @@ class TestExpSumVerifier:
                 assert check.holds
 
 
-    def test_sup_norms_match_dense_scan(self, monkeypatch):
+    @pytest.mark.parametrize("pure_poly", [False, True])
+    def test_sup_norms_match_dense_scan(self, monkeypatch, pure_poly):
         rng = np.random.default_rng(12)
+        # a pure polynomial takes the same search as every other sum
+        shape = ((0.0, 4),) if pure_poly else ((-17.0, 2), (4.5, 3), (21.0, 1))
         terms = [
             (float(lam), rng.standard_normal(m) + 1j * rng.standard_normal(m))
-            for lam, m in ((-17.0, 2), (4.5, 3), (21.0, 1))
+            for lam, m in shape
         ]
         E = IntervalSet(((0.05, 0.2), (0.45, 0.6), (0.8, 0.95)))
         calls = []

@@ -1,10 +1,17 @@
-"""Panel Gauss-Legendre rule and the batched sup search."""
+"""Panel Gauss-Legendre rule, per-piece integrals and the batched sup search."""
 import math
 
 import numpy as np
 import pytest
 
-from thickset.quadrature import GL_ORDER, panel_count, panel_nodes, panel_width, sup_abs
+from thickset.quadrature import (
+    GL_ORDER,
+    panel_count,
+    panel_nodes,
+    panel_width,
+    piece_integrals,
+    sup_abs,
+)
 
 
 def test_panel_count_ceils():
@@ -60,6 +67,47 @@ def test_multi_piece_rule_is_concatenation(pieces, width):
     rules = [_one_piece_rule(lo, hi, width) for lo, hi in pieces]
     assert xs.tobytes() == np.concatenate([np.empty(0)] + [x for x, _ in rules]).tobytes()
     assert ws.tobytes() == np.concatenate([np.empty(0)] + [w for _, w in rules]).tobytes()
+
+
+def _stacked(x, piece):
+    """Two positive rows, the second complex and depending on the piece index."""
+    return np.stack([2.0 + np.cos(3.0 * x), (1.0 + 0.5j) * (piece + 1) * (1.0 + x * x)])
+
+
+# zero-length pieces first, between and last; 16-node panels, so runs of
+# 5 and 97 nodes split pieces and panels
+_PIECES = [(0.0, 0.0), (-1.5, 0.2), (0.2, 0.2), (0.7, 3.1), (3.0, 2.5), (4.0, 4.25), (5.0, 5.0)]
+
+
+@pytest.mark.parametrize("block", [1, 5, 97, None])
+def test_piece_integrals_match_per_piece_rule(block):
+    sizes = []
+
+    def integrand(x, piece):
+        sizes.append(x.size)
+        return _stacked(x, piece)
+
+    got = piece_integrals(integrand, _PIECES, 0.37, block=block)
+    want = np.zeros((2, len(_PIECES)), dtype=complex)
+    for j, piece in enumerate(_PIECES):
+        xs, ws = panel_nodes([piece], 0.37)
+        want[:, j] = _stacked(xs, np.full(xs.size, j)) @ ws
+    assert got.shape == (2, len(_PIECES)) and got.dtype == complex
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert got[:, [0, 2, 4, 6]].tolist() == [[0.0] * 4] * 2
+    n_nodes = sum(GL_ORDER * panel_count(lo, hi, 0.37) for lo, hi in _PIECES)
+    assert sum(sizes) == n_nodes
+    assert max(sizes) == (n_nodes if block is None else block)
+
+
+def test_piece_integrals_one_row_and_no_nodes():
+    got = piece_integrals(lambda x, _: np.sin(x) ** 2, [(0.0, 2.0 * math.pi)], 0.25, block=7)
+    assert got.shape == (1,)
+    assert math.isclose(got[0], math.pi, rel_tol=1e-12)
+    # every piece empty: one empty run fixes the shape and dtype of the zeros
+    empty = piece_integrals(_stacked, [(1.0, 1.0), (3.0, 2.0)], 0.1)
+    assert empty.shape == (2, 2) and empty.dtype == complex and not empty.any()
+    assert piece_integrals(_stacked, [], 0.1).shape == (2, 0)
 
 
 def test_panel_width_tracks_top_frequency():
