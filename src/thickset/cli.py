@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import proofcheck
-from .bandlimited import BandSpec, NormQuery, full_torus, lp_norm, random_bandlimited
+from .bandlimited import BandSpec, random_bandlimited
 from .bounds import (
     BoundConstants,
     holder_share,
@@ -564,7 +564,7 @@ def _suite_band_norms(config: dict) -> RunResult:
         gap = math.nan
         violations = []
         if p == 2.0:
-            total = lp_norm(f, NormQuery(2.0, full_torus(period)))
+            total = report.total
             gap = abs(sum(v * v for v in report.norms) - total * total) / total ** 2
             if report.max_ratio > 1.0 + 1e-6:
                 violations.append(

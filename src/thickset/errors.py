@@ -29,6 +29,10 @@ class InvalidExponentError(ThicksetError):
     """A Lebesgue exponent p is not in [1, inf]."""
 
 
+class InvalidResolutionError(ThicksetError):
+    """A quadrature resolution is not a positive integer."""
+
+
 class ZeroFunctionError(ThicksetError):
     """An operation needs a nonzero function but got the zero one."""
 

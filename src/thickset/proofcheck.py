@@ -413,12 +413,13 @@ def taylor_remainder_bound(split: TaylorSplit, p: float) -> float:
 
 @dataclass(frozen=True)
 class BandComponentNorms:
-    """Per-band spectral projections and their norm ratios."""
+    """Per-band spectral projections, their norm ratios and the norm of f itself."""
 
     norms: tuple[float, ...]
     ratios: tuple[float, ...]
     max_ratio: float
     components: tuple[TrigPoly, ...]
+    total: float
 
 
 def band_component_norms(f: TrigPoly, spec: BandSpec, p: float) -> BandComponentNorms:
@@ -455,6 +456,7 @@ def band_component_norms(f: TrigPoly, spec: BandSpec, p: float) -> BandComponent
         ratios=ratios,
         max_ratio=max(ratios),
         components=tuple(components),
+        total=total,
     )
 
 

@@ -65,6 +65,25 @@ def panel_nodes(pieces, max_width: float, order: int = GL_ORDER) -> tuple[np.nda
     return nodes.ravel(), np.repeat(half * w, counts, axis=0).ravel()
 
 
+def translate_count(pieces, max_width: float, period: float, copies: int) -> int:
+    """Q when the panel_nodes of `pieces` are Q translates by period/Q of their first n/Q, else 1.
+
+    One piece of length `period` gives its panel count.  Otherwise `copies`
+    runs of pieces need equal panel counts and endpoints r * period / copies
+    from the first run's, to rounding; a cell merged across its boundary fails.
+    """
+    ends = np.array(pieces, dtype=float).reshape(-1, 2)
+    tol = 16.0 * np.finfo(float).eps * period
+    if len(ends) == 1 and abs(ends[0, 1] - ends[0, 0] - period) <= tol:
+        return panel_count(ends[0, 0], ends[0, 1], max_width)
+    if copies < 2 or len(ends) % copies:
+        return 1
+    counts = np.array([panel_count(lo, hi, max_width) for lo, hi in ends]).reshape(copies, -1)
+    runs = ends.reshape(copies, -1, 2) - (period / copies) * np.arange(copies)[:, None, None]
+    same = np.all(counts == counts[0]) and np.all(np.abs(runs - runs[0]) <= tol)
+    return copies if same else 1
+
+
 def piece_integrals(integrand, pieces, max_width: float, block: int | None = None) -> np.ndarray:
     """Composite-rule integral of `integrand` over each piece, shape (..., len(pieces)).
 

@@ -11,6 +11,7 @@ from thickset import (
     EmptyBandError,
     IntervalSet,
     InvalidExponentError,
+    InvalidResolutionError,
     NormQuery,
     TrigPoly,
     ZeroFunctionError,
@@ -19,7 +20,10 @@ from thickset import (
     lattice_indices,
     lp_norm,
     random_bandlimited,
+    two_sliver_set,
 )
+from thickset.quadrature import panel_nodes, panel_width, translate_count
+from thickset.sets import period_ratio
 
 TWO_PI = 2.0 * math.pi
 
@@ -269,11 +273,99 @@ class TestLpNorm:
         with pytest.raises(InvalidExponentError):
             NormQuery(0.5, full_torus(1.0))
 
+    @pytest.mark.parametrize("resolution", [0, True, 2.0])
+    def test_invalid_resolution(self, resolution):
+        with pytest.raises(InvalidResolutionError) as info:
+            NormQuery(2.0, full_torus(1.0), resolution=resolution)
+        assert not isinstance(info.value, InvalidExponentError)
+
+    def test_numpy_integer_resolution(self):
+        assert NormQuery(2.0, full_torus(1.0), resolution=np.int64(4)).resolution == 4
+
     def test_degenerate_interval_rejected_at_construction(self):
         from thickset import InvalidIntervalError
 
         with pytest.raises(InvalidIntervalError):
             IntervalSet(((0.0, 0.0),))
+
+
+def _panel_pieces(f, E):
+    """The pieces lp_norm integrates over and its panel width at resolution 8."""
+    pieces = E.intervals if E.period is None else E.materialize(0.0, f.period)
+    return pieces, panel_width(f.max_frequency, 8)
+
+
+def _dense_norm(f, E, p):
+    """The finite-p norm with every panel node through f.eval."""
+    pieces, width = _panel_pieces(f, E)
+    xs, ws = panel_nodes(pieces, width)
+    return float(ws @ np.abs(f.eval(xs)) ** p) ** (1.0 / p)
+
+
+def _copies(f, E):
+    pieces, width = _panel_pieces(f, E)
+    return translate_count(pieces, width, f.period, period_ratio(E, f.period))
+
+
+def _random_terms(L, ms, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(len(ms)) + 1j * rng.standard_normal(len(ms))
+    return TrigPoly(L, np.array(ms), coeffs)
+
+
+TRANSLATE_SETS = {
+    "torus": full_torus(8.0),
+    "sliver_0.1": two_sliver_set(0.1),
+    "sliver_0.7": two_sliver_set(0.7),
+    "sliver_1.0": two_sliver_set(1.0),  # one cell merges into one full-period piece
+    "period_L/3": IntervalSet(((0.2, 0.9), (1.3, 2.1)), period=8.0 / 3.0),
+}
+
+TRANSLATE_FUNCTIONS = {
+    "single_mode": lambda: TrigPoly.from_terms(8.0, [(-5, 0.3 - 1.2j)]),
+    "negative_m_min": lambda: _random_terms(8.0, list(range(-23, -9)), 1),
+    "three_bands": lambda: random_bandlimited(
+        BandSpec((0.0, 12.0 * math.pi, 24.0 * math.pi), 4.0 * math.pi), 8.0, seed=2
+    ),
+    "span_below_copies": lambda: _random_terms(8.0, [3, 4, 6], 3),  # span 4 < 8 copies of a sliver
+    "wide": lambda: random_bandlimited(BandSpec((0.0,), 64.0 * math.pi), 8.0, seed=4),
+}
+
+
+class TestTranslateRoute:
+    """Finite-p norms on translated node sets against f.eval on the same nodes."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("set_name", sorted(TRANSLATE_SETS))
+    @pytest.mark.parametrize("f_name", sorted(TRANSLATE_FUNCTIONS))
+    def test_matches_dense_eval(self, f_name, set_name, p):
+        f, E = TRANSLATE_FUNCTIONS[f_name](), TRANSLATE_SETS[set_name]
+        assert _copies(f, E) > 1
+        got = lp_norm(f, NormQuery(p, E))
+        assert math.isclose(got, _dense_norm(f, E, p), rel_tol=1e-13)
+
+    def test_span_on_both_sides_of_copies(self):
+        E = two_sliver_set(0.1)
+        narrow = TRANSLATE_FUNCTIONS["span_below_copies"]()
+        wide = TRANSLATE_FUNCTIONS["wide"]()
+        assert np.ptp(narrow.ms) + 1 < _copies(narrow, E) < np.ptp(wide.ms) + 1
+
+    @pytest.mark.parametrize(
+        "E",
+        [
+            IntervalSet(((0.0, 0.2), (0.6, 1.0)), period=1.0),  # cell merged across 0 and 1
+            IntervalSet(((0.3, 2.1),)),  # aperiodic
+            # four equal pieces whose offsets miss 2 * r by up to 6e-10
+            IntervalSet(((0.2, 0.5),), period=2.0 * (1.0 + 1e-10)),
+        ],
+        ids=["merged_boundary", "aperiodic", "not_translates"],
+    )
+    @pytest.mark.parametrize("p", [1.0, 3.5])
+    def test_fallback_to_eval(self, E, p):
+        f = random_bandlimited(BandSpec((0.0,), 8.0 * math.pi), 8.0, seed=6)
+        assert _copies(f, E) == 1
+        got = lp_norm(f, NormQuery(p, E))
+        assert math.isclose(got, _dense_norm(f, E, p), rel_tol=1e-13)
 
 
 class TestLatticeAndRandom:

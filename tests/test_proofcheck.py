@@ -271,6 +271,7 @@ class TestBandComponentNorms:
         f = random_bandlimited(spec, L, seed=41)
         report = band_component_norms(f, spec, 2.0)
         total = lp_norm(f, NormQuery(2.0, full_torus(L)))
+        assert report.total == total
         assert math.isclose(sum(v * v for v in report.norms), total * total, rel_tol=1e-9)
         assert report.max_ratio <= 1.0 + 1e-9
 

@@ -11,6 +11,7 @@ from thickset.quadrature import (
     panel_width,
     piece_integrals,
     sup_abs,
+    translate_count,
 )
 
 
@@ -177,3 +178,13 @@ def test_sup_per_piece_maxima():
     # same spacing argument as test_sup_matches_dense_scan
     for value, scan in zip(got, scans):
         assert scan <= value <= scan * (1.0 + 1e-7)
+
+
+def test_translate_count_layouts():
+    width = 0.05
+    assert translate_count([(0.0, 8.0)], width, 8.0, 1) == 160  # one full-period piece: every panel
+    assert translate_count([(0.1, 0.3), (4.1, 4.3)], width, 8.0, 2) == 2
+    assert translate_count([(0.1, 0.3), (4.1, 4.3)], width, 8.0, 1) == 1  # an aperiodic set
+    assert translate_count([(0.1, 0.3), (4.5, 4.7)], width, 8.0, 2) == 1  # offset is not 4
+    assert translate_count([(0.1, 0.3), (4.1, 4.35)], width, 8.0, 2) == 1  # lengths and panel counts differ
+    assert translate_count([(0.0, 0.2), (0.6, 1.2), (1.6, 2.0)], width, 2.0, 2) == 1  # merged cell
