@@ -6,9 +6,9 @@ A function lives on a torus of length ``period`` and is a finite sum
 exact and termwise; Lp norms are composite Gauss-Legendre integrals whose
 panel width tracks the highest frequency, so the p = 2 norm can be checked
 against the exact coefficient formula ``integral |f|^2 = period * sum |c_j|^2``.
-``TrigPoly.eval`` is the one evaluator of scattered points; nodes that are
-Q translates of one base set (the full torus, a periodic set) go through
-its kernel once at the base nodes and one length-Q inverse FFT.
+``TrigPoly.eval`` is the one evaluator of scattered points; every mass
+integral |g|^p over pieces, of lp_norm and the proof checks alike, is one
+``piece_masses`` call, which builds the nodes of one base cell only.
 """
 from __future__ import annotations
 
@@ -28,14 +28,13 @@ from .errors import (
     InvalidDegreeError,
     InvalidIntervalError,
     InvalidResolutionError,
-    ZeroFunctionError,
 )
-from .quadrature import panel_nodes, panel_width, sup_abs, translate_count
+from .quadrature import base_cell, panel_width, piece_integrals, sup_abs
 from .sets import IntervalSet, period_ratio
 
 
-# Cap on nodes * (baby + giant steps) per evaluation block, to bound memory.
-_EVAL_BLOCK = 2_000_000
+# Cap on points * (table + output entries) per evaluation block: 1 MB of complex128.
+_EVAL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class TrigPoly:
     def frequencies(self) -> np.ndarray:
         return math.tau * self.ms / self.period
 
-    @property
+    @cached_property
     def max_frequency(self) -> float:
         live = np.abs(self.coeffs) > 0
         if not np.any(live):
@@ -141,11 +140,12 @@ class TrigPoly:
         below 1e-13 * ||c||_2 at span 257, about 2e-11 * ||c||_2 at span 65537.
         """
         xs = np.asarray(x, dtype=float)
-        flat = xs.ravel()
+        flat, out = xs.ravel(), np.zeros(xs.size, dtype=np.complex128)
         if self.ms.size:
-            out = _eval_blocks(self._step_table, 1, self.period, self.ms[0], flat)[0]
-        else:
-            out = np.zeros(flat.size, dtype=np.complex128)
+            table, m0 = self._step_table, self.ms[0]
+            block = max(1, _EVAL_BLOCK // sum(table.shape))
+            for i in range(0, flat.size, block):
+                out[i : i + block] = _eval_rows(table, 1, self.period, m0, flat[i : i + block])[0]
         if xs.ndim == 0:
             return complex(out[0])
         return out.reshape(xs.shape)
@@ -224,32 +224,49 @@ def _eval_rows(table: np.ndarray, k: int, period: float, m_min, x: np.ndarray) -
     return acc * np.exp(1j * (math.tau * np.mod(m_min * turns, 1.0)))[None, :]
 
 
-def _eval_blocks(table: np.ndarray, k: int, period: float, m_min, x: np.ndarray) -> np.ndarray:
-    """``_eval_rows`` over runs of x that keep run size * sum(table.shape) <= _EVAL_BLOCK."""
-    out = np.empty((k, x.size), dtype=np.complex128)
-    block = max(1, _EVAL_BLOCK // sum(table.shape))
-    for i in range(0, x.size, block):
-        out[:, i : i + block] = _eval_rows(table, k, period, m_min, x[i : i + block])
-    return out
+def _eval_translates(ms: np.ndarray, rows: np.ndarray, period: float, copies: int):
+    """Evaluator of k coefficient rows on the sorted modes ms at Q = copies translates.
 
-
-def _eval_translates(f: TrigPoly, x0: np.ndarray, copies: int) -> np.ndarray:
-    """f at x0 + r L / Q for r = 0..Q-1 (Q = copies), r-major.
-
-    With m = m_min + s + Q t and g_s(x0) the modes of residue s at x0 (a
-    period-L/Q row through ``_eval_rows``, times e^(2 pi i (m_min + s) x0 / L)),
-    f(x0 + r L / Q) = e^(2 pi i m_min r / Q) sum_s e^(2 pi i s r / Q) g_s(x0).
+    evaluate(x0) is every row at x0 + r L / Q, r = 0..Q-1, shape (k, Q, x0.size), and
+    entries its table and output entries per point.  With g_u(x0) the modes m = u mod Q
+    (period-L/Q rows through ``_eval_rows``, times e^(2 pi i m_u x0 / L) for the least
+    such m_u), row(x0 + r L / Q) = sum_u e^(2 pi i u r / Q) g_u(x0): one inverse FFT.
     """
-    t, s = np.divmod(f.ms - f.ms[0], copies)
-    live, row = np.unique(s, return_inverse=True)
-    rows = np.zeros((live.size, t[-1] + 1), dtype=np.complex128)
-    rows[row, t] = f.coeffs
-    values = _eval_blocks(_step_tables(np.arange(t[-1] + 1), rows), live.size, f.period / copies, 0, x0)
-    turns = np.mod(x0, f.period) / f.period
-    residues = np.zeros((copies, x0.size), dtype=np.complex128)
-    residues[live] = values * np.exp(1j * (math.tau * np.mod((f.ms[0] + live)[:, None] * turns, 1.0)))
-    shifts = np.exp(1j * (math.tau / copies * np.mod(f.ms[0] * np.arange(copies), copies)))
-    return (np.fft.ifft(residues, axis=0, norm="forward") * shifts[:, None]).ravel()
+    k = rows.shape[0]
+    if copies == 1:
+        table = _step_tables(ms, rows)
+        return (lambda x0: _eval_rows(table, k, period, ms[0], x0)[:, None]), sum(table.shape) + k
+    t, s = np.divmod(ms - ms[0], copies)
+    live = np.flatnonzero(np.bincount(s, minlength=copies))  # the residues that carry a mode
+    split = np.zeros((k, live.size, t[-1] + 1), dtype=np.complex128)
+    split[:, np.searchsorted(live, s), t] = rows
+    table = _step_tables(np.arange(t[-1] + 1), split.reshape(k * live.size, -1))
+
+    def evaluate(x0: np.ndarray) -> np.ndarray:
+        turns = np.mod(x0, period) / period
+        phases = np.exp(1j * (math.tau * np.mod((ms[0] + live)[:, None] * turns, 1.0)))
+        values = _eval_rows(table, k * live.size, period / copies, 0, x0).reshape(k, live.size, -1)
+        residues = np.zeros((k, copies, x0.size), dtype=np.complex128)
+        residues[:, (ms[0] + live) % copies] = values * phases
+        return np.fft.ifft(residues, axis=1, norm="forward")
+
+    return evaluate, sum(table.shape) + k * copies
+
+
+def piece_masses(f: TrigPoly, rows, pieces, copies: int, p: float, resolution: int) -> np.ndarray:
+    """Masses integral |sum_m rows[r, m] e^(i nu_m x)|^p over each piece, shape (k, len(pieces)).
+
+    Only the nodes of ``quadrature.base_cell`` (`copies` as there) are built,
+    in runs of at most _EVAL_BLOCK entries, each evaluated at all Q translates.
+    """
+    if not (f.ms.size and len(pieces)):  # no step table, or no piece to fold back into
+        return np.zeros((len(rows), len(pieces)))
+    width = panel_width(f.max_frequency, resolution)
+    base, copies = base_cell(pieces, width, f.period, copies)
+    evaluate, entries = _eval_translates(f.ms, rows, f.period, copies)
+    block = max(1, _EVAL_BLOCK // entries)
+    masses = piece_integrals(lambda x, _: np.abs(evaluate(x)) ** p, base, width, block)
+    return masses.reshape(len(rows), len(pieces), -1).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -281,13 +298,13 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     f : TrigPoly
     query : NormQuery
         For finite p the result is a composite Gauss-Legendre integral with
-        panel width ``min(1, 2 pi / nu_max) / resolution``.  Nodes that
-        ``quadrature.translate_count`` finds to be Q translates (one piece of
-        length L, or the copies of an unmerged periodic cell) go through
-        ``_eval_translates``, all others through one ``f.eval`` call.  At
-        resolution 8, p = 1 torus norms of the benchmark ``restriction``
-        spectra are off by 1.4e-8 to 3.7e-7 relative (resolution 128 as
-        reference): |f| is nearly kinked at zeros of f near the real axis.
+        panel width ``min(1, 2 pi / nu_max) / resolution``, taken by
+        ``piece_masses``: on the full torus or an unmerged periodic set only
+        one cell's nodes are built and evaluated, and the other cells'
+        values come from one length-Q FFT.  At resolution 8, p = 1 torus
+        norms of the benchmark ``restriction`` spectra are off by 1.4e-8 to
+        3.7e-7 relative (resolution 128 as reference): |f| is nearly kinked
+        at zeros of f near the real axis.
         For ``p = inf`` the maximum of |f| is taken over a grid with the
         same spacing on every piece and refined around each piece's grid
         argmax by one ``quadrature.sup_abs`` call, whose per-piece maxima
@@ -308,10 +325,8 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     if math.isinf(query.p):
         counts = [max(3, int(math.ceil((hi - lo) / width)) + 1) for lo, hi in pieces]
         return float(sup_abs(f.eval, pieces, counts).max())
-    xs, ws = panel_nodes(pieces, width)
-    copies = translate_count(pieces, width, f.period, q) if f.ms.size else 1
-    vals = f.eval(xs) if copies == 1 else _eval_translates(f, xs[: xs.size // copies], copies)
-    return float(ws @ np.abs(vals) ** query.p) ** (1.0 / query.p)
+    mass = piece_masses(f, f.coeffs[None], pieces, q, query.p, query.resolution).sum()
+    return float(mass) ** (1.0 / query.p)
 
 
 def lattice_indices(spec: BandSpec, period: float) -> np.ndarray:
@@ -351,16 +366,3 @@ def random_bandlimited(
     coeffs = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
     return TrigPoly(period, ms, coeffs)
 
-
-def bernstein_ratio(f: TrigPoly, p: float) -> float:
-    """Norm ratio ||f'||_p / ||f||_p over the full torus.
-
-    Bounded by the top spectral frequency for every p in [1, inf]; for
-    p = 2 the exact value is the coefficient-weighted RMS frequency.
-    """
-    if f.is_zero:
-        raise ZeroFunctionError("Bernstein ratio of the zero function")
-    torus = full_torus(f.period)
-    num = lp_norm(f.derivative(1), NormQuery(p, torus))
-    den = lp_norm(f, NormQuery(p, torus))
-    return num / den

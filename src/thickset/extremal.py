@@ -130,32 +130,6 @@ def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = 
     return math.exp((log_kept - log_total) / p)
 
 
-def spectral_mass_outside_band(
-    inst: ExtremalInstance,
-    half_width: float = 8.0,
-    oversample: int = 16,
-) -> float:
-    """Relative discrete-spectrum energy outside [-b/2, b/2].
-
-    Samples the normalized kernel power on [-X, X) at `oversample` times the
-    band Nyquist rate and takes the FFT energy fraction beyond the band
-    edge.  Meaningful once the kernel has decayed at X (powers m >= ~4);
-    slowly decaying instances need a larger half-width.
-    """
-    x_max = float(half_width)
-    if not x_max > 0:
-        raise InvalidWindowError(f"half-width must be positive, got {half_width}")
-    dx = 1.0 / (2.0 * inst.power * oversample)
-    n = int(round(2.0 * x_max / dx))
-    xs = -x_max + dx * np.arange(n)
-    vals = inst.eval(xs)
-    spectrum = np.fft.fft(vals)
-    omegas = math.tau * np.fft.fftfreq(n, d=dx)
-    energy = np.abs(spectrum) ** 2
-    outside = np.abs(omegas) > inst.bandwidth / 2.0 + 1e-9
-    return float(energy[outside].sum() / energy.sum())
-
-
 @dataclass(frozen=True)
 class ExponentFit:
     """Log-log slopes of the measured ratios over a (bandwidth, gamma) grid."""

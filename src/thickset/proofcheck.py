@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandlimited import BandSpec, NormQuery, TrigPoly, full_torus, lp_norm
-from .bandlimited import _eval_rows, _step_tables
+from .bandlimited import BandSpec, NormQuery, TrigPoly, full_torus, lp_norm, piece_masses
 from .bounds import (
     DEFAULT_CONSTANTS,
     BoundConstants,
@@ -41,10 +40,6 @@ from .sets import IntervalSet
 
 # ---------------------------------------------------------------------------
 # interval classification
-
-# Cap on nodes * (baby + rows * giant) per _interval_masses run: 256 kB.
-_MASS_SLAB = 1 << 14
-
 
 @dataclass(frozen=True)
 class ClassifierParams:
@@ -127,7 +122,7 @@ def classify_intervals(
     The order-alpha test compares the mass of the rescaled derivative
     g_alpha = f^(alpha) / (A C b)^alpha against the mass of f itself, term
     by term on the spectrum, so no overflow occurs at any order.  The rows
-    of every order are evaluated together by ``_interval_masses``.
+    of every order go through one ``piece_masses`` call.
     """
     if not band_width > 0:
         raise InvalidBandError(f"band width must be positive, got {band_width}")
@@ -146,7 +141,7 @@ def classify_intervals(
     rows[0] = f.coeffs
     for alpha in range(1, rows.shape[0]):
         rows[alpha] = rows[alpha - 1] * damping
-    masses = _interval_masses(f, rows, partition, params.p, params.resolution)
+    masses = piece_masses(f, rows, partition, len(partition), params.p, params.resolution)
     bad = masses[1:] >= masses[0]
     first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
     good, mass = first_bad == 0, masses[0].copy()
@@ -155,32 +150,15 @@ def classify_intervals(
     return IntervalClassification(partition, good, mass, first_bad, float(band_width), params)
 
 
-def _interval_masses(f: TrigPoly, rows: np.ndarray, partition, p: float, resolution: int):
-    """Masses integral_I |sum_m rows[r, m] e^(i nu_m x)|^p, shape (rows, intervals).
-
-    Every row (coefficients on f's modes) is evaluated at once by one
-    ``piece_integrals`` call, in runs of nodes that keep each run's
-    (nodes x step table) slab under _MASS_SLAB entries.
-    """
-    table = _step_tables(f.ms, rows)
-    return piece_integrals(
-        lambda x, _: np.abs(_eval_rows(table, rows.shape[0], f.period, f.ms[0], x)) ** p,
-        partition,
-        panel_width(f.max_frequency, resolution),
-        block=max(1, _MASS_SLAB // sum(table.shape)),
-    )
-
-
 def good_mass_check(f: TrigPoly, labels: IntervalClassification) -> float:
     """Fraction of integral |f|^p carried by the good intervals.
 
     Recomputed from f by quadrature (not read off the classification), so a
     tampered label set changes the answer honestly.
     """
-    params, total = labels.params, 0.0
-    if not f.is_zero:  # an empty spectrum has no step table
-        masses = _interval_masses(f, f.coeffs[None], labels.intervals, params.p, params.resolution)[0]
-        total = float(masses.sum())
+    params, cells = labels.params, labels.intervals
+    masses = piece_masses(f, f.coeffs[None], cells, len(cells), params.p, params.resolution)[0]
+    total = float(masses.sum())
     if not total > 0:
         raise ZeroFunctionError("no mass on the partition")
     return float(masses[labels.good].sum()) / total
@@ -222,8 +200,7 @@ def local_estimate_check(
     density = sum(b - a for a, b in pieces) / (hi - lo)
     if density <= 0:
         raise EmptySetError("the set misses the interval entirely")
-    width = panel_width(f.max_frequency, 8)
-    masses = piece_integrals(lambda x, _: np.abs(f.eval(x)) ** p, pieces + ((lo, hi),), width)
+    masses = piece_masses(f, f.coeffs[None], pieces + ((lo, hi),), 1, p, 8)[0]
     lhs, whole = float(masses[:-1].sum()), float(masses[-1])  # the pieces of E in I, then I
     b_eff = 2.0 * f.max_frequency
     c = constants.c_one

@@ -65,23 +65,27 @@ def panel_nodes(pieces, max_width: float, order: int = GL_ORDER) -> tuple[np.nda
     return nodes.ravel(), np.repeat(half * w, counts, axis=0).ravel()
 
 
-def translate_count(pieces, max_width: float, period: float, copies: int) -> int:
-    """Q when the panel_nodes of `pieces` are Q translates by period/Q of their first n/Q, else 1.
+def base_cell(pieces, max_width: float, period: float, copies: int) -> tuple[tuple, int]:
+    """Base pieces and Q such that the rule on `pieces` is Q translates by period/Q of theirs.
 
-    One piece of length `period` gives its panel count.  Otherwise `copies`
-    runs of pieces need equal panel counts and endpoints r * period / copies
-    from the first run's, to rounding; a cell merged across its boundary fails.
+    Q = 1 returns `pieces` (the full rule).  One piece of length `period` with n > 1
+    panels is n translates of its first panel; else `copies` runs of pieces with equal
+    panel counts and endpoints r * period / copies from the first run's, to rounding,
+    are translates of the first run.  The translates, r-major, fall into len(pieces)
+    equal runs; the base rule is the full rule's first n/Q nodes and weights, bitwise.
     """
     ends = np.array(pieces, dtype=float).reshape(-1, 2)
     tol = 16.0 * np.finfo(float).eps * period
     if len(ends) == 1 and abs(ends[0, 1] - ends[0, 0] - period) <= tol:
-        return panel_count(ends[0, 0], ends[0, 1], max_width)
-    if copies < 2 or len(ends) % copies:
-        return 1
-    counts = np.array([panel_count(lo, hi, max_width) for lo, hi in ends]).reshape(copies, -1)
-    runs = ends.reshape(copies, -1, 2) - (period / copies) * np.arange(copies)[:, None, None]
-    same = np.all(counts == counts[0]) and np.all(np.abs(runs - runs[0]) <= tol)
-    return copies if same else 1
+        (lo, hi), n = pieces[0], panel_count(*pieces[0], max_width)
+        if n > 1:
+            return ((lo, (hi - lo) / n + lo),), n
+    elif copies > 1 and len(ends) % copies == 0:
+        counts = np.array([panel_count(lo, hi, max_width) for lo, hi in ends]).reshape(copies, -1)
+        runs = ends.reshape(copies, -1, 2) - (period / copies) * np.arange(copies)[:, None, None]
+        if np.all(counts == counts[0]) and np.all(np.abs(runs - runs[0]) <= tol):
+            return tuple(pieces[: len(ends) // copies]), copies
+    return tuple(pieces), 1
 
 
 def piece_integrals(integrand, pieces, max_width: float, block: int | None = None) -> np.ndarray:
@@ -100,7 +104,7 @@ def piece_integrals(integrand, pieces, max_width: float, block: int | None = Non
     total = None
     for i in range(0, max(xs.size, 1), run):  # one empty run when there is no node
         ids = owner[i : i + run]
-        cuts = np.flatnonzero(np.diff(ids, prepend=-1))
+        cuts = np.flatnonzero(np.concatenate((ids[:1] + 1, ids[1:] - ids[:-1])))  # piece starts
         sums = np.add.reduceat(ws[i : i + run] * integrand(xs[i : i + run], ids), cuts, axis=-1)
         if total is None:
             total = np.zeros(sums.shape[:-1] + (len(pieces),), dtype=sums.dtype)

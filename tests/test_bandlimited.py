@@ -14,15 +14,14 @@ from thickset import (
     InvalidResolutionError,
     NormQuery,
     TrigPoly,
-    ZeroFunctionError,
-    bernstein_ratio,
     full_torus,
     lattice_indices,
     lp_norm,
     random_bandlimited,
     two_sliver_set,
 )
-from thickset.quadrature import panel_nodes, panel_width, translate_count
+from thickset import quadrature
+from thickset.quadrature import base_cell, panel_nodes, panel_width
 from thickset.sets import period_ratio
 
 TWO_PI = 2.0 * math.pi
@@ -304,7 +303,7 @@ def _dense_norm(f, E, p):
 
 def _copies(f, E):
     pieces, width = _panel_pieces(f, E)
-    return translate_count(pieces, width, f.period, period_ratio(E, f.period))
+    return base_cell(pieces, width, f.period, period_ratio(E, f.period))[1]
 
 
 def _random_terms(L, ms, seed):
@@ -343,6 +342,22 @@ class TestTranslateRoute:
         assert _copies(f, E) > 1
         got = lp_norm(f, NormQuery(p, E))
         assert math.isclose(got, _dense_norm(f, E, p), rel_tol=1e-13)
+
+    @pytest.mark.parametrize("set_name", ["torus", "sliver_0.1", "period_L/3"])
+    def test_builds_base_cell_nodes_only(self, monkeypatch, set_name):
+        f, E = TRANSLATE_FUNCTIONS["wide"](), TRANSLATE_SETS[set_name]
+        pieces, width = _panel_pieces(f, E)
+        full = panel_nodes(pieces, width)[0].size
+        built = []
+
+        def counting(*args, **kwargs):
+            xs, ws = panel_nodes(*args, **kwargs)
+            built.append(xs.size)
+            return xs, ws
+
+        monkeypatch.setattr(quadrature, "panel_nodes", counting)
+        lp_norm(f, NormQuery(2.0, E))
+        assert built == [full // _copies(f, E)]
 
     def test_span_on_both_sides_of_copies(self):
         E = two_sliver_set(0.1)
@@ -399,21 +414,28 @@ class TestLatticeAndRandom:
         assert len(f.ms) == 5
 
 
+def _bernstein_ratio(f, p):
+    """||f'||_p / ||f||_p over the full torus."""
+    torus = full_torus(f.period)
+    return lp_norm(f.derivative(1), NormQuery(p, torus)) / lp_norm(f, NormQuery(p, torus))
+
+
 class TestBernstein:
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
     def test_ratio_bounded_by_max_frequency(self, p):
         f = random_bandlimited(BandSpec((0.0,), 6.0 * math.pi), 8.0, seed=int(p if p != math.inf else 99))
         nu_max = f.max_frequency
-        assert bernstein_ratio(f, p) <= nu_max * (1.0 + 1e-9) + 1e-12
+        assert _bernstein_ratio(f, p) <= nu_max * (1.0 + 1e-9) + 1e-12
 
     def test_pure_mode_attains_frequency(self):
         f = TrigPoly.from_terms(TWO_PI, [(4, 1.0)])
-        assert math.isclose(bernstein_ratio(f, 2.0), 4.0, rel_tol=1e-10)
+        assert math.isclose(_bernstein_ratio(f, 2.0), 4.0, rel_tol=1e-10)
 
-    def test_zero_function_rejected(self):
+    def test_zero_function_has_no_ratio(self):
+        # both norms vanish, so the ratio is undefined
         f = TrigPoly.from_terms(1.0, [(0, 0.0)])
-        with pytest.raises(ZeroFunctionError):
-            bernstein_ratio(f, 2.0)
+        assert lp_norm(f, NormQuery(2.0, full_torus(1.0))) == 0.0
+        assert lp_norm(f.derivative(1), NormQuery(2.0, full_torus(1.0))) == 0.0
 
 
 @settings(max_examples=30, deadline=None)

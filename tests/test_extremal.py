@@ -16,7 +16,6 @@ from thickset import (
     exponent_fit,
     extremal_pair,
     extremal_ratio,
-    spectral_mass_outside_band,
     theorem1_bound_log10,
 )
 from thickset import extremal as extremal_mod
@@ -139,8 +138,14 @@ class TestExtremalPair:
 
 class TestSpectralSupport:
     def test_mass_outside_band_tiny(self):
+        # FFT of the kernel power on [-8, 8) at 16 times the band's Nyquist
+        # rate: the energy beyond |omega| = b/2 is what the decayed tails leak
         inst = extremal_pair(10.0 * FOUR_PI, 0.3)
-        assert spectral_mass_outside_band(inst) <= 1e-6
+        dx = 1.0 / (2.0 * inst.power * 16)
+        n = int(round(16.0 / dx))
+        energy = np.abs(np.fft.fft(inst.eval(-8.0 + dx * np.arange(n)))) ** 2
+        outside = np.abs(math.tau * np.fft.fftfreq(n, d=dx)) > inst.bandwidth / 2.0 + 1e-9
+        assert energy[outside].sum() / energy.sum() <= 1e-6
 
 
 class TestExtremalRatio:

@@ -159,12 +159,35 @@ class TestClassifierOracle:
         labels = self._check(make_poly(seed=6), B4, params)
         assert labels.first_bad_order.tolist() == [0, 3 if alpha_max == 3 else 0] + [0] * 6
 
+    def test_empty_partition(self):
+        labels = classify_intervals(make_poly(seed=6), B4, ClassifierParams(p=2.0), ())
+        assert labels.good.shape == labels.mass.shape == labels.first_bad_order.shape == (0,)
+
     @pytest.mark.parametrize("p", [1.0, 1.5])
     @pytest.mark.parametrize("constants", [{}, SHARP])
     def test_uneven_partition(self, p, constants):
         partition = ((0.0, 0.5), (0.5, 2.0), (2.0, 8.0))
         labels = self._check(make_poly(seed=6), B4, ClassifierParams(p=p, **constants), partition)
         assert labels.intervals == partition
+
+    def test_unit_partition_builds_one_interval(self, monkeypatch):
+        # the unit partition of a length-32 torus is 32 translates of [0, 1]:
+        # the classifier and the good-mass check build that interval's nodes only
+        from thickset import quadrature
+
+        f = make_poly(seed=4, period=32.0)
+        built = []
+
+        def counting(*args, **kwargs):
+            xs, ws = panel_nodes(*args, **kwargs)
+            built.append(xs.size)
+            return xs, ws
+
+        monkeypatch.setattr(quadrature, "panel_nodes", counting)
+        labels = classify_intervals(f, B4, ClassifierParams(p=1.0))
+        good_mass_check(f, labels)
+        one = panel_nodes([(0.0, 1.0)], panel_width(f.max_frequency, 8))[0].size
+        assert built == [one, one]
 
     def test_wide_band_memory(self):
         # the dense route builds a 2048 x 1025 character matrix (about 34 MB)

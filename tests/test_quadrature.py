@@ -6,12 +6,12 @@ import pytest
 
 from thickset.quadrature import (
     GL_ORDER,
+    base_cell,
     panel_count,
     panel_nodes,
     panel_width,
     piece_integrals,
     sup_abs,
-    translate_count,
 )
 
 
@@ -180,11 +180,43 @@ def test_sup_per_piece_maxima():
         assert scan <= value <= scan * (1.0 + 1e-7)
 
 
-def test_translate_count_layouts():
+def test_base_cell_layouts():
     width = 0.05
-    assert translate_count([(0.0, 8.0)], width, 8.0, 1) == 160  # one full-period piece: every panel
-    assert translate_count([(0.1, 0.3), (4.1, 4.3)], width, 8.0, 2) == 2
-    assert translate_count([(0.1, 0.3), (4.1, 4.3)], width, 8.0, 1) == 1  # an aperiodic set
-    assert translate_count([(0.1, 0.3), (4.5, 4.7)], width, 8.0, 2) == 1  # offset is not 4
-    assert translate_count([(0.1, 0.3), (4.1, 4.35)], width, 8.0, 2) == 1  # lengths and panel counts differ
-    assert translate_count([(0.0, 0.2), (0.6, 1.2), (1.6, 2.0)], width, 2.0, 2) == 1  # merged cell
+    # one full-period piece: 160 translates of its first panel
+    assert base_cell([(0.0, 8.0)], width, 8.0, 1) == (((0.0, 0.05),), 160)
+    sliver = [(0.1, 0.3), (4.1, 4.3)]
+    assert base_cell(sliver, width, 8.0, 2) == (((0.1, 0.3),), 2)
+    assert base_cell(sliver, width, 8.0, 1) == (tuple(sliver), 1)  # an aperiodic set
+    # the fallbacks: offset is not 4; lengths and panel counts differ; a merged cell
+    for pieces, period, copies in [
+        ([(0.1, 0.3), (4.5, 4.7)], 8.0, 2),
+        ([(0.1, 0.3), (4.1, 4.35)], 8.0, 2),
+        ([(0.0, 0.2), (0.6, 1.2), (1.6, 2.0)], 2.0, 2),
+    ]:
+        assert base_cell(pieces, width, period, copies) == (tuple(pieces), 1)
+
+
+def test_base_cell_partitions():
+    # the classifier's unit partition of a length-32 torus is 32 translates of [0, 1]
+    unit = [(float(i), float(i + 1)) for i in range(32)]
+    assert base_cell(unit, 1.0 / 128.0, 32.0, len(unit)) == (((0.0, 1.0),), 32)
+    uneven = [(0.0, 0.5), (0.5, 2.0), (2.0, 8.0)]
+    assert base_cell(uneven, 0.0625, 8.0, len(uneven)) == (tuple(uneven), 1)
+
+
+@pytest.mark.parametrize(
+    "pieces, period, copies",
+    [
+        ([(0.0, 8.0)], 8.0, 1),
+        ([(0.1, 0.3), (4.1, 4.3)], 8.0, 2),
+        ([(float(i), i + 1.0) for i in range(8)], 8.0, 8),
+    ],
+    ids=["torus", "sliver", "unit_partition"],
+)
+def test_base_cell_nodes_lead_full_rule(pieces, period, copies):
+    # the base rule has the bits of the first n/Q nodes and weights of the full rule
+    base, q = base_cell(pieces, 0.05, period, copies)
+    xs, ws = panel_nodes(pieces, 0.05)
+    x0, w0 = panel_nodes(base, 0.05)
+    assert q > 1 and x0.size * q == xs.size
+    assert np.array_equal(x0, xs[: x0.size]) and np.array_equal(w0, ws[: w0.size])
