@@ -18,12 +18,15 @@ between classes, and a within-class entry is the one-cell integral
 whose phase d x / P stays within d turns (an aperiodic set has q = 1 and
 P = L).  Entries come from the closed form of that integral, so the matrix
 is exact up to rounding and the module serves as the independent oracle for
-the closed-form bounds; the eigenproblem is solved one block at a time.
+the closed-form bounds.  Classes with the same steps d carry identical
+blocks, so there is one solve per distinct block, the residual is checked on
+that block, and the dense N x N matrix is built only on demand.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +46,8 @@ from .sets import IntervalSet, period_ratio, thickness
 # Dense eigensolves above this size are refused.
 MAX_DENSE_SIZE = 2000
 
+MODE_LIMIT = 2**52  # bound on |m|: mode differences are exact in int64 and float64
+
 # Residual contract: ||G v - lambda v|| <= RESIDUAL_TOL * ||G||_2.
 RESIDUAL_TOL = 1e-10
 
@@ -50,22 +55,25 @@ RESIDUAL_TOL = 1e-10
 def _residue_blocks(ms: np.ndarray, stride: int) -> list[np.ndarray]:
     residues = np.mod(ms, stride)
     order = np.argsort(residues, kind="stable")
-    classes = np.split(order, np.flatnonzero(np.diff(residues[order])) + 1)
-    sizes = sorted({c.size for c in classes})
-    return [np.stack([c for c in classes if c.size == n]) for n in sizes]
+    starts = np.flatnonzero(np.diff(residues[order], prepend=-1))
+    sizes = np.diff(starts, append=ms.size)
+    return [order[starts[sizes == n][:, None] + np.arange(n)] for n in np.unique(sizes)]
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Frequencies, period and the Hermitian matrix itself (read-only).
+    """Frequencies, period and one Hermitian block per distinct class pattern.
 
     `stride` is the number q of set periods in the torus period; entries
     between modes of different residue classes m mod q are exact zeros.
+    `groups` holds, per class size, the class indices of `blocks()`, the
+    distinct blocks (read-only) and the block index of each class; the
+    dense `matrix` is built from them on demand.
     """
 
     freqs: tuple[int, ...]
     period: float
-    matrix: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     stride: int = 1
 
     @property
@@ -75,14 +83,23 @@ class GramMatrix:
     @property
     def measure_fraction(self) -> float:
         """|E| / L; equals every diagonal entry."""
-        return float(self.matrix[0, 0].real)
+        return float(self.groups[0][1][0, 0, 0].real)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N matrix (read-only), built on first read."""
+        matrix = np.zeros((self.size, self.size), dtype=np.complex128)
+        for ix, stack, carrier in self.groups:
+            matrix[ix[:, :, None], ix[:, None, :]] = stack[carrier]
+        matrix.setflags(write=False)
+        return matrix
 
     def blocks(self) -> list[np.ndarray]:
         """Matrix indices of the residue classes m mod stride, in mode order.
 
         One array per class size; each row holds the indices of one class.
         """
-        return _residue_blocks(np.asarray(self.freqs, dtype=np.int64), self.stride)
+        return [ix for ix, _, _ in self.groups]
 
 
 def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
@@ -91,7 +108,7 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     Parameters
     ----------
     freqs : iterable of int
-        Distinct lattice modes m_j (frequency 2 pi m_j / period).
+        Distinct lattice modes m_j, |m_j| < 2**52 (frequency 2 pi m_j / period).
     E : IntervalSet
         Observation set; a periodic set's period must divide the torus
         period, an aperiodic set must lie inside [0, period].
@@ -101,11 +118,14 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     Returns
     -------
     GramMatrix
-        Hermitian by construction: entries are computed for nonnegative
-        mode differences and mirrored by conjugation.  Entries between
-        residue classes m mod stride are exact zeros.
+        One block per distinct pattern d = (m - m_first) / q of the residue
+        classes m mod q.  Hermitian by construction: entries are computed
+        for nonnegative steps and mirrored by conjugation.
     """
-    ms = np.asarray(list(freqs), dtype=np.int64)
+    ms = np.asarray(list(freqs))  # an object array if some |m| exceeds int64
+    if not np.all((ms > -MODE_LIMIT) & (ms < MODE_LIMIT)):
+        raise ValueError("lattice modes must satisfy |m| < 2**52")
+    ms = ms.astype(np.int64)
     if ms.size == 0:
         raise ValueError("need at least one frequency")
     if np.unique(ms).size != ms.size:
@@ -126,17 +146,23 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     centers = (starts + stops) / (2.0 * cell)
     widths = (stops - starts) / cell
 
-    blocks = _residue_blocks(ms, q)
-    steps = [(ms[ix][:, :, None] - ms[ix][:, None, :]) // q for ix in blocks]
+    classes, steps, carriers = _residue_blocks(ms, q), [], []
+    for ix in classes:
+        d = (ms[ix] - ms[ix[:, :1]]) // q  # equal rows, as bytes, give equal blocks
+        rows = d.view(f"V{d.strides[0]}")
+        _, first, carrier = np.unique(rows, return_index=True, return_inverse=True)
+        steps.append(d[first][:, :, None] - d[first][:, None, :])
+        carriers.append(carrier.ravel())
     unique = np.unique(np.abs(np.concatenate([s.ravel() for s in steps])))
     phases = np.exp(1j * (math.tau * np.mod(np.outer(unique, centers), 1.0)))
     values = (phases * (widths * np.sinc(np.outer(unique, widths)))).sum(axis=1)
-    matrix = np.zeros((ms.size, ms.size), dtype=np.complex128)
-    for ix, step in zip(blocks, steps):
+    groups = []
+    for ix, step, carrier in zip(classes, steps, carriers):
         table = values[np.searchsorted(unique, np.abs(step))]
-        matrix[ix[:, :, None], ix[:, None, :]] = np.where(step >= 0, table, np.conj(table))
-    matrix.setflags(write=False)
-    return GramMatrix(freqs=tuple(ms.tolist()), period=period, matrix=matrix, stride=q)
+        groups.append((ix, np.where(step >= 0, table, np.conj(table)), carrier))
+        for array in groups[-1]:
+            array.setflags(write=False)
+    return GramMatrix(freqs=tuple(ms.tolist()), period=period, groups=tuple(groups), stride=q)
 
 
 @dataclass(frozen=True)
@@ -153,32 +179,31 @@ class ConcentrationResult:
 def min_concentration(freqs, E: IntervalSet, period: float) -> ConcentrationResult:
     """Smallest concentration eigenvalue and a unit witness vector.
 
-    LAPACK solves each residue block of the Gram matrix on its own.  The
-    block with the smallest eigenvalue supplies lambda_min, and its
-    eigenvector, zero outside the block, is the witness; `eigenvalues` is
-    the sorted union of the block spectra.  The witness must satisfy the
-    residual contract ``||G v - lambda v|| <= 1e-10 ||G||`` on the full
-    matrix.
+    LAPACK solves each distinct block once (one batched call per block size)
+    and no dense matrix is built.  The block with the smallest eigenvalue
+    supplies lambda_min; its eigenvector, on the first class carrying that
+    block and zero elsewhere, is the witness.  `eigenvalues` is the sorted
+    union of the spectra of all classes.  The residual contract
+    ``||G_b v - lambda v|| <= 1e-10 ||G||`` is checked on that block G_b; it
+    equals the full-matrix residual, as entries between classes are zeros.
     """
     freqs = list(freqs)
     if len(freqs) > MAX_DENSE_SIZE:
         raise SizeLimitError(f"{len(freqs)} frequencies exceed the dense cap {MAX_DENSE_SIZE}")
     g = gram_matrix(freqs, E, period)
-    n = g.size
-    G = g.matrix
     spectra = []
     lam = math.inf
-    for ix in g.blocks():
-        w, V = np.linalg.eigh(G[ix[:, :, None], ix[:, None, :]])
-        spectra.append(w.ravel())
+    for ix, stack, carrier in g.groups:
+        w, V = np.linalg.eigh(stack)
+        spectra.append(w[carrier].ravel())
         low = int(np.argmin(w[:, 0]))
         if w[low, 0] < lam:
-            lam = float(w[low, 0])
-            witness = np.zeros(n, dtype=np.complex128)
-            witness[ix[low]] = V[low, :, 0] / np.linalg.norm(V[low, :, 0])
+            lam, block, support = float(w[low, 0]), stack[low], ix[np.argmax(carrier == low)]
+            witness = np.zeros(g.size, dtype=np.complex128)
+            witness[support] = V[low, :, 0] / np.linalg.norm(V[low, :, 0])
     eigenvalues = np.sort(np.concatenate(spectra))
     norm = float(np.max(np.abs(eigenvalues)))
-    residual = float(np.linalg.norm(G @ witness - lam * witness))
+    residual = float(np.linalg.norm(block @ witness[support] - lam * witness[support]))
     if residual > RESIDUAL_TOL * max(norm, 1e-300):
         raise RuntimeError(
             f"eigensolver residual {residual:.3e} violates the contract"

@@ -361,6 +361,19 @@ class TestMain:
         assert main(["--config", path]) == 2
         assert "'freqs' must be an integer, got 1.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "freqs", [[0, 10**20], [-5 * 10**18, 5 * 10**18]], ids=["beyond-int64", "wrapping-step"]
+    )
+    def test_out_of_range_mode_exits_two(self, tmp_path, capsys, freqs):
+        # 10**20 does not fit int64; +-5e18 fit, but their difference wraps
+        path = write_config(
+            tmp_path,
+            {"command": "concentration", "freqs": freqs, "L": 8.0,
+             "set": {"intervals": [[0.0, 0.5]]}},
+        )
+        assert main(["--config", path]) == 2
+        assert "lattice modes must satisfy |m| < 2**52" in capsys.readouterr().err
+
     @pytest.mark.parametrize("domain", [[0], [0, 1, 5]])
     def test_thickness_domain_needs_two_numbers(self, tmp_path, capsys, domain):
         path = write_config(

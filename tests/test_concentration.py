@@ -196,6 +196,52 @@ class TestBlockSolve:
             rayleigh = (v.conj() @ (G @ v)).real
             assert math.isclose(rayleigh, res.lambda_min, rel_tol=0, abs_tol=1e-14)
 
+    def test_distinct_blocks_memory(self):
+        # b = 64 pi, L = 32, gamma = 0.7: N = 1025 modes in 32 residue classes
+        ms = lattice_indices(BandSpec((0.0,), 64.0 * math.pi), 32.0)
+        E = two_sliver_set(0.7)
+        min_concentration([0, 1], E, 32.0)  # first-call imports are not the solve's memory
+        tracemalloc.start()
+        try:
+            res = min_concentration(ms, E, 32.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.gram.size == 1025
+        assert peak < 1_000_000  # the dense 1025 x 1025 matrix alone is 16.8 MB
+        G = res.gram.matrix
+        assert np.array_equal(G, G.conj().T)
+        assert np.all(G[np.subtract.outer(ms, ms) % 32 != 0] == 0)
+        assert np.allclose(np.linalg.eigvalsh(G), res.eigenvalues, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "modes, E, period, sizes",
+        [
+            (lattice_indices(BandSpec((0.0,), 64.0 * math.pi), 32.0), two_sliver_set(0.7), 32.0,
+             [32, 33]),
+            # classes 0 and 2 both have steps (0, 1, 2), class 1 has (0, 2, 3)
+            ([-8, 1, 2, -4, 9, 6, 0, 3, 13, 10],
+             IntervalSet(((0.1, 0.35), (0.6, 0.7)), period=1.0), 4.0, [1, 3, 3]),
+        ],
+        ids=["two-sliver-N1025", "q4-sparse"],
+    )
+    def test_one_solve_per_distinct_block(self, monkeypatch, modes, E, period, sizes):
+        solved = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            solved.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        res = min_concentration(modes, E, period)
+        monkeypatch.undo()
+        assert sorted(solved) == sizes
+        G = res.gram.matrix
+        assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(G), rtol=0, atol=1e-12)
+        v = res.witness
+        assert abs(res.residual - np.linalg.norm(G @ v - res.lambda_min * v)) <= 1e-15
+
     def test_aperiodic_set_has_stride_one(self):
         g = gram_matrix(list(range(-3, 4)), IntervalSet(((0.2, 0.9), (1.5, 3.0))), 4.0)
         assert g.stride == 1
