@@ -29,7 +29,7 @@ from .errors import (
     InvalidIntervalError,
     InvalidResolutionError,
 )
-from .quadrature import base_cell, panel_width, piece_integrals, sup_abs
+from .quadrature import RESOLUTION, base_cell, panel_width, piece_integrals, sup_abs
 from .sets import IntervalSet, period_ratio
 
 
@@ -275,7 +275,7 @@ class NormQuery:
 
     p: float
     set: IntervalSet
-    resolution: int = 8
+    resolution: int = RESOLUTION
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", check_exponent(self.p))

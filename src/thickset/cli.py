@@ -41,7 +41,7 @@ from .bounds import (
 from .concentration import min_concentration, sharpness_gap
 from .errors import ConfigError, ThicksetError
 from .extremal import extremal_pair, extremal_ratio
-from .quadrature import panel_width, piece_integrals
+from .quadrature import RESOLUTION, panel_width, piece_integrals
 from .sets import IntervalSet, normalize, thickness, two_sliver_set
 
 SEED_ENV_VAR = "THICKSET_SEED"
@@ -203,9 +203,9 @@ def _classified(b: float, p: float, period: float, seed: int):
     return f, proofcheck.classify_intervals(f, b, proofcheck.ClassifierParams(p=p))
 
 
-def _mass_budget(f, labels, where: str) -> tuple[float, float, float, list[str]]:
+def _mass_budget(labels, where: str) -> tuple[float, float, float, list[str]]:
     """Bad and good mass fractions, the bad-mass budget 1 / (A^p - 1) and the violated ones."""
-    good = proofcheck.good_mass_check(f, labels)
+    good = proofcheck.good_mass_check(labels)
     bad, budget = 1.0 - good, 1.0 / (labels.params.bad_threshold ** labels.params.p - 1.0)
     violations = []
     if bad > budget + 1e-4:
@@ -414,8 +414,8 @@ def _run_classify(config: dict) -> RunResult:
     header = ("index", "lo", "hi", "good", "first_bad_order", "mass")
 
     def instance():
-        f, labels = _classified(b, p, period, seed)
-        violations = _mass_budget(f, labels, "classify")[3]
+        labels = _classified(b, p, period, seed)[1]
+        violations = _mass_budget(labels, "classify")[3]
         columns = (labels.good.tolist(), labels.first_bad_order.tolist(), labels.mass.tolist())
         indexed = enumerate(zip(labels.intervals, *columns))
         rows = [(i, lo, hi, *rest) for i, ((lo, hi), *rest) in indexed]
@@ -441,9 +441,9 @@ def _suite_good_bad(config: dict) -> RunResult:
     )
 
     def cell(b, p, seed):
-        f, labels = _classified(b, p, period, seed)
+        labels = _classified(b, p, period, seed)[1]
         where = f"good_bad: seed={seed} b={b:g} p={p:g}"
-        bad_fraction, good_fraction, budget, violations = _mass_budget(f, labels, where)
+        bad_fraction, good_fraction, budget, violations = _mass_budget(labels, where)
         n_bad = int((~labels.good).sum())
         return [(seed, b, p, n_bad, bad_fraction, good_fraction, budget)], violations
 
@@ -462,17 +462,14 @@ def _suite_local_estimate(config: dict) -> RunResult:
 
     def cell(b, p, gamma, seed):
         f, labels = _classified(b, p, period, seed)
-        E = two_sliver_set(gamma)
-        goods = labels.good_intervals
-        n_holds = sum(
-            proofcheck.local_estimate_check(f, E, iv, p, constants).holds for iv in goods
-        )
-        all_hold = n_holds == len(goods)
+        checks = proofcheck.local_estimate_check(f, two_sliver_set(gamma), labels, constants)
+        n_holds = sum(check.holds for check in checks)
+        all_hold = n_holds == len(checks)
         violations = [] if all_hold else [
             f"local_estimate: seed={seed} b={b:g} p={p:g} gamma={gamma:g} "
-            f"{len(goods) - n_holds} good intervals fail"
+            f"{len(checks) - n_holds} good intervals fail"
         ]
-        return [(seed, b, p, gamma, len(goods), n_holds, all_hold)], violations
+        return [(seed, b, p, gamma, len(checks), n_holds, all_hold)], violations
 
     axes = (
         _listify(config, "b", default=[4.0 * math.pi]),
@@ -492,8 +489,8 @@ def _suite_growth(config: dict) -> RunResult:
         f, labels = _classified(b, p, period, seed)
         rows = []
         violations = []
-        for iv in labels.good_intervals:
-            env = proofcheck.growth_envelope(f, iv, radius, p)
+        envelopes = proofcheck.growth_envelope(f, labels, radius)
+        for iv, env in zip(labels.good_intervals, envelopes):
             rows.append((seed, b, p, iv[0], env.ratio, env.bound, env.holds))
             if not env.holds:
                 violations.append(
@@ -529,7 +526,7 @@ def _suite_taylor(config: dict) -> RunResult:
         scale = float(np.max(np.abs(direct))) or 1.0
         identity_error = float(np.max(np.abs(direct - rebuilt))) / scale
         remainder_mass = lambda x, _: np.abs(split.remainder(x)) ** p
-        lhs = float(piece_integrals(remainder_mass, (interval,), panel_width(b / 2.0, 8))[0])
+        lhs = float(piece_integrals(remainder_mass, (interval,), panel_width(b / 2.0, RESOLUTION))[0])
         rhs = proofcheck.taylor_remainder_bound(split, p)
         holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
         violations = []

@@ -29,6 +29,9 @@ FOUR_PI = 4.0 * math.pi
 # omitted term is ~ (2 pi x)^6 / 5040 < 1e-19 at the cutoff.
 _SMALL_X = 1e-4
 
+# default_truncation keeps the kernel tail below this fraction of the mass.
+TRUNCATION_REL_TOL = 1e-10
+
 
 def _unit_kernel(x: np.ndarray) -> np.ndarray:
     """sin(2 pi x) / (2 pi x) with a stable series through the origin."""
@@ -84,8 +87,8 @@ def _log_mass(pieces, mp: float) -> float:
     return float(top + np.log(np.exp(terms - top).sum()))
 
 
-def default_truncation(inst: ExtremalInstance, p: float, rel_tol: float = 1e-10) -> float:
-    """Half-width X making the closed-form tail below rel_tol of the mass.
+def default_truncation(inst: ExtremalInstance, p: float) -> float:
+    """Half-width X making the closed-form tail below TRUNCATION_REL_TOL of the mass.
 
     Uses |kernel(x)| <= 1/(2 pi |x|), so the tail beyond X is at most
     2 (2 pi)^(-mp) X^(1-mp) / (mp - 1); the central mass on [-2, 2] is twice
@@ -95,7 +98,7 @@ def default_truncation(inst: ExtremalInstance, p: float, rel_tol: float = 1e-10)
     mp = inst.power * p
     if mp <= 1.0:
         raise NonIntegrableError(f"kernel power m*p = {mp:g} is not integrable")
-    log_target = math.log(rel_tol) + math.log(2.0) + _log_mass([(0.0, 2.0)], mp)
+    log_target = math.log(TRUNCATION_REL_TOL) + math.log(2.0) + _log_mass([(0.0, 2.0)], mp)
     log_tail_at_one = math.log(2.0) - mp * math.log(math.tau) - math.log(mp - 1.0)
     # tail(X) = exp(log_tail_at_one) * X^(1-mp) <= target
     log_x = (log_target - log_tail_at_one) / (1.0 - mp)

@@ -6,6 +6,8 @@ the local estimate on good intervals, the off-interval growth envelope, the
 Taylor split of a multi-band function into an exponential sum plus an
 integral remainder, and the norm-transfer verifier for exponential sums with
 polynomial weights.  Everything is quadrature-based and deterministic.
+The checks on good intervals take the classification and read p and every
+integral_I |f|^p from it.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .errors import (
     InvalidWindowError,
     ZeroFunctionError,
 )
-from .quadrature import panel_width, piece_integrals, sup_abs
+from .quadrature import RESOLUTION, panel_width, piece_integrals, sup_abs
 from .sets import IntervalSet
 
 
@@ -57,7 +59,7 @@ class ClassifierParams:
     bernstein_constant: float = 0.5
     alpha_max: int | None = None
     tail_eps: float = 1e-6
-    resolution: int = 8
+    resolution: int = RESOLUTION
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", finite_exponent(self.p, "the classifier"))
@@ -150,18 +152,12 @@ def classify_intervals(
     return IntervalClassification(partition, good, mass, first_bad, float(band_width), params)
 
 
-def good_mass_check(f: TrigPoly, labels: IntervalClassification) -> float:
-    """Fraction of integral |f|^p carried by the good intervals.
-
-    Recomputed from f by quadrature (not read off the classification), so a
-    tampered label set changes the answer honestly.
-    """
-    params, cells = labels.params, labels.intervals
-    masses = piece_masses(f, f.coeffs[None], cells, len(cells), params.p, params.resolution)[0]
-    total = float(masses.sum())
+def good_mass_check(labels: IntervalClassification) -> float:
+    """Fraction of integral |f|^p carried by the good intervals, read off ``labels.mass``."""
+    total = float(labels.mass.sum())
     if not total > 0:
         raise ZeroFunctionError("no mass on the partition")
-    return float(masses[labels.good].sum()) / total
+    return float(labels.mass[labels.good].sum()) / total
 
 
 # ---------------------------------------------------------------------------
@@ -182,37 +178,37 @@ class LocalEstimate:
 def local_estimate_check(
     f: TrigPoly,
     E: IntervalSet,
-    interval: tuple[float, float],
-    p: float,
+    labels: IntervalClassification,
     constants: BoundConstants = DEFAULT_CONSTANTS,
-) -> LocalEstimate:
-    """Check integral_{E i I} |f|^p >= (gamma_I/C)^(C b p + 2) integral_I |f|^p.
+) -> tuple[LocalEstimate, ...]:
+    """Check integral_{E i I} |f|^p >= (gamma_I/C)^(C b p + 2) integral_I |f|^p on each good I.
 
-    gamma_I is the density of E in the (unit-length) interval and b the
-    tightest symmetric band holding the spectrum.  The factor is evaluated
-    in log space; far below double range it underflows to an exact 0 rhs.
+    One estimate per good interval of `labels`, in order.  gamma_I is the
+    density of E in I and b the tightest symmetric band holding the
+    spectrum.  The pieces of E in every partition interval go through one
+    ``piece_masses`` call with one copy per interval, so a 1-periodic E on
+    the unit partition builds the nodes of its pieces in [0, 1] only.  The
+    verdict compares logs; the reported rhs underflows to 0 below double range.
     """
-    p = finite_exponent(p, "the local estimate")
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi <= lo:
-        raise InvalidWindowError(f"invalid interval ({lo}, {hi})")
-    pieces = E.materialize(lo, hi)
-    density = sum(b - a for a, b in pieces) / (hi - lo)
-    if density <= 0:
-        raise EmptySetError("the set misses the interval entirely")
-    masses = piece_masses(f, f.coeffs[None], pieces + ((lo, hi),), 1, p, 8)[0]
-    lhs, whole = float(masses[:-1].sum()), float(masses[-1])  # the pieces of E in I, then I
-    b_eff = 2.0 * f.max_frequency
-    c = constants.c_one
-    log_factor = (c * b_eff * p + 2.0) * math.log(density / c)
-    rhs = _exp(log_factor) * whole
-    return LocalEstimate(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs >= rhs,
-        local_density=density,
-        log10_factor=log_factor / math.log(10.0),
-    )
+    params, c, b_eff = labels.params, constants.c_one, 2.0 * f.max_frequency
+    piece_lists = [E.materialize(lo, hi) for lo, hi in labels.intervals]
+    pieces, copies = sum(piece_lists, ()), len(piece_lists)
+    masses = piece_masses(f, f.coeffs[None], pieces, copies, params.p, params.resolution)[0]
+    checks, start = [], 0
+    for (lo, hi), own, good, whole in zip(
+        labels.intervals, piece_lists, labels.good.tolist(), labels.mass.tolist()
+    ):
+        lhs, start = float(masses[start : start + len(own)].sum()), start + len(own)
+        if not good:
+            continue
+        density = sum(b - a for a, b in own) / (hi - lo)
+        if density <= 0:
+            raise EmptySetError("the set misses a good interval entirely")
+        log_factor = (c * b_eff * params.p + 2.0) * math.log(density / c)
+        holds = lhs > 0 and math.log(lhs) >= log_factor + math.log(whole)
+        rhs = _exp(log_factor) * whole
+        checks.append(LocalEstimate(lhs, rhs, holds, density, log_factor / math.log(10.0)))
+    return tuple(checks)
 
 
 @dataclass(frozen=True)
@@ -225,44 +221,40 @@ class GrowthEnvelope:
 
 
 def growth_envelope(
-    f: TrigPoly,
-    interval: tuple[float, float],
-    radius: float,
-    p: float,
-    envelope_constant: float = 1.0,
-    resolution: int = 8,
-) -> GrowthEnvelope:
-    """Max of |f| within `radius` of the interval center over its own Lp norm.
+    f: TrigPoly, labels: IntervalClassification, radius: float
+) -> tuple[GrowthEnvelope, ...]:
+    """Max of |f| within `radius` of each good interval's center over its Lp norm.
 
-    The contract is ratio <= 2^(1/p) * exp(envelope_constant * b * (radius + 1/2))
-    with b the tightest band width; the measured side is the max of |f| on
-    a grid at the quadrature spacing, refined around the grid argmax by
-    ``quadrature.sup_abs`` with the window as its one piece (entry ``[0]``
-    of its per-piece result), so a higher peak elsewhere in the window can
-    be missed.
+    One envelope per good interval of `labels`, in order, with the norm
+    ``labels.mass[i] ** (1/p)``.  The contract is ratio <= 2^(1/p) *
+    exp(b * (radius + 1/2)) with b the tightest band width, compared in log
+    space.  The measured side is the max of |f| on a grid at the quadrature
+    spacing, refined around each window's grid argmax by one
+    ``quadrature.sup_abs`` call over every window, so a higher peak
+    elsewhere in a window can be missed.
     """
-    p = check_exponent(p)
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi <= lo:
-        raise InvalidWindowError(f"invalid interval ({lo}, {hi})")
     if not radius > 0:
         raise InvalidWindowError(f"radius must be positive, got {radius}")
-    center = 0.5 * (lo + hi)
-    width = panel_width(f.max_frequency, resolution)
+    p, goods = labels.params.p, labels.good_intervals
+    if not goods:
+        return ()
+    width = panel_width(f.max_frequency, labels.params.resolution)
     n = max(9, int(math.ceil(2.0 * radius / width)) + 1)
     # Dense phases, not f.eval: a window wider than the period holds grid
     # points one period apart, which f.eval's argument reduction makes tie;
     # unreduced phases break those ties as the benchmark's recorded growth
-    # rows (seeds 501724, 473638 and 169677) expect.
-    dense = lambda x: np.exp(1j * np.outer(x, f.frequencies)) @ f.coeffs
-    peak = float(sup_abs(dense, ((center - radius, center + radius),), (n,))[0])
-    denom = lp_norm(f, NormQuery(p, IntervalSet(((lo, hi),)), resolution))
-    if denom == 0:
-        raise ZeroFunctionError("zero norm on the base interval")
+    # rows (seeds 501724, 473638 and 169677) expect.  One window's grid per
+    # product keeps the phase matrix at one window's size.
+    dense = lambda x: np.concatenate(
+        [np.exp(1j * np.outer(x[i : i + n], f.frequencies)) @ f.coeffs for i in range(0, x.size, n)]
+    )
+    windows = tuple((0.5 * (lo + hi) - radius, 0.5 * (lo + hi) + radius) for lo, hi in goods)
+    peaks = sup_abs(dense, windows, (n,) * len(windows))
     b_eff = 2.0 * f.max_frequency
-    bound = (2.0 ** inv_p(p)) * _exp(envelope_constant * b_eff * (radius + 0.5))
-    ratio = peak / denom
-    return GrowthEnvelope(ratio=ratio, bound=bound, holds=ratio <= bound)
+    bound = (2.0 ** inv_p(p)) * _exp(b_eff * (radius + 0.5))
+    log_bound = math.log(2.0) * inv_p(p) + b_eff * (radius + 0.5)
+    ratios = (peak / whole ** (1.0 / p) for peak, whole in zip(peaks, labels.mass[labels.good]))
+    return tuple(GrowthEnvelope(float(r), bound, math.log(r) <= log_bound) for r in ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +294,7 @@ class TaylorSplit:
             lambda t, piece: np.stack([g.eval(t) for g in self.mth_derivatives])
             * (ends[piece] - t) ** (m - 1),
             [(min(self.base, v), max(self.base, v)) for v in ends.tolist()],
-            panel_width(max(g.max_frequency for g in self.mth_derivatives), 8),
+            panel_width(max(g.max_frequency for g in self.mth_derivatives), RESOLUTION),
         )
         acc = (np.exp(1j * np.outer(self.centers, ends)) * integrals).sum(axis=0)
         out = (np.sign(ends - self.base) * acc / math.factorial(m - 1)).reshape(xs.shape)
@@ -483,7 +475,6 @@ def exp_sum_verifier(
     sets,
     p: float,
     constants: BoundConstants = DEFAULT_CONSTANTS,
-    resolution: int = 8,
 ) -> tuple[ExpSumCheck, ...]:
     """Measure ||r||_{Lp(I)} / ||r||_{Lp(E)} for r = sum_k p_k(x) e^(i lam_k x), each E in `sets`.
 
@@ -535,7 +526,7 @@ def exp_sum_verifier(
     if min(measures) <= 0:
         raise EmptySetError("a set misses the interval entirely")
     evaluate = _expsum_closure(lams, coeff_arrays, 0.5 * (lo + hi))
-    width = panel_width(float(np.max(np.abs(lams))), resolution)
+    width = panel_width(float(np.max(np.abs(lams))), RESOLUTION)
     pure_poly = n == 1 and lams[0] == 0.0
     spans = ((lo, hi),) + sum(piece_lists, ())
     if math.isinf(p):

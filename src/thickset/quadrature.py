@@ -14,6 +14,9 @@ import numpy as np
 
 GL_ORDER = 16
 
+# Default panel oversampling: a panel is 1/RESOLUTION of min(1, 2 pi / nu_max).
+RESOLUTION = 8
+
 # Points per zoom round of sup_abs; each round narrows a bracket to 1/8.
 ZOOM_POINTS = 17
 # sup_abs stops when every bracket is this narrow (abscissa units), or

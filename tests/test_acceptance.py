@@ -154,16 +154,14 @@ def test_criterion_4_good_bad_machinery():
         f = random_bandlimited(BandSpec((0.0,), b), period, seed=seed)
         params = ClassifierParams(p=p)
         labels = classify_intervals(f, b, params)
-        good_fraction = good_mass_check(f, labels)
+        good_fraction = good_mass_check(labels)
         budget = 1.0 / (params.bad_threshold ** p - 1.0)
         if 1.0 - good_fraction > budget + 1e-4:
             bad_mass_failures += 1
         if good_fraction < 0.5 - 1e-4:
             good_mass_failures += 1
-        E = two_sliver_set(gamma)
-        for iv in labels.good_intervals:
-            if not local_estimate_check(f, E, iv, p).holds:
-                local_failures += 1
+        checks = local_estimate_check(f, two_sliver_set(gamma), labels)
+        local_failures += sum(not check.holds for check in checks)
     ok = bad_mass_failures == 0 and good_mass_failures == 0 and local_failures == 0
     report(
         4,

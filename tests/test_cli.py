@@ -239,6 +239,49 @@ class TestExpsumSuite:
         assert main(["--config", write_config(tmp_path, config)]) == 0
 
 
+class TestProofSuites:
+    @pytest.mark.parametrize(
+        "config, name, cells",
+        [
+            ({"suite": "local_estimate", "gamma_list": [0.1, 0.7]}, "local_estimate_check", 2),
+            ({"suite": "growth"}, "growth_envelope", 1),
+        ],
+    )
+    def test_one_check_call_per_cell(self, monkeypatch, config, name, cells):
+        # every good interval of an instance is checked in one call
+        from thickset import proofcheck
+
+        calls = []
+        real = getattr(proofcheck, name)
+        monkeypatch.setattr(proofcheck, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+        result = run({"command": "verify", "seeds": 3, "p_list": [1, 2], **config})
+        assert result.exit_status == 0
+        assert len(calls) == 3 * 2 * cells
+
+
+class TestReadme:
+    def test_quickstart_prints_its_comments(self):
+        # each `print(...)  # value` line prints that value; "..." marks a prefix
+        import contextlib
+        import io
+
+        (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        printed = out.getvalue().splitlines()
+        prints = [line for line in block.splitlines() if line.startswith("print(")]
+        assert len(printed) == len(prints) == 4
+        expected = [line.partition("#")[2].strip() for line in prints]
+        assert expected[:3] == ["0.5", "0.6798...", "0.0093..."]
+        for got, want in zip(printed, expected[:3]):
+            if want.endswith("..."):
+                assert got.startswith(want[:-3]), (got, want)
+            else:
+                assert got == want
+        assert float(printed[3]) < 0
+
+
 class TestMain:
     def test_stdout_output(self, tmp_path, capsys):
         path = write_config(tmp_path, {"command": "bound", "gamma": 0.5, "ab": 1, "p": 2})

@@ -10,6 +10,7 @@ from numpy.polynomial import polynomial as npoly
 from thickset import (
     BandOverlapError,
     BandSpec,
+    BoundConstants,
     ClassifierParams,
     DuplicateFrequencyError,
     EmptySetError,
@@ -74,7 +75,7 @@ class TestClassifier:
         f = make_poly(seed=seed)
         params = ClassifierParams(p=p)
         labels = classify_intervals(f, B4, params)
-        good_fraction = good_mass_check(f, labels)
+        good_fraction = good_mass_check(labels)
         budget = 1.0 / (params.bad_threshold ** p - 1.0)
         assert 1.0 - good_fraction <= budget + 1e-4
         assert good_fraction >= 0.5 - 1e-4
@@ -134,7 +135,7 @@ class TestClassifierOracle:
         assert np.array_equal(labels.first_bad_order, first_bad)
         np.testing.assert_allclose(labels.mass, mass, rtol=1e-12, atol=0.0)
         kept = float(mass[good].sum()) / float(mass.sum())
-        assert math.isclose(good_mass_check(f, labels), kept, rel_tol=1e-12)
+        assert math.isclose(good_mass_check(labels), kept, rel_tol=1e-12)
         return labels
 
     # The defaults damp every order by at least 1/(2 A C) = 1/3, so no
@@ -172,7 +173,9 @@ class TestClassifierOracle:
 
     def test_unit_partition_builds_one_interval(self, monkeypatch):
         # the unit partition of a length-32 torus is 32 translates of [0, 1]:
-        # the classifier and the good-mass check build that interval's nodes only
+        # the classifier builds that interval's nodes only, the good-mass
+        # check builds none, and the local estimate on a 1-periodic set builds
+        # the nodes of its one sliver in [0, 1] only
         from thickset import quadrature
 
         f = make_poly(seed=4, period=32.0)
@@ -185,9 +188,12 @@ class TestClassifierOracle:
 
         monkeypatch.setattr(quadrature, "panel_nodes", counting)
         labels = classify_intervals(f, B4, ClassifierParams(p=1.0))
-        good_mass_check(f, labels)
-        one = panel_nodes([(0.0, 1.0)], panel_width(f.max_frequency, 8))[0].size
-        assert built == [one, one]
+        good_mass_check(labels)
+        width = panel_width(f.max_frequency, 8)
+        one = panel_nodes([(0.0, 1.0)], width)[0].size
+        assert built == [one]
+        local_estimate_check(f, two_sliver_set(0.3), labels)
+        assert built == [one, panel_nodes([(0.35, 0.65)], width)[0].size]
 
     def test_wide_band_memory(self):
         # the dense route builds a 2048 x 1025 character matrix (about 34 MB)
@@ -206,45 +212,180 @@ class TestClassifierOracle:
         assert peak < 8e6
 
 
+def _dense_mass(f, pieces, p):
+    """Reference: integral of |f|^p over the pieces, one dense character matrix at resolution 8."""
+    xs, ws = panel_nodes(pieces, panel_width(f.max_frequency, 8))
+    return float(ws @ np.abs(np.exp(1j * np.outer(xs, f.frequencies)) @ f.coeffs) ** p)
+
+
+UNEVEN = ((0.0, 0.5), (0.5, 2.0), (2.0, 3.0), (3.0, 8.0))
+
+
+def _some_bad(labels):
+    """The labels with every third interval marked bad: the checks must skip those."""
+    good = labels.good & (np.arange(len(labels.intervals)) % 3 != 0)
+    assert 0 < good.sum() < good.size
+    return replace(labels, good=good)
+
+
 class TestLocalEstimate:
     def test_superset_always_holds(self):
-        # E containing the interval makes lhs = int_I |f|^p >= rhs trivially
+        # E containing every interval makes lhs = int_I |f|^p >= rhs trivially
         f = make_poly(seed=3)
-        E = IntervalSet(((0.0, 8.0),))
-        check = local_estimate_check(f, E, (2.0, 3.0), 2.0)
-        assert check.holds
-        assert math.isclose(check.local_density, 1.0, rel_tol=1e-12)
+        labels = classify_intervals(f, B4, ClassifierParams(p=2.0))
+        checks = local_estimate_check(f, IntervalSet(((0.0, 8.0),)), labels)
+        assert len(checks) == len(labels.good_intervals) > 0
+        for check in checks:
+            assert check.holds
+            assert math.isclose(check.local_density, 1.0, rel_tol=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.2, 0.6])
     def test_good_intervals_pass(self, gamma):
         f = make_poly(seed=11)
         labels = classify_intervals(f, B4, ClassifierParams(p=2.0))
-        E = two_sliver_set(gamma)
-        for iv in labels.good_intervals:
-            check = local_estimate_check(f, E, iv, 2.0)
+        checks = local_estimate_check(f, two_sliver_set(gamma), labels)
+        assert len(checks) == len(labels.good_intervals) > 0
+        assert all(check.holds for check in checks)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("partition", [None, UNEVEN])
+    def test_matches_per_interval(self, p, partition):
+        f = make_poly(seed=5)
+        labels = _some_bad(classify_intervals(f, B4, ClassifierParams(p=p), partition))
+        E = two_sliver_set(0.3)
+        checks = local_estimate_check(f, E, labels)
+        assert len(checks) == len(labels.good_intervals)
+        c = proofcheck.DEFAULT_CONSTANTS.c_one
+        for (lo, hi), check in zip(labels.good_intervals, checks):
+            pieces = E.materialize(lo, hi)
+            density = sum(b - a for a, b in pieces) / (hi - lo)
+            log_factor = (c * 2.0 * f.max_frequency * p + 2.0) * math.log(density / c)
+            assert math.isclose(check.lhs, _dense_mass(f, pieces, p), rel_tol=1e-13)
+            assert math.isclose(check.local_density, density, rel_tol=1e-13)
+            assert math.isclose(check.log10_factor, log_factor / math.log(10.0), rel_tol=1e-13)
+
+    def test_can_fail(self):
+        # with C = 2 the factor is about e^-36, well inside double range: the
+        # true masses pass, and masses inflated by 1e300 put every rhs above lhs
+        f = make_poly(seed=3)
+        labels = classify_intervals(f, B4, ClassifierParams(p=2.0))
+        constants = BoundConstants(c_one=2.0)
+        E = two_sliver_set(0.7)
+        assert all(check.holds for check in local_estimate_check(f, E, labels, constants))
+        inflated = replace(labels, mass=labels.mass * 1e300)
+        checks = local_estimate_check(f, E, inflated, constants)
+        assert checks and not any(check.holds for check in checks)
+        assert all(check.rhs > check.lhs for check in checks)
+
+    def test_decided_below_double_range(self):
+        # the default factor is about 10^-19850: rhs underflows to 0, the
+        # verdict still compares logs, and inflated masses cannot flip it
+        f = make_poly(seed=3)
+        labels = classify_intervals(f, B4, ClassifierParams(p=2.0))
+        inflated = replace(labels, mass=labels.mass * 1e300)
+        for check in local_estimate_check(f, two_sliver_set(0.7), inflated):
+            assert check.rhs == 0.0 and check.log10_factor < -19000
             assert check.holds
 
-    def test_sup_exponent_rejected(self):
-        f = make_poly()
-        with pytest.raises(InvalidExponentError):
-            local_estimate_check(f, two_sliver_set(0.5), (0.0, 1.0), math.inf)
+    def test_missed_good_interval_rejected(self):
+        f = make_poly(seed=3)
+        labels = classify_intervals(f, B4, ClassifierParams(p=2.0))
+        with pytest.raises(EmptySetError):
+            local_estimate_check(f, IntervalSet(((7.5, 8.0),)), labels)
 
 
 class TestGrowthEnvelope:
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_random_instances_hold(self, p):
         f = make_poly(seed=13)
-        for iv in ((0.0, 1.0), (3.0, 4.0)):
-            env = growth_envelope(f, iv, 4.5, p)
+        labels = classify_intervals(f, B4, ClassifierParams(p=p))
+        envelopes = growth_envelope(f, labels, 4.5)
+        assert len(envelopes) == len(labels.good_intervals) > 0
+        for env in envelopes:
             assert env.holds
             assert env.ratio > 0
 
     def test_bound_formula(self):
         f = make_poly(seed=13)
-        env = growth_envelope(f, (0.0, 1.0), 2.0, 1.0)
+        labels = classify_intervals(f, B4, ClassifierParams(p=1.0))
         b_eff = 2.0 * f.max_frequency
         want = 2.0 * math.exp(b_eff * 2.5)
-        assert math.isclose(env.bound, want, rel_tol=1e-12)
+        for env in growth_envelope(f, labels, 2.0):
+            assert math.isclose(env.bound, want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("partition", [None, UNEVEN])
+    def test_matches_per_interval(self, p, partition):
+        from thickset.quadrature import sup_abs
+
+        f = make_poly(seed=5)
+        labels = _some_bad(classify_intervals(f, B4, ClassifierParams(p=p), partition))
+        envelopes = growth_envelope(f, labels, 4.5)
+        assert len(envelopes) == len(labels.good_intervals)
+        dense = lambda x: np.exp(1j * np.outer(x, f.frequencies)) @ f.coeffs
+        n = int(math.ceil(9.0 / panel_width(f.max_frequency, 8))) + 1
+        for (lo, hi), env in zip(labels.good_intervals, envelopes):
+            center = 0.5 * (lo + hi)
+            peak = sup_abs(dense, ((center - 4.5, center + 4.5),), (n,))[0]
+            want = peak / _dense_mass(f, ((lo, hi),), p) ** (1.0 / p)
+            assert math.isclose(env.ratio, want, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_can_fail(self, p):
+        # masses shrunk by 1e-300 raise every ratio by 1e300^(1/p), far above
+        # the envelope 2^(1/p) e^(5 b)
+        f = make_poly(seed=13)
+        labels = classify_intervals(f, B4, ClassifierParams(p=p))
+        assert all(env.holds for env in growth_envelope(f, labels, 4.5))
+        envelopes = growth_envelope(f, replace(labels, mass=labels.mass * 1e-300), 4.5)
+        assert envelopes and not any(env.holds for env in envelopes)
+        assert all(env.ratio > env.bound for env in envelopes)
+
+
+    def test_wide_band_memory(self):
+        # one product over all 32 windows' grids peaks at about 76 MB here;
+        # one window's grid per product peaks near 3 MB
+        import tracemalloc
+
+        b = 4.0 * B4
+        f = make_poly(b=b, seed=2, period=32.0)
+        labels = classify_intervals(f, b, ClassifierParams(p=2.0))
+        tracemalloc.start()
+        try:
+            envelopes = growth_envelope(f, labels, 4.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(envelopes) == 32
+        assert peak < 8e6
+
+
+class TestOneCallPerClassification:
+    def test_calls(self, monkeypatch):
+        # one piece_masses call for the local estimate, one sup_abs call and
+        # no lp_norm call for the growth envelope, nothing for the mass check
+        calls = {"piece_masses": 0, "sup_abs": 0, "lp_norm": 0}
+
+        def counted(name):
+            inner = getattr(proofcheck, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(proofcheck, name, wrapper)
+
+        f = make_poly(seed=13)
+        labels = classify_intervals(f, B4, ClassifierParams(p=2.0))
+        assert len(labels.good_intervals) > 1
+        for name in calls:
+            counted(name)
+        good_mass_check(labels)
+        assert calls == {"piece_masses": 0, "sup_abs": 0, "lp_norm": 0}
+        local_estimate_check(f, two_sliver_set(0.3), labels)
+        assert calls == {"piece_masses": 1, "sup_abs": 0, "lp_norm": 0}
+        growth_envelope(f, labels, 4.5)
+        assert calls == {"piece_masses": 1, "sup_abs": 1, "lp_norm": 0}
 
 
 class TestTaylorSplit:
