@@ -126,29 +126,34 @@ class TrigPoly:
     def is_zero(self) -> bool:
         return bool(np.all(self.coeffs == 0))
 
-    @cached_property
-    def _step_table(self) -> np.ndarray:
-        return _step_tables(self.ms, self.coeffs[None])
+    def _step_table(self, derivatives: int) -> np.ndarray:
+        tables = self.__dict__.setdefault("_tables", {})
+        if derivatives not in tables:
+            powers = (1j * self.frequencies) ** np.arange(derivatives + 1)[:, None]
+            tables[derivatives] = _step_tables(self.ms, self.coeffs * powers)
+        return tables[derivatives]
 
-    def eval(self, x):
+    def eval(self, x, derivatives: int = 0):
         """Value(s) of f at x: a complex for a scalar, else an array of x's shape.
 
-        The one-row case of ``_eval_rows``: baby steps, one matrix product
-        with the step table, Horner in z^B, times z^m_min, over blocks of
-        at most _EVAL_BLOCK // (B + giant) points.  x and x + L give the
-        same bits when x + L is exact.  Error against 40-digit references:
-        below 1e-13 * ||c||_2 at span 257, about 2e-11 * ||c||_2 at span 65537.
+        With derivatives = d >= 1, shape (d + 1,) + x's shape with f^(r)(x) in
+        row r.  ``_eval_rows`` on the (d + 1)-row step table: baby steps, one
+        matrix product, Horner in z^B, times z^m_min, over blocks of at most
+        _EVAL_BLOCK // (table rows + B) points.  x and x + L give the same bits
+        when x + L is exact.  Error against 40-digit references: below 1e-13 *
+        ||c||_2 at span 257, about 2e-11 * ||c||_2 at span 65537.
         """
-        xs = np.asarray(x, dtype=float)
-        flat, out = xs.ravel(), np.zeros(xs.size, dtype=np.complex128)
+        if int(derivatives) != derivatives or derivatives < 0:
+            raise InvalidDegreeError(f"derivatives must be an integer >= 0, got {derivatives}")
+        xs, k = np.asarray(x, dtype=float), int(derivatives) + 1
+        flat, out = xs.ravel(), np.zeros((k, xs.size), dtype=np.complex128)
         if self.ms.size:
-            table, m0 = self._step_table, self.ms[0]
+            table, m0 = self._step_table(k - 1), self.ms[0]
             block = max(1, _EVAL_BLOCK // sum(table.shape))
             for i in range(0, flat.size, block):
-                out[i : i + block] = _eval_rows(table, 1, self.period, m0, flat[i : i + block])[0]
-        if xs.ndim == 0:
-            return complex(out[0])
-        return out.reshape(xs.shape)
+                out[:, i : i + block] = _eval_rows(table, k, self.period, m0, flat[i : i + block])
+        out = out.reshape((k,) + xs.shape) if k > 1 else out[0].reshape(xs.shape)
+        return complex(out) if out.ndim == 0 else out
 
     def derivative(self, order: int = 1) -> "TrigPoly":
         """Termwise derivative of the given nonnegative integer order."""
@@ -307,9 +312,9 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
         at zeros of f near the real axis.
         For ``p = inf`` the maximum of |f| is taken over a grid with the
         same spacing on every piece and refined around each piece's grid
-        argmax by one ``quadrature.sup_abs`` call, whose per-piece maxima
-        are reduced with ``.max()``; a peak away from those argmaxes may be
-        missed.
+        argmax by one ``quadrature.sup_abs`` call on f.eval(x, derivatives=2)
+        (a zoom round, then Newton steps); its per-piece maxima are reduced
+        with ``.max()``, and a peak away from those argmaxes may be missed.
 
     Returns
     -------
@@ -324,7 +329,7 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     width = panel_width(f.max_frequency, query.resolution)
     if math.isinf(query.p):
         counts = [max(3, int(math.ceil((hi - lo) / width)) + 1) for lo, hi in pieces]
-        return float(sup_abs(f.eval, pieces, counts).max())
+        return float(sup_abs(lambda x: f.eval(x, derivatives=2), pieces, counts).max())
     mass = piece_masses(f, f.coeffs[None], pieces, q, query.p, query.resolution).sum()
     return float(mass) ** (1.0 / query.p)
 

@@ -244,10 +244,11 @@ def growth_envelope(
     # points one period apart, which f.eval's argument reduction makes tie;
     # unreduced phases break those ties as the benchmark's recorded growth
     # rows (seeds 501724, 473638 and 169677) expect.  One window's grid per
-    # product keeps the phase matrix at one window's size.
+    # product keeps the phase matrix at one window's size.  Columns: f, f', f''.
+    columns = f.coeffs[:, None] * (1j * f.frequencies[:, None]) ** np.arange(3)
     dense = lambda x: np.concatenate(
-        [np.exp(1j * np.outer(x[i : i + n], f.frequencies)) @ f.coeffs for i in range(0, x.size, n)]
-    )
+        [np.exp(1j * np.outer(x[i : i + n], f.frequencies)) @ columns for i in range(0, x.size, n)]
+    ).T
     windows = tuple((0.5 * (lo + hi) - radius, 0.5 * (lo + hi) + radius) for lo, hi in goods)
     peaks = sup_abs(dense, windows, (n,) * len(windows))
     b_eff = 2.0 * f.max_frequency
@@ -281,8 +282,8 @@ class TaylorSplit:
 
     def exp_sum(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        evaluate = _expsum_closure(np.array(self.centers), self.poly_coeffs, self.base)
-        out = evaluate(xs.ravel()).reshape(xs.shape)
+        evaluate = _expsum_closure(np.array(self.centers), self.poly_coeffs, self.base, False)
+        out = evaluate(xs.ravel())[0].reshape(xs.shape)
         return complex(out[0]) if np.ndim(x) == 0 else out
 
     def remainder(self, x):
@@ -448,23 +449,31 @@ class ExpSumCheck:
     remez_bound: float | None
 
 
-def _expsum_closure(lams: np.ndarray, coeff_arrays, x0: float):
-    """Vectorized x -> sum_k p_k(x - x0) exp(i lam_k x) over 1-D arrays.
+def _expsum_closure(lams: np.ndarray, coeff_arrays, x0: float, derivatives: bool):
+    """Vectorized x -> f(x) = sum_k p_k(x - x0) exp(i lam_k x) over 1-D arrays, shape (1, x.size).
 
-    The coefficients are padded into one n x m table and Horner runs over
-    every term at once, with the operations and order of a per-term
-    ``npoly.polyval``; the terms are then summed in order.
+    With `derivatives` the rows are f, f', f'' (shape (3, x.size)), each a sum
+    of q_k(x - x0) exp(i lam_k x) with q = p, p' + i lam p, p'' + 2 i lam p' -
+    lam^2 p.  Horner runs over one padded rows x n x m table at once, with the
+    operations and order of a per-term ``npoly.polyval``; the terms are then
+    summed in order.
     """
-    table = np.zeros((len(coeff_arrays), max(arr.size for arr in coeff_arrays)), np.complex128)
-    for row, arr in zip(table, coeff_arrays):
+    poly = np.zeros((len(coeff_arrays), max(arr.size for arr in coeff_arrays)), np.complex128)
+    for row, arr in zip(poly, coeff_arrays):
         row[: arr.size] = arr
+    lam, table = lams[:, None], poly[None]
+    if derivatives:
+        powers, pad = np.arange(1, poly.shape[1]), ((0, 0), (0, 1))
+        slope = np.pad(poly[:, 1:] * powers, pad)
+        curve = np.pad(slope[:, 1:] * powers, pad)
+        table = np.stack([poly, slope + 1j * lam * poly, curve + 2j * lam * slope - lam**2 * poly])
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
         u = xs - x0
-        acc = table[:, -1:]
-        for j in range(table.shape[1] - 2, -1, -1):
-            acc = acc * u + table[:, j : j + 1]
-        return (acc * np.exp(1j * (lams[:, None] * xs))).sum(axis=0)
+        acc = table[..., -1:]
+        for j in range(table.shape[-1] - 2, -1, -1):
+            acc = acc * u + table[..., j : j + 1]
+        return (acc * np.exp(1j * (lam * xs))).sum(axis=1)
 
     return evaluate
 
@@ -525,7 +534,7 @@ def exp_sum_verifier(
     measures = [sum(b - a for a, b in pieces) for pieces in piece_lists]
     if min(measures) <= 0:
         raise EmptySetError("a set misses the interval entirely")
-    evaluate = _expsum_closure(lams, coeff_arrays, 0.5 * (lo + hi))
+    evaluate = _expsum_closure(lams, coeff_arrays, 0.5 * (lo + hi), math.isinf(p))
     width = panel_width(float(np.max(np.abs(lams))), RESOLUTION)
     pure_poly = n == 1 and lams[0] == 0.0
     spans = ((lo, hi),) + sum(piece_lists, ())
@@ -533,7 +542,7 @@ def exp_sum_verifier(
         counts = [max(17, 2 * int(math.ceil((b - a) / width)) + 1) for a, b in spans]
         per_span = sup_abs(evaluate, spans, counts)
     else:
-        per_span = piece_integrals(lambda x, _: np.abs(evaluate(x)) ** p, spans, width)
+        per_span = piece_integrals(lambda x, _: np.abs(evaluate(x)[0]) ** p, spans, width)
     norm_I = float(per_span[0]) if math.isinf(p) else float(per_span[0]) ** (1.0 / p)
     degree = int(np.max(np.nonzero(coeff_arrays[0] != 0)[0])) if pure_poly else 0
     checks = []

@@ -10,6 +10,7 @@ from thickset import (
     DuplicateFrequencyError,
     EmptyBandError,
     IntervalSet,
+    InvalidDegreeError,
     InvalidExponentError,
     InvalidResolutionError,
     NormQuery,
@@ -113,6 +114,26 @@ class TestEval:
         assert f.eval([1.25]).shape == (1,)
         assert f.eval(np.empty(0)).shape == (0,)
         assert values[1, 2] == f.eval(grid[1, 2])
+
+    def test_derivative_rows(self):
+        f = random_bandlimited(BandSpec((0.0, 12.0 * math.pi), 4.0 * math.pi), 8.0, seed=3)
+        xs = np.linspace(-3.0, 11.0, 50).reshape(5, 10)
+        rows = f.eval(xs, derivatives=2)
+        assert rows.shape == (3, 5, 10)
+        assert np.array_equal(f.eval(xs, derivatives=0), f.eval(xs))
+        for r in range(3):
+            g = f.derivative(r)
+            assert np.max(np.abs(rows[r] - g.eval(xs))) <= 1e-13 * np.linalg.norm(g.coeffs)
+        assert f.eval(1.25, derivatives=1).shape == (2,)
+        assert isinstance(f.eval(1.25, derivatives=0), complex)
+        empty = TrigPoly(8.0, np.array([], dtype=np.int64), np.array([], dtype=complex))
+        assert np.array_equal(empty.eval(np.ones(4), derivatives=2), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_derivatives_must_be_natural(self, bad):
+        f = TrigPoly.from_terms(8.0, [(-2, 1.0 + 2.0j), (5, -0.5j)])
+        with pytest.raises(InvalidDegreeError):
+            f.eval(0.5, derivatives=bad)
 
     def test_empty_spectrum_is_zero(self):
         f = TrigPoly(8.0, np.array([], dtype=np.int64), np.array([], dtype=complex))

@@ -322,7 +322,8 @@ class TestGrowthEnvelope:
         labels = _some_bad(classify_intervals(f, B4, ClassifierParams(p=p), partition))
         envelopes = growth_envelope(f, labels, 4.5)
         assert len(envelopes) == len(labels.good_intervals)
-        dense = lambda x: np.exp(1j * np.outer(x, f.frequencies)) @ f.coeffs
+        columns = f.coeffs[:, None] * (1j * f.frequencies[:, None]) ** np.arange(3)
+        dense = lambda x: (np.exp(1j * np.outer(x, f.frequencies)) @ columns).T
         n = int(math.ceil(9.0 / panel_width(f.max_frequency, 8))) + 1
         for (lo, hi), env in zip(labels.good_intervals, envelopes):
             center = 0.5 * (lo + hi)
@@ -615,15 +616,35 @@ class TestExpSumClosure:
         ]
         x0 = 0.3
         xs = np.linspace(-1.0, 2.0, 1001)
-        got = proofcheck._expsum_closure(lams, coeff_arrays, x0)(xs)
-        want = np.zeros(xs.shape, dtype=np.complex128)
-        scale = np.zeros(xs.shape)
+        got = proofcheck._expsum_closure(lams, coeff_arrays, x0, True)(xs)
+        want = np.zeros((3,) + xs.shape, dtype=np.complex128)
+        scale = np.zeros((3,) + xs.shape)
         for lam, coeffs in zip(lams.tolist(), coeff_arrays):
-            term = npoly.polyval(xs - x0, coeffs)
-            want += term * np.exp(1j * lam * xs)
-            scale += np.abs(term)
-        assert got.shape == xs.shape
-        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+            # (p e^(i lam x))^(r) = sum_j C(r, j) (i lam)^(r - j) p^(j) e^(i lam x)
+            derivs = [npoly.polyval(xs - x0, npoly.polyder(coeffs, j)) for j in range(3)]
+            for r in range(3):
+                for j in range(r + 1):
+                    term = math.comb(r, j) * (1j * lam) ** (r - j) * derivs[j]
+                    want[r] += term * np.exp(1j * lam * xs)
+                    scale[r] += np.abs(term)
+        assert got.shape == (3,) + xs.shape
+        assert np.all(np.abs(got[0] - want[0]) <= 1e-15 * scale[0])
+        assert np.all(np.abs(got[1:] - want[1:]) <= 1e-14 * scale[1:])
+
+    def test_value_row_keeps_taylor_exp_sum(self):
+        # the value row is what TaylorSplit.exp_sum returns, bit for bit
+        rng = np.random.default_rng(8)
+        lams = np.array([-3.0, 5.5])
+        coeff_arrays = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (4, 2)]
+        xs = np.linspace(0.0, 1.0, 257)
+        rows = proofcheck._expsum_closure(lams, coeff_arrays, 0.0, False)(xs)
+        table = np.zeros((2, 4), np.complex128)
+        table[0], table[1, :2] = coeff_arrays
+        acc = table[:, -1:]
+        for j in range(2, -1, -1):
+            acc = acc * xs + table[:, j : j + 1]
+        want = (acc * np.exp(1j * (lams[:, None] * xs))).sum(axis=0)
+        assert rows[0].tobytes() == want.tobytes()
 
 
 class TestMinimalTransferConstant:
