@@ -12,7 +12,6 @@ integral |g|^p over pieces, of lp_norm and the proof checks alike, is one
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -118,11 +117,6 @@ class TrigPoly:
         return float(np.max(np.abs(self.frequencies[live])))
 
     @property
-    def spectrum(self) -> np.ndarray:
-        """Frequencies carrying a nonzero coefficient."""
-        return self.frequencies[np.abs(self.coeffs) > 0]
-
-    @property
     def is_zero(self) -> bool:
         return bool(np.all(self.coeffs == 0))
 
@@ -161,37 +155,6 @@ class TrigPoly:
             raise InvalidDegreeError(f"derivative order must be an integer >= 0, got {order}")
         factors = (1j * self.frequencies) ** int(order)
         return TrigPoly(self.period, self.ms, self.coeffs * factors)
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        if abs(other.period - self.period) > 1e-12 * max(1.0, self.period):
-            raise ValueError("cannot add trig polynomials with different periods")
-        merged: dict[int, complex] = {}
-        for m, c in zip(self.ms.tolist(), self.coeffs.tolist()):
-            merged[m] = merged.get(m, 0j) + c
-        for m, c in zip(other.ms.tolist(), other.coeffs.tolist()):
-            merged[m] = merged.get(m, 0j) + c
-        items = sorted(merged.items())
-        return TrigPoly.from_terms(self.period, items)
-
-    def __mul__(self, scalar) -> "TrigPoly":
-        return TrigPoly(self.period, self.ms, self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def to_json(self) -> str:
-        terms = [
-            [int(m), float(c.real), float(c.imag)]
-            for m, c in zip(self.ms.tolist(), self.coeffs.tolist())
-        ]
-        return json.dumps({"L": self.period, "terms": terms})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrigPoly":
-        data = json.loads(text)
-        terms = [(int(m), complex(re, im)) for m, re, im in data["terms"]]
-        return cls.from_terms(float(data["L"]), terms)
 
 
 def _step_tables(ms: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -348,26 +311,14 @@ def lattice_indices(spec: BandSpec, period: float) -> np.ndarray:
     return np.array(sorted(found), dtype=np.int64)
 
 
-def random_bandlimited(
-    spec: BandSpec,
-    period: float,
-    budget: int | None = None,
-    seed: int = 0,
-) -> TrigPoly:
+def random_bandlimited(spec: BandSpec, period: float, *, seed: int = 0) -> TrigPoly:
     """Random function with spectrum inside the given bands.
 
     Coefficients are independent complex Gaussians on the lattice
-    frequencies of the bands; `budget` (if given) keeps a uniformly chosen
-    subset of at most that many modes.  Deterministic in `seed`.
+    frequencies of the bands.  Deterministic in `seed`.
     """
     ms = lattice_indices(spec, period)
     rng = np.random.default_rng(seed)
-    if budget is not None:
-        if budget < 1:
-            raise ValueError("budget must be at least 1")
-        if budget < ms.size:
-            keep = rng.choice(ms.size, size=budget, replace=False)
-            ms = ms[np.sort(keep)]
     coeffs = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
     return TrigPoly(period, ms, coeffs)
 

@@ -3,8 +3,8 @@
 All bounds share the convention that for p = inf the terms 1/p and
 (p-1)/p are read as 0 and 1.  Evaluators compute in log space internally,
 so extreme exponents underflow to 0.0 (or overflow to inf) instead of
-raising; `..._log10` siblings expose the exact order of magnitude for
-reporting when the linear value leaves the double range.
+raising; `theorem1_bound_log10` and `theorem2_bound_log10` expose the exact
+order of magnitude for reporting when the linear value leaves the double range.
 """
 from __future__ import annotations
 
@@ -109,6 +109,17 @@ def _check_ab(ab: float) -> float:
     return ab
 
 
+def _check_measures(len_I: float, meas_E: float) -> tuple[float, float]:
+    """|I| and |E| as floats, refusing unless 0 < |E| <= |I|."""
+    len_I = float(len_I)
+    meas_E = float(meas_E)
+    if meas_E <= 0:
+        raise EmptySetError(f"subset measure must be positive, got {meas_E}")
+    if len_I <= 0 or meas_E > len_I + 1e-12:
+        raise ValueError("need 0 < |E| <= |I|")
+    return len_I, meas_E
+
+
 def _check_count(n, name: str = "n") -> int:
     if int(n) != n or n < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {n}")
@@ -138,14 +149,10 @@ def theorem1_bound(
     return _exp(theorem1_bound_log10(gamma, ab, p, constants) * _LN10)
 
 
-def _tower_exponent(
-    gamma: float, n: int, ab: float, p: float, c: float
-) -> tuple[float, float]:
-    """(log_base, exponent) of the n-band bound (c/gamma)^(-ab (c/gamma)^n - n + (p-1)/p)."""
-    log_base = math.log(c / gamma)
-    tower = _exp(n * log_base)
-    first = 0.0 if ab == 0 else -ab * tower
-    return log_base, first - n + holder_share(p)
+def _tower_exponent(log_base: float, n: int, ab: float, p: float) -> float:
+    """Exponent -ab B^n - n + (p-1)/p of the n-band bound B^exponent, log_base = ln B."""
+    first = 0.0 if ab == 0 else -ab * _exp(n * log_base)
+    return first - n + holder_share(p)
 
 
 def theorem2_bound_log10(
@@ -159,8 +166,8 @@ def theorem2_bound_log10(
     n = _check_count(n)
     ab = _check_ab(ab)
     check_exponent(p)
-    log_base, expo = _tower_exponent(gamma, n, ab, p, constants.c_multi)
-    return expo * log_base / _LN10
+    log_base = math.log(constants.c_multi / gamma)
+    return _tower_exponent(log_base, n, ab, p) * log_base / _LN10
 
 
 def theorem2_bound(
@@ -203,13 +210,12 @@ def remark1_bounds(gamma: float, ab: float, p: float) -> Remark1Bounds:
 def lemma1_corollary_bound(
     meas_E: float,
     M: float,
-    p: float | None = None,
+    p: float = math.inf,
     constants: BoundConstants = DEFAULT_CONSTANTS,
 ) -> float:
-    """Doubling-growth sup bound (C/|E|)^(ln M / ln 2), with +1/p for the Lp form.
+    """Doubling-growth bound (C/|E|)^(ln M / ln 2 + 1/p); p = inf is the sup form.
 
-    `M` is the doubling ratio of the function on nested windows; `p=None`
-    (or inf) selects the sup form.
+    `M` is the doubling ratio of the function on nested windows.
     """
     meas_E = float(meas_E)
     if meas_E <= 0:
@@ -218,9 +224,7 @@ def lemma1_corollary_bound(
         raise ValueError(f"subset measure must be at most 1, got {meas_E}")
     if M < 1.0:
         raise InvalidMError(f"growth ratio M must be >= 1, got {M}")
-    expo = math.log(M) / math.log(2.0)
-    if p is not None:
-        expo += inv_p(p)
+    expo = math.log(M) / math.log(2.0) + inv_p(p)
     return _exp(expo * math.log(constants.c_aux / meas_E))
 
 
@@ -233,12 +237,7 @@ def lemma3_bound(
     constants: BoundConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Exponential-sum norm-transfer bound (C |I| / |E|)^(n m - (p-1)/p)."""
-    len_I = float(len_I)
-    meas_E = float(meas_E)
-    if meas_E <= 0:
-        raise EmptySetError(f"subset measure must be positive, got {meas_E}")
-    if len_I <= 0 or meas_E > len_I + 1e-12:
-        raise ValueError("need 0 < |E| <= |I|")
+    len_I, meas_E = _check_measures(len_I, meas_E)
     n = _check_count(n)
     m = _check_count(m, "m")
     check_exponent(p)
@@ -262,12 +261,7 @@ def nazarov_remez_bounds(
 ) -> NazarovRemezBounds:
     """(C |I|/|E|)^(n-1) for n-term exponential sums and (4 |I|/|E|)^n for
     degree-n polynomials.  n = 0 is allowed and gives the trivial constants."""
-    len_I = float(len_I)
-    meas_E = float(meas_E)
-    if meas_E <= 0:
-        raise EmptySetError(f"subset measure must be positive, got {meas_E}")
-    if len_I <= 0 or meas_E > len_I + 1e-12:
-        raise ValueError("need 0 < |E| <= |I|")
+    len_I, meas_E = _check_measures(len_I, meas_E)
     if int(n) != n or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n}")
     n = int(n)
@@ -311,17 +305,11 @@ def multidim_bound(
     """
     gamma = _check_gamma_positive(gamma)
     check_exponent(p)
-    s = sum(params.ab_products)
+    s = _check_ab(sum(params.ab_products))
     if n is None:
         c = constants.c_one
         log_base = math.log(gamma) - params.d * math.log(c)
         return _exp(c * (params.d + s) * log_base)
     n = _check_count(n)
-    log_cd = params.d * math.log(constants.c_multi)
-    log_base = log_cd - math.log(gamma)
-    tower = _exp(n * log_base)
-    first = 0.0 if s == 0 else -s * tower
-    expo = first - n + holder_share(p)
-    if math.isinf(expo):
-        return 0.0 if log_base > 0 else math.inf
-    return _exp(expo * log_base)
+    log_base = params.d * math.log(constants.c_multi) - math.log(gamma)
+    return _exp(_tower_exponent(log_base, n, s, p) * log_base)

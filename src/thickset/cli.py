@@ -120,6 +120,8 @@ def _parse_int(value, key: str, positive: bool = False) -> int:
 
 def _listify(config: dict, key: str, default=None, parser=_parse_float) -> list:
     """Accept `key` as a scalar or `key`/`key_list` as a list; `parser(value, key)` reads each."""
+    if key in config and f"{key}_list" in config:
+        raise ConfigError(f"config gives both {key!r} and {key + '_list'!r}")
     if f"{key}_list" in config:
         raw = config[f"{key}_list"]
     elif key in config:

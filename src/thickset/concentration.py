@@ -66,9 +66,9 @@ class GramMatrix:
 
     `stride` is the number q of set periods in the torus period; entries
     between modes of different residue classes m mod q are exact zeros.
-    `groups` holds, per class size, the class indices of `blocks()`, the
-    distinct blocks (read-only) and the block index of each class; the
-    dense `matrix` is built from them on demand.
+    `groups` holds, per class size, the matrix indices of its residue classes
+    (one row per class, in mode order), the distinct blocks (read-only) and
+    the block index of each class; the dense `matrix` is built on demand.
     """
 
     freqs: tuple[int, ...]
@@ -93,13 +93,6 @@ class GramMatrix:
             matrix[ix[:, :, None], ix[:, None, :]] = stack[carrier]
         matrix.setflags(write=False)
         return matrix
-
-    def blocks(self) -> list[np.ndarray]:
-        """Matrix indices of the residue classes m mod stride, in mode order.
-
-        One array per class size; each row holds the indices of one class.
-        """
-        return [ix for ix, _, _ in self.groups]
 
 
 def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:

@@ -55,12 +55,9 @@ class ExtremalInstance:
     gamma: float
     set: IntervalSet
 
-    def eval(self, x, normalized: bool = True) -> np.ndarray:
-        """(sin(2 pi x)/x)^m, divided by its peak (2 pi)^m when normalized."""
-        kernel = _unit_kernel(x) ** self.power
-        if normalized:
-            return kernel
-        return kernel * (math.tau ** self.power)
+    def eval(self, x) -> np.ndarray:
+        """(sin(2 pi x)/x)^m divided by its peak (2 pi)^m."""
+        return _unit_kernel(x) ** self.power
 
 
 def extremal_pair(bandwidth: float, gamma: float) -> ExtremalInstance:

@@ -43,6 +43,10 @@ from .sets import IntervalSet
 # ---------------------------------------------------------------------------
 # interval classification
 
+# Bound on the classifier's untested mass-budget tail; sets the default alpha_max.
+TAIL_EPS = 1e-6
+
+
 @dataclass(frozen=True)
 class ClassifierParams:
     """Constants of the derivative-growth classifier.
@@ -51,15 +55,13 @@ class ClassifierParams:
     integral_I |f^(alpha)|^p >= (A * C * b)^(alpha p) integral_I |f|^p with
     A = bad_threshold and C = bernstein_constant.  The default alpha_max
     keeps the untested tail sum_{alpha > alpha_max} A^(-alpha p) below
-    tail_eps.
+    TAIL_EPS.  Masses use panels of the default ``quadrature.RESOLUTION``.
     """
 
     p: float
     bad_threshold: float = 3.0
     bernstein_constant: float = 0.5
     alpha_max: int | None = None
-    tail_eps: float = 1e-6
-    resolution: int = RESOLUTION
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", finite_exponent(self.p, "the classifier"))
@@ -69,20 +71,12 @@ class ClassifierParams:
             raise ValueError("bernstein_constant must be positive")
         if self.alpha_max is not None and (int(self.alpha_max) != self.alpha_max or self.alpha_max < 1):
             raise ValueError("alpha_max must be a positive integer")
-        if not 0.0 < self.tail_eps < 1.0:
-            raise ValueError("tail_eps must be in (0, 1)")
 
     def resolved_alpha_max(self) -> int:
         if self.alpha_max is not None:
             return int(self.alpha_max)
-        depth = math.log(1.0 / self.tail_eps) / (self.p * math.log(self.bad_threshold))
+        depth = math.log(1.0 / TAIL_EPS) / (self.p * math.log(self.bad_threshold))
         return max(1, math.ceil(depth))
-
-    def truncation_tail(self) -> float:
-        """Mass-budget tail sum_{alpha > alpha_max} A^(-alpha p)."""
-        ap = self.bad_threshold ** (-self.p)
-        k = self.resolved_alpha_max()
-        return ap ** (k + 1) / (1.0 - ap)
 
 
 @dataclass(frozen=True)
@@ -93,16 +87,11 @@ class IntervalClassification:
     good: np.ndarray
     mass: np.ndarray
     first_bad_order: np.ndarray
-    band_width: float
     params: ClassifierParams
 
     @property
     def good_intervals(self) -> tuple[tuple[float, float], ...]:
         return tuple(iv for iv, g in zip(self.intervals, self.good.tolist()) if g)
-
-    @property
-    def bad_intervals(self) -> tuple[tuple[float, float], ...]:
-        return tuple(iv for iv, g in zip(self.intervals, self.good.tolist()) if not g)
 
 
 def unit_partition(period: float) -> tuple[tuple[float, float], ...]:
@@ -143,13 +132,13 @@ def classify_intervals(
     rows[0] = f.coeffs
     for alpha in range(1, rows.shape[0]):
         rows[alpha] = rows[alpha - 1] * damping
-    masses = piece_masses(f, rows, partition, len(partition), params.p, params.resolution)
+    masses = piece_masses(f, rows, partition, len(partition), params.p, RESOLUTION)
     bad = masses[1:] >= masses[0]
     first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
     good, mass = first_bad == 0, masses[0].copy()
     for arr in (good, mass, first_bad):
         arr.setflags(write=False)
-    return IntervalClassification(partition, good, mass, first_bad, float(band_width), params)
+    return IntervalClassification(partition, good, mass, first_bad, params)
 
 
 def good_mass_check(labels: IntervalClassification) -> float:
@@ -193,7 +182,7 @@ def local_estimate_check(
     params, c, b_eff = labels.params, constants.c_one, 2.0 * f.max_frequency
     piece_lists = [E.materialize(lo, hi) for lo, hi in labels.intervals]
     pieces, copies = sum(piece_lists, ()), len(piece_lists)
-    masses = piece_masses(f, f.coeffs[None], pieces, copies, params.p, params.resolution)[0]
+    masses = piece_masses(f, f.coeffs[None], pieces, copies, params.p, RESOLUTION)[0]
     checks, start = [], 0
     for (lo, hi), own, good, whole in zip(
         labels.intervals, piece_lists, labels.good.tolist(), labels.mass.tolist()
@@ -238,7 +227,7 @@ def growth_envelope(
     p, goods = labels.params.p, labels.good_intervals
     if not goods:
         return ()
-    width = panel_width(f.max_frequency, labels.params.resolution)
+    width = panel_width(f.max_frequency, RESOLUTION)
     n = max(9, int(math.ceil(2.0 * radius / width)) + 1)
     # Dense phases, not f.eval: a window wider than the period holds grid
     # points one period apart, which f.eval's argument reduction makes tie;
@@ -441,8 +430,6 @@ class ExpSumCheck:
     ratio: float
     bound: float
     holds: bool
-    n_terms: int
-    poly_order: int
     norm_I: float
     norm_E: float
     nazarov_bound: float | None
@@ -568,8 +555,6 @@ def exp_sum_verifier(
                 ratio=ratio,
                 bound=bound,
                 holds=ratio <= bound * (1.0 + 1e-9),
-                n_terms=n,
-                poly_order=m,
                 norm_I=norm_I,
                 norm_E=norm_E,
                 nazarov_bound=nazarov,

@@ -26,9 +26,9 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 _ZOOM_ROUNDS = 64
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(order: int = GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=1)
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -47,7 +47,7 @@ def panel_count(lo: float, hi: float, max_width: float) -> int:
     return max(1, int(math.ceil((hi - lo) / max_width - 1e-12)))
 
 
-def panel_nodes(pieces, max_width: float, order: int = GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+def panel_nodes(pieces, max_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on every piece (lo, hi), in order.
 
     Piece [lo, hi] gets n = panel_count(lo, hi, max_width) equal panels with
@@ -65,7 +65,7 @@ def panel_nodes(pieces, max_width: float, order: int = GL_ORDER) -> tuple[np.nda
     right[:-1] = left[1:]
     right[last - 1] = hi
     half = 0.5 * step[:, None]  # not ((lo + step) - lo) / 2, which rounds far from 0
-    x, w = _gl_rule(order)
+    x, w = _gl_rule()
     nodes = (0.5 * (left + right))[:, None] + np.repeat(half * x, counts, axis=0)
     return nodes.ravel(), np.repeat(half * w, counts, axis=0).ravel()
 

@@ -8,7 +8,6 @@ minimum over one period is attained at an endpoint breakpoint.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,10 +22,10 @@ from .errors import (
 MERGE_TOL = 1e-12
 
 
-def _merge(pairs, tol: float = MERGE_TOL) -> tuple[tuple[float, float], ...]:
+def _merge(pairs) -> tuple[tuple[float, float], ...]:
     out: list[list[float]] = []
     for lo, hi in sorted(pairs):
-        if out and lo <= out[-1][1] + tol:
+        if out and lo <= out[-1][1] + MERGE_TOL:
             out[-1][1] = max(out[-1][1], hi)
         else:
             out.append([lo, hi])
@@ -91,27 +90,6 @@ class IntervalSet:
         if not pieces:
             return ()
         return _merge(pieces)
-
-    def scaled(self, factor: float) -> "IntervalSet":
-        """Dilation x -> factor * x (factor > 0)."""
-        if factor <= 0:
-            raise InvalidIntervalError("scale factor must be positive")
-        ivs = tuple((lo * factor, hi * factor) for lo, hi in self.intervals)
-        period = None if self.period is None else self.period * factor
-        return IntervalSet(ivs, period)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "period": self.period,
-                "intervals": [[lo, hi] for lo, hi in self.intervals],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntervalSet":
-        data = json.loads(text)
-        return normalize(data["intervals"], period=data.get("period"))
 
 
 def normalize(

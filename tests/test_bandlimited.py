@@ -45,23 +45,6 @@ class TestTrigPoly:
         x = 0.7
         assert abs(g.eval(x) - 3j * f.eval(x)) < 1e-13
 
-    def test_addition_merges_modes(self):
-        f = TrigPoly.from_terms(1.0, [(0, 1.0), (1, 2.0)])
-        g = TrigPoly.from_terms(1.0, [(1, -2.0), (2, 5.0)])
-        h = f + g
-        assert abs(h.eval(0.3) - (f.eval(0.3) + g.eval(0.3))) < 1e-13
-
-    def test_scalar_multiplication(self):
-        f = TrigPoly.from_terms(1.0, [(1, 1.0 + 1.0j)])
-        assert abs((2.0 * f).eval(0.1) - 2.0 * f.eval(0.1)) < 1e-14
-
-    def test_json_round_trip(self):
-        f = TrigPoly.from_terms(8.0, [(-2, 1.0 + 2.0j), (5, -0.5j)])
-        g = TrigPoly.from_json(f.to_json())
-        assert g.period == f.period
-        assert np.array_equal(g.ms, f.ms)
-        assert np.allclose(g.coeffs, f.coeffs)
-
     def test_max_frequency_ignores_dead_modes(self):
         f = TrigPoly.from_terms(TWO_PI, [(1, 1.0), (7, 0.0)])
         assert math.isclose(f.max_frequency, 1.0, rel_tol=1e-15)
@@ -430,9 +413,15 @@ class TestLatticeAndRandom:
         c = random_bandlimited(BandSpec((0.0,), 10.0), 8.0, seed=43)
         assert not np.array_equal(a.coeffs, c.coeffs)
 
-    def test_budget_subsets_modes(self):
-        f = random_bandlimited(BandSpec((0.0,), 40.0), 8.0, budget=5, seed=1)
-        assert len(f.ms) == 5
+    def test_random_bandlimited_fills_every_mode(self):
+        spec = BandSpec((0.0, 6.0), 2.0)
+        f = random_bandlimited(spec, TWO_PI, seed=3)
+        assert f.ms.tolist() == lattice_indices(spec, TWO_PI).tolist()
+        assert np.all(f.coeffs != 0)
+
+    def test_random_bandlimited_seed_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            random_bandlimited(BandSpec((0.0,), 10.0), 8.0, 42)
 
 
 def _bernstein_ratio(f, p):

@@ -101,7 +101,7 @@ class TestTheorem2:
                         if ref < smallest:
                             assert got == 0.0
                         else:
-                            assert got == pytest.approx(float(ref), rel=1e-9)
+                            assert math.isclose(got, float(ref), rel_tol=1e-9)
                         got_log10 = theorem2_bound_log10(gamma, n, 0.7, p)
                         assert got_log10 == pytest.approx(float(mpmath.log10(ref)), rel=1e-9)
 
@@ -187,6 +187,9 @@ class TestLemma1:
         with pytest.raises(EmptySetError):
             lemma1_corollary_bound(0.0, 2.0)
 
+    def test_default_is_sup_form(self):
+        assert lemma1_corollary_bound(0.25, 4.0) == lemma1_corollary_bound(0.25, 4.0, math.inf)
+
 
 class TestLemma3:
     def test_single_exponential_sup(self):
@@ -203,6 +206,14 @@ class TestLemma3:
         vals = [lemma3_bound(1.0, 0.3, n, 2, 2.0) for n in (1, 2, 3)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_measures_checked(self):
+        with pytest.raises(EmptySetError):
+            lemma3_bound(1.0, 0.0, 1, 1, 2.0)
+        with pytest.raises(ValueError):
+            lemma3_bound(1.0, 1.5, 1, 1, 2.0)
+        with pytest.raises(ValueError):
+            lemma3_bound(0.0, 0.3, 1, 1, 2.0)
+
 
 class TestNazarovRemez:
     def test_remez_shape(self):
@@ -218,18 +229,48 @@ class TestNazarovRemez:
         assert pair.remez == 1.0
         assert pair.nazarov == 1.0
 
+    def test_measures_checked(self):
+        with pytest.raises(EmptySetError):
+            nazarov_remez_bounds(1.0, 0.0, 2)
+        with pytest.raises(ValueError):
+            nazarov_remez_bounds(1.0, 1.5, 2)
+        with pytest.raises(ValueError):
+            nazarov_remez_bounds(0.0, 0.3, 2)
+
 
 class TestMultiDim:
+    # small constants keep every value inside double range, where the
+    # default ones underflow to 0.0 and no comparison could fail
+    SMALL = BoundConstants(c_one=2.0, c_multi=2.0)
+
     def test_product_form_shape(self):
         params = MultiDimParams(d=2, ab_products=(1.0, 2.0))
-        got = multidim_bound(0.5, params, 2.0)
-        want = (0.5 / 300.0 ** 2) ** (300.0 * (2 + 3.0))
-        assert math.isclose(got, want, rel_tol=1e-9) or got == 0.0
+        got = multidim_bound(0.5, params, 2.0, constants=self.SMALL)
+        want = (0.5 / 2.0 ** 2) ** (2.0 * (2 + 3.0))  # 2^-30 = 9.31e-10
+        assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_tower_form_decreasing_in_n(self):
+        # (C^d/gamma)^(-(C^d/gamma)^n sum ab - n + 1/2): 2.74e-16, then 2.11e-202
         params = MultiDimParams(d=2, ab_products=(0.5, 0.5))
-        vals = [multidim_bound(0.3, params, 2.0, n) for n in (1, 2)]
-        assert vals[0] >= vals[1]
+        vals = [multidim_bound(0.3, params, 2.0, n, self.SMALL) for n in (1, 2)]
+        with mpmath.workdps(40):
+            base = mpmath.mpf(2.0) ** 2 / mpmath.mpf(0.3)
+            refs = [base ** (-(base**n) - n + mpmath.mpf(0.5)) for n in (1, 2)]
+        for got, ref in zip(vals, refs):
+            assert math.isclose(got, float(ref), rel_tol=1e-12)
+        assert vals[0] > vals[1] > 0.0
+
+    def test_one_axis_tower_is_theorem2(self):
+        # d = 1: the n-band product bound is the n-band line bound, 4^-0.9 = 0.28717...
+        params = MultiDimParams(d=1, ab_products=(0.1,))
+        got = multidim_bound(0.5, params, 2.0, 1, self.SMALL)
+        assert math.isclose(got, theorem2_bound(0.5, 1, 0.1, 2.0, self.SMALL), rel_tol=1e-14)
+        assert math.isclose(got, 4.0**-0.9, rel_tol=1e-14)
+
+    def test_infinite_ab_sum_rejected(self):
+        params = MultiDimParams(d=2, ab_products=(1e308, 1e308))
+        with pytest.raises(ValueError):
+            multidim_bound(0.5, params, 2.0, 1)
 
     def test_dimension_match_enforced(self):
         with pytest.raises(Exception):

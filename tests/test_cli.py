@@ -181,7 +181,7 @@ class TestGridOrder:
         result = run(cfg)
         (row,) = result.table.rows
         assert row[-1] and not result.violations
-        assert row[4] == pytest.approx(8.984e-104, rel=1e-4)
+        assert math.isclose(row[4], 8.984e-104, rel_tol=1e-4)
 
 
 class TestExpsumSuite:
@@ -340,6 +340,18 @@ class TestMain:
         path = write_config(tmp_path, {"command": "verify", "suite": "good_bad", "seeds": 0})
         assert main(["--config", path]) == 2
         assert "'seeds' must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"command": "bound", "gamma": 0.5, "gamma_list": [0.1], "ab": 1.0, "p": 2},
+            {"command": "verify", "suite": "good_bad", "p": 1, "p_list": [2], "seeds": 1},
+        ],
+    )
+    def test_key_and_key_list_together_exit_two(self, tmp_path, capsys, config):
+        path = write_config(tmp_path, config)
+        assert main(["--config", path]) == 2
+        assert "config gives both" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [2.5, True, "2"])
     @pytest.mark.parametrize(

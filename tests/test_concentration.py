@@ -245,7 +245,7 @@ class TestBlockSolve:
     def test_aperiodic_set_has_stride_one(self):
         g = gram_matrix(list(range(-3, 4)), IntervalSet(((0.2, 0.9), (1.5, 3.0))), 4.0)
         assert g.stride == 1
-        assert len(g.blocks()) == 1
+        assert len(g.groups) == 1
 
 
 class TestSharpnessGap:

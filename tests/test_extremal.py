@@ -109,10 +109,9 @@ class TestExtremalPair:
             extremal_pair(FOUR_PI - 0.1, 0.3)
 
     def test_peak_value(self):
-        # removable singularity: the unnormalized kernel peaks at (2 pi)^m
+        # removable singularity: the kernel, divided by its peak (2 pi)^m, is 1 at 0
         inst = extremal_pair(2.0 * FOUR_PI, 0.3)
-        got = inst.eval(0.0, normalized=False)
-        assert math.isclose(got, (2.0 * math.pi) ** 2, rel_tol=1e-12)
+        assert inst.eval(0.0) == 1.0
 
     def test_series_matches_direct_near_zero(self):
         inst = extremal_pair(FOUR_PI, 0.3)

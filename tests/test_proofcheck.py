@@ -37,7 +37,8 @@ from thickset import (
     unit_partition,
 )
 from thickset import proofcheck
-from thickset.quadrature import panel_nodes, panel_width
+from thickset.proofcheck import TAIL_EPS
+from thickset.quadrature import RESOLUTION, panel_nodes, panel_width
 
 B4 = 4.0 * math.pi
 L = 8.0
@@ -54,8 +55,10 @@ class TestClassifierParams:
 
     def test_alpha_max_resolves_tail(self):
         params = ClassifierParams(p=2.0)
-        assert params.resolved_alpha_max() >= 1
-        assert params.truncation_tail() <= params.tail_eps
+        k = params.resolved_alpha_max()
+        assert k >= 1
+        ap = params.bad_threshold ** (-params.p)  # tail sum_{alpha > k} A^(-alpha p)
+        assert ap ** (k + 1) / (1.0 - ap) <= TAIL_EPS
 
     def test_unit_partition(self):
         cells = unit_partition(8.0)
@@ -94,7 +97,7 @@ class TestClassifier:
         f = make_poly(seed=7)
         labels = classify_intervals(f, B4, ClassifierParams(p=2.0))
         assert len(labels.intervals) == 8
-        assert len(labels.good_intervals) + len(labels.bad_intervals) == 8
+        assert len(labels.good_intervals) + int((~labels.good).sum()) == 8
 
     def test_constant_function_all_good(self):
         # a constant has zero derivatives: every interval is good
@@ -106,7 +109,7 @@ class TestClassifier:
 def _dense_classify(f, band_width, params, partition):
     """Reference: per interval, a nodes x modes character matrix and one matvec per order."""
     damping = 1j * f.frequencies / (params.bad_threshold * params.bernstein_constant * band_width)
-    width = panel_width(f.max_frequency, params.resolution)
+    width = panel_width(f.max_frequency, RESOLUTION)
     good, mass, first_bad = [], [], []
     for lo, hi in partition:
         xs, ws = panel_nodes([(lo, hi)], width)

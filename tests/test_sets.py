@@ -47,16 +47,6 @@ class TestIntervalSet:
         E = normalize([(0.6, 0.9), (0.0, 0.2)])
         assert E.intervals == ((0.0, 0.2), (0.6, 0.9))
 
-    def test_scaled(self):
-        E = IntervalSet(((0.0, 0.1), (0.5, 0.8)))
-        assert math.isclose(E.scaled(2.0).measure, 0.8, rel_tol=1e-15)
-
-    def test_json_round_trip(self):
-        E = IntervalSet(((0.25, 0.5),), period=2.0)
-        back = IntervalSet.from_json(E.to_json())
-        assert back.intervals == E.intervals
-        assert back.period == E.period
-
     def test_materialize_unrolls_period(self):
         E = IntervalSet(((0.25, 0.5),), period=1.0)
         pieces = E.materialize(0.0, 3.0)
@@ -159,7 +149,8 @@ class TestThickness:
 def test_scaling_preserves_relative_density(gamma, factor):
     E = two_sliver_set(gamma)
     cert = thickness(E, 1.0)
-    scaled = thickness(E.scaled(factor), factor)
+    dilated = IntervalSet(tuple((lo * factor, hi * factor) for lo, hi in E.intervals), E.period * factor)
+    scaled = thickness(dilated, factor)
     assert math.isclose(cert.gamma, scaled.gamma, rel_tol=1e-9, abs_tol=1e-12)
 
 
