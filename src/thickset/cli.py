@@ -376,29 +376,24 @@ def _run_concentration(config: dict) -> RunResult:
 
 def _run_extremal(config: dict) -> RunResult:
     constants = _constants_from_config(config)
+    if "truncation_list" in config:
+        raise ConfigError("'truncation_list' is not read: give one 'truncation' for the grid")
     truncation = config.get("truncation")
     truncation = _parse_float(truncation, "truncation") if truncation is not None else None
-    header = (
-        "b",
-        "gamma",
-        "p",
-        "power",
-        "ratio",
-        "bound_log10",
-        "example_log10",
-        "holds",
-    )
+    header = ("b", "gamma", "p", "power", "ratio", "log10_ratio", "bound_log10",
+              "example_log10", "holds")
 
     def cell(b, gamma, p):
         inst = extremal_pair(b, gamma)
-        ratio = extremal_ratio(inst, p, truncation)
+        log10_ratio = extremal_ratio(inst, p, truncation)
         bound_log10 = theorem1_bound_log10(gamma, b, p, constants)
         example_log10 = (inst.power - 1) * math.log10(gamma)
-        holds = math.log10(ratio) >= bound_log10 if ratio > 0 else False
+        holds = log10_ratio >= bound_log10
         violations = [] if holds else [
-            f"extremal: ratio {ratio:.6g} below bound at b={b:g} gamma={gamma:g} p={p:g}"
+            f"extremal: ratio 10^{log10_ratio:.6g} below bound at b={b:g} gamma={gamma:g} p={p:g}"
         ]
-        return [(b, gamma, p, inst.power, ratio, bound_log10, example_log10, holds)], violations
+        row = (b, gamma, p, inst.power, 10.0 ** log10_ratio, log10_ratio)
+        return [row + (bound_log10, example_log10, holds)], violations
 
     axes = (
         _listify(config, "b"),

@@ -20,7 +20,7 @@ from .errors import (
     InvalidWindowError,
     NonIntegrableError,
 )
-from .quadrature import panel_nodes
+from .quadrature import panel_count, panel_nodes
 from .sets import IntervalSet, two_sliver_set
 
 FOUR_PI = 4.0 * math.pi
@@ -69,19 +69,74 @@ def extremal_pair(bandwidth: float, gamma: float) -> ExtremalInstance:
     return ExtremalInstance(bandwidth=b, power=m, gamma=float(gamma), set=two_sliver_set(gamma))
 
 
-def _log_mass(pieces, mp: float) -> float:
-    """log of sum w |kernel|^mp over Gauss-Legendre panels of width 0.5/mp.
+# _log_mass drops panels holding at most 2^-CUT_BITS of the mass, guessed to within
+# 2^_GUESS_BITS first; up to _DIRECT_PANELS panels, evaluating all costs less than bounding.
+CUT_BITS = 60
+_GUESS_BITS = 16
+_DIRECT_PANELS = 256
 
-    Every piece's nodes go through one kernel evaluation and one
-    log-sum-exp, so the mass never underflows; -inf when no node carries mass.
-    """
+
+def _panel_bounds(left, right, mp: float) -> np.ndarray:
+    """Upper bound U on log sum w |kernel|^mp over the nodes of each panel [left, right]."""
+    tau_d = math.tau * np.maximum(np.maximum(left, -right), 0.0)
+    peak = np.floor(2.0 * right - 0.5) >= 2.0 * left - 0.5  # holds a point 1/4 + k/2
+    sup = np.maximum(np.abs(np.sin(math.tau * left)), np.abs(np.sin(math.tau * right)))
+    # padded by 8 eps (1 + 2 pi |x|), |x| <= d + 1/2, for the rounding of nodes and sin
+    sup = np.maximum(sup, peak) + 8.0 * np.finfo(float).eps * (4.2 + tau_d)
+    with np.errstate(divide="ignore"):  # log 0 = -inf at d = 0: the cap 1 applies
+        return np.log(right - left) + mp * np.minimum(0.0, np.log(sup) - np.log(tau_d))
+
+
+def _log_sum(pieces, mp: float) -> float:
+    """log of sum w |kernel|^mp over the panel_nodes of `pieces` at width 0.5/mp."""
     xs, ws = panel_nodes(pieces, 0.5 / mp)
     with np.errstate(divide="ignore"):
         terms = np.log(ws) + mp * np.log(np.abs(_unit_kernel(xs)))
     top = terms.max(initial=-np.inf)
-    if top == -np.inf:
-        return -math.inf
-    return float(top + np.log(np.exp(terms - top).sum()))
+    return -math.inf if top == -np.inf else float(top + np.log(np.exp(terms - top).sum()))
+
+
+def _log_mass(pieces, mp: float) -> float:
+    """log of sum w |kernel|^mp over the panels of width 0.5/mp that can move it.
+
+    On a panel [l, r] at distance d from 0, |kernel| <= min(1, S / (2 pi d)), S the
+    max of |sin 2 pi x| there: 1 if the panel holds a peak 1/4 + k/2, else the larger
+    endpoint value, as |sin 2 pi x| has no other interior maximum.  The weights sum
+    to r - l, so U = log(r - l) + mp log min(1, S / (2 pi d)) bounds the panel's log
+    mass (S is padded for rounding; no weight exceeds 0.095 (r - l)).  Panels with U
+    below a cut c are dropped, unbounded beyond where log(0.5/mp) - mp log(2 pi d) = c;
+    the rest go, as runs, through one panel_nodes call and one log-sum-exp.  Their log
+    mass M bounds the whole from below, so c <= M - CUT_BITS ln 2 - ln(#panels) keeps
+    the dropped mass under 2^-CUT_BITS of it.  c takes M to be at least 2^-_GUESS_BITS
+    of one panel at the kernel's value nearest 0; if not, every panel is evaluated.
+    """
+    width = 0.5 / mp
+    n = np.array([panel_count(lo, hi, width) for lo, hi in pieces], dtype=np.int64)
+    if n.sum() <= _DIRECT_PANELS:
+        return _log_sum(pieces, mp)
+    (lo, hi), n = np.array(pieces, dtype=float)[n > 0].T, n[n > 0]
+    step = (hi - lo) / n
+    near = np.abs(np.maximum(lo, np.minimum(hi, 0.0)))  # each piece's distance to 0
+    i = np.argmin(near)
+    x = math.tau * near[i]  # the guess: one panel at the kernel's value there
+    guess = math.log(step[i]) + (mp * min(0.0, math.log(abs(math.sin(x)) / x)) if x else 0.0)
+    margin = CUT_BITS * math.log(2.0) + math.log(n.sum())
+    cut = guess - _GUESS_BITS * math.log(2.0) - margin
+    reach = min(math.exp(min((math.log(width) - cut) / mp, 700.0)) / math.tau,
+                np.abs((lo, hi)).max())  # U < cut beyond it; windows add a panel each end
+    first = np.minimum(np.maximum((-reach - lo) // step - 1.0, 0.0), n).astype(np.int64)
+    count = np.minimum(np.maximum((reach - lo) // step + 2.0, 0.0), n).astype(np.int64) - first
+    k = np.repeat(np.arange(n.size), count)
+    j = np.arange(k.size) - np.repeat(np.cumsum(count) - count - first, count)
+    left = j * step[k] + lo[k]  # the left edges panel_nodes gives the whole piece
+    right = np.where(j + 1 == n[k], hi[k], left + step[k])
+    keep = _panel_bounds(left, right, mp) >= cut
+    k, j, left, right = k[keep], j[keep], left[keep], right[keep]
+    # panels numbered with a gap between pieces, so that no run spans two pieces
+    ends = np.flatnonzero(np.diff(j + np.cumsum(n + 1)[k]) != 1)  # of every run but the last
+    runs = np.column_stack((left[np.append(0, ends + 1)], right[np.append(ends, -1)]))
+    mass = _log_sum(runs.tolist(), mp)
+    return mass if mass - margin >= cut else _log_sum(pieces, mp)
 
 
 def default_truncation(inst: ExtremalInstance, p: float) -> float:
@@ -108,13 +163,14 @@ def default_truncation(inst: ExtremalInstance, p: float) -> float:
 
 
 def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = None) -> float:
-    """||f||_{Lp(E)} / ||f||_p on [-X, X], X the (supplied or derived) half-width.
+    """log10 of ||f||_{Lp(E)} / ||f||_p on [-X, X], X the (supplied or derived) half-width.
 
     Finite p only; mp <= 1 diverges.  Both masses are log-sum-exps over
     panels of width 0.5/(mp): the total is twice the even kernel's mass on
     [0, X], the kept mass runs over the pieces of E in [-X, X] as they are.
     Both use the normalized kernel, so the ratio is exact for the
-    unnormalized family as well, and it underflows only below ~1e-308.
+    unnormalized family as well; its log10 never underflows, and it is
+    -inf only when E carries no mass in the window.
     """
     p = finite_exponent(p, "the extremal ratio")
     mp = inst.power * p
@@ -127,7 +183,7 @@ def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = 
         raise InvalidWindowError(f"truncation must be positive, got {truncation}")
     log_total = math.log(2.0) + _log_mass([(0.0, x_max)], mp)
     log_kept = _log_mass(inst.set.materialize(-x_max, x_max), mp)
-    return math.exp((log_kept - log_total) / p)
+    return (log_kept - log_total) / (p * math.log(10.0))
 
 
 @dataclass(frozen=True)
@@ -171,28 +227,17 @@ def exponent_fit(
     g_list = tuple(float(g) for g in gammas)
     if len(b_list) < 3 or len(g_list) < 3:
         raise InsufficientDataError("need at least 3 bandwidths and 3 gammas")
-    ratio_rows: list[tuple[float, ...]] = []
-    slopes: list[float] = []
-    for b in b_list:
-        row = []
-        for g in g_list:
-            inst = extremal_pair(b, g)
-            row.append(extremal_ratio(inst, p, truncation))
-        ratio_rows.append(tuple(row))
-        s, _, _ = _line_fit(np.log(np.array(g_list)), np.log(np.array(row)))
-        slopes.append(s)
+    log10s = [[extremal_ratio(extremal_pair(b, g), p, truncation) for g in g_list] for b in b_list]
+    slopes = [_line_fit(np.log10(np.array(g_list)), np.array(row))[0] for row in log10s]
     slope2, intercept, r2 = _line_fit(np.array(b_list), np.array(slopes))
-    top = len(b_list) - 1
-    m_top = extremal_pair(b_list[top], g_list[0]).power
-    fitted_base = math.inf
-    for g, ratio in zip(g_list, ratio_rows[top]):
-        if m_top > 1 and ratio > 0:
-            fitted_base = min(fitted_base, g * ratio ** (-1.0 / (m_top - 1)))
+    m_top = extremal_pair(b_list[-1], g_list[0]).power
+    fitted_base = min((g * 10.0 ** (-r / (m_top - 1)) for g, r in zip(g_list, log10s[-1])
+                       if m_top > 1 and r > -math.inf), default=math.inf)
     return ExponentFit(
         bandwidths=b_list,
         gammas=g_list,
         p=float(p),
-        ratios=tuple(ratio_rows),
+        ratios=tuple(tuple(10.0 ** r for r in row) for row in log10s),
         slopes=tuple(slopes),
         slope_of_slopes=slope2,
         intercept=intercept,

@@ -237,8 +237,7 @@ def test_criterion_6_extremal_example():
     for b in bandwidths:
         for gamma in gammas:
             inst = extremal_pair(b, gamma)
-            ratio = extremal_ratio(inst, p)
-            if math.log10(ratio) < theorem1_bound_log10(gamma, b, p):
+            if extremal_ratio(inst, p) < theorem1_bound_log10(gamma, b, p):
                 cell_violations += 1
     fit = exponent_fit(bandwidths, gammas, p)
     target = 1.0 / (4.0 * PI)

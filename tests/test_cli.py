@@ -161,7 +161,7 @@ class TestGridOrder:
 
         def fake(inst, p, truncation=None):
             if (inst.bandwidth, inst.gamma, p) == chosen:
-                return 0.0
+                return -math.inf  # log10 of a ratio that underflowed to 0
             return real(inst, p, truncation)
 
         monkeypatch.setattr(cli_mod, "extremal_ratio", fake)
@@ -182,6 +182,15 @@ class TestGridOrder:
         (row,) = result.table.rows
         assert row[-1] and not result.violations
         assert math.isclose(row[4], 8.984e-104, rel_tol=1e-4)
+
+    def test_log10_ratio_below_double_range_holds(self, tmp_path, capsys):
+        # the ratio (~1e-385) underflows to 0 as a double, its log10 does not
+        cfg = {"command": "extremal", "b": 1200.0 * math.pi, "gamma": 0.05, "p": 4}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 0
+        header, line = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert float(row["ratio"]) == 0.0 and row["holds"] == "1"
+        assert float(row["log10_ratio"]) == pytest.approx(-384.837, abs=1e-3)
 
 
 class TestExpsumSuite:
@@ -352,6 +361,12 @@ class TestMain:
         path = write_config(tmp_path, config)
         assert main(["--config", path]) == 2
         assert "config gives both" in capsys.readouterr().err
+
+    def test_extremal_truncation_list_exits_two(self, tmp_path, capsys):
+        # truncation is one value for the whole grid, so a list would run the default
+        cfg = {"command": "extremal", "b": 40.0 * math.pi, "gamma": 0.1, "truncation_list": [4, 8]}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 2
+        assert "'truncation_list'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [2.5, True, "2"])
     @pytest.mark.parametrize(

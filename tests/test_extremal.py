@@ -5,6 +5,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thickset import (
     BandTooSmallError,
@@ -17,9 +18,11 @@ from thickset import (
     extremal_pair,
     extremal_ratio,
     theorem1_bound_log10,
+    two_sliver_set,
 )
 from thickset import extremal as extremal_mod
 from thickset.extremal import ExtremalInstance
+from thickset.quadrature import panel_nodes
 
 FOUR_PI = 4.0 * math.pi
 REF_DPS = 30
@@ -167,8 +170,7 @@ class TestExtremalRatio:
 
     def test_ratio_in_unit_interval(self):
         inst = extremal_pair(2.0 * FOUR_PI, 0.3)
-        r = extremal_ratio(inst, 2.0)
-        assert 0.0 < r < 1.0
+        assert -math.inf < extremal_ratio(inst, 2.0) < 0.0  # log10 of a ratio in (0, 1)
 
     def test_monotone_in_bandwidth(self):
         rs = [
@@ -181,14 +183,13 @@ class TestExtremalRatio:
         for k in (2, 5, 10):
             for gamma in (0.1, 0.4):
                 inst = extremal_pair(k * FOUR_PI, gamma)
-                r = extremal_ratio(inst, 2.0)
-                assert math.log10(r) >= theorem1_bound_log10(gamma, k * FOUR_PI, 2.0)
+                assert extremal_ratio(inst, 2.0) >= theorem1_bound_log10(gamma, k * FOUR_PI, 2.0)
 
     def test_truncation_override(self):
         inst = extremal_pair(4.0 * FOUR_PI, 0.3)
         a = extremal_ratio(inst, 2.0)
         b = extremal_ratio(inst, 2.0, truncation=2.0 * default_truncation(inst, 2.0))
-        assert math.isclose(a, b, rel_tol=1e-6)
+        assert abs(a - b) <= math.log10(1.0 + 1e-6)
 
     def test_default_truncation_positive(self):
         inst = extremal_pair(2.0 * FOUR_PI, 0.3)
@@ -197,7 +198,7 @@ class TestExtremalRatio:
     def test_window_without_set_is_zero(self):
         # the slivers of density 0.1 sit in [0.45, 0.55] + Z, outside the window
         inst = extremal_pair(4.0 * FOUR_PI, 0.1)
-        assert extremal_ratio(inst, 2.0, truncation=0.3) == 0.0
+        assert extremal_ratio(inst, 2.0, truncation=0.3) == -math.inf
 
     def test_exact_kernel_zeros_are_silent(self, monkeypatch):
         # floating-point sin never hits 0 at the nodes, so zero the kernel by hand
@@ -210,9 +211,9 @@ class TestExtremalRatio:
                                 lambda x: np.where(np.abs(x) < cut, kernel(x), 0.0))
 
         zero_beyond(0.5)  # part of the kept mass
-        assert 0.0 < extremal_ratio(inst, 2.0, truncation=4.0) < ratio
+        assert -math.inf < extremal_ratio(inst, 2.0, truncation=4.0) < ratio
         zero_beyond(0.4)  # all of it: the slivers lie in [0.45, 0.55] + Z
-        assert extremal_ratio(inst, 2.0, truncation=4.0) == 0.0
+        assert extremal_ratio(inst, 2.0, truncation=4.0) == -math.inf
 
     def test_node_count(self, monkeypatch):
         nodes = []
@@ -225,7 +226,87 @@ class TestExtremalRatio:
         panel_nodes = extremal_mod.panel_nodes
         monkeypatch.setattr(extremal_mod, "panel_nodes", counted)
         extremal_ratio(extremal_pair(320.0 * math.pi, 0.4), 4.0)
-        assert 0 < sum(nodes) <= 100_000
+        assert 0 < sum(nodes) <= 8_000
+
+
+def _full_log_mass(pieces, mp: float) -> float:
+    """The log-sum-exp over every panel of width 0.5/mp, none cut, summed by fsum."""
+    xs, ws = panel_nodes(pieces, 0.5 / mp)
+    terms = np.log(ws) + mp * np.log(np.abs(extremal_mod._unit_kernel(xs)))
+    if not terms.size:
+        return -math.inf
+    top = terms.max()
+    return float(top + math.log(math.fsum(np.exp(terms - top))))
+
+
+PRUNE_SETS = {
+    "gamma-1": two_sliver_set(1.0),  # one piece through 0
+    "asymmetric": IntervalSet(((0.1, 0.3),), period=1.0),
+    "gamma-0.05": two_sliver_set(0.05),
+}
+
+
+class TestPanelCut:
+    """_log_mass evaluates only the panels whose bound can move the sum."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+    @pytest.mark.parametrize("truncation", [None, 0.3, 50.0])
+    @pytest.mark.parametrize("name", sorted(PRUNE_SETS))
+    def test_matches_every_panel(self, monkeypatch, name, truncation, p):
+        monkeypatch.setattr(extremal_mod, "_DIRECT_PANELS", 0)  # cut small inputs too
+        inst = extremal_pair(40.0 * math.pi, 0.1)  # m = 10
+        x_max = default_truncation(inst, p) if truncation is None else truncation
+        mp = inst.power * p
+        for pieces in ([(0.0, x_max)], PRUNE_SETS[name].materialize(-x_max, x_max)):
+            want = _full_log_mass(pieces, mp)
+            got = extremal_mod._log_mass(pieces, mp)
+            assert got == want or abs(got - want) <= 1e-14 * abs(want)
+
+    def test_short_guess_falls_back_to_every_panel(self, monkeypatch):
+        # a guess 2^8 above the mass sets a cut the kept mass cannot vouch for,
+        # so every panel is evaluated after all
+        monkeypatch.setattr(extremal_mod, "_GUESS_BITS", -8)
+        monkeypatch.setattr(extremal_mod, "_DIRECT_PANELS", 0)
+        sums = []
+        log_sum = extremal_mod._log_sum
+        monkeypatch.setattr(extremal_mod, "_log_sum",
+                            lambda pieces, mp: sums.append(pieces) or log_sum(pieces, mp))
+        for pieces in ([(0.0, 4.0)], two_sliver_set(0.05).materialize(-4.0, 4.0)):
+            sums.clear()
+            got = extremal_mod._log_mass(pieces, 320.0)
+            assert len(sums) == 2 and sums[1] is pieces and got == log_sum(pieces, 320.0)
+
+    def test_far_panels_get_no_nodes(self, monkeypatch):
+        # at m p = 40, |kernel|^40 < e^-73 beyond |x| = 1, against a mass ~ e^-3:
+        # one panel_nodes call, on panels of [0, 1] only
+        sizes = []
+
+        def counted(pieces, width):
+            xs, ws = panel_nodes(pieces, width)
+            sizes.append(xs.size)
+            return xs, ws
+
+        monkeypatch.setattr(extremal_mod, "panel_nodes", counted)
+        extremal_mod._log_mass([(0.0, 50.0)], 40.0)
+        assert len(sizes) == 1 and 0 < sizes[0] <= 16 * 80
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        left=st.floats(-60.0, 60.0),
+        width=st.floats(1e-9, 0.5),
+        mp=st.floats(1.01, 2000.0),
+    )
+    @example(left=0.5, width=1e-9, mp=2000.0)  # at a zero of sin
+    @example(left=50.0, width=1e-6, mp=2000.0)  # a zero far out
+    @example(left=-0.01, width=0.02, mp=40.0)  # through 0
+    @example(left=0.24, width=0.02, mp=40.0)  # over a peak of |sin|
+    def test_bound_covers_every_node(self, left, width, mp):
+        right = left + width
+        xs, ws = panel_nodes([(left, right)], 1.0)  # one panel
+        with np.errstate(divide="ignore"):
+            terms = np.log(ws) + mp * np.log(np.abs(extremal_mod._unit_kernel(xs)))
+        bound = extremal_mod._panel_bounds(np.array([left]), np.array([right]), mp)
+        assert terms.max() <= bound[0]
 
 
 class TestExtremalReference:
@@ -242,7 +323,7 @@ class TestExtremalReference:
     def test_matches_reference(self, case):
         inst, p = REFERENCE_CASES[case]
         want = _reference_log10_ratio(inst, p, default_truncation(inst, p))
-        assert abs(math.log10(extremal_ratio(inst, p)) - want) <= 1e-11
+        assert abs(extremal_ratio(inst, p) - want) <= 1e-11
 
     def test_underflowing_cell_value(self):
         inst, p = REFERENCE_CASES["320pi-0.05-4"]
