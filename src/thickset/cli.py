@@ -7,9 +7,12 @@ configs and seeds produce byte-identical files.  Exit status is 0 when all
 asserted contracts hold, 1 with a failure manifest otherwise, 2 for usage
 or config-schema errors.
 
-Every command builds its table through one grid loop, `_tabulate`: a cell
-function runs at each point of the cross product of the command's axes and
-returns its rows and violations.
+Every command, `verify` suite and `bound` evaluator declares its keys once,
+in one table of `_ENTRIES`.  One reader, `_read`, parses a config against
+its table, refuses the keys the table does not declare, and hands the
+sweeping keys, in declared order, to one grid loop, `_tabulate`: a cell
+function runs at each point of the cross product of the axes and returns
+its rows and violations.
 """
 from __future__ import annotations
 
@@ -19,7 +22,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -61,6 +65,7 @@ class ExperimentTable:
 class RunResult:
     table: ExperimentTable
     violations: tuple[str, ...]
+    output: str | None = None  # the config's "output" path
 
     @property
     def exit_status(self) -> int:
@@ -91,7 +96,7 @@ def emit_csv(table: ExperimentTable) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# key parsers: parser(value, key) returns the value or raises ConfigError naming key
 
 
 def _parse_float(value, key: str) -> float:
@@ -110,79 +115,147 @@ def _parse_p(value, key: str) -> float:
     return _parse_float(value, key)
 
 
-def _parse_int(value, key: str, positive: bool = False) -> int:
+def _parse_int(value, key: str, least: int | None = None) -> int:
     """An integer field: an int, not a bool; 2.5, true and "2" are refused."""
-    if not isinstance(value, int) or isinstance(value, bool) or (positive and value < 1):
-        kind = "a positive integer" if positive else "an integer"
+    bad = not isinstance(value, int) or isinstance(value, bool)
+    if bad or (least is not None and value < least):
+        kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[least]
         raise ConfigError(f"{key!r} must be {kind}, got {value!r}")
     return value
 
 
-def _listify(config: dict, key: str, default=None, parser=_parse_float) -> list:
-    """Accept `key` as a scalar or `key`/`key_list` as a list; `parser(value, key)` reads each."""
-    if key in config and f"{key}_list" in config:
-        raise ConfigError(f"config gives both {key!r} and {key + '_list'!r}")
-    if f"{key}_list" in config:
-        raw = config[f"{key}_list"]
-    elif key in config:
-        raw = config[key]
-    elif default is not None:
-        raw = default
-    else:
-        raise ConfigError(f"config needs {key!r} or {key + '_list'!r}")
-    if not isinstance(raw, list):
-        raw = [raw]
-    if not raw:
-        raise ConfigError(f"{key}_list must not be empty")
-    return [parser(v, key) for v in raw]
-
-
-def _set_from_config(data) -> IntervalSet:
-    if not isinstance(data, dict):
-        raise ConfigError("'set' must be an object")
-    if "two_sliver" in data:
-        return two_sliver_set(_parse_float(data["two_sliver"], "two_sliver"))
-    if "intervals" in data:
-        return normalize(data["intervals"], period=data.get("period"))
-    raise ConfigError("'set' needs either 'two_sliver' or 'intervals'")
-
-
-def _constants_from_config(config: dict) -> BoundConstants:
-    overrides = config.get("constants", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("'constants' must be an object")
-    allowed = {"c_one", "c_one_sup", "k_one", "c_multi", "c_aux"}
-    unknown = set(overrides) - allowed
-    if unknown:
-        raise ConfigError(f"unknown constants {sorted(unknown)}")
-    return BoundConstants(**{k: _parse_float(v, k) for k, v in overrides.items()})
-
-
-def _seed_base(config: dict) -> int:
-    """First instance seed: THICKSET_SEED when set, else config `seed` (default 0)."""
+def _parse_seed(value, key: str) -> int:
+    """The first instance seed: THICKSET_SEED when set, else `seed`; a nonnegative integer."""
     env = os.environ.get(SEED_ENV_VAR)
     if env is None:
-        name, seed = "'seed'", config.get("seed", 0)
-    else:
-        name, seed = SEED_ENV_VAR, env
-        try:
-            seed = int(env)
-        except ValueError:
-            pass  # a non-integer stays a string and is refused below
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"{name} must be a nonnegative integer, got {seed!r}")
-    return seed
+        return _parse_int(value, key, least=0)
+    if not env.isdigit():
+        raise ConfigError(f"{SEED_ENV_VAR} must be a nonnegative integer, got {env}")
+    return int(env)
 
 
-def _seed_count(config: dict, default: int) -> int:
-    """Number of instances per cell: `seeds`, an integer >= 1."""
-    return _parse_int(config.get("seeds", default), "seeds", positive=True)
+def _optional(parser):
+    """`parser`, with null read as unset (None)."""
+    return lambda value, key: None if value is None else parser(value, key)
 
 
-def _seeds(config: dict, default: int) -> list[int]:
-    """Instance seeds base, base + 1, ... of a sweep of `seeds` instances."""
-    base = _seed_base(config)
-    return [base + i for i in range(_seed_count(config, default))]
+def _parse_list(value, key: str, parser=_parse_float) -> list:
+    """A non-empty JSON list, each item read by `parser`."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key!r} must be a non-empty list, got {value!r}")
+    return [parser(item, key) for item in value]
+
+
+def _parse_pair(value, key: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{key!r} must be a list of two numbers, got {value!r}")
+    return _parse_float(value[0], key), _parse_float(value[1], key)
+
+
+def _parse_set(value, key: str) -> IntervalSet:
+    """`{"two_sliver": gamma}`, or `{"intervals": [[lo, hi], ...]}` with an optional "period"."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be an object, got {value!r}")
+    for name in value:
+        if name not in ("two_sliver", "intervals", "period"):
+            raise ConfigError(f"unknown key {name!r} in {key!r}")
+        if name != "two_sliver" and "two_sliver" in value:
+            raise ConfigError(f"{key!r} gives both 'two_sliver' and {name!r}")
+    if "two_sliver" in value:
+        return two_sliver_set(_parse_float(value["two_sliver"], "two_sliver"))
+    if "intervals" not in value:
+        raise ConfigError(f"{key!r} needs either 'two_sliver' or 'intervals'")
+    period = _parse_float(value["period"], "period") if "period" in value else None
+    return normalize(_parse_list(value["intervals"], "intervals", _parse_pair), period=period)
+
+
+def _parse_constants(value, key: str) -> BoundConstants:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be an object, got {value!r}")
+    unknown = set(value) - {field.name for field in fields(BoundConstants)}
+    if unknown:
+        raise ConfigError(f"unknown constants {sorted(unknown)}")
+    return BoundConstants(**{k: _parse_float(v, k) for k, v in value.items()})
+
+
+def _parse_output(value, key: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key!r} must be a non-empty string, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# the reader
+#
+# A table row is (name, parser, default, sweeps).  A sweeping key (sweeps
+# True) is given as `name` or `name_list` and is one axis of the grid, in
+# declared order; sweeps _LIST reads `name` or `name_list` as one list that
+# stays inside the cell; any other key takes one value for the whole grid.
+# Defaults are config values and go through the parser; _REQUIRED marks a key
+# without one.
+
+_REQUIRED = object()
+_LIST = "list"
+_SELECTORS = {"bound": ("which", "theorem1"), "verify": ("suite", None)}
+_SHARED = (("output", _optional(_parse_output), None, False),)
+
+
+def _sweep(name, default=_REQUIRED, parser=_parse_float):
+    return (name, parser, default, True)
+
+
+def _one(name, default, parser=_parse_float):
+    return (name, parser, default, False)
+
+
+def _read(config) -> tuple:
+    """The runner a config selects, its parsed keys by name and its grid axes."""
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    command = config.get("command")
+    if command not in COMMANDS:
+        raise ConfigError(f"'command' must be one of {COMMANDS}, got {command!r}")
+    selector, variant = _SELECTORS.get(command, (None, None))
+    if command == "concentration":
+        variant = "freqs" if "freqs" in config or "freqs_list" in config else "sharpness"
+    elif selector is not None:
+        variant = config.get(selector, variant)
+    if (command, variant) not in _ENTRIES:
+        choices = sorted(name for cmd, name in _ENTRIES if cmd == command)
+        raise ConfigError(f"{selector!r} must be one of {choices}, got {variant!r}")
+    table, runner = _ENTRIES[command, variant]
+    table += _SHARED
+    names = {row[0] for row in table}
+    for key in config:
+        listed = key.endswith("_list") and key[:-5] in names
+        if key not in names and not listed and key not in ("command", selector):
+            where = repr(command) if variant is None else f"{command!r} ({variant})"
+            raise ConfigError(f"unknown key {key!r} for {where}")
+    values, axes = ({selector: variant} if selector else {}), []
+    for name, parser, default, sweeps in table:
+        listed = name + "_list"
+        if listed in config and not sweeps:
+            raise ConfigError(f"{listed!r} is not read: {name!r} takes one value for the grid")
+        if listed in config and name in config:
+            raise ConfigError(f"config gives both {name!r} and {listed!r}")
+        raw = config.get(listed, config.get(name, default))
+        if raw is _REQUIRED:
+            raise ConfigError(f"config needs {name!r}" + (f" or {listed!r}" if sweeps else ""))
+        if not sweeps:
+            values[name] = parser(raw, name)
+            continue
+        raw = raw if isinstance(raw, list) else [raw]
+        if not raw:
+            raise ConfigError(f"{listed} must not be empty")
+        values[name] = [parser(item, name) for item in raw]
+        if sweeps is True:
+            axes.append(values[name])
+    return runner, values, axes
+
+
+def _seeds(values: dict) -> list[int]:
+    """Instance seeds base, base + 1, ... of a sweep of `seeds` instances: the last axis."""
+    return [values["seed"] + i for i in range(values["seeds"])]
 
 
 def _tabulate(header: tuple[str, ...], axes, cell) -> RunResult:
@@ -218,175 +291,71 @@ def _mass_budget(labels, where: str) -> tuple[float, float, float, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: runner(values, axes) -> RunResult
 
 
-def _run_bound(config: dict) -> RunResult:
-    which = config.get("which", "theorem1")
-    constants = _constants_from_config(config)
-    if which == "theorem1":
-        header = ("gamma", "n", "ab", "p", "value")
-        axes = (
-            _listify(config, "gamma"),
-            _listify(config, "ab"),
-            _listify(config, "p", parser=_parse_p),
-        )
+def _bound(header: tuple[str, ...], evaluate):
+    """A `bound` runner: one row (which, *evaluate(values, *point)) per grid point."""
 
-        def values(gamma, ab, p):
-            return gamma, 0, ab, p, theorem1_bound(gamma, ab, p, constants)
-    elif which == "theorem2":
-        header = ("gamma", "n", "ab", "p", "value")
-        axes = (
-            _listify(config, "gamma"),
-            _listify(config, "n", default=[1], parser=_parse_int),
-            _listify(config, "ab"),
-            _listify(config, "p", parser=_parse_p),
-        )
+    def runner(v, axes):
+        cell = lambda *point: ([(v["which"], *evaluate(v, *point))], ())
+        return _tabulate(("which",) + header, axes, cell)
 
-        def values(gamma, n, ab, p):
-            return gamma, n, ab, p, theorem2_bound(gamma, n, ab, p, constants)
-    elif which == "remark1":
-        header = ("gamma", "ab", "p", "small_ab", "near_full")
-        axes = (
-            _listify(config, "gamma"),
-            _listify(config, "ab"),
-            _listify(config, "p", parser=_parse_p),
-        )
-
-        def values(gamma, ab, p):
-            pair = remark1_bounds(gamma, ab, p)
-            return gamma, ab, p, pair.small_ab, pair.near_full
-    elif which == "lemma1":
-        # p = inf is the sup form, the one used when no p is given
-        header = ("meas_E", "M", "p", "value")
-        axes = (
-            _listify(config, "meas_E"),
-            _listify(config, "M"),
-            _listify(config, "p", default=[math.inf], parser=_parse_p),
-        )
-
-        def values(meas, m_ratio, p):
-            return meas, m_ratio, p, lemma1_corollary_bound(meas, m_ratio, p, constants)
-    elif which == "lemma3":
-        header = ("len_I", "meas_E", "n", "m", "p", "value")
-        axes = (
-            _listify(config, "len_I", default=[1.0]),
-            _listify(config, "meas_E"),
-            _listify(config, "n", parser=_parse_int),
-            _listify(config, "m", parser=_parse_int),
-            _listify(config, "p", parser=_parse_p),
-        )
-
-        def values(len_i, meas, n, m, p):
-            return len_i, meas, n, m, p, lemma3_bound(len_i, meas, n, m, p, constants)
-    elif which == "nazarov_remez":
-        header = ("len_I", "meas_E", "n", "nazarov", "remez")
-        axes = (
-            _listify(config, "len_I", default=[1.0]),
-            _listify(config, "meas_E"),
-            _listify(config, "n", parser=_parse_int),
-        )
-
-        def values(len_i, meas, n):
-            pair = nazarov_remez_bounds(len_i, meas, n, constants)
-            return len_i, meas, n, pair.nazarov, pair.remez
-    elif which == "multidim":
-        # without n the single-band form is evaluated, printed as n = 0
-        header = ("gamma", "d", "sum_ab", "n", "p", "value")
-        products = tuple(_parse_float(v, "ab_products") for v in config.get("ab_products", [1.0]))
-        params = MultiDimParams(d=len(products), ab_products=products)
-        axes = (
-            _listify(config, "gamma"),
-            _listify(config, "n", parser=_parse_int) if ("n" in config or "n_list" in config) else [None],
-            _listify(config, "p", default=[2.0], parser=_parse_p),
-        )
-
-        def values(gamma, n, p):
-            value = multidim_bound(gamma, params, p, n, constants)
-            return gamma, params.d, sum(products), 0 if n is None else n, p, value
-    else:
-        raise ConfigError(f"unknown bound evaluator {which!r}")
-    return _tabulate(("which",) + header, axes, lambda *point: ([(which, *values(*point))], ()))
+    return runner
 
 
-def _run_thickness(config: dict) -> RunResult:
-    E = _set_from_config(config.get("set", {}))
-    domain = config.get("domain")
-    if domain is not None and (not isinstance(domain, list) or len(domain) != 2):
-        raise ConfigError(f"'domain' must be a list of two numbers, got {domain!r}")
-    domain = tuple(_parse_float(v, "domain") for v in domain) if domain is not None else None
+def _multidim(v, gamma, n, p):
+    # without n the single-band form is evaluated, printed as n = 0
+    params = MultiDimParams(d=len(v["ab_products"]), ab_products=v["ab_products"])
+    value = multidim_bound(gamma, params, p, n, v["constants"])
+    return gamma, params.d, sum(v["ab_products"]), 0 if n is None else n, p, value
 
+
+def _run_thickness(v, axes) -> RunResult:
     def cell(a):
-        return [(a, thickness(E, a, domain=domain).gamma)], ()
+        return [(a, thickness(v["set"], a, domain=v["domain"]).gamma)], ()
 
-    return _tabulate(("a", "gamma"), (_listify(config, "a", default=[1.0]),), cell)
+    return _tabulate(("a", "gamma"), axes, cell)
 
 
-def _run_concentration(config: dict) -> RunResult:
-    constants = _constants_from_config(config)
-    if "freqs" in config:
-        freqs = [_parse_int(m, "freqs") for m in config["freqs"]]
-        E = _set_from_config(config.get("set", {}))
-        period = _parse_float(config.get("L", 1.0), "L")
-        header = ("n_freqs", "measure_fraction", "lambda_min", "residual")
+def _run_freqs(v, axes) -> RunResult:
+    freqs = v["freqs"]
+    header = ("n_freqs", "measure_fraction", "lambda_min", "residual")
 
-        def explicit():
-            result = min_concentration(freqs, E, period)
-            row = (len(freqs), result.gram.measure_fraction, result.lambda_min, result.residual)
-            return [row], ()
+    def explicit():
+        result = min_concentration(freqs, v["set"], v["L"])
+        row = (len(freqs), result.gram.measure_fraction, result.lambda_min, result.residual)
+        return [row], ()
 
-        return _tabulate(header, (), explicit)
-    period = _parse_float(config.get("L", 8.0), "L")
-    window = _parse_float(config.get("window", 1.0), "window")
-    header = (
-        "gamma",
-        "b",
-        "n_freqs",
-        "lambda_min",
-        "exact",
-        "bound",
-        "log10_bound",
-        "log10_margin",
-        "holds",
-    )
+    return _tabulate(header, axes, explicit)
+
+
+def _run_sharpness(v, axes) -> RunResult:
+    header = ("gamma", "b", "n_freqs", "lambda_min", "exact", "bound", "log10_bound",
+              "log10_margin", "holds")
 
     def cell(gamma, b):
         report = sharpness_gap(
-            BandSpec((0.0,), b), two_sliver_set(gamma), period, constants, window
+            BandSpec((0.0,), b), two_sliver_set(gamma), v["L"], v["constants"], v["window"]
         )
-        row = (
-            report.gamma,
-            b,
-            report.n_freqs,
-            report.lambda_min,
-            report.exact,
-            report.bound,
-            report.log10_bound,
-            report.log10_margin,
-            report.holds,
-        )
+        row = (report.gamma, b, report.n_freqs, report.lambda_min, report.exact, report.bound,
+               report.log10_bound, report.log10_margin, report.holds)
         violations = [] if report.holds else [
             f"concentration: exact {report.exact:.6g} below bound at gamma={gamma:g} b={b:g}"
         ]
         return [row], violations
 
-    axes = (_listify(config, "gamma"), _listify(config, "b"))
     return _tabulate(header, axes, cell)
 
 
-def _run_extremal(config: dict) -> RunResult:
-    constants = _constants_from_config(config)
-    if "truncation_list" in config:
-        raise ConfigError("'truncation_list' is not read: give one 'truncation' for the grid")
-    truncation = config.get("truncation")
-    truncation = _parse_float(truncation, "truncation") if truncation is not None else None
+def _run_extremal(v, axes) -> RunResult:
     header = ("b", "gamma", "p", "power", "ratio", "log10_ratio", "bound_log10",
               "example_log10", "holds")
 
     def cell(b, gamma, p):
         inst = extremal_pair(b, gamma)
-        log10_ratio = extremal_ratio(inst, p, truncation)
-        bound_log10 = theorem1_bound_log10(gamma, b, p, constants)
+        log10_ratio = extremal_ratio(inst, p, v["truncation"])
+        bound_log10 = theorem1_bound_log10(gamma, b, p, v["constants"])
         example_log10 = (inst.power - 1) * math.log10(gamma)
         holds = log10_ratio >= bound_log10
         violations = [] if holds else [
@@ -395,71 +364,46 @@ def _run_extremal(config: dict) -> RunResult:
         row = (b, gamma, p, inst.power, 10.0 ** log10_ratio, log10_ratio)
         return [row + (bound_log10, example_log10, holds)], violations
 
-    axes = (
-        _listify(config, "b"),
-        _listify(config, "gamma"),
-        _listify(config, "p", default=[2.0], parser=_parse_p),
-    )
     return _tabulate(header, axes, cell)
 
 
-def _run_classify(config: dict) -> RunResult:
-    seed = _seed_base(config)
-    b = _parse_float(config.get("b", 4.0 * math.pi), "b")
-    p = _parse_p(config.get("p", 2), "p")
-    period = _parse_float(config.get("L", 8.0), "L")
+def _run_classify(v, axes) -> RunResult:
     header = ("index", "lo", "hi", "good", "first_bad_order", "mass")
 
     def instance():
-        labels = _classified(b, p, period, seed)[1]
+        labels = _classified(v["b"], v["p"], v["L"], v["seed"])[1]
         violations = _mass_budget(labels, "classify")[3]
         columns = (labels.good.tolist(), labels.first_bad_order.tolist(), labels.mass.tolist())
         indexed = enumerate(zip(labels.intervals, *columns))
         rows = [(i, lo, hi, *rest) for i, ((lo, hi), *rest) in indexed]
         return rows, violations
 
-    return _tabulate(header, (), instance)
+    return _tabulate(header, axes, instance)
 
 
 # ---------------------------------------------------------------------------
 # verify suites
 
 
-def _suite_good_bad(config: dict) -> RunResult:
-    period = _parse_float(config.get("L", 8.0), "L")
-    header = (
-        "seed",
-        "b",
-        "p",
-        "n_bad",
-        "bad_mass_fraction",
-        "good_mass_fraction",
-        "bad_budget",
-    )
+def _suite_good_bad(v, axes) -> RunResult:
+    header = ("seed", "b", "p", "n_bad", "bad_mass_fraction", "good_mass_fraction", "bad_budget")
 
     def cell(b, p, seed):
-        labels = _classified(b, p, period, seed)[1]
+        labels = _classified(b, p, v["L"], seed)[1]
         where = f"good_bad: seed={seed} b={b:g} p={p:g}"
         bad_fraction, good_fraction, budget, violations = _mass_budget(labels, where)
         n_bad = int((~labels.good).sum())
         return [(seed, b, p, n_bad, bad_fraction, good_fraction, budget)], violations
 
-    axes = (
-        _listify(config, "b", default=[4.0 * math.pi]),
-        _listify(config, "p", default=[1.0, 2.0], parser=_parse_p),
-        _seeds(config, 10),
-    )
-    return _tabulate(header, axes, cell)
+    return _tabulate(header, axes + [_seeds(v)], cell)
 
 
-def _suite_local_estimate(config: dict) -> RunResult:
-    period = _parse_float(config.get("L", 8.0), "L")
-    constants = _constants_from_config(config)
+def _suite_local_estimate(v, axes) -> RunResult:
     header = ("seed", "b", "p", "gamma", "n_good", "n_holds", "all_hold")
 
     def cell(b, p, gamma, seed):
-        f, labels = _classified(b, p, period, seed)
-        checks = proofcheck.local_estimate_check(f, two_sliver_set(gamma), labels, constants)
+        f, labels = _classified(b, p, v["L"], seed)
+        checks = proofcheck.local_estimate_check(f, two_sliver_set(gamma), labels, v["constants"])
         n_holds = sum(check.holds for check in checks)
         all_hold = n_holds == len(checks)
         violations = [] if all_hold else [
@@ -468,25 +412,17 @@ def _suite_local_estimate(config: dict) -> RunResult:
         ]
         return [(seed, b, p, gamma, len(checks), n_holds, all_hold)], violations
 
-    axes = (
-        _listify(config, "b", default=[4.0 * math.pi]),
-        _listify(config, "p", default=[1.0, 2.0], parser=_parse_p),
-        _listify(config, "gamma", default=[0.1, 0.3, 0.7]),
-        _seeds(config, 5),
-    )
-    return _tabulate(header, axes, cell)
+    return _tabulate(header, axes + [_seeds(v)], cell)
 
 
-def _suite_growth(config: dict) -> RunResult:
-    period = _parse_float(config.get("L", 8.0), "L")
-    radius = _parse_float(config.get("radius", 4.5), "radius")
+def _suite_growth(v, axes) -> RunResult:
     header = ("seed", "b", "p", "interval_lo", "ratio", "bound", "holds")
 
     def cell(b, p, seed):
-        f, labels = _classified(b, p, period, seed)
+        f, labels = _classified(b, p, v["L"], seed)
         rows = []
         violations = []
-        envelopes = proofcheck.growth_envelope(f, labels, radius)
+        envelopes = proofcheck.growth_envelope(f, labels, v["radius"])
         for iv, env in zip(labels.good_intervals, envelopes):
             rows.append((seed, b, p, iv[0], env.ratio, env.bound, env.holds))
             if not env.holds:
@@ -495,27 +431,19 @@ def _suite_growth(config: dict) -> RunResult:
                 )
         return rows, violations
 
-    axes = (
-        _listify(config, "b", default=[4.0 * math.pi]),
-        _listify(config, "p", default=[1.0, 2.0], parser=_parse_p),
-        _seeds(config, 5),
-    )
-    return _tabulate(header, axes, cell)
+    return _tabulate(header, axes + [_seeds(v)], cell)
 
 
-def _suite_taylor(config: dict) -> RunResult:
-    period = _parse_float(config.get("L", 8.0), "L")
-    n_bands = _parse_int(config.get("n", 2), "n")
-    window = _parse_float(config.get("window", 0.5), "window")
+def _suite_taylor(v, axes) -> RunResult:
     header = ("seed", "b", "p", "m", "identity_error", "lhs", "rhs", "holds")
 
     def cell(b, p, m, seed):
-        centers = tuple(3.0 * b * k for k in range(n_bands))
+        centers = tuple(3.0 * b * k for k in range(v["n"]))
         components = [
-            random_bandlimited(BandSpec((0.0,), b), period, seed=seed + 1000 * k)
-            for k in range(n_bands)
+            random_bandlimited(BandSpec((0.0,), b), v["L"], seed=seed + 1000 * k)
+            for k in range(v["n"])
         ]
-        interval = (1.0, 1.0 + window)
+        interval = (1.0, 1.0 + v["window"])
         split = proofcheck.taylor_split(components, centers, interval, m)
         xs = np.linspace(interval[0], interval[1], 17)
         direct = split.total(xs)
@@ -537,29 +465,21 @@ def _suite_taylor(config: dict) -> RunResult:
             )
         return [(seed, b, p, m, identity_error, lhs, rhs, holds)], violations
 
-    axes = (
-        _listify(config, "b", default=[2.0 * math.pi]),
-        _listify(config, "p", default=[2.0], parser=_parse_p),
-        _listify(config, "m", default=[3], parser=_parse_int),
-        _seeds(config, 5),
-    )
-    return _tabulate(header, axes, cell)
+    return _tabulate(header, axes + [_seeds(v)], cell)
 
 
-def _suite_band_norms(config: dict) -> RunResult:
-    period = _parse_float(config.get("L", 8.0), "L")
-    n_bands = _parse_int(config.get("n", 2), "n")
+def _suite_band_norms(v, axes) -> RunResult:
     header = ("seed", "b", "p", "n", "max_ratio", "parseval_gap")
 
     def cell(b, p, seed):
-        spec = BandSpec(tuple(3.0 * b * k for k in range(n_bands)), b)
-        f = random_bandlimited(spec, period, seed=seed)
+        spec = BandSpec(tuple(3.0 * b * k for k in range(v["n"])), b)
+        f = random_bandlimited(spec, v["L"], seed=seed)
         report = proofcheck.band_component_norms(f, spec, p)
         gap = math.nan
         violations = []
         if p == 2.0:
             total = report.total
-            gap = abs(sum(v * v for v in report.norms) - total * total) / total ** 2
+            gap = abs(sum(x * x for x in report.norms) - total * total) / total ** 2
             if report.max_ratio > 1.0 + 1e-6:
                 violations.append(
                     f"band_norms: seed={seed} b={b:g} component ratio "
@@ -567,42 +487,22 @@ def _suite_band_norms(config: dict) -> RunResult:
                 )
             if gap > 1e-6:
                 violations.append(f"band_norms: seed={seed} b={b:g} Parseval gap {gap:.3e}")
-        return [(seed, b, p, n_bands, report.max_ratio, gap)], violations
+        return [(seed, b, p, v["n"], report.max_ratio, gap)], violations
 
-    axes = (
-        _listify(config, "b", default=[2.0 * math.pi]),
-        _listify(config, "p", default=[2.0], parser=_parse_p),
-        _seeds(config, 5),
-    )
-    return _tabulate(header, axes, cell)
+    return _tabulate(header, axes + [_seeds(v)], cell)
 
 
-def _suite_expsum(config: dict) -> RunResult:
-    base = _seed_base(config)
-    n_instances = _seed_count(config, 8)
-    constants = _constants_from_config(config)
-    fractions = _listify(
-        config, "fraction", default=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    )
+def _suite_expsum(v, axes) -> RunResult:
+    fractions = v["fraction"]
     if len(set(fractions)) < 2:
         raise ConfigError("expsum needs at least two distinct 'fraction' values to fit a slope")
-    header = (
-        "n",
-        "m",
-        "p",
-        "fraction",
-        "worst_ratio",
-        "bound",
-        "slope",
-        "slope_cap",
-        "minimal_c",
-    )
+    header = ("n", "m", "p", "fraction", "worst_ratio", "bound", "slope", "slope_cap", "minimal_c")
     sets = [IntervalSet(((0.0, fraction),)) for fraction in fractions]
 
     def cell(n, m, p):
         checks = []  # instance i depends on (i, n, m) only: one call checks every fraction
-        for i in range(n_instances):
-            rng = np.random.default_rng(base + 7919 * i + 13 * n + 101 * m)
+        for i in range(v["seeds"]):
+            rng = np.random.default_rng(v["seed"] + 7919 * i + 13 * n + 101 * m)
             lams = np.sort(rng.uniform(-25.0, 25.0, size=n))
             while np.unique(lams).size < n:
                 lams = np.sort(rng.uniform(-25.0, 25.0, size=n))
@@ -610,7 +510,7 @@ def _suite_expsum(config: dict) -> RunResult:
                 (float(lam), rng.standard_normal(m) + 1j * rng.standard_normal(m))
                 for lam in lams
             ]
-            checks.append(proofcheck.exp_sum_verifier(terms, (0.0, 1.0), sets, p, constants))
+            checks.append(proofcheck.exp_sum_verifier(terms, (0.0, 1.0), sets, p, v["constants"]))
         worst: list[tuple[float, float]] = []
         violations: list[str] = []
         for fraction, column in zip(fractions, zip(*checks)):
@@ -629,58 +529,133 @@ def _suite_expsum(config: dict) -> RunResult:
         minimal = proofcheck.minimal_transfer_constant(worst, n * m - holder_share(p))
         rows = []
         for (_, best), fraction in zip(worst, fractions):
-            bound = lemma3_bound(1.0, fraction, n, m, p, constants)
+            bound = lemma3_bound(1.0, fraction, n, m, p, v["constants"])
             rows.append((n, m, p, fraction, best, bound, slope, cap, minimal))
         return rows, violations
 
-    axes = (
-        _listify(config, "n", default=[1, 2, 3], parser=_parse_int),
-        _listify(config, "m", default=[1, 2, 3], parser=_parse_int),
-        _listify(config, "p", default=[2.0, math.inf], parser=_parse_p),
-    )
     return _tabulate(header, axes, cell)
 
 
-_SUITES = {
-    "good_bad": _suite_good_bad,
-    "local_estimate": _suite_local_estimate,
-    "growth": _suite_growth,
-    "taylor": _suite_taylor,
-    "band_norms": _suite_band_norms,
-    "expsum": _suite_expsum,
-}
+# ---------------------------------------------------------------------------
+# the key tables: (command, "which" / "suite" / concentration mode) -> (table, runner)
+
+_CONSTANTS = _one("constants", {}, _parse_constants)
+_L = _one("L", 8.0)
+_SEED = _one("seed", 0, _parse_seed)
 
 
-def _run_verify(config: dict) -> RunResult:
-    suite = config.get("suite")
-    if suite not in _SUITES:
-        raise ConfigError(f"'suite' must be one of {sorted(_SUITES)}, got {suite!r}")
-    return _SUITES[suite](config)
+def _instances(count: int) -> tuple:
+    """`seed`, the first instance seed, and `seeds`, the number of instances per cell."""
+    return _SEED, _one("seeds", count, partial(_parse_int, least=1))
 
 
-_RUNNERS = {
-    "bound": _run_bound,
-    "thickness": _run_thickness,
-    "concentration": _run_concentration,
-    "verify": _run_verify,
-    "extremal": _run_extremal,
-    "classify": _run_classify,
+_ENTRIES = {
+    ("bound", "theorem1"): (
+        (_sweep("gamma"), _sweep("ab"), _sweep("p", parser=_parse_p), _CONSTANTS),
+        _bound(("gamma", "n", "ab", "p", "value"), lambda v, gamma, ab, p: (
+            gamma, 0, ab, p, theorem1_bound(gamma, ab, p, v["constants"]))),
+    ),
+    ("bound", "theorem2"): (
+        (_sweep("gamma"), _sweep("n", 1, _parse_int), _sweep("ab"), _sweep("p", parser=_parse_p),
+         _CONSTANTS),
+        _bound(("gamma", "n", "ab", "p", "value"), lambda v, gamma, n, ab, p: (
+            gamma, n, ab, p, theorem2_bound(gamma, n, ab, p, v["constants"]))),
+    ),
+    ("bound", "remark1"): (
+        (_sweep("gamma"), _sweep("ab"), _sweep("p", parser=_parse_p)),
+        _bound(("gamma", "ab", "p", "small_ab", "near_full"), lambda v, gamma, ab, p: (
+            gamma, ab, p, *astuple(remark1_bounds(gamma, ab, p)))),
+    ),
+    # p = inf is the sup form, the one used when no p is given
+    ("bound", "lemma1"): (
+        (_sweep("meas_E"), _sweep("M"), _sweep("p", "inf", _parse_p), _CONSTANTS),
+        _bound(("meas_E", "M", "p", "value"), lambda v, meas, m_ratio, p: (
+            meas, m_ratio, p, lemma1_corollary_bound(meas, m_ratio, p, v["constants"]))),
+    ),
+    ("bound", "lemma3"): (
+        (_sweep("len_I", 1.0), _sweep("meas_E"), _sweep("n", parser=_parse_int),
+         _sweep("m", parser=_parse_int), _sweep("p", parser=_parse_p), _CONSTANTS),
+        _bound(("len_I", "meas_E", "n", "m", "p", "value"), lambda v, len_i, meas, n, m, p: (
+            len_i, meas, n, m, p, lemma3_bound(len_i, meas, n, m, p, v["constants"]))),
+    ),
+    ("bound", "nazarov_remez"): (
+        (_sweep("len_I", 1.0), _sweep("meas_E"), _sweep("n", parser=_parse_int), _CONSTANTS),
+        _bound(("len_I", "meas_E", "n", "nazarov", "remez"), lambda v, len_i, meas, n: (
+            len_i, meas, n, *astuple(nazarov_remez_bounds(len_i, meas, n, v["constants"])))),
+    ),
+    ("bound", "multidim"): (
+        (_sweep("gamma"), _sweep("n", None, _optional(_parse_int)), _sweep("p", 2.0, _parse_p),
+         _one("ab_products", [1.0], _parse_list), _CONSTANTS),
+        _bound(("gamma", "d", "sum_ab", "n", "p", "value"), _multidim),
+    ),
+    ("thickness", None): (
+        (_one("set", _REQUIRED, _parse_set), _one("domain", None, _optional(_parse_pair)),
+         _sweep("a", 1.0)),
+        _run_thickness,
+    ),
+    ("concentration", "freqs"): (
+        (_one("freqs", _REQUIRED, partial(_parse_list, parser=_parse_int)),
+         _one("set", _REQUIRED, _parse_set), _one("L", 1.0)),
+        _run_freqs,
+    ),
+    ("concentration", "sharpness"): (
+        (_CONSTANTS, _L, _one("window", 1.0), _sweep("gamma"), _sweep("b")),
+        _run_sharpness,
+    ),
+    ("extremal", None): (
+        (_CONSTANTS, _one("truncation", None, _optional(_parse_float)), _sweep("b"),
+         _sweep("gamma"), _sweep("p", 2.0, _parse_p)),
+        _run_extremal,
+    ),
+    ("classify", None): (
+        (_SEED, _one("b", 4.0 * math.pi), _one("p", 2.0, _parse_p), _L),
+        _run_classify,
+    ),
+    ("verify", "good_bad"): (
+        (_L, _sweep("b", 4.0 * math.pi), _sweep("p", [1.0, 2.0], _parse_p), *_instances(10)),
+        _suite_good_bad,
+    ),
+    ("verify", "local_estimate"): (
+        (_L, _CONSTANTS, _sweep("b", 4.0 * math.pi), _sweep("p", [1.0, 2.0], _parse_p),
+         _sweep("gamma", [0.1, 0.3, 0.7]), *_instances(5)),
+        _suite_local_estimate,
+    ),
+    ("verify", "growth"): (
+        (_L, _one("radius", 4.5), _sweep("b", 4.0 * math.pi), _sweep("p", [1.0, 2.0], _parse_p),
+         *_instances(5)),
+        _suite_growth,
+    ),
+    ("verify", "taylor"): (
+        (_L, _one("n", 2, _parse_int), _one("window", 0.5), _sweep("b", 2.0 * math.pi),
+         _sweep("p", 2.0, _parse_p), _sweep("m", 3, _parse_int), *_instances(5)),
+        _suite_taylor,
+    ),
+    ("verify", "band_norms"): (
+        (_L, _one("n", 2, _parse_int), _sweep("b", 2.0 * math.pi), _sweep("p", 2.0, _parse_p),
+         *_instances(5)),
+        _suite_band_norms,
+    ),
+    # each cell checks every fraction on the same instances, so `fraction` is no axis
+    ("verify", "expsum"): (
+        (*_instances(8), _CONSTANTS,
+         ("fraction", _parse_float, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], _LIST),
+         _sweep("n", [1, 2, 3], _parse_int), _sweep("m", [1, 2, 3], _parse_int),
+         _sweep("p", [2.0, "inf"], _parse_p)),
+        _suite_expsum,
+    ),
 }
 
 
 def run(config: dict) -> RunResult:
     """Validate and execute one experiment config."""
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    command = config.get("command")
-    if command not in COMMANDS:
-        raise ConfigError(f"'command' must be one of {COMMANDS}, got {command!r}")
     try:
-        return _RUNNERS[command](config)
+        runner, values, axes = _read(config)
+        result = runner(values, axes)
     except ThicksetError:
         raise
     except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed config for {command!r}: {exc}") from exc
+        raise ConfigError(f"malformed config for {config['command']!r}: {exc}") from exc
+    return RunResult(result.table, result.violations, values["output"])
 
 
 def main(argv=None) -> int:
@@ -707,10 +682,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = emit_csv(result.table)
-    out_path = args.out or config.get("output")
+    out_path = args.out or result.output
     if out_path:
-        with open(out_path, "wb") as handle:
-            handle.write(payload)
+        try:
+            with open(out_path, "wb") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(payload)
     if args.verbose:

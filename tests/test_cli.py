@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from thickset import ConfigError
+from thickset import cli as cli_mod
 from thickset.cli import (
     ExperimentTable,
     RunResult,
@@ -461,10 +462,11 @@ class TestMain:
     def test_violation_manifest_exits_one(self, tmp_path, capsys, monkeypatch):
         from thickset import cli as cli_mod
 
-        def fake(config):
+        def fake(values, axes):
             return RunResult(ExperimentTable(("a",), ((1,),)), ("synthetic failure",))
 
-        monkeypatch.setitem(cli_mod._RUNNERS, "thickness", fake)
+        table = cli_mod._ENTRIES["thickness", None][0]
+        monkeypatch.setitem(cli_mod._ENTRIES, ("thickness", None), (table, fake))
         path = write_config(tmp_path, {"command": "thickness", "set": {"two_sliver": 0.5}})
         rc = main(["--config", path])
         assert rc == 1
@@ -518,3 +520,213 @@ class TestSubprocess:
             runs.append(proc.stdout)
         assert runs[0] == runs[1]
         assert runs[0].startswith(b"seed,b,p,")
+
+
+# the smallest valid config of each entry of cli._ENTRIES, with cheap grids
+MINIMAL = {
+    ("bound", "theorem1"): {"gamma": 0.5, "ab": 1.0, "p": 2},
+    ("bound", "theorem2"): {"gamma": 0.5, "ab": 1.0, "p": 2},
+    ("bound", "remark1"): {"gamma": 0.5, "ab": 1.0, "p": 2},
+    ("bound", "lemma1"): {"meas_E": 0.5, "M": 2.0},
+    ("bound", "lemma3"): {"meas_E": 0.5, "n": 1, "m": 1, "p": 2},
+    ("bound", "nazarov_remez"): {"meas_E": 0.5, "n": 1},
+    ("bound", "multidim"): {"gamma": 0.5},
+    ("thickness", None): {"set": {"two_sliver": 0.5}},
+    ("concentration", "freqs"): {"freqs": [0, 1], "set": {"two_sliver": 0.5}},
+    ("concentration", "sharpness"): {"gamma": 0.5, "b": 2.0 * math.pi},
+    ("extremal", None): {"b": 40.0 * math.pi, "gamma": 0.4},
+    ("classify", None): {},
+    ("verify", "good_bad"): {"seeds": 1, "p": 2},
+    ("verify", "local_estimate"): {"seeds": 1, "p": 2, "gamma": 0.3},
+    ("verify", "growth"): {"seeds": 1, "p": 2},
+    ("verify", "taylor"): {"seeds": 1},
+    ("verify", "band_norms"): {"seeds": 1},
+    ("verify", "expsum"): {"seeds": 1, "n": 1, "m": 1, "p": 2},
+}
+SELECTOR = {"bound": "which", "verify": "suite"}
+
+
+def minimal(entry) -> dict:
+    command, variant = entry
+    config = {"command": command, **MINIMAL[entry]}
+    if command in SELECTOR:
+        config[SELECTOR[command]] = variant
+    return config
+
+
+def table_keys(*kinds):
+    """(entry, key name, default) of every declared key that sweeps (kind True),
+    takes one value (kind False) or is read as one list (kind "list")."""
+    return [
+        pytest.param(entry, name, default, id=f"{entry[0]}-{entry[1]}-{name}")
+        for entry, (table, _) in cli_mod._ENTRIES.items()
+        for name, _, default, sweeps in table
+        if sweeps in kinds
+    ]
+
+
+def config_error(tmp_path, capsys, config) -> str:
+    """Run `config` through main, require exit 2 and return its stderr."""
+    assert main(["--config", write_config(tmp_path, config)]) == 2
+    return capsys.readouterr().err
+
+
+class TestKeyTables:
+    """Every entry refuses what its table does not declare, and sweeps what it does."""
+
+    def test_every_entry_has_a_minimal_config(self):
+        assert set(MINIMAL) == set(cli_mod._ENTRIES)
+        for entry in MINIMAL:
+            assert run(minimal(entry)).exit_status == 0, entry
+
+    @pytest.mark.parametrize("entry, name, default", table_keys(True, False, "list"))
+    def test_misspelled_key_exits_two(self, tmp_path, capsys, entry, name, default):
+        config = minimal(entry)
+        value = config.get(name, default)
+        for key in (name.swapcase(), name.swapcase() + "_list", name + "_lst"):
+            assert key not in {row[0] for row in cli_mod._ENTRIES[entry][0]}
+            err = config_error(tmp_path, capsys, {**config, key: value})
+            assert f"unknown key {key!r}" in err
+
+    @pytest.mark.parametrize("entry, name, default", table_keys(False))
+    def test_one_value_key_as_list_exits_two(self, tmp_path, capsys, entry, name, default):
+        config = minimal(entry)
+        value = config.pop(name, default)
+        err = config_error(tmp_path, capsys, {**config, f"{name}_list": [value]})
+        assert f"'{name}_list' is not read" in err
+
+    @pytest.mark.parametrize("entry, name, default", table_keys(True))
+    def test_two_value_list_doubles_rows(self, entry, name, default):
+        config = minimal(entry)
+        value = config.pop(name, default)
+        value = value[0] if isinstance(value, list) else value
+        single = run({**config, name: value}).table.rows
+        double = run({**config, f"{name}_list": [value, value]}).table.rows
+        assert single and len(double) == 2 * len(single)
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"command": "concentration", "gama": 0.5, "gamma": 0.3, "b": 6.283185307179586},
+             "'gama'"),
+            ({"command": "verify", "suite": "growth", "radius_list": [1, 2]}, "'radius_list'"),
+            ({"command": "verify", "suite": "band_norms", "n_list": [3]}, "'n_list'"),
+            ({"command": "classify", "L_list": [16.0]}, "'L_list'"),
+            ({"command": "verify", "suite": "taylor", "windw": 0.25}, "'windw'"),
+            ({"command": "thickness", "set": {"two_sliver": 0.5, "perod": 3}}, "'perod'"),
+            ({"command": "verify", "suite": "good_bad", "seeds_list": [1, 2]}, "'seeds_list'"),
+            ({"command": "bound", "which": "remark1", "gamma": 0.5, "ab": 1, "p": 2,
+              "constants": {}}, "'constants'"),
+            ({"command": "concentration", "freqs": [0, 1], "set": {"two_sliver": 0.5},
+              "gamma": 0.5}, "'gamma'"),
+        ],
+    )
+    def test_silently_ignored_configs_exit_two(self, tmp_path, capsys, config, key):
+        assert key in config_error(tmp_path, capsys, config)
+
+    def test_list_key_stays_inside_the_cell(self):
+        # expsum's fraction is one list per cell, not an axis: one cell, one row per fraction
+        config = {**minimal(("verify", "expsum")), "fraction_list": [0.3, 0.6, 0.9]}
+        assert [row[3] for row in run(config).table.rows] == [0.3, 0.6, 0.9]
+        assert [param.values[1] for param in table_keys("list")] == ["fraction"]
+
+    def test_multidim_without_n_is_the_single_band_form(self):
+        rows = run(minimal(("bound", "multidim"))).table.rows
+        assert [row[4] for row in rows] == [0]
+
+
+class TestStructuredKeys:
+    @pytest.mark.parametrize(
+        "set_, message",
+        [
+            ({"two_sliver": 0.5, "perod": 3}, "unknown key 'perod' in 'set'"),
+            ({"two_sliver": 0.5, "intervals": [[0, 0.1]]},
+             "'set' gives both 'two_sliver' and 'intervals'"),
+            ({"intervals": [[0, 0.5]], "period": True}, "'period' must be a number, got True"),
+            ({"intervals": [[0, 0.5]], "period": "2"}, "'period' must be a number, got '2'"),
+            ({"intervals": [[0, "0.5"]]}, "'intervals' must be a number, got '0.5'"),
+            ({"intervals": [[0, 0.2, 0.5]]}, "'intervals' must be a list of two numbers"),
+            ({"period": 2.0}, "'set' needs either 'two_sliver' or 'intervals'"),
+        ],
+        ids=["unknown-key", "two-sliver-and-intervals", "period-true", "period-string",
+             "endpoint-string", "endpoint-triple", "no-intervals"],
+    )
+    def test_bad_set_exits_two(self, tmp_path, capsys, set_, message):
+        config = {"command": "thickness", "a": 0.5, "set": set_}
+        assert message in config_error(tmp_path, capsys, config)
+
+    def test_integer_period_is_read_as_a_number(self):
+        config = {"command": "thickness", "a": 0.5, "set": {"intervals": [[0, 1]], "period": 2}}
+        as_float = {**config, "set": {"intervals": [[0.0, 1.0]], "period": 2.0}}
+        assert emit_csv(run(config).table) == emit_csv(run(as_float).table)
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"command": "concentration", "freqs": 3, "set": {"two_sliver": 0.5}}, "freqs"),
+            ({"command": "bound", "which": "multidim", "gamma": 0.5, "ab_products": 3},
+             "ab_products"),
+            ({"command": "bound", "which": "multidim", "gamma": 0.5, "ab_products": []},
+             "ab_products"),
+            ({"command": "thickness", "set": {"intervals": [[0.2, 0.4]]}, "domain": 3}, "domain"),
+            ({"command": "bound", "gamma": 0.5, "ab": 1, "p": 2, "constants": [1]}, "constants"),
+        ],
+    )
+    def test_structured_key_error_names_the_key(self, tmp_path, capsys, config, key):
+        err = config_error(tmp_path, capsys, config)
+        assert f"{key!r} must be" in err and "not iterable" not in err
+
+
+class TestOutput:
+    @pytest.mark.parametrize("value", [["x"], 7, "", True])
+    def test_bad_output_exits_two(self, tmp_path, capsys, value):
+        config = {"command": "thickness", "set": {"two_sliver": 0.5}, "output": value}
+        assert f"'output' must be a non-empty string, got {value!r}" in config_error(
+            tmp_path, capsys, config
+        )
+
+    def test_unwritable_config_output_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "table.csv"
+        config = {"command": "thickness", "set": {"two_sliver": 0.5}, "output": str(out)}
+        assert "error: cannot write output: " in config_error(tmp_path, capsys, config)
+        assert not out.exists()
+
+    def test_unwritable_out_flag_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"command": "thickness", "set": {"two_sliver": 0.5}})
+        assert main(["--config", path, "--out", str(tmp_path / "missing" / "t.csv")]) == 2
+        assert "error: cannot write output: " in capsys.readouterr().err
+
+    def test_out_flag_wins_over_config_output(self, tmp_path):
+        config = {"command": "thickness", "set": {"two_sliver": 0.5},
+                  "output": str(tmp_path / "config.csv")}
+        flag = tmp_path / "flag.csv"
+        assert main(["--config", write_config(tmp_path, config), "--out", str(flag)]) == 0
+        assert flag.exists() and not (tmp_path / "config.csv").exists()
+
+
+def readme_key_lines() -> list[str]:
+    """The README's per-entry key list, as the declared tables render it."""
+    lines = []
+    for (command, variant), (table, _) in cli_mod._ENTRIES.items():
+        groups = {True: [], cli_mod._LIST: [], False: []}
+        for name, _, default, sweeps in table:
+            text = f"`{name}`"
+            if default is not cli_mod._REQUIRED:
+                text += f" = `{json.dumps(default)}`"
+            groups[sweeps].append(text)
+        label = f"`{command}`" + (f" `{variant}`" if variant else "")
+        parts = [
+            f"{title} {', '.join(groups[kind])}"
+            for title, kind in (("sweeps", True), ("list", cli_mod._LIST), ("one value", False))
+            if groups[kind]
+        ]
+        lines.append(f"- {label}: " + "; ".join(parts))
+    return lines
+
+
+class TestReadmeKeys:
+    def test_key_list_matches_the_tables(self):
+        text = README.read_text()
+        block = re.search(r"Keys per entry[^\n]*\n\n((?:- [^\n]*\n)+)", text)
+        assert block is not None
+        assert block.group(1).splitlines() == readme_key_lines()
