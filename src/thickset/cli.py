@@ -500,38 +500,31 @@ def _suite_expsum(v, axes) -> RunResult:
     sets = [IntervalSet(((0.0, fraction),)) for fraction in fractions]
 
     def cell(n, m, p):
-        checks = []  # instance i depends on (i, n, m) only: one call checks every fraction
+        instances = []  # instance i depends on (i, n, m) only: one call checks every fraction
         for i in range(v["seeds"]):
             rng = np.random.default_rng(v["seed"] + 7919 * i + 13 * n + 101 * m)
             lams = np.sort(rng.uniform(-25.0, 25.0, size=n))
             while np.unique(lams).size < n:
                 lams = np.sort(rng.uniform(-25.0, 25.0, size=n))
-            terms = [
+            instances.append([
                 (float(lam), rng.standard_normal(m) + 1j * rng.standard_normal(m))
                 for lam in lams
-            ]
-            checks.append(proofcheck.exp_sum_verifier(terms, (0.0, 1.0), sets, p, v["constants"]))
-        worst: list[tuple[float, float]] = []
-        violations: list[str] = []
-        for fraction, column in zip(fractions, zip(*checks)):
-            best = 0.0
-            for check in column:
-                best = max(best, check.ratio)
-                if not check.holds:
-                    violations.append(
-                        f"expsum: n={n} m={m} p={p:g} fraction={fraction:g} ratio over bound"
-                    )
-            worst.append((1.0 / fraction, best))
-        scales = np.log([s for s, _ in worst])
-        ratios = np.log([r for _, r in worst])
-        slope = float(np.polyfit(scales, ratios, 1)[0])
-        cap = n * m - holder_share(p) + 0.1
-        minimal = proofcheck.minimal_transfer_constant(worst, n * m - holder_share(p))
-        rows = []
-        for (_, best), fraction in zip(worst, fractions):
-            bound = lemma3_bound(1.0, fraction, n, m, p, v["constants"])
-            rows.append((n, m, p, fraction, best, bound, slope, cap, minimal))
-        return rows, violations
+            ])
+        checks = proofcheck.exp_sum_verifier(instances, (0.0, 1.0), sets, p, v["constants"])
+        columns = list(zip(*checks))  # one per fraction
+        violations = [
+            f"expsum: n={n} m={m} p={p:g} fraction={fraction:g} ratio over bound"
+            for fraction, column in zip(fractions, columns) for check in column if not check.holds
+        ]
+        worst = [(1.0 / f, max(c.ratio for c in column)) for f, column in zip(fractions, columns)]
+        slope = float(np.polyfit(*np.log(worst).T, 1)[0])
+        exponent = n * m - holder_share(p)
+        minimal = proofcheck.minimal_transfer_constant(worst, exponent)
+        # |I| = 1 and |E| = fraction, so each bound is lemma3_bound(1, fraction, n, m, p)
+        return [
+            (n, m, p, fraction, best, column[0].bound, slope, exponent + 0.1, minimal)
+            for fraction, (_, best), column in zip(fractions, worst, columns)
+        ], violations
 
     return _tabulate(header, axes, cell)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -271,7 +272,8 @@ class TaylorSplit:
 
     def exp_sum(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        evaluate = _expsum_closure(np.array(self.centers), self.poly_coeffs, self.base, False)
+        lams = np.array(self.centers)
+        evaluate = _expsum_closure(lams, _expsum_table(lams, self.poly_coeffs, False), self.base)
         out = evaluate(xs.ravel())[0].reshape(xs.shape)
         return complex(out[0]) if np.ndim(x) == 0 else out
 
@@ -436,132 +438,149 @@ class ExpSumCheck:
     remez_bound: float | None
 
 
-def _expsum_closure(lams: np.ndarray, coeff_arrays, x0: float, derivatives: bool):
-    """Vectorized x -> f(x) = sum_k p_k(x - x0) exp(i lam_k x) over 1-D arrays, shape (1, x.size).
+def _expsum_table(lams: np.ndarray, coeff_arrays, derivatives: bool) -> np.ndarray:
+    """Rows x terms x powers coefficients of f = sum_k p_k(x - x0) exp(i lam_k x), zero-padded.
 
-    With `derivatives` the rows are f, f', f'' (shape (3, x.size)), each a sum
-    of q_k(x - x0) exp(i lam_k x) with q = p, p' + i lam p, p'' + 2 i lam p' -
-    lam^2 p.  Horner runs over one padded rows x n x m table at once, with the
-    operations and order of a per-term ``npoly.polyval``; the terms are then
-    summed in order.
+    Row r is sum_k q_k(x - x0) exp(i lam_k x): q = p for the row f, and with
+    `derivatives` q = p' + i lam p, p'' + 2 i lam p' - lam^2 p for f', f''.
     """
     poly = np.zeros((len(coeff_arrays), max(arr.size for arr in coeff_arrays)), np.complex128)
     for row, arr in zip(poly, coeff_arrays):
         row[: arr.size] = arr
-    lam, table = lams[:, None], poly[None]
-    if derivatives:
-        powers, pad = np.arange(1, poly.shape[1]), ((0, 0), (0, 1))
-        slope = np.pad(poly[:, 1:] * powers, pad)
-        curve = np.pad(slope[:, 1:] * powers, pad)
-        table = np.stack([poly, slope + 1j * lam * poly, curve + 2j * lam * slope - lam**2 * poly])
+    if not derivatives:
+        return poly[None]
+    lam, powers = lams[:, None], np.arange(1, poly.shape[1])
+    slope, curve = np.zeros_like(poly), np.zeros_like(poly)
+    slope[:, :-1] = poly[:, 1:] * powers
+    curve[:, :-1] = slope[:, 1:] * powers
+    return np.stack([poly, slope + 1j * lam * poly, curve + 2j * lam * slope - lam**2 * poly])
+
+
+def _expsum_closure(lams: np.ndarray, table: np.ndarray, x0: float):
+    """Vectorized x -> the ``_expsum_table`` rows at 1-D arrays x, shape (rows, x.size).
+
+    Horner runs over the whole table at once, with the operations and order
+    of a per-term ``npoly.polyval``; the terms are then summed in order.
+    """
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
         u = xs - x0
         acc = table[..., -1:]
         for j in range(table.shape[-1] - 2, -1, -1):
             acc = acc * u + table[..., j : j + 1]
-        return (acc * np.exp(1j * (lam * xs))).sum(axis=1)
+        return (acc * np.exp(1j * (lams[:, None] * xs))).sum(axis=1)
 
     return evaluate
 
 
 def exp_sum_verifier(
-    terms,
+    instances,
     interval: tuple[float, float],
     sets,
     p: float,
     constants: BoundConstants = DEFAULT_CONSTANTS,
-) -> tuple[ExpSumCheck, ...]:
-    """Measure ||r||_{Lp(I)} / ||r||_{Lp(E)} for r = sum_k p_k(x) e^(i lam_k x), each E in `sets`.
+) -> tuple[tuple[ExpSumCheck, ...], ...]:
+    """Measure ||r||_{Lp(I)} / ||r||_{Lp(E)} for each instance r and each E in `sets`.
 
     Parameters
     ----------
-    terms : sequence of (lam, coeffs)
-        Distinct real frequencies with ascending-power polynomial
-        coefficients in the centered variable x - midpoint(I).
+    instances : sequence of term sequences
+        At least one r = sum_k p_k(x) e^(i lam_k x), given as (lam, coeffs)
+        pairs: distinct real frequencies with ascending-power polynomial
+        coefficients in x - midpoint(I).  Errors name the instance's index.
     interval : (lo, hi)
         The ambient interval I.
     sets : sequence of IntervalSet
         Observation subsets E, at least one; only their parts inside I are
-        used.  One check is returned per set, in order.
+        used, materialized once for every instance.
     p : float
         Exponent in [1, inf]; for p = inf sups are used.
 
-    One value per span (I, then each set's pieces in order) comes from one
-    ``sup_abs`` search at p = inf, pure polynomials included, or from one
-    ``piece_integrals`` call at finite p, so norm_I is shared by every set.
-    The reported `bound` is the norm-transfer bound with the configured
-    constants; the Nazarov (pure exponential sums, p = inf) and Remez
-    (single zero-frequency polynomial, p = inf) forms are attached when
-    they apply.
+    Returns per instance, in order, one check per set, with the bits of a
+    call on that instance alone.  Each instance has one value per span (I,
+    then each set's pieces), so norm_I is shared by every set: one
+    ``sup_abs`` search per instance at p = inf, and at finite p one
+    ``piece_integrals`` call over every instance's spans, instance-major,
+    each at its own panel width and through its own Horner.  The `bound`
+    is the norm-transfer bound with the configured constants; the Nazarov
+    (pure exponential sums, p = inf) and Remez (single zero-frequency
+    polynomial, p = inf) forms are attached when they apply.  Bounds are
+    computed once per (set, n, m).
     """
     p = check_exponent(p)
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise InvalidWindowError(f"invalid interval ({lo}, {hi})")
-    length = hi - lo
-    lams = np.array([float(lam) for lam, _ in terms])
-    if lams.size == 0:
-        raise ValueError("need at least one term")
-    if np.unique(lams).size != lams.size:
-        raise DuplicateFrequencyError("repeated exponential frequency")
-    coeff_arrays = []
-    for _, coeffs in terms:
-        arr = np.asarray(coeffs, dtype=np.complex128).ravel()
-        if arr.size == 0:
-            raise InvalidDegreeError("each term needs at least one coefficient")
-        coeff_arrays.append(arr)
-    if all(np.all(arr == 0) for arr in coeff_arrays):
-        raise ZeroFunctionError("the zero exponential sum has no norm ratio")
-    n = int(lams.size)
-    m = max(arr.size for arr in coeff_arrays)
+    length, mid = hi - lo, 0.5 * (lo + hi)
+    lam_lists, coeff_arrays, shapes = [], [], []  # shapes: first term, n, m, Remez degree
+    for i, terms in enumerate(instances):
+        lams = np.array([float(lam) for lam, _ in terms])
+        arrays = [np.asarray(coeffs, dtype=np.complex128).ravel() for _, coeffs in terms]
+        if np.unique(lams).size != lams.size:
+            raise DuplicateFrequencyError(f"instance {i}: repeated exponential frequency")
+        if any(arr.size == 0 for arr in arrays):
+            raise InvalidDegreeError(f"instance {i}: each term needs at least one coefficient")
+        if all(np.all(arr == 0) for arr in arrays):  # an instance with no term, too
+            raise ZeroFunctionError(f"instance {i}: the zero exponential sum has no norm ratio")
+        pure_poly = lams.size == 1 and lams[0] == 0.0
+        degree = int(np.max(np.nonzero(arrays[0] != 0)[0])) if pure_poly else None
+        shapes.append((len(coeff_arrays), lams.size, max(arr.size for arr in arrays), degree))
+        lam_lists.append(lams)
+        coeff_arrays += arrays
+    if not lam_lists:
+        raise ValueError("need at least one instance")
     piece_lists = [E.materialize(lo, hi) for E in sets]
     if not piece_lists:
         raise ValueError("need at least one set")
     measures = [sum(b - a for a, b in pieces) for pieces in piece_lists]
     if min(measures) <= 0:
         raise EmptySetError("a set misses the interval entirely")
-    evaluate = _expsum_closure(lams, coeff_arrays, 0.5 * (lo + hi), math.isinf(p))
-    width = panel_width(float(np.max(np.abs(lams))), RESOLUTION)
-    pure_poly = n == 1 and lams[0] == 0.0
     spans = ((lo, hi),) + sum(piece_lists, ())
+    table = _expsum_table(np.concatenate(lam_lists), coeff_arrays, math.isinf(p))
+    evaluators = [
+        _expsum_closure(lams, table[:, k : k + n, :m], mid)
+        for lams, (k, n, m, _) in zip(lam_lists, shapes)
+    ]
+    widths = [panel_width(float(np.max(np.abs(lams))), RESOLUTION) for lams in lam_lists]
     if math.isinf(p):
-        counts = [max(17, 2 * int(math.ceil((b - a) / width)) + 1) for a, b in spans]
-        per_span = sup_abs(evaluate, spans, counts)
+        counts = lambda w: [max(17, 2 * int(math.ceil((b - a) / w)) + 1) for a, b in spans]
+        per_span = [sup_abs(f, spans, counts(w)) for f, w in zip(evaluators, widths)]
     else:
-        per_span = piece_integrals(lambda x, _: np.abs(evaluate(x)[0]) ** p, spans, width)
-    norm_I = float(per_span[0]) if math.isinf(p) else float(per_span[0]) ** (1.0 / p)
-    degree = int(np.max(np.nonzero(coeff_arrays[0] != 0)[0])) if pure_poly else 0
-    checks = []
-    start = 1
-    for pieces, meas in zip(piece_lists, measures):
-        own, start = per_span[start : start + len(pieces)], start + len(pieces)
+        firsts = np.arange(1, len(evaluators)) * len(spans)  # each later instance's first span
+
+        def integrand(x, piece):
+            runs = np.split(x, np.searchsorted(piece, firsts))
+            return np.concatenate([np.abs(f(run)[0]) ** p for f, run in zip(evaluators, runs)])
+
+        span_widths = [w for w in widths for _ in spans]
+        per_span = piece_integrals(integrand, spans * len(widths), span_widths)
+        per_span = per_span.reshape(len(widths), len(spans))
+
+    @cache
+    def bounds(meas: float, n: int, m: int, degree: int | None):
         nazarov = remez = None
-        if math.isinf(p):
-            norm_E = float(max(own))
-            if m == 1:
-                nazarov = nazarov_remez_bounds(length, meas, n, constants).nazarov
-            if pure_poly:
-                remez = nazarov_remez_bounds(length, meas, degree, constants).remez
-        else:
+        if math.isinf(p) and m == 1:
+            nazarov = nazarov_remez_bounds(length, meas, n, constants).nazarov
+        if math.isinf(p) and degree is not None:
+            remez = nazarov_remez_bounds(length, meas, degree, constants).remez
+        return lemma3_bound(length, meas, n, m, p, constants), nazarov, remez
+
+    out = []
+    for (_, n, m, degree), values in zip(shapes, per_span):
+        norm_I = float(values[0]) if math.isinf(p) else float(values[0]) ** (1.0 / p)
+        checks, start = [], 1
+        for pieces, meas in zip(piece_lists, measures):
+            own, start = values[start : start + len(pieces)], start + len(pieces)
             # cumsum adds the piece masses left to right, unlike np.sum
-            norm_E = float(np.cumsum(own)[-1]) ** (1.0 / p)
-        ratio = norm_I / norm_E
-        bound = lemma3_bound(length, meas, n, m, p, constants)
-        # the bound is attained with equality by a single pure exponential at
-        # p = inf, so the verdict carries a small relative tolerance
-        checks.append(
-            ExpSumCheck(
-                ratio=ratio,
-                bound=bound,
-                holds=ratio <= bound * (1.0 + 1e-9),
-                norm_I=norm_I,
-                norm_E=norm_E,
-                nazarov_bound=nazarov,
-                remez_bound=remez,
-            )
-        )
-    return tuple(checks)
+            norm_E = float(max(own)) if math.isinf(p) else float(np.cumsum(own)[-1]) ** (1.0 / p)
+            ratio = norm_I / norm_E
+            bound, nazarov, remez = bounds(meas, n, m, degree)
+            # the bound is attained with equality by a single pure exponential at
+            # p = inf, so the verdict carries a small relative tolerance
+            holds = ratio <= bound * (1.0 + 1e-9)
+            checks.append(ExpSumCheck(ratio, bound, holds, norm_I, norm_E, nazarov, remez))
+        out.append(tuple(checks))
+    return tuple(out)
 
 
 # Grid of candidate constants scanned by minimal_transfer_constant: the

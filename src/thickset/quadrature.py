@@ -1,9 +1,9 @@
 """Composite Gauss-Legendre panels, per-piece integrals and a batched Newton sup search.
 
 The fixed order-16 rule integrates polynomials up to degree 31 exactly per
-panel; callers control accuracy through the panel width alone.  One call
-of ``panel_nodes``, ``piece_integrals`` or ``sup_abs`` (rows f, f', f'')
-covers every piece at once; only this module knows how nodes map to pieces.
+panel; callers control accuracy through the panel width alone, one for all
+pieces or one per piece.  One ``panel_nodes``, ``piece_integrals`` or ``sup_abs``
+call covers every piece; only this module knows how nodes map to pieces.
 """
 from __future__ import annotations
 
@@ -47,15 +47,22 @@ def panel_count(lo: float, hi: float, max_width: float) -> int:
     return max(1, int(math.ceil((hi - lo) / max_width - 1e-12)))
 
 
-def panel_nodes(pieces, max_width: float) -> tuple[np.ndarray, np.ndarray]:
+def _panel_counts(pieces, max_width) -> list[int]:
+    """panel_count of each piece at `max_width`: one float, or a sequence of one per piece."""
+    widths = [max_width] * len(pieces) if np.isscalar(max_width) else max_width
+    return [panel_count(lo, hi, width) for (lo, hi), width in zip(pieces, widths, strict=True)]
+
+
+def panel_nodes(pieces, max_width) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on every piece (lo, hi), in order.
 
-    Piece [lo, hi] gets n = panel_count(lo, hi, max_width) equal panels with
-    the edges of np.linspace(lo, hi, n + 1) and half-width (hi - lo) / (2 n),
-    so the result has the bits of the single-piece rules concatenated; a
-    piece with hi <= lo adds no node.
+    Piece [lo, hi] gets n = panel_count(lo, hi, w) equal panels, w being
+    `max_width` or, for a sequence, the piece's own entry, with the edges of
+    np.linspace(lo, hi, n + 1) and half-width (hi - lo) / (2 n), so the
+    result has the bits of the single-piece rules concatenated; a piece with
+    hi <= lo adds no node.
     """
-    counts = np.array([panel_count(lo, hi, max_width) for lo, hi in pieces], dtype=np.int64)
+    counts = np.array(_panel_counts(pieces, max_width), dtype=np.int64)
     lo, hi = np.array(pieces, dtype=float).reshape(-1, 2)[counts > 0].T
     counts = counts[counts > 0]
     step, last = (hi - lo) / counts, np.cumsum(counts)
@@ -94,17 +101,17 @@ def base_cell(pieces, max_width: float, period: float, copies: int) -> tuple[tup
     return tuple(pieces), 1
 
 
-def piece_integrals(integrand, pieces, max_width: float, block: int | None = None) -> np.ndarray:
+def piece_integrals(integrand, pieces, max_width, block: int | None = None) -> np.ndarray:
     """Composite-rule integral of `integrand` over each piece, shape (..., len(pieces)).
 
-    integrand(x, piece) gets 1-D ``panel_nodes`` x and each node's piece
-    index, and returns shape (..., x.size).  Nodes go through it in runs of
-    at most `block` (all at once for None), each added to its pieces' sums
-    by np.add.reduceat, so a run may split a piece.  A piece with hi <= lo
-    has no node and integrates to 0.
+    integrand(x, piece) gets 1-D ``panel_nodes(pieces, max_width)`` x and
+    each node's piece index, and returns shape (..., x.size).  Nodes go
+    through it in runs of at most `block` (all at once for None), each added
+    to its pieces' sums by np.add.reduceat, so a run may split a piece.  A
+    piece with hi <= lo has no node and integrates to 0.
     """
     xs, ws = panel_nodes(pieces, max_width)
-    sizes = [GL_ORDER * panel_count(lo, hi, max_width) for lo, hi in pieces]
+    sizes = [GL_ORDER * count for count in _panel_counts(pieces, max_width)]
     owner = np.repeat(np.arange(len(pieces)), sizes)
     run = max(1, xs.size if block is None else block)
     total = None

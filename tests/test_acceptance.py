@@ -182,16 +182,17 @@ def test_criterion_5_transfer_shape():
     for n in (1, 2, 3):
         for m in (1, 2, 3):
             for p in (2.0, math.inf):
-                # an instance does not depend on the fraction: one call checks all
-                per_instance = []
+                # an instance does not depend on the fraction: one call checks
+                # every instance against every fraction
+                instances = []
                 for i in range(6):
                     rng = np.random.default_rng(rng_base + 101 * i + 17 * n + 3 * m)
                     lams = np.sort(rng.uniform(-25.0, 25.0, size=n))
-                    terms = [
+                    instances.append([
                         (float(lam), rng.standard_normal(m) + 1j * rng.standard_normal(m))
                         for lam in lams
-                    ]
-                    per_instance.append(exp_sum_verifier(terms, interval, sets, p))
+                    ])
+                per_instance = exp_sum_verifier(instances, interval, sets, p)
                 bound_violations += sum(not c.holds for checks in per_instance for c in checks)
                 worst = [max(c.ratio for c in column) for column in zip(*per_instance)]
                 xs = np.log([1.0 / s for s in fractions])
@@ -212,8 +213,8 @@ def test_criterion_5_transfer_shape():
             ) / (e ** np.arange(degree + 1))
             candidates.append(cheb)
             for coeffs in candidates:
-                (check,) = exp_sum_verifier(
-                    [(0.0, coeffs)], (-1.0, 1.0), (IntervalSet(((-e, e),)),), math.inf
+                ((check,),) = exp_sum_verifier(
+                    [[(0.0, coeffs)]], (-1.0, 1.0), (IntervalSet(((-e, e),)),), math.inf
                 )
                 if check.remez_bound is None or check.ratio > check.remez_bound:
                     remez_violations += 1

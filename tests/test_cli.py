@@ -195,10 +195,11 @@ class TestGridOrder:
 
 
 class TestExpsumSuite:
-    def test_one_verifier_call_and_one_sup_search_per_instance(self, monkeypatch):
+    @pytest.mark.parametrize("p, searches, integrals", [("inf", 3, 0), (2, 0, 1)])
+    def test_one_verifier_call_per_cell(self, monkeypatch, p, searches, integrals):
         from thickset import proofcheck
 
-        calls = {"exp_sum_verifier": 0, "sup_abs": 0}
+        calls = {"exp_sum_verifier": 0, "sup_abs": 0, "piece_integrals": 0}
 
         def counted(name):
             real = getattr(proofcheck, name)
@@ -209,11 +210,12 @@ class TestExpsumSuite:
 
             monkeypatch.setattr(proofcheck, name, wrapper)
 
-        counted("exp_sum_verifier")
-        counted("sup_abs")
-        run({"command": "verify", "suite": "expsum", "seeds": 3, "n": 2, "m": 2, "p": "inf"})
-        # each instance is checked against all nine default fractions at once
-        assert calls == {"exp_sum_verifier": 3, "sup_abs": 3}
+        for name in calls:
+            counted(name)
+        run({"command": "verify", "suite": "expsum", "seeds": 3, "n": 2, "m": 2, "p": p})
+        # one call checks the three instances against all nine default fractions:
+        # one sup search per instance at p = inf, one integral over them all at p = 2
+        assert calls == {"exp_sum_verifier": 1, "sup_abs": searches, "piece_integrals": integrals}
 
     @pytest.mark.parametrize(
         "extra, tails",

@@ -14,6 +14,7 @@ from thickset import (
     ClassifierParams,
     DuplicateFrequencyError,
     EmptySetError,
+    InvalidDegreeError,
     IntervalSet,
     InvalidBandError,
     InvalidExponentError,
@@ -471,14 +472,14 @@ class TestExpSumVerifier:
             IntervalSet(((0.1, 0.2), (0.5, 0.8))),
             IntervalSet(((0.0, 0.05), (0.3, 0.35), (0.9, 1.0))),
         )
-        checks = exp_sum_verifier([(3.0, [1.0 + 0.5j])], (0.0, 1.0), sets, 2.0)
+        (checks,) = exp_sum_verifier([[(3.0, [1.0 + 0.5j])]], (0.0, 1.0), sets, 2.0)
         for meas, check in zip((0.4, 0.4, 0.2), checks):
             assert math.isclose(check.ratio, math.sqrt(1.0 / meas), rel_tol=1e-10)
             assert check.holds
 
     def test_single_exponential_sup_is_one(self):
         E = IntervalSet(((0.0, 0.4),))
-        (check,) = exp_sum_verifier([(3.0, [2.0])], (0.0, 1.0), (E,), math.inf)
+        ((check,),) = exp_sum_verifier([[(3.0, [2.0])]], (0.0, 1.0), (E,), math.inf)
         assert math.isclose(check.ratio, 1.0, rel_tol=1e-12)
         assert math.isclose(check.bound, 1.0, rel_tol=1e-12)
         assert check.holds
@@ -489,7 +490,7 @@ class TestExpSumVerifier:
         u = 1.0 / 0.45
         coeffs = [0.0, -3.0 * u, 0.0, 4.0 * u ** 3]
         E = IntervalSet(((-0.45, 0.45),))
-        (check,) = exp_sum_verifier([(0.0, coeffs)], (-1.0, 1.0), (E,), math.inf)
+        ((check,),) = exp_sum_verifier([[(0.0, coeffs)]], (-1.0, 1.0), (E,), math.inf)
         want = 4.0 * u ** 3 - 3.0 * u
         assert math.isclose(check.ratio, want, rel_tol=1e-9)
         assert check.remez_bound is not None
@@ -499,28 +500,37 @@ class TestExpSumVerifier:
     def test_nazarov_bound_attached_for_pure_exponentials(self):
         E = IntervalSet(((0.0, 0.25),))
         terms = [(1.0, [1.0]), (4.0, [0.5]), (9.0, [1.0j])]
-        (check,) = exp_sum_verifier(terms, (0.0, 1.0), (E,), math.inf)
+        ((check,),) = exp_sum_verifier([terms], (0.0, 1.0), (E,), math.inf)
         assert check.nazarov_bound is not None
         assert check.ratio <= check.nazarov_bound * (1.0 + 1e-9)
 
-    def test_duplicate_frequency_rejected(self):
-        with pytest.raises(DuplicateFrequencyError):
-            exp_sum_verifier(
-                [(1.0, [1.0]), (1.0, [2.0])], (0.0, 1.0), (IntervalSet(((0.0, 0.5),)),), 2.0
-            )
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([(1.0, [1.0]), (1.0, [2.0])], DuplicateFrequencyError),
+            ([(1.0, [0.0]), (2.0, [0.0, 0.0])], ZeroFunctionError),
+            ([(1.0, [1.0]), (2.0, [])], InvalidDegreeError),
+            ([], ZeroFunctionError),  # no term at all: the zero sum
+        ],
+    )
+    def test_bad_instance_rejected_by_index(self, bad, error):
+        good = [(3.0, [1.0])]
+        for instances, index in (([bad], 0), ([good, good, bad], 2)):
+            with pytest.raises(error, match=f"^instance {index}: "):
+                exp_sum_verifier(instances, (0.0, 1.0), (IntervalSet(((0.0, 0.5),)),), 2.0)
 
-    def test_zero_sum_rejected(self):
-        with pytest.raises(ZeroFunctionError):
-            exp_sum_verifier([(1.0, [0.0])], (0.0, 1.0), (IntervalSet(((0.0, 0.5),)),), 2.0)
+    def test_empty_instance_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one instance"):
+            exp_sum_verifier([], (0.0, 1.0), (IntervalSet(((0.0, 0.5),)),), 2.0)
 
     def test_empty_set_list_rejected(self):
         with pytest.raises(ValueError, match="at least one set"):
-            exp_sum_verifier([(1.0, [1.0])], (0.0, 1.0), (), 2.0)
+            exp_sum_verifier([[(1.0, [1.0])]], (0.0, 1.0), (), 2.0)
 
     def test_set_missing_the_interval_rejected(self):
         sets = (IntervalSet(((0.0, 0.5),)), IntervalSet(((2.0, 3.0),)))
         with pytest.raises(EmptySetError):
-            exp_sum_verifier([(1.0, [1.0])], (0.0, 1.0), sets, 2.0)
+            exp_sum_verifier([[(1.0, [1.0])]], (0.0, 1.0), sets, 2.0)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     @pytest.mark.parametrize("pure_poly", [False, True])
@@ -541,10 +551,10 @@ class TestExpSumVerifier:
                 (lam, rng.standard_normal(m) + 1j * rng.standard_normal(m))
                 for lam, m in ((-13.0, 2), (2.5, 3), (18.0, 1))
             ]
-        together = exp_sum_verifier(terms, (0.0, 1.0), sets, p)
+        (together,) = exp_sum_verifier([terms], (0.0, 1.0), sets, p)
         assert len(together) == len(sets)
         for E, got in zip(sets, together):
-            (want,) = exp_sum_verifier(terms, (0.0, 1.0), (E,), p)
+            ((want,),) = exp_sum_verifier([terms], (0.0, 1.0), (E,), p)
             if math.isinf(p) and not pure_poly:
                 # a zoom row that has finished keeps zooming while others narrow
                 for name in ("norm_I", "norm_E", "ratio"):
@@ -564,8 +574,40 @@ class TestExpSumVerifier:
                 for lam in lams
             ]
             for p in (2.0, math.inf):
-                (check,) = exp_sum_verifier(terms, (0.0, 1.0), (E,), p)
+                ((check,),) = exp_sum_verifier([terms], (0.0, 1.0), (E,), p)
                 assert check.holds
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_instances_match_one_instance_at_a_time(self, p):
+        # n, m and max |lam| differ, so do the panel widths and grid counts;
+        # the pure polynomial keeps its Remez bound
+        rng = np.random.default_rng(34)
+        shapes = (
+            ((-13.0, 2), (2.5, 3), (18.0, 1)),
+            ((0.0, 4),),
+            ((4.0, 1), (-40.0, 1)),
+            ((7.5, 2),),
+        )
+        instances = [
+            [(lam, rng.standard_normal(m) + 1j * rng.standard_normal(m)) for lam, m in shape]
+            for shape in shapes
+        ]
+        widths = {panel_width(max(abs(lam) for lam, _ in shape), RESOLUTION) for shape in shapes}
+        assert len(widths) == len(shapes)
+        sets = (
+            IntervalSet(((0.1, 0.3), (0.6, 0.7))),
+            IntervalSet(((0.0, 0.5),)),
+            IntervalSet(((0.05, 0.15), (0.4, 0.45), (0.8, 0.98))),
+        )
+        together = exp_sum_verifier(instances, (0.0, 1.0), sets, p)
+        assert len(together) == len(instances)
+        for terms, got in zip(instances, together):
+            (want,) = exp_sum_verifier([terms], (0.0, 1.0), sets, p)
+            assert repr(got) == repr(want)  # repr round-trips every float bit
+        assert all(c.remez_bound is not None for c in together[1]) == math.isinf(p)
+        assert all(c.remez_bound is None for i in (0, 2, 3) for c in together[i])
+        # the instances differ, so a swapped or shifted slice cannot pass
+        assert len({checks[0].norm_I for checks in together}) == len(instances)
 
 
     @pytest.mark.parametrize("pure_poly", [False, True])
@@ -586,7 +628,7 @@ class TestExpSumVerifier:
             return real_sup_abs(*args)
 
         monkeypatch.setattr(proofcheck, "sup_abs", counted)
-        (check,) = exp_sum_verifier(terms, (0.0, 1.0), (E,), math.inf)
+        ((check,),) = exp_sum_verifier([terms], (0.0, 1.0), (E,), math.inf)
         # both sups come from one search, the interval first
         assert len(calls) == 1
         assert calls[0] == ((0.0, 1.0),) + E.intervals
@@ -619,7 +661,8 @@ class TestExpSumClosure:
         ]
         x0 = 0.3
         xs = np.linspace(-1.0, 2.0, 1001)
-        got = proofcheck._expsum_closure(lams, coeff_arrays, x0, True)(xs)
+        table = proofcheck._expsum_table(lams, coeff_arrays, True)
+        got = proofcheck._expsum_closure(lams, table, x0)(xs)
         want = np.zeros((3,) + xs.shape, dtype=np.complex128)
         scale = np.zeros((3,) + xs.shape)
         for lam, coeffs in zip(lams.tolist(), coeff_arrays):
@@ -640,7 +683,8 @@ class TestExpSumClosure:
         lams = np.array([-3.0, 5.5])
         coeff_arrays = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (4, 2)]
         xs = np.linspace(0.0, 1.0, 257)
-        rows = proofcheck._expsum_closure(lams, coeff_arrays, 0.0, False)(xs)
+        table = proofcheck._expsum_table(lams, coeff_arrays, False)
+        rows = proofcheck._expsum_closure(lams, table, 0.0)(xs)
         table = np.zeros((2, 4), np.complex128)
         table[0], table[1, :2] = coeff_arrays
         acc = table[:, -1:]

@@ -84,6 +84,36 @@ def test_multi_piece_rule_is_concatenation(pieces, width):
     assert ws.tobytes() == np.concatenate([np.empty(0)] + [w for _, w in rules]).tobytes()
 
 
+# (piece, width): tiny, adjacent, zero-length and far pieces at five widths
+_WIDE = [
+    ((0.0, 1.0), 0.3),
+    ((0.0, 1e-13), 0.1),
+    ((-1.5, 0.2), 0.37),
+    ((0.2, 0.7), 0.37),
+    ((0.7, 3.1), 0.05),
+    ((0.0, 0.0), 0.05),
+    ((3.0, 2.5), 0.37),
+    ((4.0, 4.25), 0.05),
+    ((0.45, 0.55), 1.0 / 256),
+    ((10.0, 42.0), 1.0 / 256),
+]
+
+
+def test_per_piece_widths_are_concatenation():
+    pieces, widths = [p for p, _ in _WIDE], [w for _, w in _WIDE]
+    xs, ws = panel_nodes(pieces, widths)
+    rules = [panel_nodes([piece], width) for piece, width in _WIDE]
+    assert xs.tobytes() == np.concatenate([x for x, _ in rules]).tobytes()
+    assert ws.tobytes() == np.concatenate([w for _, w in rules]).tobytes()
+    # one width for every piece, as a float or repeated per piece: the same bits
+    for width in (0.37, 1.0 / 256):
+        want = panel_nodes(pieces, width)
+        got = panel_nodes(pieces, [width] * len(pieces))
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    with pytest.raises(ValueError):
+        panel_nodes(pieces, widths[:-1])
+
+
 def _stacked(x, piece):
     """Two positive rows, the second complex and depending on the piece index."""
     return np.stack([2.0 + np.cos(3.0 * x), (1.0 + 0.5j) * (piece + 1) * (1.0 + x * x)])
@@ -113,6 +143,24 @@ def test_piece_integrals_match_per_piece_rule(block):
     n_nodes = sum(GL_ORDER * panel_count(lo, hi, 0.37) for lo, hi in _PIECES)
     assert sum(sizes) == n_nodes
     assert max(sizes) == (n_nodes if block is None else block)
+
+
+def test_piece_integrals_per_piece_widths():
+    pieces, widths = [p for p, _ in _WIDE], [w for _, w in _WIDE]
+    seen = []
+
+    def integrand(x, piece):
+        seen.append((x, piece))
+        return _stacked(x, piece)
+
+    got = piece_integrals(integrand, pieces, widths)
+    ((x, piece),) = seen
+    assert x.tobytes() == panel_nodes(pieces, widths)[0].tobytes()
+    for j, (one, width) in enumerate(_WIDE):
+        xs, ws = panel_nodes([one], width)
+        assert x[piece == j].tobytes() == xs.tobytes()
+        want = piece_integrals(lambda t, _: _stacked(t, np.full(t.size, j)), [one], width)
+        assert got[:, j].tobytes() == want[:, 0].tobytes()
 
 
 def test_piece_integrals_one_row_and_no_nodes():
