@@ -175,7 +175,7 @@ def _eval_rows(table: np.ndarray, k: int, period: float, m_min, x: np.ndarray) -
 
     table = _step_tables(ms, c) and z = exp(2 pi i (x mod L) / L): powers
     z^0..z^B, one product with the table, Horner in z^B over all k rows at
-    once, times z^m_min.
+    once, times z^m_min unless m_min = 0.
     """
     baby = table.shape[1]
     turns = np.mod(x, period) / period
@@ -189,33 +189,47 @@ def _eval_rows(table: np.ndarray, k: int, period: float, m_min, x: np.ndarray) -
     for q in range(table.shape[0] // k - 2, -1, -1):
         acc *= step
         acc += rows[q * k : (q + 1) * k]
+    if m_min == 0:
+        return acc
     return acc * np.exp(1j * (math.tau * np.mod(m_min * turns, 1.0)))[None, :]
 
 
 def _eval_translates(ms: np.ndarray, rows: np.ndarray, period: float, copies: int):
     """Evaluator of k coefficient rows on the sorted modes ms at Q = copies translates.
 
-    evaluate(x0) is every row at x0 + r L / Q, r = 0..Q-1, shape (k, Q, x0.size), and
-    entries its table and output entries per point.  With g_u(x0) the modes m = u mod Q
-    (period-L/Q rows through ``_eval_rows``, times e^(2 pi i m_u x0 / L) for the least
-    such m_u), row(x0 + r L / Q) = sum_u e^(2 pi i u r / Q) g_u(x0): one inverse FFT.
+    evaluate(x0) is every row at x = x0 + r L / Q, r = 0..Q-1, times e^(-2 pi i ms[0] x / L),
+    a unit factor that no modulus sees; shape (k, Q, x0.size).  entries is its table and
+    output entries per point.  With u = (m - ms[0]) mod Q, w = e^(2 pi i x0 / L) and g_u(x0)
+    w^u times the modes of residue u as period-L/Q rows through ``_eval_rows``, that is
+    sum_u e^(2 pi i u r / Q) g_u(x0): one inverse FFT.  w^u = w^(aB) w^b, u = aB + b and
+    B = ceil(sqrt(u_max + 1)), comes from w by products: two exponentials per point in all
+    (w and ``_eval_rows``'s), with a phase error of about u eps.
     """
     k = rows.shape[0]
     if copies == 1:
         table = _step_tables(ms, rows)
-        return (lambda x0: _eval_rows(table, k, period, ms[0], x0)[:, None]), sum(table.shape) + k
+        return (lambda x0: _eval_rows(table, k, period, 0, x0)[:, None]), sum(table.shape) + k
     t, s = np.divmod(ms - ms[0], copies)
     live = np.flatnonzero(np.bincount(s, minlength=copies))  # the residues that carry a mode
     split = np.zeros((k, live.size, t[-1] + 1), dtype=np.complex128)
     split[:, np.searchsorted(live, s), t] = rows
     table = _step_tables(np.arange(t[-1] + 1), split.reshape(k * live.size, -1))
+    baby = math.isqrt(int(live[-1])) + 1
+    high, low = np.divmod(live, baby)  # the a and b of u = aB + b
 
     def evaluate(x0: np.ndarray) -> np.ndarray:
-        turns = np.mod(x0, period) / period
-        phases = np.exp(1j * (math.tau * np.mod((ms[0] + live)[:, None] * turns, 1.0)))
+        powers = np.empty((baby + high[-1] + 2, x0.size), dtype=np.complex128)
+        powers[0] = powers[baby + 1] = 1.0  # w^0..w^B, then w^(aB) for a = 0..high[-1]
+        powers[1] = np.exp(1j * (math.tau * (np.mod(x0, period) / period)))
+        for j in range(2, baby + 1):
+            np.multiply(powers[j - 1], powers[1], out=powers[j])
+        for j in range(baby + 2, powers.shape[0]):
+            np.multiply(powers[j - 1], powers[baby], out=powers[j])
+        phases = powers[low]
+        phases *= powers[baby + 1 + high]
         values = _eval_rows(table, k * live.size, period / copies, 0, x0).reshape(k, live.size, -1)
         residues = np.zeros((k, copies, x0.size), dtype=np.complex128)
-        residues[:, (ms[0] + live) % copies] = values * phases
+        residues[:, live] = values * phases
         return np.fft.ifft(residues, axis=1, norm="forward")
 
     return evaluate, sum(table.shape) + k * copies

@@ -57,7 +57,7 @@ def _residue_blocks(ms: np.ndarray, stride: int) -> list[np.ndarray]:
     order = np.argsort(residues, kind="stable")
     starts = np.flatnonzero(np.diff(residues[order], prepend=-1))
     sizes = np.diff(starts, append=ms.size)
-    return [order[starts[sizes == n][:, None] + np.arange(n)] for n in np.unique(sizes)]
+    return [order[starts[sizes == n][:, None] + np.arange(n)] for n in sorted(set(sizes.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     ms = ms.astype(np.int64)
     if ms.size == 0:
         raise ValueError("need at least one frequency")
-    if np.unique(ms).size != ms.size:
+    if np.any(np.diff(np.sort(ms)) == 0):
         raise DuplicateFrequencyError("repeated lattice mode")
     period = float(period)
     q = period_ratio(E, period)
@@ -146,7 +146,7 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
         _, first, carrier = np.unique(rows, return_index=True, return_inverse=True)
         steps.append(d[first][:, :, None] - d[first][:, None, :])
         carriers.append(carrier.ravel())
-    unique = np.unique(np.abs(np.concatenate([s.ravel() for s in steps])))
+    unique = np.unique(np.abs(np.concatenate([s.ravel() for s in steps])), return_index=True)[0]
     phases = np.exp(1j * (math.tau * np.mod(np.outer(unique, centers), 1.0)))
     values = (phases * (widths * np.sinc(np.outer(unique, widths)))).sum(axis=1)
     groups = []

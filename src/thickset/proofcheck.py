@@ -516,7 +516,7 @@ def exp_sum_verifier(
     for i, terms in enumerate(instances):
         lams = np.array([float(lam) for lam, _ in terms])
         arrays = [np.asarray(coeffs, dtype=np.complex128).ravel() for _, coeffs in terms]
-        if np.unique(lams).size != lams.size:
+        if np.any(np.diff(np.sort(lams)) == 0):
             raise DuplicateFrequencyError(f"instance {i}: repeated exponential frequency")
         if any(arr.size == 0 for arr in arrays):
             raise InvalidDegreeError(f"instance {i}: each term needs at least one coefficient")

@@ -4,6 +4,9 @@ The fixed order-16 rule integrates polynomials up to degree 31 exactly per
 panel; callers control accuracy through the panel width alone, one for all
 pieces or one per piece.  One ``panel_nodes``, ``piece_integrals`` or ``sup_abs``
 call covers every piece; only this module knows how nodes map to pieces.
+Node rules, base cells and sup grids depend on the pieces and the panel or grid
+counts alone, so each is built once per process and kept, read-only, in an LRU
+cache; a rule or grid of more than _CACHE_NODES points is rebuilt per call.
 """
 from __future__ import annotations
 
@@ -25,13 +28,19 @@ ZOOM_TOL = 1e-12
 _ROUNDING = 4.0 * np.finfo(float).eps
 _ZOOM_ROUNDS = 64
 
+# Entries of each geometry cache, and the most points of a rule or grid it keeps.
+_CACHE_ENTRIES, _CACHE_NODES = 32, 4096
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
 
 @lru_cache(maxsize=1)
 def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return _read_only(*np.polynomial.legendre.leggauss(GL_ORDER))
 
 
 def panel_width(nu_max: float, resolution: int) -> float:
@@ -53,6 +62,12 @@ def _panel_counts(pieces, max_width) -> list[int]:
     return [panel_count(lo, hi, width) for (lo, hi), width in zip(pieces, widths, strict=True)]
 
 
+def _cached(build, points: int, pieces, *key):
+    """build(pieces as float pairs, *key), through its cache unless above _CACHE_NODES points."""
+    pieces = tuple((float(lo), float(hi)) for lo, hi in pieces)
+    return (build if points <= _CACHE_NODES else build.__wrapped__)(pieces, *key)
+
+
 def panel_nodes(pieces, max_width) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on every piece (lo, hi), in order.
 
@@ -60,9 +75,16 @@ def panel_nodes(pieces, max_width) -> tuple[np.ndarray, np.ndarray]:
     `max_width` or, for a sequence, the piece's own entry, with the edges of
     np.linspace(lo, hi, n + 1) and half-width (hi - lo) / (2 n), so the
     result has the bits of the single-piece rules concatenated; a piece with
-    hi <= lo adds no node.
+    hi <= lo adds no node.  The arrays are read-only and may be shared.
     """
-    counts = np.array(_panel_counts(pieces, max_width), dtype=np.int64)
+    counts = tuple(_panel_counts(pieces, max_width))
+    return _cached(_rule, GL_ORDER * sum(counts), pieces, counts)
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _rule(pieces, counts) -> tuple[np.ndarray, np.ndarray]:
+    """panel_nodes of the float pairs `pieces` at the given panel counts."""
+    counts = np.array(counts, dtype=np.int64)
     lo, hi = np.array(pieces, dtype=float).reshape(-1, 2)[counts > 0].T
     counts = counts[counts > 0]
     step, last = (hi - lo) / counts, np.cumsum(counts)
@@ -74,7 +96,7 @@ def panel_nodes(pieces, max_width) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * step[:, None]  # not ((lo + step) - lo) / 2, which rounds far from 0
     x, w = _gl_rule()
     nodes = (0.5 * (left + right))[:, None] + np.repeat(half * x, counts, axis=0)
-    return nodes.ravel(), np.repeat(half * w, counts, axis=0).ravel()
+    return _read_only(nodes.ravel(), np.repeat(half * w, counts, axis=0).ravel())
 
 
 def base_cell(pieces, max_width: float, period: float, copies: int) -> tuple[tuple, int]:
@@ -87,6 +109,11 @@ def base_cell(pieces, max_width: float, period: float, copies: int) -> tuple[tup
     equal runs; the base rule is the full rule's first n/Q nodes and weights, bitwise
     (one piece: weights only when lo = 0, else to rounding).
     """
+    return _cached(_base_cell, 0, pieces, float(max_width), float(period), int(copies))
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _base_cell(pieces, max_width, period, copies) -> tuple[tuple, int]:
     ends = np.array(pieces, dtype=float).reshape(-1, 2)
     tol = 16.0 * np.finfo(float).eps * period
     if len(ends) == 1 and abs(ends[0, 1] - ends[0, 0] - period) <= tol:
@@ -141,15 +168,10 @@ def sup_abs(evaluate, pieces, counts) -> np.ndarray:
     Like any local refinement it finds the peak the grid argmax sits on, which
     need not be the highest one.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.min() < 2:
-        raise ValueError(f"sup_abs needs at least 2 grid points per piece, got {counts.min()}")
-    start, stop = np.array(pieces, dtype=float).reshape(-1, 2).T
-    first = np.cumsum(counts) - counts
-    last = first + counts - 1
-    j = np.arange(last[-1] + 1) - np.repeat(first, counts)
-    grid = j * np.repeat((stop - start) / (counts - 1), counts) + np.repeat(start, counts)
-    grid[last] = stop  # the bits of np.linspace(start, stop, counts)
+    counts = tuple(int(n) for n in counts)
+    if min(counts) < 2:
+        raise ValueError(f"sup_abs needs at least 2 grid points per piece, got {min(counts)}")
+    grid, first, last = _cached(_sup_grid, sum(counts), pieces, counts)
     vals = np.abs(evaluate(grid)[0])
     best = np.maximum.reduceat(vals, first)
     hits = np.flatnonzero(vals == np.repeat(best, counts))
@@ -178,6 +200,19 @@ def sup_abs(evaluate, pieces, counts) -> np.ndarray:
         size, dsize = np.abs(rows[:2])
         best[live] = np.maximum(best[live], size)
     return best
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _sup_grid(pieces, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sup_abs's grid on the float pairs `pieces`, and each piece's first and last index."""
+    counts = np.array(counts, dtype=np.int64)
+    start, stop = np.array(pieces, dtype=float).reshape(-1, 2).T
+    first = np.cumsum(counts) - counts
+    last = first + counts - 1
+    j = np.arange(last[-1] + 1) - np.repeat(first, counts)
+    grid = j * np.repeat((stop - start) / (counts - 1), counts) + np.repeat(start, counts)
+    grid[last] = stop  # the bits of np.linspace(start, stop, counts)
+    return _read_only(grid, first, last)
 
 
 # benchmark/tracing.py records the sup search under its former name.

@@ -22,6 +22,7 @@ from thickset import (
     two_sliver_set,
 )
 from thickset import quadrature
+from thickset.bandlimited import piece_masses
 from thickset.quadrature import base_cell, panel_nodes, panel_width
 from thickset.sets import period_ratio
 
@@ -362,6 +363,22 @@ class TestTranslateRoute:
         monkeypatch.setattr(quadrature, "panel_nodes", counting)
         lp_norm(f, NormQuery(2.0, E))
         assert built == [full // _copies(f, E)]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_classifier_derivative_rows(self, p):
+        # the classifier's rows f, g_1, ..., g_k on the unit partition of L = 32: Q = 32
+        f = random_bandlimited(BandSpec((0.0,), 16.0 * math.pi), 32.0, seed=7)
+        partition = tuple((float(i), i + 1.0) for i in range(32))
+        damping = 1j * f.frequencies / (3.0 * 0.5 * 16.0 * math.pi)
+        rows = f.coeffs * damping ** np.arange(5)[:, None]
+        got = piece_masses(f, rows, partition, len(partition), p, 8)
+        assert base_cell(partition, panel_width(f.max_frequency, 8), 32.0, 32)[1] == 32
+        xs, ws = panel_nodes(partition, panel_width(f.max_frequency, 8))
+        owner = np.repeat(np.arange(32), xs.size // 32)
+        for r, row in enumerate(rows):
+            values = ws * np.abs(TrigPoly(32.0, f.ms, row).eval(xs)) ** p
+            want = np.bincount(owner, weights=values, minlength=32)
+            np.testing.assert_allclose(got[r], want, rtol=1e-13, atol=0.0)
 
     def test_span_on_both_sides_of_copies(self):
         E = two_sliver_set(0.1)

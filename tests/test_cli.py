@@ -523,6 +523,20 @@ class TestSubprocess:
         assert runs[0] == runs[1]
         assert runs[0].startswith(b"seed,b,p,")
 
+    def test_setup_calls_leave_numpy_ma_unimported(self):
+        # a bare np.unique imports numpy.ma on first use (numpy 2.4), at about 18 ms
+        script = (
+            "import sys, thickset, thickset.cli\n"
+            "thickset.cli.run({'command': 'concentration', 'freqs': [0, 1, 2],"
+            " 'set': {'two_sliver': 0.5}, 'L': 1.0})\n"
+            "f = thickset.TrigPoly(1.0, [0, 1], [1.0, 1.0])\n"
+            "thickset.lp_norm(f, thickset.NormQuery(2.0, thickset.full_torus(1.0)))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b"False\n"
+
 
 # the smallest valid config of each entry of cli._ENTRIES, with cheap grids
 MINIMAL = {

@@ -346,3 +346,108 @@ def test_base_cell_nodes_lead_full_rule(pieces, period, copies):
     x0, w0 = panel_nodes(base, 0.05)
     assert q > 1 and x0.size * q == xs.size
     assert np.array_equal(x0, xs[: x0.size]) and np.array_equal(w0, ws[: w0.size])
+
+
+# ---------------------------------------------------------------------------
+# geometry caches: panel_nodes, base_cell and sup_abs's grid
+
+_CACHES = (quadrature._rule, quadrature._base_cell, quadrature._sup_grid)
+
+
+@pytest.fixture
+def empty_caches():
+    for cache in _CACHES:
+        cache.cache_clear()
+    yield
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
+def _geometries():
+    """(pieces, period, copies) of every TRANSLATE_SETS set at L = 8, and extremal kept pieces."""
+    from test_bandlimited import TRANSLATE_SETS
+
+    from thickset.sets import period_ratio, two_sliver_set
+
+    out = {
+        name: (E.materialize(0.0, 8.0), 8.0, period_ratio(E, 8.0))
+        for name, E in TRANSLATE_SETS.items()
+    }
+    out["extremal"] = (two_sliver_set(0.1).materialize(-4.0, 4.0), 8.0, 1)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_geometries()))
+@pytest.mark.parametrize("width", [1.0 / 128, 0.125, 0.3])
+def test_cached_geometry_matches_builders(empty_caches, name, width):
+    pieces, period, copies = _geometries()[name]
+    rules = [_one_piece_rule(lo, hi, width) for lo, hi in pieces]
+    counts = [max(2, panel_count(lo, hi, width) + 1) for lo, hi in pieces]
+    grid = np.concatenate([np.linspace(lo, hi, n) for (lo, hi), n in zip(pieces, counts)])
+    ends = np.cumsum(counts)
+    for _ in range(2):  # the building call, then the cached one
+        xs, ws = panel_nodes(pieces, width)
+        assert xs.tobytes() == np.concatenate([x for x, _ in rules]).tobytes()
+        assert ws.tobytes() == np.concatenate([w for _, w in rules]).tobytes()
+        cell = base_cell(pieces, width, period, copies)
+        assert cell == quadrature._base_cell.__wrapped__(tuple(pieces), width, period, copies)
+        got, first, last = quadrature._sup_grid(tuple(pieces), tuple(counts))
+        assert got.tobytes() == grid.tobytes()
+        assert first.tolist() == (ends - counts).tolist() and last.tolist() == (ends - 1).tolist()
+    nodes = GL_ORDER * sum(panel_count(lo, hi, width) for lo, hi in pieces)
+    stored = nodes <= quadrature._CACHE_NODES  # else rebuilt, never stored
+    assert [cache.cache_info().hits for cache in _CACHES] == [int(stored), 1, 1]
+
+
+def test_cached_arrays_are_read_only(empty_caches):
+    xs, ws = panel_nodes([(0.0, 1.0)], 0.25)
+    calls = []
+
+    def record(t):
+        calls.append(t)
+        return np.stack([np.cos(t), -np.sin(t), -np.cos(t)])
+
+    sup_abs(record, [(0.0, 1.0)], [9])
+    for array in (xs, ws, calls[0]):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_equal_geometry_hits_one_entry(empty_caches):
+    forms = [
+        ([(0.0, 0.5), (1.0, 1.25)], 0.1),
+        (((0.0, 0.5), (1.0, 1.25)), np.float64(0.1)),
+        ([[np.float64(0.0), 0.5], [1, 1.25]], [0.1, np.float64(0.1)]),
+    ]
+    first = panel_nodes(*forms[0])
+    for pieces, width in forms[1:]:
+        got = panel_nodes(pieces, width)
+        assert got[0] is first[0] and got[1] is first[1]
+    info = quadrature._rule.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    cell = base_cell([(0.0, 1.0)], 0.25, 8.0, 1)
+    assert base_cell(((np.float64(0.0), 1),), np.float64(0.25), 8, np.int64(1)) == cell
+    assert quadrature._base_cell.cache_info().hits == 1
+
+
+def test_large_rule_is_never_stored(empty_caches):
+    width = 1.0 / 256
+    n = panel_count(0.0, 20.0, width)
+    assert GL_ORDER * n > quadrature._CACHE_NODES
+    a, b = panel_nodes([(0.0, 20.0)], width), panel_nodes([(0.0, 20.0)], width)
+    assert a[0] is not b[0] and a[0].tobytes() == b[0].tobytes()
+    assert quadrature._rule.cache_info().currsize == 0
+    fn = _trig_rows(np.array([1.0]), np.array([1.0 + 0j]))
+    sup_abs(fn, [(0.0, 1.0)], [quadrature._CACHE_NODES + 1])
+    assert quadrature._sup_grid.cache_info().currsize == 0
+
+
+def test_caches_are_bounded(empty_caches):
+    fn = _trig_rows(np.array([1.0]), np.array([1.0 + 0j]))
+    for i in range(100):
+        width = 0.5 / (i + 1)
+        panel_nodes([(0.0, 1.0)], width)
+        base_cell([(0.0, 1.0)], width, 1.0, 1)
+        sup_abs(fn, [(0.0, 1.0)], [i + 2])
+    for cache in _CACHES:
+        assert cache.cache_info().currsize <= quadrature._CACHE_ENTRIES == 32
