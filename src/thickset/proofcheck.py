@@ -457,18 +457,24 @@ def _expsum_table(lams: np.ndarray, coeff_arrays, derivatives: bool) -> np.ndarr
 
 
 def _expsum_closure(lams: np.ndarray, table: np.ndarray, x0: float):
-    """Vectorized x -> the ``_expsum_table`` rows at 1-D arrays x, shape (rows, x.size).
+    """Vectorized x -> the ``_expsum_table`` rows at x, shape (rows,) + x.shape.
 
-    Horner runs over the whole table at once, with the operations and order
-    of a per-term ``npoly.polyval``; the terms are then summed in order.
+    x is 1-D, or (K, n) for K functions with lams (K, terms) and a (rows, K,
+    terms, powers) table.  Horner runs over the whole table at once, with the
+    operations and order of a per-term ``npoly.polyval``; the terms are then
+    added one at a time, so a value does not depend on the other points.
     """
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
-        u = xs - x0
+        u = (xs - x0)[..., None, :]
         acc = table[..., -1:]
         for j in range(table.shape[-1] - 2, -1, -1):
             acc = acc * u + table[..., j : j + 1]
-        return (acc * np.exp(1j * (lams[:, None] * xs))).sum(axis=1)
+        terms = acc * np.exp(1j * (lams[..., None] * xs[..., None, :]))
+        total = terms[..., 0, :]
+        for t in range(1, terms.shape[-2]):
+            total = total + terms[..., t, :]
+        return total
 
     return evaluate
 
@@ -496,23 +502,25 @@ def exp_sum_verifier(
     p : float
         Exponent in [1, inf]; for p = inf sups are used.
 
-    Returns per instance, in order, one check per set, with the bits of a
-    call on that instance alone.  Each instance has one value per span (I,
-    then each set's pieces), so norm_I is shared by every set: one
-    ``sup_abs`` search per instance at p = inf, and at finite p one
-    ``piece_integrals`` call over every instance's spans, instance-major,
-    each at its own panel width and through its own Horner.  The `bound`
-    is the norm-transfer bound with the configured constants; the Nazarov
-    (pure exponential sums, p = inf) and Remez (single zero-frequency
-    polynomial, p = inf) forms are attached when they apply.  Bounds are
-    computed once per (set, n, m).
+    Returns per instance, in order, one check per set.  Each instance is
+    measured once on each cell of I cut at every set's endpoints: one
+    ``sup_abs`` search over every instance at p = inf, and at finite p one
+    ``piece_integrals`` call, instance-major, each instance at its own panel
+    width.  A set takes the max or the sum over its cells, norm_I over all.
+    Checks have the bits of a call on their instance alone, and do not change
+    when sets are permuted or repeated; a call on one set cuts I elsewhere, so
+    agrees to quadrature accuracy.  Coefficients are divided by their largest
+    modulus, which the ratio does not see, and the norms scaled back.
+    The `bound` is the norm-transfer bound with the configured constants; the
+    Nazarov (pure exponential sums, p = inf) and Remez (single zero-frequency
+    polynomial, p = inf) forms are attached when they apply.
     """
     p = check_exponent(p)
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise InvalidWindowError(f"invalid interval ({lo}, {hi})")
     length, mid = hi - lo, 0.5 * (lo + hi)
-    lam_lists, coeff_arrays, shapes = [], [], []  # shapes: first term, n, m, Remez degree
+    lam_lists, coeff_arrays, shapes, scales = [], [], [], []  # shapes: n, m, Remez degree
     for i, terms in enumerate(instances):
         lams = np.array([float(lam) for lam, _ in terms])
         arrays = [np.asarray(coeffs, dtype=np.complex128).ravel() for _, coeffs in terms]
@@ -524,9 +532,10 @@ def exp_sum_verifier(
             raise ZeroFunctionError(f"instance {i}: the zero exponential sum has no norm ratio")
         pure_poly = lams.size == 1 and lams[0] == 0.0
         degree = int(np.max(np.nonzero(arrays[0] != 0)[0])) if pure_poly else None
-        shapes.append((len(coeff_arrays), lams.size, max(arr.size for arr in arrays), degree))
+        shapes.append((lams.size, max(arr.size for arr in arrays), degree))
+        scales.append(max(float(np.max(np.abs(arr))) for arr in arrays))
         lam_lists.append(lams)
-        coeff_arrays += arrays
+        coeff_arrays += [arr / scales[-1] for arr in arrays]
     if not lam_lists:
         raise ValueError("need at least one instance")
     piece_lists = [E.materialize(lo, hi) for E in sets]
@@ -535,26 +544,39 @@ def exp_sum_verifier(
     measures = [sum(b - a for a, b in pieces) for pieces in piece_lists]
     if min(measures) <= 0:
         raise EmptySetError("a set misses the interval entirely")
-    spans = ((lo, hi),) + sum(piece_lists, ())
-    table = _expsum_table(np.concatenate(lam_lists), coeff_arrays, math.isinf(p))
-    evaluators = [
-        _expsum_closure(lams, table[:, k : k + n, :m], mid)
-        for lams, (k, n, m, _) in zip(lam_lists, shapes)
-    ]
-    widths = [panel_width(float(np.max(np.abs(lams))), RESOLUTION) for lams in lam_lists]
+    cuts = sorted({lo, hi}.union(*sum(piece_lists, ())))
+    cells = tuple(zip(cuts[:-1], cuts[1:]))
+    member = np.zeros((1 + len(piece_lists), len(cells)), dtype=bool)  # rows: I, then each set
+    for row, pieces in zip(member, [((lo, hi),)] + piece_lists):
+        for a, b in np.searchsorted(cuts, pieces):  # every endpoint is a cut
+            row[a:b] = True
+    # one row of max(ns) terms per instance: zero terms and powers add exact zeros
+    ns = [lams.size for lams in lam_lists]
+    slot = (np.repeat(np.arange(len(ns)), ns), np.concatenate([np.arange(n) for n in ns]))
+    flat = _expsum_table(np.concatenate(lam_lists), coeff_arrays, math.isinf(p))
+    table = np.zeros(flat.shape[:1] + (len(ns), max(ns)) + flat.shape[2:], np.complex128)
+    lams = np.zeros((len(ns), max(ns)))
+    table[:, slot[0], slot[1]], lams[slot] = flat, np.concatenate(lam_lists)
+    widths = [panel_width(float(np.max(np.abs(row))), RESOLUTION) for row in lams]
     if math.isinf(p):
-        counts = lambda w: [max(17, 2 * int(math.ceil((b - a) / w)) + 1) for a, b in spans]
-        per_span = [sup_abs(f, spans, counts(w)) for f, w in zip(evaluators, widths)]
+        counts = [[max(17, 2 * int(math.ceil((b - a) / w)) + 1) for a, b in cells] for w in widths]
+        values = sup_abs(_expsum_closure(lams, table, mid), cells, counts)
     else:
-        firsts = np.arange(1, len(evaluators)) * len(spans)  # each later instance's first span
+        evaluators = [_expsum_closure(lams[k], table[:, k], mid) for k in range(len(ns))]
+        firsts = np.arange(1, len(ns)) * len(cells)  # each later instance's first cell
 
         def integrand(x, piece):
             runs = np.split(x, np.searchsorted(piece, firsts))
             return np.concatenate([np.abs(f(run)[0]) ** p for f, run in zip(evaluators, runs)])
 
-        span_widths = [w for w in widths for _ in spans]
-        per_span = piece_integrals(integrand, spans * len(widths), span_widths)
-        per_span = per_span.reshape(len(widths), len(spans))
+        values = piece_integrals(integrand, cells * len(ns), [w for w in widths for _ in cells])
+        values = values.reshape(len(ns), len(cells))
+    held = np.where(member, values[:, None], 0.0)  # instance x (I, sets) x cell
+    norms = held.max(axis=2) if math.isinf(p) else held.sum(axis=2) ** (1.0 / p)
+    # a sum that underflows on E has ratio inf, and fails its bound
+    ratio = np.divide(norms[:, :1], norms[:, 1:], out=np.full_like(norms[:, 1:], np.inf),
+                      where=norms[:, 1:] > 0)
+    norms *= np.array(scales)[:, None]
 
     @cache
     def bounds(meas: float, n: int, m: int, degree: int | None):
@@ -565,22 +587,16 @@ def exp_sum_verifier(
             remez = nazarov_remez_bounds(length, meas, degree, constants).remez
         return lemma3_bound(length, meas, n, m, p, constants), nazarov, remez
 
-    out = []
-    for (_, n, m, degree), values in zip(shapes, per_span):
-        norm_I = float(values[0]) if math.isinf(p) else float(values[0]) ** (1.0 / p)
-        checks, start = [], 1
-        for pieces, meas in zip(piece_lists, measures):
-            own, start = values[start : start + len(pieces)], start + len(pieces)
-            # cumsum adds the piece masses left to right, unlike np.sum
-            norm_E = float(max(own)) if math.isinf(p) else float(np.cumsum(own)[-1]) ** (1.0 / p)
-            ratio = norm_I / norm_E
-            bound, nazarov, remez = bounds(meas, n, m, degree)
-            # the bound is attained with equality by a single pure exponential at
-            # p = inf, so the verdict carries a small relative tolerance
-            holds = ratio <= bound * (1.0 + 1e-9)
-            checks.append(ExpSumCheck(ratio, bound, holds, norm_I, norm_E, nazarov, remez))
-        out.append(tuple(checks))
-    return tuple(out)
+    # the bound is attained with equality by a single pure exponential at
+    # p = inf, so the verdict carries a small relative tolerance
+    return tuple(
+        tuple(
+            ExpSumCheck(r, bound, r <= bound * (1.0 + 1e-9), norm_I, norm_E, nazarov, remez)
+            for meas, r, norm_E in zip(measures, ratios, norm_Es)
+            for bound, nazarov, remez in (bounds(meas, *shape),)
+        )
+        for shape, ratios, (norm_I, *norm_Es) in zip(shapes, ratio.tolist(), norms.tolist())
+    )
 
 
 # Grid of candidate constants scanned by minimal_transfer_constant: the

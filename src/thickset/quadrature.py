@@ -3,7 +3,8 @@
 The fixed order-16 rule integrates polynomials up to degree 31 exactly per
 panel; callers control accuracy through the panel width alone, one for all
 pieces or one per piece.  One ``panel_nodes``, ``piece_integrals`` or ``sup_abs``
-call covers every piece; only this module knows how nodes map to pieces.
+call covers every piece, and one ``sup_abs`` call can search K functions over
+them; only this module knows how nodes map to pieces.
 Node rules, base cells and sup grids depend on the pieces and the panel or grid
 counts alone, so each is built once per process and kept, read-only, in an LRU
 cache; a rule or grid of more than _CACHE_NODES points is rebuilt per call.
@@ -153,33 +154,43 @@ def piece_integrals(integrand, pieces, max_width, block: int | None = None) -> n
 
 
 def sup_abs(evaluate, pieces, counts) -> np.ndarray:
-    """Max of |f| over each closed piece, one entry per piece.
+    """Max of |f| over each closed piece, for one function or K at once.
 
-    evaluate(x) gives the rows f, f', f'' at the 1-D points x, shape (3, x.size);
-    one call serves every piece still searched.  Piece i is sampled at
-    counts[i] >= 2 equally spaced points and the two cells around its grid
-    argmax are zoomed once at ZOOM_POINTS points.  Safeguarded Newton steps on
-    g = |f|^2 then refine the zoom's best point x: the sign of g' = 2 Re(f* f')
-    moves an end of the bracket (two zoom cells) to x, and the next point is
-    x - g'/g'' if g'' < 0 and that lies in the bracket, else the bracket's
-    midpoint.  A piece is done when its step or bracket is at most ZOOM_TOL (a
-    maximum at a piece endpoint closes the bracket there), or |g'| is rounding
-    noise (|f| constant).  Entry i is the largest value sampled on piece i.
-    Like any local refinement it finds the peak the grid argmax sits on, which
-    need not be the highest one.
+    1-D `counts`: evaluate(x) gives the rows f, f', f'' at the 1-D points x,
+    shape (3, x.size), and the result has one entry per piece.  Counts of
+    shape (K, P): evaluate(x) gets x of shape (K, n), row k holding points of
+    function k padded with its last grid point, returns shape (3, K, n), and
+    the result has shape (K, P).  One call serves every (function, piece) pair
+    still searched.  Function k samples piece i at counts[k, i] >= 2 equally
+    spaced points and the two cells around its grid argmax are zoomed once at
+    ZOOM_POINTS points.  Safeguarded Newton steps on g = |f|^2 then refine the
+    zoom's best point x: the sign of g' = 2 Re(f* f') moves an end of the
+    bracket (two zoom cells) to x, and the next point is x - g'/g'' if g'' < 0
+    and that lies in the bracket, else the bracket's midpoint.  A pair is done,
+    and stops changing, when its step or bracket is at most ZOOM_TOL (a maximum
+    at a piece endpoint closes the bracket there), or |g'| is rounding noise
+    (|f| constant); if a value does not depend on the other points evaluated,
+    each function's maxima have the bits of a search on it alone.  Entry (k, i)
+    is the largest value sampled.  Like any local refinement it finds the peak
+    the grid argmax sits on, which need not be the highest one.
     """
-    counts = tuple(int(n) for n in counts)
-    if min(counts) < 2:
-        raise ValueError(f"sup_abs needs at least 2 grid points per piece, got {min(counts)}")
-    grid, first, last = _cached(_sup_grid, sum(counts), pieces, counts)
-    vals = np.abs(evaluate(grid)[0])
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim not in (1, 2) or counts.shape[-1] != len(pieces) or counts.min() < 2:
+        raise ValueError(f"sup_abs needs counts >= 2 of shape (K, {len(pieces)}), got {counts}")
+    one = counts.ndim == 1
+    if one:
+        evaluate, counts = (lambda x, rows=evaluate: rows(x[0])[:, None]), counts[None]
+    (funcs, npieces), key = counts.shape, tuple(counts.ravel().tolist())  # function-major
+    grid, first, last = _cached(_sup_grid, int(counts.sum()), tuple(pieces) * funcs, key)
+    pad = grid[last[npieces - 1 :: npieces]]  # each function's last grid point
+    vals = np.abs(_rows_at(evaluate, grid, np.repeat(np.arange(funcs), counts.sum(axis=1)), pad)[0])
     best = np.maximum.reduceat(vals, first)
-    hits = np.flatnonzero(vals == np.repeat(best, counts))
-    k = hits[np.searchsorted(hits, first)]  # each piece's first argmax
+    hits = np.flatnonzero(vals == np.repeat(best, counts.ravel()))
+    k = hits[np.searchsorted(hits, first)]  # each pair's first argmax
     lo, hi = grid[np.maximum(k - 1, first)], grid[np.minimum(k + 1, last)]
     xs = lo[:, None] + (hi - lo)[:, None] * (np.arange(ZOOM_POINTS) / (ZOOM_POINTS - 1))
     xs[:, -1] = hi
-    rows = evaluate(xs.ravel()).reshape((3,) + xs.shape)
+    rows = evaluate(xs.reshape(funcs, -1)).reshape((3,) + xs.shape)
     live, k = np.arange(best.size), np.argmax(np.abs(rows[0]), axis=1)
     x, rows = xs[live, k], rows[:, live, k]
     lo, hi = xs[live, np.maximum(k - 1, 0)], xs[live, np.minimum(k + 1, ZOOM_POINTS - 1)]
@@ -196,10 +207,21 @@ def sup_abs(evaluate, pieces, counts) -> np.ndarray:
         live, x, lo, hi = live[keep], x1[keep], lo[keep], hi[keep]
         if not live.size:
             break
-        rows = evaluate(x)
+        rows = _rows_at(evaluate, x, live // npieces, pad)
         size, dsize = np.abs(rows[:2])
         best[live] = np.maximum(best[live], size)
-    return best
+    return best if one else best.reshape(funcs, npieces)
+
+
+def _rows_at(evaluate, x, owner, pad) -> np.ndarray:
+    """Rows (3, x.size) at points x of the functions `owner` (ascending), padded by `pad`."""
+    if pad.size == 1:
+        return evaluate(x[None])[:, 0]
+    count = np.bincount(owner, minlength=pad.size)
+    col = np.arange(x.size) - np.repeat(np.cumsum(count) - count, count)
+    rect = np.repeat(pad[:, None], count.max(), axis=1)
+    rect[owner, col] = x
+    return evaluate(rect)[:, owner, col]
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)

@@ -195,7 +195,7 @@ class TestGridOrder:
 
 
 class TestExpsumSuite:
-    @pytest.mark.parametrize("p, searches, integrals", [("inf", 3, 0), (2, 0, 1)])
+    @pytest.mark.parametrize("p, searches, integrals", [("inf", 1, 0), (2, 0, 1)])
     def test_one_verifier_call_per_cell(self, monkeypatch, p, searches, integrals):
         from thickset import proofcheck
 
@@ -214,7 +214,7 @@ class TestExpsumSuite:
             counted(name)
         run({"command": "verify", "suite": "expsum", "seeds": 3, "n": 2, "m": 2, "p": p})
         # one call checks the three instances against all nine default fractions:
-        # one sup search per instance at p = inf, one integral over them all at p = 2
+        # one sup search over them all at p = inf, one integral over them all at p = 2
         assert calls == {"exp_sum_verifier": 1, "sup_abs": searches, "piece_integrals": integrals}
 
     @pytest.mark.parametrize(
@@ -249,6 +249,44 @@ class TestExpsumSuite:
         slope, cap = (result.table.header.index(name) for name in ("slope", "slope_cap"))
         assert all(row[slope] > row[cap] for row in result.table.rows)
         assert main(["--config", write_config(tmp_path, config)]) == 0
+
+
+class TestSupEvaluatorContract:
+    """A search still runs when its evaluator is wrapped as a one-argument callable.
+
+    A tracer that counts evaluations wraps what ``sup_abs`` receives as
+    ``counted(t)``, so the evaluator must take its points as its only argument.
+    """
+
+    @pytest.mark.parametrize(
+        "config, batched",
+        [
+            ({"command": "verify", "suite": "expsum", "seeds": 3, "n": 2, "m": 2, "p": "inf"},
+             True),
+            ({"command": "verify", "suite": "band_norms", "seeds": 2, "n": 3, "p": "inf"},
+             False),
+        ],
+        ids=["expsum", "band_norms"],
+    )
+    def test_one_argument_wrapper_keeps_rows(self, monkeypatch, config, batched):
+        from thickset import bandlimited, proofcheck, quadrature
+
+        want = run(config)
+        real, probes = quadrature.sup_abs, []
+
+        def probed(evaluate, *args, **kwargs):
+            def counted(t):
+                probes.append(t.ndim)
+                return evaluate(t)
+
+            return real(counted, *args, **kwargs)
+
+        for module in (proofcheck, bandlimited):
+            monkeypatch.setattr(module, "sup_abs", probed)
+        got = run(config)
+        assert probes and set(probes) == {2 if batched else 1}
+        assert got.table.rows == want.table.rows
+        assert got.violations == want.violations
 
 
 class TestProofSuites:

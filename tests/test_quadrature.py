@@ -302,6 +302,81 @@ def test_sup_refuses_short_grids():
         sup_abs(fn, ((0.0, 1.0), (2.0, 3.0)), (5, 1))
 
 
+def _wave(freqs, coeffs):
+    """Rows f, f', f'' of sum_j coeffs_j exp(i freqs_j t), one term added at a time.
+
+    Each value depends on its own point alone, as a K-function search needs.
+    """
+
+    def rows(t):
+        total = np.zeros((3,) + t.shape, dtype=np.complex128)
+        for lam, c in zip(freqs, coeffs):
+            total = total + (c * (1j * lam) ** np.arange(3))[:, None] * np.exp(1j * lam * t)
+        return total
+
+    return rows
+
+
+def _together(fns, hull):
+    """One (K, n) -> (3, K, n) evaluator from K 1-D ones, recording each call's shape.
+
+    It refuses points outside `hull`, so padding may only repeat a row's own points.
+    """
+    shapes = []
+
+    def rows(x):
+        shapes.append(x.shape)
+        assert np.all((hull[0] <= x) & (x <= hull[1]))
+        return np.stack([fn(row) for fn, row in zip(fns, x)], axis=1)
+
+    return rows, shapes
+
+
+@pytest.mark.parametrize("take", [slice(None), slice(0, 1)], ids=["five", "one"])
+def test_sup_k_functions_match_separate_searches(take):
+    rng = np.random.default_rng(17)
+    fns = [
+        _wave(rng.uniform(-20.0, 20.0, 4), rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+        _wave([7.3], [1.0]),  # constant modulus: every piece stops after the zoom round
+        lambda t: np.stack([-(t - 2.3) ** 2 + 2.0, -2.0 * (t - 2.3), np.full(t.shape, -2.0)]),
+        lambda t: np.stack([t, np.ones(t.shape), np.zeros(t.shape)]),  # maxima at piece ends
+        _wave(rng.uniform(-5.0, 5.0, 2), rng.standard_normal(2) + 1j * rng.standard_normal(2)),
+    ]
+    pieces = ((0.5, 1.3), (1.5, 3.0), (3.0, 3.1), (3.5, 5.0))
+    counts = [(40, 60, 5, 80), (9, 9, 9, 9), (5, 17, 3, 11), (2, 4, 6, 8), (90, 7, 2, 30)]
+    fns, counts = fns[take], counts[take]
+    evaluate, shapes = _together(fns, (0.5, 5.0))
+    got = sup_abs(evaluate, pieces, counts)
+    assert got.shape == (len(fns), len(pieces))
+    assert all(len(shape) == 2 and shape[0] == len(fns) for shape in shapes)
+    alone = [sup_abs(fn, pieces, row) for fn, row in zip(fns, counts)]
+    for row, want in zip(got, alone):
+        assert repr(row.tolist()) == repr(want.tolist())
+    # the searches share rounds: as many calls as the longest search alone
+    longest = 0
+    for fn, row in zip(fns, counts):
+        calls = []
+        sup_abs(_counted(fn, calls), pieces, row)
+        longest = max(longest, len(calls))
+    assert len(shapes) == longest
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [(9, 9), (9,)],  # ragged rows
+        [(9, 9, 9), (9, 9, 9)],  # rows longer than the pieces
+        [9],  # 1-D, one entry short
+        [[(9, 9)]],  # 3-D
+    ],
+    ids=["ragged", "long-rows", "short-1d", "3d"],
+)
+def test_sup_refuses_counts_that_do_not_match_pieces(counts):
+    fn = _trig_rows(np.array([1.0]), np.array([1.0 + 0j]))
+    with pytest.raises(ValueError):
+        sup_abs(fn, ((0.0, 1.0), (2.0, 3.0)), counts)
+
+
 def test_golden_max_is_sup_abs():
     assert quadrature.golden_max is quadrature.sup_abs
 
