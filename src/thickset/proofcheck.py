@@ -37,7 +37,7 @@ from .errors import (
     InvalidWindowError,
     ZeroFunctionError,
 )
-from .quadrature import RESOLUTION, panel_width, piece_integrals, sup_abs
+from .quadrature import RESOLUTION, panel_count, panel_width, piece_integrals, sup_abs
 from .sets import IntervalSet
 
 
@@ -504,9 +504,11 @@ def exp_sum_verifier(
 
     Returns per instance, in order, one check per set.  Each instance is
     measured once on each cell of I cut at every set's endpoints: one
-    ``sup_abs`` search over every instance at p = inf, and at finite p one
-    ``piece_integrals`` call, instance-major, each instance at its own panel
-    width.  A set takes the max or the sum over its cells, norm_I over all.
+    ``sup_abs`` search over every instance at p = inf, and at finite p
+    ``piece_integrals`` calls, instance-major, each instance at its own panel
+    width: one at even p, and for other p rounds that cut a cell's pieces
+    where a second rule disagrees, since |r|^p has kinks where r nearly
+    vanishes.  A set takes the max or the sum over its cells, norm_I over all.
     Checks have the bits of a call on their instance alone, and do not change
     when sets are permuted or repeated; a call on one set cuts I elsewhere, so
     agrees to quadrature accuracy.  Coefficients are divided by their largest
@@ -520,7 +522,7 @@ def exp_sum_verifier(
     if hi <= lo:
         raise InvalidWindowError(f"invalid interval ({lo}, {hi})")
     length, mid = hi - lo, 0.5 * (lo + hi)
-    lam_lists, coeff_arrays, shapes, scales = [], [], [], []  # shapes: n, m, Remez degree
+    parsed, shapes, scales = [], [], []  # parsed: lams, coefficients; shapes: n, m, Remez degree
     for i, terms in enumerate(instances):
         lams = np.array([float(lam) for lam, _ in terms])
         arrays = [np.asarray(coeffs, dtype=np.complex128).ravel() for _, coeffs in terms]
@@ -534,9 +536,8 @@ def exp_sum_verifier(
         degree = int(np.max(np.nonzero(arrays[0] != 0)[0])) if pure_poly else None
         shapes.append((lams.size, max(arr.size for arr in arrays), degree))
         scales.append(max(float(np.max(np.abs(arr))) for arr in arrays))
-        lam_lists.append(lams)
-        coeff_arrays += [arr / scales[-1] for arr in arrays]
-    if not lam_lists:
+        parsed.append((lams, [arr / scales[-1] for arr in arrays]))
+    if not parsed:
         raise ValueError("need at least one instance")
     piece_lists = [E.materialize(lo, hi) for E in sets]
     if not piece_lists:
@@ -550,27 +551,48 @@ def exp_sum_verifier(
     for row, pieces in zip(member, [((lo, hi),)] + piece_lists):
         for a, b in np.searchsorted(cuts, pieces):  # every endpoint is a cut
             row[a:b] = True
-    # one row of max(ns) terms per instance: zero terms and powers add exact zeros
-    ns = [lams.size for lams in lam_lists]
-    slot = (np.repeat(np.arange(len(ns)), ns), np.concatenate([np.arange(n) for n in ns]))
-    flat = _expsum_table(np.concatenate(lam_lists), coeff_arrays, math.isinf(p))
-    table = np.zeros(flat.shape[:1] + (len(ns), max(ns)) + flat.shape[2:], np.complex128)
-    lams = np.zeros((len(ns), max(ns)))
-    table[:, slot[0], slot[1]], lams[slot] = flat, np.concatenate(lam_lists)
+    # one row of n terms per instance: zero terms and powers add exact zeros
+    K, n = len(parsed), max(shape[0] for shape in shapes)
+    lams = np.array([np.pad(row, (0, n - row.size)) for row, _ in parsed])
+    padded = [arr for _, arrays in parsed for arr in arrays + [np.zeros(1)] * (n - len(arrays))]
+    table = _expsum_table(lams.ravel(), padded, math.isinf(p))
+    table = table.reshape(len(table), K, n, -1)
     widths = [panel_width(float(np.max(np.abs(row))), RESOLUTION) for row in lams]
     if math.isinf(p):
         counts = [[max(17, 2 * int(math.ceil((b - a) / w)) + 1) for a, b in cells] for w in widths]
         values = sup_abs(_expsum_closure(lams, table, mid), cells, counts)
     else:
-        evaluators = [_expsum_closure(lams[k], table[:, k], mid) for k in range(len(ns))]
-        firsts = np.arange(1, len(ns)) * len(cells)  # each later instance's first cell
+        evaluators = [_expsum_closure(lams[k], table[:, k], mid) for k in range(K)]
 
         def integrand(x, piece):
             runs = np.split(x, np.searchsorted(piece, firsts))
             return np.concatenate([np.abs(f(run)[0]) ** p for f, run in zip(evaluators, runs)])
 
-        values = piece_integrals(integrand, cells * len(ns), [w for w in widths for _ in cells])
-        values = values.reshape(len(ns), len(cells))
+        # unless p is even, |r|^p has a kink where r nearly vanishes: a piece of n
+        # panels at width w is cut in two, at 0.6 w, until a rule of 2n + 1 panels
+        # (no inner edge shared) agrees with it to 1e-14 of its cell
+        k, c = np.repeat(np.arange(K), len(cells)), np.tile(np.arange(len(cells)), K)
+        ends, w = np.array(cells * K), np.repeat(widths, len(cells))
+        values, rules = np.zeros((K, len(cells))), 1 if p % 2 == 0 else 2
+        for depth in range(40):
+            firsts = np.searchsorted(np.repeat(k, rules), np.arange(1, K))  # later instances
+            rule_w = w[:, None]
+            if rules == 2:
+                panels = [panel_count(a, b, x) for (a, b), x in zip(ends.tolist(), w.tolist())]
+                rule_w = np.stack([w, (ends[:, 1] - ends[:, 0]) / (2 * np.array(panels) + 0.5)], 1)
+            got = piece_integrals(integrand, np.repeat(ends, rules, axis=0).tolist(),
+                                  rule_w.ravel().tolist()).reshape(-1, rules)
+            scale = got[:, -1].reshape(K, -1) if depth == 0 else scale
+            done = (np.abs(got[:, -1] - got[:, 0]) <= 1e-14 * scale[k, c]) | (depth == 39)
+            np.add.at(values, (k[done], c[done]), got[done, -1])
+            if done.all():
+                break
+            bad = np.flatnonzero(~done)  # cut at 0.4 or 0.6, where |r| is larger: off a zero
+            tries = ends[bad] @ np.array([[0.6, 0.4], [0.4, 0.6]])
+            size = integrand(tries.ravel(), np.repeat(bad * rules, 2)).reshape(-1, 2)
+            cut = tries[np.arange(bad.size), np.argmax(size, axis=1)]
+            ends = np.stack([ends[bad, 0], cut, cut, ends[bad, 1]], 1).reshape(-1, 2)
+            k, c, w = (np.repeat(v[bad], 2) for v in (k, c, 0.6 * w))
     held = np.where(member, values[:, None], 0.0)  # instance x (I, sets) x cell
     norms = held.max(axis=2) if math.isinf(p) else held.sum(axis=2) ** (1.0 / p)
     # a sum that underflows on E has ratio inf, and fails its bound

@@ -215,7 +215,7 @@ def sup_abs(evaluate, pieces, counts) -> np.ndarray:
 
 def _rows_at(evaluate, x, owner, pad) -> np.ndarray:
     """Rows (3, x.size) at points x of the functions `owner` (ascending), padded by `pad`."""
-    if pad.size == 1:
+    if pad.size == 1:  # x itself, so a 1-D search's evaluator gets the read-only cached grid
         return evaluate(x[None])[:, 0]
     count = np.bincount(owner, minlength=pad.size)
     col = np.arange(x.size) - np.repeat(np.cumsum(count) - count, count)

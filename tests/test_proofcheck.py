@@ -554,13 +554,11 @@ class TestExpSumVerifier:
         (together,) = exp_sum_verifier([terms], (0.0, 1.0), sets, p)
         assert len(together) == len(sets)
         # a set's cells depend on the other sets' endpoints, so the norms agree
-        # to quadrature accuracy: at p = 1 the rule's error on |r| is ~1e-11
-        # and moves with the panel edges (up to 6e-11 here, at the parent too)
-        tol = 1e-10 if p == 1.0 else 1e-13
+        # to quadrature accuracy
         for E, got in zip(sets, together):
             ((want,),) = exp_sum_verifier([terms], (0.0, 1.0), (E,), p)
             for name in ("norm_I", "norm_E", "ratio"):
-                assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=tol)
+                assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-13)
             got = replace(got, norm_I=want.norm_I, norm_E=want.norm_E, ratio=want.ratio)
             assert got == want
         # the sets differ, so a swapped or shifted slice cannot pass
@@ -684,6 +682,51 @@ class TestExpSumVerifier:
         assert math.isclose(
             check.norm_E, max(scan(a, b) for a, b in E.intervals), rel_tol=1e-12
         )
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_norms_near_a_zero_match_a_dense_rule(self, monkeypatch, p):
+        # |r| = |1 + 0.999 e^(i 20 x)| dips to 1e-3 at x = (2j + 1) pi / 20, so
+        # |r|^p bends sharply there unless p is even; 2^14 panels resolve it
+        E = IntervalSet(((0.1, 0.3), (0.6, 0.7)))
+        calls = []
+        real_piece_integrals = proofcheck.piece_integrals
+
+        def counted(*args):
+            calls.append(args[1])
+            return real_piece_integrals(*args)
+
+        monkeypatch.setattr(proofcheck, "piece_integrals", counted)
+        ((check,),) = exp_sum_verifier([[(0.0, [1.0]), (20.0, [0.999])]], (0.0, 1.0), (E,), p)
+        # an even p keeps one pass over the cells
+        assert (len(calls) == 1) == (p == 2.0)
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+
+        def dense(a, b):
+            edges = np.linspace(a, b, 2**14 + 1)
+            half = (edges[1:] - edges[:-1])[:, None] / 2
+            xs = (edges[:-1, None] + half) + half * nodes
+            return float(np.sum(half * weights * np.abs(1 + 0.999 * np.exp(20j * xs)) ** p))
+
+        assert math.isclose(check.norm_I, dense(0.0, 1.0) ** (1 / p), rel_tol=1e-13)
+        want_E = (dense(0.1, 0.3) + dense(0.6, 0.7)) ** (1 / p)
+        assert math.isclose(check.norm_E, want_E, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("lam", [7.0, 20.0, 31.4, math.pi / 0.7001])
+    def test_l1_norms_at_zeros_match_closed_form(self, lam):
+        # r = 1 + e^(i lam x) vanishes at x = (2j + 1) pi / lam, where |r| has a
+        # kink, and int_0^x |r| = (4 / lam) int_0^(lam x / 2) |cos|.  At lam = 31.4
+        # the zero near 0.1 lies 5e-5 past an inner panel edge of the cell [0, 0.2];
+        # at pi / 0.7001, 1e-4 past 0.7, the middle of the cell [0.5, 0.9]
+        def exact(x):
+            q, v = divmod(lam * x / 2, math.pi)
+            return 4 / lam * (2 * q + (math.sin(v) if v <= math.pi / 2 else 2 - math.sin(v)))
+
+        sets = (IntervalSet(((0.0, 0.5),)), IntervalSet(((0.2, 0.9),)))
+        instance = [(0.0, [1.0]), (lam, [1.0])]
+        ((first, second),) = exp_sum_verifier([instance], (0.0, 1.0), sets, 1.0)
+        assert math.isclose(first.norm_I, exact(1.0), rel_tol=1e-13)
+        assert math.isclose(first.norm_E, exact(0.5), rel_tol=1e-13)
+        assert math.isclose(second.norm_E, exact(0.9) - exact(0.2), rel_tol=1e-13)
 
 
 class TestExpSumClosure:
