@@ -289,9 +289,9 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
         at zeros of f near the real axis.
         For ``p = inf`` the maximum of |f| is taken over a grid with the
         same spacing on every piece and refined around each piece's grid
-        argmax by one ``quadrature.sup_abs`` call on f.eval(x, derivatives=2)
-        (a zoom round, then Newton steps); its per-piece maxima are reduced
-        with ``.max()``, and a peak away from those argmaxes may be missed.
+        argmax by one ``quadrature.sup_abs`` call on f.eval(x, derivatives=2),
+        f its one function (a zoom round, then Newton steps); its maxima are
+        reduced with ``.max()``, and a peak away from those argmaxes may be missed.
 
     Returns
     -------
@@ -306,7 +306,7 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     width = panel_width(f.max_frequency, query.resolution)
     if math.isinf(query.p):
         counts = [max(3, int(math.ceil((hi - lo) / width)) + 1) for lo, hi in pieces]
-        return float(sup_abs(lambda x: f.eval(x, derivatives=2), pieces, counts).max())
+        return float(sup_abs(lambda x: f.eval(x, derivatives=2), pieces, [counts]).max())
     mass = piece_masses(f, f.coeffs[None], pieces, q, query.p, query.resolution).sum()
     return float(mass) ** (1.0 / query.p)
 

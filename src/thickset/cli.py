@@ -125,10 +125,10 @@ def _parse_int(value, key: str, least: int | None = None) -> int:
 
 
 def _parse_seed(value, key: str) -> int:
-    """The first instance seed: THICKSET_SEED when set, else `seed`; a nonnegative integer."""
-    env = os.environ.get(SEED_ENV_VAR)
+    """The first instance seed: `seed`, a nonnegative integer, unless THICKSET_SEED overrides it."""
+    seed, env = _parse_int(value, key, least=0), os.environ.get(SEED_ENV_VAR)
     if env is None:
-        return _parse_int(value, key, least=0)
+        return seed
     if not env.isdigit():
         raise ConfigError(f"{SEED_ENV_VAR} must be a nonnegative integer, got {env}")
     return int(env)

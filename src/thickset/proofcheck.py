@@ -220,8 +220,8 @@ def growth_envelope(
     exp(b * (radius + 1/2)) with b the tightest band width, compared in log
     space.  The measured side is the max of |f| on a grid at the quadrature
     spacing, refined around each window's grid argmax by one
-    ``quadrature.sup_abs`` call over every window, so a higher peak
-    elsewhere in a window can be missed.
+    ``quadrature.sup_abs`` call with each window a piece of its one function,
+    so a higher peak elsewhere in a window can be missed.
     """
     if not radius > 0:
         raise InvalidWindowError(f"radius must be positive, got {radius}")
@@ -237,10 +237,11 @@ def growth_envelope(
     # product keeps the phase matrix at one window's size.  Columns: f, f', f''.
     columns = f.coeffs[:, None] * (1j * f.frequencies[:, None]) ** np.arange(3)
     dense = lambda x: np.concatenate(
-        [np.exp(1j * np.outer(x[i : i + n], f.frequencies)) @ columns for i in range(0, x.size, n)]
-    ).T
+        [np.exp(1j * np.outer(x[0, i : i + n], f.frequencies)) @ columns
+         for i in range(0, x.shape[1], n)]
+    ).T[:, None]
     windows = tuple((0.5 * (lo + hi) - radius, 0.5 * (lo + hi) + radius) for lo, hi in goods)
-    peaks = sup_abs(dense, windows, (n,) * len(windows))
+    (peaks,) = sup_abs(dense, windows, [(n,) * len(windows)])
     b_eff = 2.0 * f.max_frequency
     bound = (2.0 ** inv_p(p)) * _exp(b_eff * (radius + 0.5))
     log_bound = math.log(2.0) * inv_p(p) + b_eff * (radius + 0.5)
@@ -272,9 +273,9 @@ class TaylorSplit:
 
     def exp_sum(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        lams = np.array(self.centers)
-        evaluate = _expsum_closure(lams, _expsum_table(lams, self.poly_coeffs, False), self.base)
-        out = evaluate(xs.ravel())[0].reshape(xs.shape)
+        lams = np.array(self.centers)[None]
+        table = _expsum_table(lams[0], self.poly_coeffs, False)[:, None]
+        out = _expsum_closure(lams, table, self.base)(xs.reshape(1, -1))[0, 0].reshape(xs.shape)
         return complex(out[0]) if np.ndim(x) == 0 else out
 
     def remainder(self, x):
@@ -457,12 +458,12 @@ def _expsum_table(lams: np.ndarray, coeff_arrays, derivatives: bool) -> np.ndarr
 
 
 def _expsum_closure(lams: np.ndarray, table: np.ndarray, x0: float):
-    """Vectorized x -> the ``_expsum_table`` rows at x, shape (rows,) + x.shape.
+    """Vectorized x -> the ``_expsum_table`` rows at x, shape (rows, K, n).
 
-    x is 1-D, or (K, n) for K functions with lams (K, terms) and a (rows, K,
-    terms, powers) table.  Horner runs over the whole table at once, with the
-    operations and order of a per-term ``npoly.polyval``; the terms are then
-    added one at a time, so a value does not depend on the other points.
+    x is (K, n), row k holding points of function k, lams (K, terms) and the
+    table (rows, K, terms, powers).  Horner runs over the whole table at once,
+    with the operations and order of a per-term ``npoly.polyval``; the terms
+    are then added one at a time, so a value does not depend on the other points.
     """
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
@@ -562,11 +563,11 @@ def exp_sum_verifier(
         counts = [[max(17, 2 * int(math.ceil((b - a) / w)) + 1) for a, b in cells] for w in widths]
         values = sup_abs(_expsum_closure(lams, table, mid), cells, counts)
     else:
-        evaluators = [_expsum_closure(lams[k], table[:, k], mid) for k in range(K)]
+        evaluators = [_expsum_closure(lams[k : k + 1], table[:, k : k + 1], mid) for k in range(K)]
 
         def integrand(x, piece):
             runs = np.split(x, np.searchsorted(piece, firsts))
-            return np.concatenate([np.abs(f(run)[0]) ** p for f, run in zip(evaluators, runs)])
+            return np.abs(np.concatenate([f(r[None])[0, 0] for f, r in zip(evaluators, runs)])) ** p
 
         # unless p is even, |r|^p has a kink where r nearly vanishes: a piece of n
         # panels at width w is cut in two, at 0.6 w, until a rule of 2n + 1 panels

@@ -3,8 +3,8 @@
 The fixed order-16 rule integrates polynomials up to degree 31 exactly per
 panel; callers control accuracy through the panel width alone, one for all
 pieces or one per piece.  One ``panel_nodes``, ``piece_integrals`` or ``sup_abs``
-call covers every piece, and one ``sup_abs`` call can search K functions over
-them; only this module knows how nodes map to pieces.
+call covers every piece, and one ``sup_abs`` call searches K functions over
+them, laid out as K rows; only this module knows how nodes map to pieces.
 Node rules, base cells and sup grids depend on the pieces and the panel or grid
 counts alone, so each is built once per process and kept, read-only, in an LRU
 cache; a rule or grid of more than _CACHE_NODES points is rebuilt per call.
@@ -154,87 +154,77 @@ def piece_integrals(integrand, pieces, max_width, block: int | None = None) -> n
 
 
 def sup_abs(evaluate, pieces, counts) -> np.ndarray:
-    """Max of |f| over each closed piece, for one function or K at once.
+    """Max of |f| over each closed piece for K functions at once, shape (K, P).
 
-    1-D `counts`: evaluate(x) gives the rows f, f', f'' at the 1-D points x,
-    shape (3, x.size), and the result has one entry per piece.  Counts of
-    shape (K, P): evaluate(x) gets x of shape (K, n), row k holding points of
-    function k padded with its last grid point, returns shape (3, K, n), and
-    the result has shape (K, P).  One call serves every (function, piece) pair
-    still searched.  Function k samples piece i at counts[k, i] >= 2 equally
-    spaced points and the two cells around its grid argmax are zoomed once at
-    ZOOM_POINTS points.  Safeguarded Newton steps on g = |f|^2 then refine the
-    zoom's best point x: the sign of g' = 2 Re(f* f') moves an end of the
-    bracket (two zoom cells) to x, and the next point is x - g'/g'' if g'' < 0
-    and that lies in the bracket, else the bracket's midpoint.  A pair is done,
-    and stops changing, when its step or bracket is at most ZOOM_TOL (a maximum
-    at a piece endpoint closes the bracket there), or |g'| is rounding noise
-    (|f| constant); if a value does not depend on the other points evaluated,
-    each function's maxima have the bits of a search on it alone.  Entry (k, i)
-    is the largest value sampled.  Like any local refinement it finds the peak
-    the grid argmax sits on, which need not be the highest one.
+    Function k samples piece i at counts[k, i] >= 2 equally spaced points.
+    evaluate(x) gets x of shape (K, n), row k holding points of function k
+    (a grid row is padded with copies of its last point, which count as it),
+    and returns the rows f, f', f'' there, shape (3, K, n).  The two cells
+    around each (function, piece) pair's grid argmax are zoomed once at
+    ZOOM_POINTS points, and safeguarded Newton steps on g = |f|^2 refine
+    every pair's best point x each round: the sign of g' = 2 Re(f* f') moves
+    an end of the bracket (two zoom cells) to x, and the next x is x - g'/g''
+    if g'' < 0 and that lies in the bracket, else its midpoint.  A pair is
+    done, and keeps its x, once its step or bracket is at most ZOOM_TOL (a
+    maximum at a piece endpoint closes the bracket there) or |g'| is rounding
+    noise (|f| constant); if a value does not depend on the other points
+    evaluated, each function's maxima have the bits of a search on it alone.
+    Entry (k, i) is the largest value sampled before the pair was done: the
+    peak the grid argmax sits on, which need not be the highest one.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim not in (1, 2) or counts.shape[-1] != len(pieces) or counts.min() < 2:
+    if counts.ndim != 2 or counts.shape[1] != len(pieces) or counts.min() < 2:
         raise ValueError(f"sup_abs needs counts >= 2 of shape (K, {len(pieces)}), got {counts}")
-    one = counts.ndim == 1
-    if one:
-        evaluate, counts = (lambda x, rows=evaluate: rows(x[0])[:, None]), counts[None]
-    (funcs, npieces), key = counts.shape, tuple(counts.ravel().tolist())  # function-major
-    grid, first, last = _cached(_sup_grid, int(counts.sum()), tuple(pieces) * funcs, key)
-    pad = grid[last[npieces - 1 :: npieces]]  # each function's last grid point
-    vals = np.abs(_rows_at(evaluate, grid, np.repeat(np.arange(funcs), counts.sum(axis=1)), pad)[0])
+    funcs, key = len(counts), tuple(map(tuple, counts.tolist()))
+    grid, first, last, span = _cached(_sup_grid, funcs * max(map(sum, key)), pieces, key)
+    vals = np.abs(evaluate(grid)[0]).ravel()
     best = np.maximum.reduceat(vals, first)
-    hits = np.flatnonzero(vals == np.repeat(best, counts.ravel()))
-    k = hits[np.searchsorted(hits, first)]  # each pair's first argmax
-    lo, hi = grid[np.maximum(k - 1, first)], grid[np.minimum(k + 1, last)]
+    hits = np.flatnonzero(vals == np.repeat(best, span))
+    k = np.minimum(hits[np.searchsorted(hits, first)], last)  # first argmax, copies as last point
+    lo, hi = grid.flat[np.maximum(k - 1, first)], grid.flat[np.minimum(k + 1, last)]
     xs = lo[:, None] + (hi - lo)[:, None] * (np.arange(ZOOM_POINTS) / (ZOOM_POINTS - 1))
     xs[:, -1] = hi
-    rows = evaluate(xs.reshape(funcs, -1)).reshape((3,) + xs.shape)
-    live, k = np.arange(best.size), np.argmax(np.abs(rows[0]), axis=1)
-    x, rows = xs[live, k], rows[:, live, k]
-    lo, hi = xs[live, np.maximum(k - 1, 0)], xs[live, np.minimum(k + 1, ZOOM_POINTS - 1)]
+    rows = evaluate(xs.reshape(funcs, -1)).reshape(3, -1, ZOOM_POINTS)
+    pair, k = np.arange(best.size), np.argmax(np.abs(rows[0]), axis=1)
+    x, rows = xs[pair, k], rows[:, pair, k]
+    lo, hi = xs[pair, np.maximum(k - 1, 0)], xs[pair, np.minimum(k + 1, ZOOM_POINTS - 1)]
     size, dsize = np.abs(rows[:2])
-    best = np.maximum(best, size)
+    best, live = np.maximum(best, size), np.ones(best.size, dtype=bool)
     for _ in range(_ZOOM_ROUNDS - 1):
         slope, curve = (rows[0].conj() * rows[1:]).real  # g'/2, and g''/2 less |f'|^2
         curve += dsize**2
         lo, hi = np.where(slope > 0, x, lo), np.where(slope < 0, x, hi)
         x1 = x + np.divide(slope, -curve, out=np.full_like(x, np.inf), where=curve < 0)
         x1 = np.where((lo <= x1) & (x1 <= hi), x1, (lo + hi) / 2)
-        keep = np.minimum(hi - lo, np.abs(x1 - x)) > ZOOM_TOL
-        keep &= np.abs(slope) > _ROUNDING * size * dsize
-        live, x, lo, hi = live[keep], x1[keep], lo[keep], hi[keep]
-        if not live.size:
+        live &= np.minimum(hi - lo, np.abs(x1 - x)) > ZOOM_TOL
+        live &= np.abs(slope) > _ROUNDING * size * dsize
+        if not live.any():
             break
-        rows = _rows_at(evaluate, x, live // npieces, pad)
+        x = np.where(live, x1, x)
+        rows = evaluate(x.reshape(funcs, -1)).reshape(3, -1)
         size, dsize = np.abs(rows[:2])
-        best[live] = np.maximum(best[live], size)
-    return best if one else best.reshape(funcs, npieces)
-
-
-def _rows_at(evaluate, x, owner, pad) -> np.ndarray:
-    """Rows (3, x.size) at points x of the functions `owner` (ascending), padded by `pad`."""
-    if pad.size == 1:  # x itself, so a 1-D search's evaluator gets the read-only cached grid
-        return evaluate(x[None])[:, 0]
-    count = np.bincount(owner, minlength=pad.size)
-    col = np.arange(x.size) - np.repeat(np.cumsum(count) - count, count)
-    rect = np.repeat(pad[:, None], count.max(), axis=1)
-    rect[owner, col] = x
-    return evaluate(rect)[:, owner, col]
+        best = np.where(live, np.maximum(best, size), best)
+    return best.reshape(funcs, -1)
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
-def _sup_grid(pieces, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sup_abs's grid on the float pairs `pieces`, and each piece's first and last index."""
+def _sup_grid(pieces, counts) -> tuple[np.ndarray, ...]:
+    """sup_abs's (K, W) grid on the float pairs `pieces`: row k is its pieces'
+    np.linspace points, then copies of its last point; with each pair's first
+    and last flat index, function-major, and its span up to the next pair's first."""
     counts = np.array(counts, dtype=np.int64)
-    start, stop = np.array(pieces, dtype=float).reshape(-1, 2).T
+    real = np.arange(counts.sum(axis=1).max()) < counts.sum(axis=1)[:, None]
+    start, stop = np.tile(np.array(pieces, dtype=float).T, len(counts))
+    counts = counts.ravel()
     first = np.cumsum(counts) - counts
     last = first + counts - 1
     j = np.arange(last[-1] + 1) - np.repeat(first, counts)
-    grid = j * np.repeat((stop - start) / (counts - 1), counts) + np.repeat(start, counts)
-    grid[last] = stop  # the bits of np.linspace(start, stop, counts)
-    return _read_only(grid, first, last)
+    points = j * np.repeat((stop - start) / (counts - 1), counts) + np.repeat(start, counts)
+    points[last] = stop  # the bits of np.linspace(start, stop, counts)
+    grid = np.full(real.shape, stop[-1])
+    grid[real] = points
+    first, last = np.flatnonzero(real)[[first, last]]
+    return _read_only(grid, first, last, np.diff(first, append=grid.size))
 
 
 # benchmark/tracing.py records the sup search under its former name.

@@ -256,22 +256,14 @@ class TestSupEvaluatorContract:
 
     A tracer that counts evaluations wraps what ``sup_abs`` receives as
     ``counted(t)``, so the evaluator must take its points as its only argument.
+    Every caller hands it points of shape (K, n).
     """
 
-    @pytest.mark.parametrize(
-        "config, batched",
-        [
-            ({"command": "verify", "suite": "expsum", "seeds": 3, "n": 2, "m": 2, "p": "inf"},
-             True),
-            ({"command": "verify", "suite": "band_norms", "seeds": 2, "n": 3, "p": "inf"},
-             False),
-        ],
-        ids=["expsum", "band_norms"],
-    )
-    def test_one_argument_wrapper_keeps_rows(self, monkeypatch, config, batched):
+    @staticmethod
+    def probe(monkeypatch) -> list:
+        """Wrap every module's sup_abs evaluator as counted(t); returns the x.ndim of each call."""
         from thickset import bandlimited, proofcheck, quadrature
 
-        want = run(config)
         real, probes = quadrature.sup_abs, []
 
         def probed(evaluate, *args, **kwargs):
@@ -283,10 +275,34 @@ class TestSupEvaluatorContract:
 
         for module in (proofcheck, bandlimited):
             monkeypatch.setattr(module, "sup_abs", probed)
+        return probes
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"command": "verify", "suite": "expsum", "seeds": 3, "n": 2, "m": 2, "p": "inf"},
+            {"command": "verify", "suite": "band_norms", "seeds": 2, "n": 3, "p": "inf"},
+            {"command": "verify", "suite": "growth", "seeds": 2, "p": 1},  # the dense closure
+        ],
+        ids=["expsum", "band_norms", "growth"],
+    )
+    def test_one_argument_wrapper_keeps_rows(self, monkeypatch, config):
+        want = run(config)
+        probes = self.probe(monkeypatch)
         got = run(config)
-        assert probes and set(probes) == {2 if batched else 1}
+        assert probes and set(probes) == {2}
         assert got.table.rows == want.table.rows
         assert got.violations == want.violations
+
+    def test_one_argument_wrapper_keeps_lp_norm(self, monkeypatch):
+        from thickset import BandSpec, NormQuery, lp_norm, random_bandlimited, two_sliver_set
+
+        f = random_bandlimited(BandSpec((0.0, 6.0 * math.pi), 2.0 * math.pi), 8.0, seed=4)
+        query = NormQuery(math.inf, two_sliver_set(0.1))
+        want = lp_norm(f, query)
+        probes = self.probe(monkeypatch)
+        assert repr(lp_norm(f, query)) == repr(want)
+        assert probes and set(probes) == {2}
 
 
 class TestProofSuites:
@@ -529,6 +545,19 @@ class TestSeedEnv:
         path = write_config(tmp_path, {"command": "verify", "suite": suite, "seeds": 1})
         assert main(["--config", path]) == 2
         assert f"{SEED_ENV_VAR} must be a nonnegative integer, got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["abc", -1])
+    def test_env_does_not_hide_a_bad_config_seed(self, tmp_path, capsys, monkeypatch, seed):
+        monkeypatch.setenv(SEED_ENV_VAR, "3")
+        path = write_config(tmp_path, {"command": "classify", "seed": seed})
+        assert main(["--config", path]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_env_overrides_a_valid_config_seed(self, monkeypatch):
+        cfg = {"command": "classify", "b": 12.566370614359172, "p": 2}
+        want = emit_csv(run({**cfg, "seed": 99}).table)
+        monkeypatch.setenv(SEED_ENV_VAR, "99")
+        assert emit_csv(run({**cfg, "seed": 3}).table) == want
 
     def test_bad_env_seed_rejected(self, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")

@@ -327,11 +327,11 @@ class TestGrowthEnvelope:
         envelopes = growth_envelope(f, labels, 4.5)
         assert len(envelopes) == len(labels.good_intervals)
         columns = f.coeffs[:, None] * (1j * f.frequencies[:, None]) ** np.arange(3)
-        dense = lambda x: (np.exp(1j * np.outer(x, f.frequencies)) @ columns).T
+        dense = lambda x: (np.exp(1j * np.outer(x, f.frequencies)) @ columns).T[:, None]
         n = int(math.ceil(9.0 / panel_width(f.max_frequency, 8))) + 1
         for (lo, hi), env in zip(labels.good_intervals, envelopes):
             center = 0.5 * (lo + hi)
-            peak = sup_abs(dense, ((center - 4.5, center + 4.5),), (n,))[0]
+            peak = sup_abs(dense, ((center - 4.5, center + 4.5),), [(n,)])[0, 0]
             want = peak / _dense_mass(f, ((lo, hi),), p) ** (1.0 / p)
             assert math.isclose(env.ratio, want, rel_tol=1e-13)
 
@@ -739,7 +739,7 @@ class TestExpSumClosure:
         x0 = 0.3
         xs = np.linspace(-1.0, 2.0, 1001)
         table = proofcheck._expsum_table(lams, coeff_arrays, True)
-        got = proofcheck._expsum_closure(lams, table, x0)(xs)
+        got = proofcheck._expsum_closure(lams[None], table[:, None], x0)(xs[None])[:, 0]
         want = np.zeros((3,) + xs.shape, dtype=np.complex128)
         scale = np.zeros((3,) + xs.shape)
         for lam, coeffs in zip(lams.tolist(), coeff_arrays):
@@ -763,12 +763,12 @@ class TestExpSumClosure:
             rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (2, 1, 3, 2, 1)
         ]
         table = proofcheck._expsum_table(lams, coeff_arrays, True)
-        evaluate = proofcheck._expsum_closure(lams, table, 0.5)
+        evaluate = proofcheck._expsum_closure(lams[None], table[:, None], 0.5)
         xs = rng.uniform(0.0, 1.0, 24)
-        full = evaluate(xs)
+        full = evaluate(xs[None])[:, 0]
         for i, x in enumerate(xs):
-            assert evaluate(xs[i : i + 1])[:, 0].tobytes() == full[:, i].tobytes()
-        # the (K, n) form: two functions, one row of points each
+            assert evaluate(xs[None, i : i + 1])[:, 0, 0].tobytes() == full[:, i].tobytes()
+        # two functions, one row of points each
         both = proofcheck._expsum_closure(
             np.stack([lams, lams[::-1]]), np.stack([table, table[:, ::-1]], axis=1), 0.5
         )
@@ -783,7 +783,7 @@ class TestExpSumClosure:
         coeff_arrays = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (4, 2)]
         xs = np.linspace(0.0, 1.0, 257)
         table = proofcheck._expsum_table(lams, coeff_arrays, False)
-        rows = proofcheck._expsum_closure(lams, table, 0.0)(xs)
+        rows = proofcheck._expsum_closure(lams[None], table[:, None], 0.0)(xs[None])[:, 0]
         table = np.zeros((2, 4), np.complex128)
         table[0], table[1, :2] = coeff_arrays
         acc = table[:, -1:]

@@ -180,33 +180,35 @@ def test_panel_width_tracks_top_frequency():
 
 
 def _trig_rows(freqs, coeffs):
-    """Rows f, f', f'' of f(t) = sum_j coeffs_j exp(i freqs_j t), as sup_abs takes them."""
+    """Rows f, f', f'' of f(t) = sum_j coeffs_j exp(i freqs_j t), shape (3,) + t.shape."""
     columns = coeffs * (1j * freqs) ** np.arange(3)[:, None]
-    return lambda t: columns @ np.exp(1j * np.outer(freqs, t))
+    return lambda t: (columns @ np.exp(1j * np.outer(freqs, t))).reshape((3,) + t.shape)
 
 
-def _counted(evaluate, calls):
-    """One-argument wrapper that records each call's point count."""
+def _recorded(evaluate, calls):
+    """One-argument wrapper that keeps a copy of each call's x."""
 
-    def counted(t):
-        calls.append(t.size)
+    def recorded(t):
+        calls.append(t.copy())
         return evaluate(t)
 
-    return counted
+    return recorded
 
 
 def test_sup_interior_quadratic_peak():
     # Newton on g = f^2 lands on the vertex; the value error is rounding
     fn = lambda t: np.stack([-(t - 1.3) ** 2 + 2.0, -2.0 * (t - 1.3), np.full(t.shape, -2.0)])
-    got = sup_abs(fn, ((0.0, 3.0),), (5,))
-    assert got.shape == (1,)
-    assert math.isclose(got[0], 2.0, rel_tol=0.0, abs_tol=1e-15)
+    got = sup_abs(fn, ((0.0, 3.0),), [(5,)])
+    assert got.shape == (1, 1)
+    assert math.isclose(got[0, 0], 2.0, rel_tol=0.0, abs_tol=1e-15)
 
 
 def test_sup_endpoint_maximum():
     one, zero = np.ones, np.zeros
-    assert sup_abs(lambda t: np.stack([t, one(t.shape), zero(t.shape)]), ((0.0, 1.0),), (4,))[0] == 1.0
-    assert sup_abs(lambda t: np.stack([1.0 - t, -one(t.shape), zero(t.shape)]), ((0.0, 1.0),), (4,))[0] == 1.0
+    rising = lambda t: np.stack([t, one(t.shape), zero(t.shape)])
+    falling = lambda t: np.stack([1.0 - t, -one(t.shape), zero(t.shape)])
+    assert sup_abs(rising, ((0.0, 1.0),), [(4,)])[0, 0] == 1.0
+    assert sup_abs(falling, ((0.0, 1.0),), [(4,)])[0, 0] == 1.0
 
 
 def test_sup_several_pieces_in_one_call():
@@ -217,15 +219,15 @@ def test_sup_several_pieces_in_one_call():
     calls = []
     # |f| peaks near 2 pi / 3 in the second piece and near 4 pi / 3 in the
     # third, the higher one; the grids' argmaxes are refined together, so
-    # one call serves every piece per round
+    # one call serves every piece per round, done or not
     pieces = ((0.1, 0.9), (1.5, 2.5), (4.0, 4.5))
-    got = sup_abs(_counted(fn, calls), pieces, (9, 9, 9))
+    got = sup_abs(_recorded(fn, calls), pieces, [(9, 9, 9)])
     want = float(np.max(np.abs(fn(np.linspace(4.0, 4.5, 1_000_001))[0])))
-    assert got.shape == (3,)
+    assert got.shape == (1, 3)
     assert math.isclose(got.max(), want, rel_tol=1e-12)
-    assert calls[0] == 27
-    assert calls[1] == 3 * 17
-    assert all(size <= 3 for size in calls[2:])
+    assert calls[0].size == 27
+    assert calls[1].size == 3 * 17
+    assert all(x.size == 3 for x in calls[2:])
 
 
 def test_sup_matches_dense_scan():
@@ -234,7 +236,7 @@ def test_sup_matches_dense_scan():
     coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     fn = _trig_rows(freqs, coeffs)
     pieces = ((-1.0, 0.3), (0.5, 2.0))
-    got = sup_abs(fn, pieces, (80, 80)).max()
+    got = sup_abs(fn, pieces, [(80, 80)]).max()
     scan = max(float(np.max(np.abs(fn(np.linspace(a, b, 100_000))[0]))) for a, b in pieces)
     # the scan's spacing (~1.5e-5) leaves it below the true peak by at most
     # |f''| h^2 / 8 ~ 1e-7 relative
@@ -248,12 +250,12 @@ def test_sup_per_piece_maxima():
     coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     fn = _trig_rows(freqs, coeffs)
     pieces = ((-2.0, -0.8), (0.0, 0.7), (1.1, 2.9))
-    got = sup_abs(fn, pieces, (60, 40, 90))
+    got = sup_abs(fn, pieces, [(60, 40, 90)])
     scans = [float(np.max(np.abs(fn(np.linspace(a, b, 100_000))[0]))) for a, b in pieces]
-    assert got.shape == (3,)
+    assert got.shape == (1, 3)
     assert len(set(scans)) == 3
     # same spacing argument as test_sup_matches_dense_scan
-    for value, scan in zip(got, scans):
+    for value, scan in zip(got[0], scans):
         assert scan <= value <= scan * (1.0 + 1e-7)
 
 
@@ -263,9 +265,9 @@ def test_sup_off_grid_peak_in_few_calls():
     f = TrigPoly(2.0 * math.pi, ms, np.exp(-1j * ms * math.sqrt(2.0)))
     calls = []
     n = int(math.ceil(2.0 * math.pi / panel_width(f.max_frequency, 8))) + 1
-    got = sup_abs(_counted(lambda t: f.eval(t, derivatives=2), calls), ((0.0, 2.0 * math.pi),), (n,))
+    got = sup_abs(_recorded(lambda t: f.eval(t, derivatives=2), calls), ((0.0, 2.0 * math.pi),), [(n,)])
     assert not np.any(np.linspace(0.0, 2.0 * math.pi, n) == math.sqrt(2.0))
-    assert math.isclose(got[0], 17.0, rel_tol=1e-13)
+    assert math.isclose(got[0, 0], 17.0, rel_tol=1e-13)
     assert len(calls) <= 8
 
 
@@ -281,17 +283,17 @@ def test_sup_off_grid_peak_in_few_calls():
 )
 def test_sup_endpoint_maximum_in_few_calls(fn, piece, want):
     calls = []
-    got = sup_abs(_counted(fn, calls), (piece,), (9,))
-    assert got[0] == want
+    got = sup_abs(_recorded(fn, calls), (piece,), [(9,)])
+    assert got[0, 0] == want
     assert len(calls) <= 8
 
 
 def test_sup_constant_modulus_stops_at_rounding():
     # |e^(i lam x)| = 1 everywhere: g' is rounding noise after the zoom round
     lam = 7.3
-    fn = lambda t: np.exp(1j * lam * t) * np.array([1.0, 1j * lam, -lam * lam])[:, None]
+    fn = lambda t: np.multiply.outer(np.array([1.0, 1j * lam, -lam * lam]), np.exp(1j * lam * t))
     calls = []
-    got = sup_abs(_counted(fn, calls), ((0.0, 3.0), (4.0, 4.5)), (40, 9))
+    got = sup_abs(_recorded(fn, calls), ((0.0, 3.0), (4.0, 4.5)), [(40, 9)])
     assert np.allclose(got, 1.0, rtol=1e-15, atol=0.0)
     assert len(calls) == 2
 
@@ -299,37 +301,47 @@ def test_sup_constant_modulus_stops_at_rounding():
 def test_sup_refuses_short_grids():
     fn = _trig_rows(np.array([1.0]), np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
-        sup_abs(fn, ((0.0, 1.0), (2.0, 3.0)), (5, 1))
+        sup_abs(fn, ((0.0, 1.0), (2.0, 3.0)), [(5, 1)])
 
 
 def _wave(freqs, coeffs):
     """Rows f, f', f'' of sum_j coeffs_j exp(i freqs_j t), one term added at a time.
 
-    Each value depends on its own point alone, as a K-function search needs.
+    Shape (3,) + t.shape.  Each value depends on its own point alone, as a
+    K-function search needs.
     """
 
     def rows(t):
         total = np.zeros((3,) + t.shape, dtype=np.complex128)
         for lam, c in zip(freqs, coeffs):
-            total = total + (c * (1j * lam) ** np.arange(3))[:, None] * np.exp(1j * lam * t)
+            total = total + np.multiply.outer(c * (1j * lam) ** np.arange(3), np.exp(1j * lam * t))
         return total
 
     return rows
 
 
 def _together(fns, hull):
-    """One (K, n) -> (3, K, n) evaluator from K 1-D ones, recording each call's shape.
+    """One (K, n) -> (3, K, n) evaluator from K functions, recording a copy of each call's x.
 
     It refuses points outside `hull`, so padding may only repeat a row's own points.
     """
-    shapes = []
+    calls = []
 
     def rows(x):
-        shapes.append(x.shape)
         assert np.all((hull[0] <= x) & (x <= hull[1]))
         return np.stack([fn(row) for fn, row in zip(fns, x)], axis=1)
 
-    return rows, shapes
+    return _recorded(rows, calls), calls
+
+
+def _assert_frozen(calls):
+    """A pair that did not move between two Newton calls (the third call on) never moves again.
+
+    A pair still searched always moves, by more than ZOOM_TOL, so one that did not is done.
+    """
+    steps = np.array(calls[2:])
+    still = steps[1:] == steps[:-1]
+    assert np.all(still[:-1] <= still[1:])
 
 
 @pytest.mark.parametrize("take", [slice(None), slice(0, 1)], ids=["five", "one"])
@@ -345,20 +357,37 @@ def test_sup_k_functions_match_separate_searches(take):
     pieces = ((0.5, 1.3), (1.5, 3.0), (3.0, 3.1), (3.5, 5.0))
     counts = [(40, 60, 5, 80), (9, 9, 9, 9), (5, 17, 3, 11), (2, 4, 6, 8), (90, 7, 2, 30)]
     fns, counts = fns[take], counts[take]
-    evaluate, shapes = _together(fns, (0.5, 5.0))
+    evaluate, calls = _together(fns, (0.5, 5.0))
     got = sup_abs(evaluate, pieces, counts)
     assert got.shape == (len(fns), len(pieces))
-    assert all(len(shape) == 2 and shape[0] == len(fns) for shape in shapes)
-    alone = [sup_abs(fn, pieces, row) for fn, row in zip(fns, counts)]
-    for row, want in zip(got, alone):
-        assert repr(row.tolist()) == repr(want.tolist())
+    assert all(x.ndim == 2 and x.shape[0] == len(fns) for x in calls)
+    # every Newton call evaluates every pair, and a done pair keeps its point
+    assert all(x.shape == (len(fns), len(pieces)) for x in calls[2:])
+    _assert_frozen(calls)
+    joint, longest = np.array(calls[2:]), 0
+    for k, (fn, row) in enumerate(zip(fns, counts)):
+        own = []
+        alone = sup_abs(_recorded(fn, own), pieces, [row])
+        assert repr(got[k].tolist()) == repr(alone[0].tolist())
+        _assert_frozen(own)
+        longest = max(longest, len(own))
+        # function k's points are those of its search alone, then stay where it ended
+        assert calls[1][k].tobytes() == own[1][0].tobytes()
+        steps = np.array(own[2:]).reshape(-1, len(pieces))
+        assert joint[: len(steps), k].tobytes() == steps.tobytes()
+        assert np.all(joint[max(len(steps) - 1, 0) :, k] == joint[max(len(steps) - 1, 0), k])
     # the searches share rounds: as many calls as the longest search alone
-    longest = 0
-    for fn, row in zip(fns, counts):
-        calls = []
-        sup_abs(_counted(fn, calls), pieces, row)
-        longest = max(longest, len(calls))
-    assert len(shapes) == longest
+    assert len(calls) == longest
+
+
+def test_sup_copy_of_last_point_zooms_its_cells():
+    # row 0 is 0, 0.25, ..., 1 and four copies of 1; values that drift with the
+    # column rank a copy above the real last point, whose cells are zoomed all the same
+    fn = lambda t: np.stack([t + 1e-9 * np.arange(t.shape[-1]), np.ones(t.shape), np.zeros(t.shape)])
+    calls = []
+    sup_abs(_recorded(fn, calls), [(0.0, 1.0)], [(5,), (9,)])
+    assert calls[0][0].tolist() == [0.0, 0.25, 0.5, 0.75] + [1.0] * 5
+    assert calls[1][0].min() == 0.75 and calls[1][0].max() == 1.0
 
 
 @pytest.mark.parametrize(
@@ -367,9 +396,10 @@ def test_sup_k_functions_match_separate_searches(take):
         [(9, 9), (9,)],  # ragged rows
         [(9, 9, 9), (9, 9, 9)],  # rows longer than the pieces
         [9],  # 1-D, one entry short
+        [9, 9],  # 1-D: one function's counts still need shape (1, P)
         [[(9, 9)]],  # 3-D
     ],
-    ids=["ragged", "long-rows", "short-1d", "3d"],
+    ids=["ragged", "long-rows", "short-1d", "1d", "3d"],
 )
 def test_sup_refuses_counts_that_do_not_match_pieces(counts):
     fn = _trig_rows(np.array([1.0]), np.array([1.0 + 0j]))
@@ -457,18 +487,28 @@ def _geometries():
 def test_cached_geometry_matches_builders(empty_caches, name, width):
     pieces, period, copies = _geometries()[name]
     rules = [_one_piece_rule(lo, hi, width) for lo, hi in pieces]
-    counts = [max(2, panel_count(lo, hi, width) + 1) for lo, hi in pieces]
-    grid = np.concatenate([np.linspace(lo, hi, n) for (lo, hi), n in zip(pieces, counts)])
-    ends = np.cumsum(counts)
+    # two functions with rows of unequal lengths: each row is its function's
+    # np.linspace pieces, padded with its last point to the longest row
+    counts = ([max(2, panel_count(lo, hi, width) + 1) for lo, hi in pieces],
+              [2 + i % 3 for i in range(len(pieces))])
+    lines = [np.concatenate([np.linspace(lo, hi, n) for (lo, hi), n in zip(pieces, row)])
+             for row in counts]
+    size = max(line.size for line in lines)
+    grid = np.stack([np.pad(line, (0, size - line.size), mode="edge") for line in lines])
+    ends = [k * size + np.cumsum(row) for k, row in enumerate(counts)]
     for _ in range(2):  # the building call, then the cached one
         xs, ws = panel_nodes(pieces, width)
         assert xs.tobytes() == np.concatenate([x for x, _ in rules]).tobytes()
         assert ws.tobytes() == np.concatenate([w for _, w in rules]).tobytes()
         cell = base_cell(pieces, width, period, copies)
         assert cell == quadrature._base_cell.__wrapped__(tuple(pieces), width, period, copies)
-        got, first, last = quadrature._sup_grid(tuple(pieces), tuple(counts))
-        assert got.tobytes() == grid.tobytes()
-        assert first.tolist() == (ends - counts).tolist() and last.tolist() == (ends - 1).tolist()
+        got, first, last, span = quadrature._sup_grid(tuple(pieces), tuple(map(tuple, counts)))
+        assert got.shape == grid.shape and got.tobytes() == grid.tobytes()
+        assert first.tolist() == np.concatenate([e - row for e, row in zip(ends, counts)]).tolist()
+        assert last.tolist() == (np.concatenate(ends) - 1).tolist()
+        # each pair spans its points, and the last pair of a row its row's copies too
+        spans = [list(row[:-1]) + [row[-1] + size - sum(row)] for row in counts]
+        assert span.tolist() == sum(spans, [])
     nodes = GL_ORDER * sum(panel_count(lo, hi, width) for lo, hi in pieces)
     stored = nodes <= quadrature._CACHE_NODES  # else rebuilt, never stored
     assert [cache.cache_info().hits for cache in _CACHES] == [int(stored), 1, 1]
@@ -482,8 +522,12 @@ def test_cached_arrays_are_read_only(empty_caches):
         calls.append(t)
         return np.stack([np.cos(t), -np.sin(t), -np.cos(t)])
 
-    sup_abs(record, [(0.0, 1.0)], [9])
-    for array in (xs, ws, calls[0]):
+    sup_abs(record, [(0.0, 1.0)], [(9,)])
+    start = len(calls)
+    # K = 2 with rows of 14 and 11 points: the padded rectangle is cached too
+    sup_abs(record, [(0.0, 1.0), (2.0, 3.0)], [(9, 5), (4, 7)])
+    assert calls[start].shape == (2, 14)
+    for array in (xs, ws, calls[0], calls[start]):
         with pytest.raises(ValueError):
             array[0] = 1.0
 
@@ -513,7 +557,9 @@ def test_large_rule_is_never_stored(empty_caches):
     assert a[0] is not b[0] and a[0].tobytes() == b[0].tobytes()
     assert quadrature._rule.cache_info().currsize == 0
     fn = _trig_rows(np.array([1.0]), np.array([1.0 + 0j]))
-    sup_abs(fn, [(0.0, 1.0)], [quadrature._CACHE_NODES + 1])
+    sup_abs(fn, [(0.0, 1.0)], [(quadrature._CACHE_NODES + 1,)])
+    # 2051 distinct points, but a 2 x 2049 rectangle: the bound counts what is stored
+    sup_abs(fn, [(0.0, 1.0)], [(quadrature._CACHE_NODES // 2 + 1,), (2,)])
     assert quadrature._sup_grid.cache_info().currsize == 0
 
 
@@ -523,6 +569,6 @@ def test_caches_are_bounded(empty_caches):
         width = 0.5 / (i + 1)
         panel_nodes([(0.0, 1.0)], width)
         base_cell([(0.0, 1.0)], width, 1.0, 1)
-        sup_abs(fn, [(0.0, 1.0)], [i + 2])
+        sup_abs(fn, [(0.0, 1.0)], [(i + 2,)])
     for cache in _CACHES:
         assert cache.cache_info().currsize <= quadrature._CACHE_ENTRIES == 32
