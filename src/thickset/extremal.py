@@ -5,6 +5,9 @@ inside [-b/2, b/2] and nearly saturates the single-band bound on the
 two-sliver set of density gamma: its norm ratio scales like gamma^(m + 1/p)
 up to a geometric constant, so log-log regressions of ratio against gamma
 recover a slope linear in b with coefficient close to 1 / (4 pi).
+
+Each ratio takes two quadratures clipped at a reach from 0, on a window [-X, X]
+set by a closed-form lower bound on the central mass.
 """
 from __future__ import annotations
 
@@ -29,8 +32,10 @@ FOUR_PI = 4.0 * math.pi
 # omitted term is ~ (2 pi x)^6 / 5040 < 1e-19 at the cutoff.
 _SMALL_X = 1e-4
 
-# default_truncation keeps the kernel tail below this fraction of the mass.
+# default_truncation keeps the kernel tail below this fraction of the mass; no X,
+# supplied or derived, may exceed MAX_TRUNCATION, as [-X, X] holds 2X slivers.
 TRUNCATION_REL_TOL = 1e-10
+MAX_TRUNCATION = 1e6
 
 
 def _unit_kernel(x: np.ndarray) -> np.ndarray:
@@ -70,21 +75,10 @@ def extremal_pair(bandwidth: float, gamma: float) -> ExtremalInstance:
 
 
 # _log_mass drops panels holding at most 2^-CUT_BITS of the mass, guessed to within
-# 2^_GUESS_BITS first; up to _DIRECT_PANELS panels, evaluating all costs less than bounding.
+# 2^_GUESS_BITS first; up to _DIRECT_PANELS panels it evaluates them all.
 CUT_BITS = 60
 _GUESS_BITS = 16
 _DIRECT_PANELS = 256
-
-
-def _panel_bounds(left, right, mp: float) -> np.ndarray:
-    """Upper bound U on log sum w |kernel|^mp over the nodes of each panel [left, right]."""
-    tau_d = math.tau * np.maximum(np.maximum(left, -right), 0.0)
-    peak = np.floor(2.0 * right - 0.5) >= 2.0 * left - 0.5  # holds a point 1/4 + k/2
-    sup = np.maximum(np.abs(np.sin(math.tau * left)), np.abs(np.sin(math.tau * right)))
-    # padded by 8 eps (1 + 2 pi |x|), |x| <= d + 1/2, for the rounding of nodes and sin
-    sup = np.maximum(sup, peak) + 8.0 * np.finfo(float).eps * (4.2 + tau_d)
-    with np.errstate(divide="ignore"):  # log 0 = -inf at d = 0: the cap 1 applies
-        return np.log(right - left) + mp * np.minimum(0.0, np.log(sup) - np.log(tau_d))
 
 
 def _log_sum(pieces, mp: float) -> float:
@@ -97,18 +91,16 @@ def _log_sum(pieces, mp: float) -> float:
 
 
 def _log_mass(pieces, mp: float) -> float:
-    """log of sum w |kernel|^mp over the panels of width 0.5/mp that can move it.
+    """log of sum w |kernel|^mp over the panels of width 0.5/mp within reach of 0.
 
-    On a panel [l, r] at distance d from 0, |kernel| <= min(1, S / (2 pi d)), S the
-    max of |sin 2 pi x| there: 1 if the panel holds a peak 1/4 + k/2, else the larger
-    endpoint value, as |sin 2 pi x| has no other interior maximum.  The weights sum
-    to r - l, so U = log(r - l) + mp log min(1, S / (2 pi d)) bounds the panel's log
-    mass (S is padded for rounding; no weight exceeds 0.095 (r - l)).  Panels with U
-    below a cut c are dropped, unbounded beyond where log(0.5/mp) - mp log(2 pi d) = c;
-    the rest go, as runs, through one panel_nodes call and one log-sum-exp.  Their log
-    mass M bounds the whole from below, so c <= M - CUT_BITS ln 2 - ln(#panels) keeps
-    the dropped mass under 2^-CUT_BITS of it.  c takes M to be at least 2^-_GUESS_BITS
-    of one panel at the kernel's value nearest 0; if not, every panel is evaluated.
+    |kernel(x)| <= 1 / (2 pi |x|) and a panel's weights sum to at most 0.5/mp, so
+    each panel beyond |x| = reach, where log(0.5/mp) - mp log(2 pi reach) = c, has
+    log mass below the cut c.  Each piece is clipped to its panels within reach, with
+    one more panel at each end for rounding, and the clipped runs go through one
+    panel_nodes call and one log-sum-exp.  Their log mass M bounds the whole from
+    below, so c <= M - CUT_BITS ln 2 - ln(#panels) keeps the dropped mass under
+    2^-CUT_BITS of it.  c takes M to be at least 2^-_GUESS_BITS of one panel at the
+    kernel's value nearest 0; if not, every panel is evaluated.
     """
     width = 0.5 / mp
     n = np.array([panel_count(lo, hi, width) for lo, hi in pieces], dtype=np.int64)
@@ -123,43 +115,44 @@ def _log_mass(pieces, mp: float) -> float:
     margin = CUT_BITS * math.log(2.0) + math.log(n.sum())
     cut = guess - _GUESS_BITS * math.log(2.0) - margin
     reach = min(math.exp(min((math.log(width) - cut) / mp, 700.0)) / math.tau,
-                np.abs((lo, hi)).max())  # U < cut beyond it; windows add a panel each end
-    first = np.minimum(np.maximum((-reach - lo) // step - 1.0, 0.0), n).astype(np.int64)
-    count = np.minimum(np.maximum((reach - lo) // step + 2.0, 0.0), n).astype(np.int64) - first
-    k = np.repeat(np.arange(n.size), count)
-    j = np.arange(k.size) - np.repeat(np.cumsum(count) - count - first, count)
-    left = j * step[k] + lo[k]  # the left edges panel_nodes gives the whole piece
-    right = np.where(j + 1 == n[k], hi[k], left + step[k])
-    keep = _panel_bounds(left, right, mp) >= cut
-    k, j, left, right = k[keep], j[keep], left[keep], right[keep]
-    # panels numbered with a gap between pieces, so that no run spans two pieces
-    ends = np.flatnonzero(np.diff(j + np.cumsum(n + 1)[k]) != 1)  # of every run but the last
-    runs = np.column_stack((left[np.append(0, ends + 1)], right[np.append(ends, -1)]))
-    mass = _log_sum(runs.tolist(), mp)
+                np.abs((lo, hi)).max())
+    with np.errstate(over="ignore"):  # a subnormal step gives +-inf, clipped to 0 or n
+        first = np.clip(np.floor((-reach - lo) / step) - 1.0, 0.0, n)  # panel indices, as floats
+        last = np.clip(np.floor((reach - lo) / step) + 2.0, 0.0, n)
+    runs = np.column_stack((first * step + lo, np.where(last == n, hi, last * step + lo)))
+    mass = _log_sum(runs[last > first].tolist(), mp)
     return mass if mass - margin >= cut else _log_sum(pieces, mp)
+
+
+def _log_central_mass(mp: float) -> float:
+    """log of a lower bound on the integral of |kernel|^mp over [0, 2].
+
+    With u = 2 pi x, sin u / u >= 1 - u^2/6 >= 0 on [0, sqrt 6], and (1 - u^2/6)^mp
+    integrates there to sqrt(6 pi) Gamma(mp + 1) / (2 Gamma(mp + 3/2)) in u.
+    """
+    return (0.5 * math.log(6.0 * math.pi) + math.lgamma(mp + 1.0) - math.lgamma(mp + 1.5)
+            - math.log(2.0 * math.tau))
 
 
 def default_truncation(inst: ExtremalInstance, p: float) -> float:
     """Half-width X making the closed-form tail below TRUNCATION_REL_TOL of the mass.
 
     Uses |kernel(x)| <= 1/(2 pi |x|), so the tail beyond X is at most
-    2 (2 pi)^(-mp) X^(1-mp) / (mp - 1); the central mass on [-2, 2] is twice
-    the even kernel's quadrature on [0, 2] at panel width 0.5/(mp).
+    2 (2 pi)^(-mp) X^(1-mp) / (mp - 1); the central mass on [-2, 2] is at least
+    twice _log_central_mass, a closed-form lower bound, which can only widen X.
+    X is at least 4; an X beyond MAX_TRUNCATION raises InvalidWindowError.
     """
     p = finite_exponent(p, "the extremal ratio")
     mp = inst.power * p
     if mp <= 1.0:
         raise NonIntegrableError(f"kernel power m*p = {mp:g} is not integrable")
-    log_target = math.log(TRUNCATION_REL_TOL) + math.log(2.0) + _log_mass([(0.0, 2.0)], mp)
+    log_target = math.log(TRUNCATION_REL_TOL) + math.log(2.0) + _log_central_mass(mp)
     log_tail_at_one = math.log(2.0) - mp * math.log(math.tau) - math.log(mp - 1.0)
     # tail(X) = exp(log_tail_at_one) * X^(1-mp) <= target
     log_x = (log_target - log_tail_at_one) / (1.0 - mp)
-    x = math.exp(min(log_x, 700.0))
-    if x > 1e6:
-        raise InvalidWindowError(
-            "truncation would be impractically wide; pass it explicitly"
-        )
-    return float(max(4.0, math.ceil(x)))
+    if log_x > math.log(MAX_TRUNCATION):
+        raise InvalidWindowError(f"truncation would exceed {MAX_TRUNCATION:g}; pass one explicitly")
+    return float(max(4.0, math.ceil(math.exp(log_x))))
 
 
 def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = None) -> float:
@@ -170,7 +163,7 @@ def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = 
     [0, X], the kept mass runs over the pieces of E in [-X, X] as they are.
     Both use the normalized kernel, so the ratio is exact for the
     unnormalized family as well; its log10 never underflows, and it is
-    -inf only when E carries no mass in the window.
+    -inf only when E carries no mass in the window.  X > MAX_TRUNCATION is refused.
     """
     p = finite_exponent(p, "the extremal ratio")
     mp = inst.power * p
@@ -179,8 +172,8 @@ def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = 
     if truncation is None:
         truncation = default_truncation(inst, p)
     x_max = float(truncation)
-    if not x_max > 0:
-        raise InvalidWindowError(f"truncation must be positive, got {truncation}")
+    if not 0.0 < x_max <= MAX_TRUNCATION:
+        raise InvalidWindowError(f"truncation must be in (0, {MAX_TRUNCATION:g}], got {truncation}")
     log_total = math.log(2.0) + _log_mass([(0.0, x_max)], mp)
     log_kept = _log_mass(inst.set.materialize(-x_max, x_max), mp)
     return (log_kept - log_total) / (p * math.log(10.0))

@@ -425,6 +425,13 @@ class TestMain:
         assert main(["--config", write_config(tmp_path, cfg)]) == 2
         assert "'truncation_list'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("truncation", [math.inf, 1e300, 2e6])
+    def test_extremal_truncation_beyond_cap_exits_two(self, tmp_path, capsys, truncation):
+        # [-X, X] holds 2X slivers: inf and 1e300 overflowed, and 1e7 ran out of memory
+        cfg = {"command": "extremal", "b": 40.0 * math.pi, "gamma": 0.1, "truncation": truncation}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 2
+        assert "truncation must be in (0, 1e+06]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [2.5, True, "2"])
     @pytest.mark.parametrize(
         "config, key",

@@ -1,6 +1,7 @@
 """The sinc-power family that pins the exponent's linear shape."""
 import math
 from functools import lru_cache
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from thickset import (
     InsufficientDataError,
     IntervalSet,
     InvalidExponentError,
+    InvalidWindowError,
     NonIntegrableError,
     default_truncation,
     exponent_fit,
@@ -191,6 +193,22 @@ class TestExtremalRatio:
         b = extremal_ratio(inst, 2.0, truncation=2.0 * default_truncation(inst, 2.0))
         assert abs(a - b) <= math.log10(1.0 + 1e-6)
 
+    @pytest.mark.parametrize("truncation", [math.inf, 1e300, 2e6, math.nan, 0.0])
+    def test_truncation_out_of_range(self, truncation):
+        # [-X, X] holds 2X slivers: inf and 1e300 overflowed, 1e7 ran out of memory
+        inst = extremal_pair(40.0 * math.pi, 0.1)
+        with pytest.raises(InvalidWindowError):
+            extremal_ratio(inst, 2.0, truncation=truncation)
+
+    def test_two_quadratures(self, monkeypatch):
+        # the total on [0, X] and the kept mass: the truncation takes none
+        calls = []
+        log_mass = extremal_mod._log_mass
+        monkeypatch.setattr(extremal_mod, "_log_mass",
+                            lambda pieces, mp: calls.append(pieces) or log_mass(pieces, mp))
+        extremal_ratio(extremal_pair(320.0 * math.pi, 0.05), 4.0)
+        assert len(calls) == 2
+
     def test_default_truncation_positive(self):
         inst = extremal_pair(2.0 * FOUR_PI, 0.3)
         assert default_truncation(inst, 2.0) >= 4.0
@@ -232,10 +250,11 @@ class TestExtremalRatio:
 def _full_log_mass(pieces, mp: float) -> float:
     """The log-sum-exp over every panel of width 0.5/mp, none cut, summed by fsum."""
     xs, ws = panel_nodes(pieces, 0.5 / mp)
-    terms = np.log(ws) + mp * np.log(np.abs(extremal_mod._unit_kernel(xs)))
-    if not terms.size:
+    with np.errstate(divide="ignore"):  # a zero of the kernel, or a weight that underflows
+        terms = np.log(ws) + mp * np.log(np.abs(extremal_mod._unit_kernel(xs)))
+    top = terms.max(initial=-np.inf)
+    if top == -np.inf:
         return -math.inf
-    top = terms.max()
     return float(top + math.log(math.fsum(np.exp(terms - top))))
 
 
@@ -247,7 +266,7 @@ PRUNE_SETS = {
 
 
 class TestPanelCut:
-    """_log_mass evaluates only the panels whose bound can move the sum."""
+    """_log_mass evaluates only the panels within reach of 0."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
     @pytest.mark.parametrize("truncation", [None, 0.3, 50.0])
@@ -290,23 +309,62 @@ class TestPanelCut:
         extremal_mod._log_mass([(0.0, 50.0)], 40.0)
         assert len(sizes) == 1 and 0 < sizes[0] <= 16 * 80
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        left=st.floats(-60.0, 60.0),
-        width=st.floats(1e-9, 0.5),
+        pieces=st.lists(st.tuples(st.floats(-30.0, 30.0), st.floats(0.0, 1.0)),
+                        min_size=1, max_size=8),
         mp=st.floats(1.01, 2000.0),
     )
-    @example(left=0.5, width=1e-9, mp=2000.0)  # at a zero of sin
-    @example(left=50.0, width=1e-6, mp=2000.0)  # a zero far out
-    @example(left=-0.01, width=0.02, mp=40.0)  # through 0
-    @example(left=0.24, width=0.02, mp=40.0)  # over a peak of |sin|
-    def test_bound_covers_every_node(self, left, width, mp):
-        right = left + width
-        xs, ws = panel_nodes([(left, right)], 1.0)  # one panel
-        with np.errstate(divide="ignore"):
-            terms = np.log(ws) + mp * np.log(np.abs(extremal_mod._unit_kernel(xs)))
-        bound = extremal_mod._panel_bounds(np.array([left]), np.array([right]), mp)
-        assert terms.max() <= bound[0]
+    @example(pieces=[(-4.0, 1.0)], mp=2000.0)  # through 0
+    @example(pieces=[(-0.55, 0.1), (0.45, 0.1)], mp=40.0)  # two slivers
+    @example(pieces=[(29.0, 1.0), (-30.0, 1.0)], mp=2000.0)  # far out only
+    @example(pieces=[(0.5, 0.0), (3.0, 0.0)], mp=10.0)  # no length
+    def test_matches_every_panel_on_random_pieces(self, pieces, mp):
+        # pieces (left, share) of total length <= 8; the masses agree to 1e-14
+        # relative, so their logs to 1e-14 absolute (or relative, beyond 1)
+        pieces = [(left, left + 8.0 * share / len(pieces)) for left, share in pieces]
+        with mock.patch.object(extremal_mod, "_DIRECT_PANELS", 0):
+            got = extremal_mod._log_mass(pieces, mp)
+        want = _full_log_mass(pieces, mp)
+        assert got == want or abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def _central_mass(mp: float):
+    """The integral of |sin(2 pi x) / (2 pi x)|^mp over [0, 2] at 30 digits."""
+    with mpmath.workdps(REF_DPS):
+        scale = 1 / (2 * mpmath.pi * mpmath.sqrt(mp))  # the width of the peak at 0
+        points = [mpmath.mpf(0)] + [scale * 2 ** k for k in range(8) if scale * 2 ** k < 0.5]
+        points += [mpmath.mpf(k) / 2 for k in range(1, 5)]  # the zeros of sin
+        return mpmath.quad(lambda x: abs(mpmath.sin(2 * mpmath.pi * x) / (2 * mpmath.pi * x)) ** mp,
+                           points)
+
+
+class TestDefaultTruncation:
+    """X from a closed-form lower bound on the central mass."""
+
+    @pytest.mark.parametrize("mp", [1.01, 1.5, 2.0, 4.0, 8.0, 20.0, 80.0, 320.0, 2000.0])
+    def test_central_mass_bound_is_below(self, mp):
+        # a lower bound can only widen X, so the tail stays below the tolerance
+        want = _central_mass(mp)
+        bound = extremal_mod._log_central_mass(mp)
+        assert bound <= float(mpmath.log(want))
+        assert bound >= float(mpmath.log(want / 2))  # and not vacuous
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("b_over_pi", [40, 80, 160, 320])
+    def test_sandwich_grid_is_four(self, b_over_pi, p):
+        for gamma in (0.05, 0.1, 0.2, 0.4):
+            assert default_truncation(extremal_pair(b_over_pi * math.pi, gamma), p) == 4.0
+
+    @pytest.mark.parametrize("m, p, x", [(1, 3.0, 10636.0), (1, 4.0, 239.0), (3, 1.5, 82.0),
+                                          (2, 3.0, 12.0), (5, 1.0, 37.0)])
+    def test_small_powers(self, m, p, x):
+        assert default_truncation(extremal_pair(m * FOUR_PI, 0.1), p) == x
+
+    @pytest.mark.parametrize("m, p", [(1, 2.0), (2, 1.0), (1, 1.5)])
+    def test_too_wide_raises(self, m, p):
+        with pytest.raises(InvalidWindowError):
+            default_truncation(extremal_pair(m * FOUR_PI, 0.1), p)
 
 
 class TestExtremalReference:
