@@ -28,7 +28,7 @@ from .errors import (
     InvalidIntervalError,
     InvalidResolutionError,
 )
-from .quadrature import RESOLUTION, base_cell, panel_width, piece_integrals, sup_abs
+from .quadrature import RESOLUTION, TAYLOR_ORDER, base_cell, panel_width, piece_integrals, sup_abs
 from .sets import IntervalSet, period_ratio
 
 
@@ -122,9 +122,10 @@ class TrigPoly:
 
     def _step_table(self, derivatives: int) -> np.ndarray:
         tables = self.__dict__.setdefault("_tables", {})
-        if derivatives not in tables:
-            powers = (1j * self.frequencies) ** np.arange(derivatives + 1)[:, None]
-            tables[derivatives] = _step_tables(self.ms, self.coeffs * powers)
+        if derivatives not in tables:  # the powers (i nu)^r by running products
+            powers = np.tile(1j * self.frequencies, (derivatives + 1, 1))
+            powers[0] = 1.0
+            tables[derivatives] = _step_tables(self.ms, self.coeffs * np.cumprod(powers, axis=0))
         return tables[derivatives]
 
     def eval(self, x, derivatives: int = 0):
@@ -286,12 +287,12 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
         values come from one length-Q FFT.  At resolution 8, p = 1 torus
         norms of the benchmark ``restriction`` spectra are off by 1.4e-8 to
         3.7e-7 relative (resolution 128 as reference): |f| is nearly kinked
-        at zeros of f near the real axis.
-        For ``p = inf`` the maximum of |f| is taken over a grid with the
-        same spacing on every piece and refined around each piece's grid
-        argmax by one ``quadrature.sup_abs`` call on f.eval(x, derivatives=2),
-        f its one function (a zoom round, then Newton steps); its maxima are
-        reduced with ``.max()``, and a peak away from those argmaxes may be missed.
+        at zeros of f near the real axis.  The coefficients go in over a power
+        of two near their largest modulus, so |f|^p neither under- nor overflows.
+        For ``p = inf`` one ``quadrature.sup_abs`` call, f its one function,
+        samples f.eval on a grid with that spacing on every piece and models f
+        at each piece's grid argmax from f.eval(x, derivatives=TAYLOR_ORDER);
+        a peak away from those argmaxes may be missed.
 
     Returns
     -------
@@ -306,9 +307,11 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     width = panel_width(f.max_frequency, query.resolution)
     if math.isinf(query.p):
         counts = [max(3, int(math.ceil((hi - lo) / width)) + 1) for lo, hi in pieces]
-        return float(sup_abs(lambda x: f.eval(x, derivatives=2), pieces, [counts]).max())
-    mass = piece_masses(f, f.coeffs[None], pieces, q, query.p, query.resolution).sum()
-    return float(mass) ** (1.0 / query.p)
+        expand = lambda x: f.eval(x, derivatives=TAYLOR_ORDER)
+        return float(sup_abs(f.eval, expand, pieces, [counts]).max())
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(f.coeffs).max(initial=0.0)))[1])
+    mass = piece_masses(f, f.coeffs[None] / scale, pieces, q, query.p, query.resolution).sum()
+    return float(mass) ** (1.0 / query.p) * scale
 
 
 def lattice_indices(spec: BandSpec, period: float) -> np.ndarray:

@@ -37,7 +37,7 @@ from .errors import (
     InvalidWindowError,
     ZeroFunctionError,
 )
-from .quadrature import RESOLUTION, panel_count, panel_width, piece_integrals, sup_abs
+from .quadrature import RESOLUTION, TAYLOR_ORDER, panel_count, panel_width, piece_integrals, sup_abs
 from .sets import IntervalSet
 
 
@@ -220,7 +220,8 @@ def growth_envelope(
     exp(b * (radius + 1/2)) with b the tightest band width, compared in log
     space.  The measured side is the max of |f| on a grid at the quadrature
     spacing, refined around each window's grid argmax by one
-    ``quadrature.sup_abs`` call with each window a piece of its one function,
+    ``quadrature.sup_abs`` call with each window a piece of its one function
+    (its Taylor model from f.eval's rows f .. f^(TAYLOR_ORDER) at the argmax),
     so a higher peak elsewhere in a window can be missed.
     """
     if not radius > 0:
@@ -230,18 +231,19 @@ def growth_envelope(
         return ()
     width = panel_width(f.max_frequency, RESOLUTION)
     n = max(9, int(math.ceil(2.0 * radius / width)) + 1)
-    # Dense phases, not f.eval: a window wider than the period holds grid
-    # points one period apart, which f.eval's argument reduction makes tie;
-    # unreduced phases break those ties as the benchmark's recorded growth
-    # rows (seeds 501724, 473638 and 169677) expect.  One window's grid per
-    # product keeps the phase matrix at one window's size.  Columns: f, f', f''.
+    # Dense phases, not f.eval, sample the grid: a window wider than the period
+    # holds grid points one period apart, which f.eval's argument reduction makes
+    # tie; unreduced phases, in a product on three columns (f, f', f''), break the
+    # ties as the benchmark's recorded growth rows (seeds 501724, 473638, 169677)
+    # expect.  One window's grid per product keeps the phase matrix small.
     columns = f.coeffs[:, None] * (1j * f.frequencies[:, None]) ** np.arange(3)
-    dense = lambda x: np.concatenate(
+    sample = lambda x: np.concatenate(
         [np.exp(1j * np.outer(x[0, i : i + n], f.frequencies)) @ columns
          for i in range(0, x.shape[1], n)]
-    ).T[:, None]
+    ).T[:1]
     windows = tuple((0.5 * (lo + hi) - radius, 0.5 * (lo + hi) + radius) for lo, hi in goods)
-    (peaks,) = sup_abs(dense, windows, [(n,) * len(windows)])
+    expand = lambda x: f.eval(x, derivatives=TAYLOR_ORDER)
+    (peaks,) = sup_abs(sample, expand, windows, [(n,) * len(windows)])
     b_eff = 2.0 * f.max_frequency
     bound = (2.0 ** inv_p(p)) * _exp(b_eff * (radius + 0.5))
     log_bound = math.log(2.0) * inv_p(p) + b_eff * (radius + 0.5)
@@ -274,7 +276,7 @@ class TaylorSplit:
     def exp_sum(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         lams = np.array(self.centers)[None]
-        table = _expsum_table(lams[0], self.poly_coeffs, False)[:, None]
+        table = _expsum_table(lams[0], self.poly_coeffs, 1)[:, None]
         out = _expsum_closure(lams, table, self.base)(xs.reshape(1, -1))[0, 0].reshape(xs.shape)
         return complex(out[0]) if np.ndim(x) == 0 else out
 
@@ -333,15 +335,10 @@ def taylor_split(
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise InvalidWindowError(f"invalid interval ({lo}, {hi})")
-    polys = []
-    for g in components:
-        d = g
-        coeffs = np.empty(degree, dtype=np.complex128)
-        for order in range(degree):
-            coeffs[order] = d.eval(lo) / math.factorial(order)
-            d = d.derivative(1)
+    factorials = np.cumprod(np.maximum(np.arange(degree), 1.0))
+    polys = [np.atleast_1d(g.eval(lo, derivatives=degree - 1)) / factorials for g in components]
+    for coeffs in polys:
         coeffs.setflags(write=False)
-        polys.append(coeffs)
     mth = tuple(g.derivative(degree) for g in components)
     return TaylorSplit(
         base=lo,
@@ -361,11 +358,8 @@ def taylor_remainder_bound(split: TaylorSplit, p: float) -> float:
     m = split.degree
     a = split.length
     window = IntervalSet(((split.base, split.base + a),))
-    total = 0.0
-    for g in split.mth_derivatives:
-        if g.is_zero:
-            continue
-        total += lp_norm(g, NormQuery(p, window)) ** p
+    norms = (lp_norm(g, NormQuery(p, window)) for g in split.mth_derivatives if not g.is_zero)
+    total = sum(v ** p for v in norms)
     return n ** (p - 1.0) * a ** (p * m) / math.factorial(m) ** p * total
 
 
@@ -403,15 +397,11 @@ def band_component_norms(f: TrigPoly, spec: BandSpec, p: float) -> BandComponent
     live = np.abs(f.coeffs) > 0
     if np.any(assignment[live] < 0):
         raise InvalidBandError("a live frequency falls outside every band")
-    components = []
-    for k in range(spec.count):
-        sel = assignment == k
-        components.append(TrigPoly(f.period, f.ms[sel], f.coeffs[sel]))
+    components = [TrigPoly(f.period, f.ms[assignment == k], f.coeffs[assignment == k])
+                  for k in range(spec.count)]
     torus = full_torus(f.period)
     total = lp_norm(f, NormQuery(p, torus))
-    norms = tuple(
-        0.0 if g.is_zero else lp_norm(g, NormQuery(p, torus)) for g in components
-    )
+    norms = tuple(0.0 if g.is_zero else lp_norm(g, NormQuery(p, torus)) for g in components)
     ratios = tuple(v / total for v in norms)
     return BandComponentNorms(
         norms=norms,
@@ -439,22 +429,20 @@ class ExpSumCheck:
     remez_bound: float | None
 
 
-def _expsum_table(lams: np.ndarray, coeff_arrays, derivatives: bool) -> np.ndarray:
+def _expsum_table(lams: np.ndarray, coeff_arrays, rows: int) -> np.ndarray:
     """Rows x terms x powers coefficients of f = sum_k p_k(x - x0) exp(i lam_k x), zero-padded.
 
-    Row r is sum_k q_k(x - x0) exp(i lam_k x): q = p for the row f, and with
-    `derivatives` q = p' + i lam p, p'' + 2 i lam p' - lam^2 p for f', f''.
+    Row r is sum_k q_k(x - x0) exp(i lam_k x) with q = p in row 0 and q' + i lam q
+    in the next: the rows f, f', ..., f^(rows - 1).
     """
-    poly = np.zeros((len(coeff_arrays), max(arr.size for arr in coeff_arrays)), np.complex128)
-    for row, arr in zip(poly, coeff_arrays):
+    poly = np.zeros((rows, len(coeff_arrays), max(arr.size for arr in coeff_arrays)), np.complex128)
+    for row, arr in zip(poly[0], coeff_arrays):
         row[: arr.size] = arr
-    if not derivatives:
-        return poly[None]
-    lam, powers = lams[:, None], np.arange(1, poly.shape[1])
-    slope, curve = np.zeros_like(poly), np.zeros_like(poly)
-    slope[:, :-1] = poly[:, 1:] * powers
-    curve[:, :-1] = slope[:, 1:] * powers
-    return np.stack([poly, slope + 1j * lam * poly, curve + 2j * lam * slope - lam**2 * poly])
+    lam, powers = 1j * lams[:, None], np.arange(1, poly.shape[2])
+    for r in range(1, rows):
+        poly[r] = lam * poly[r - 1]
+        poly[r, :, :-1] += poly[r - 1, :, 1:] * powers
+    return poly
 
 
 def _expsum_closure(lams: np.ndarray, table: np.ndarray, x0: float):
@@ -463,7 +451,8 @@ def _expsum_closure(lams: np.ndarray, table: np.ndarray, x0: float):
     x is (K, n), row k holding points of function k, lams (K, terms) and the
     table (rows, K, terms, powers).  Horner runs over the whole table at once,
     with the operations and order of a per-term ``npoly.polyval``; the terms
-    are then added one at a time, so a value does not depend on the other points.
+    are then added one at a time, so a value depends neither on the other points
+    nor on the other rows: table[:1] gives row 0's bits.
     """
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
@@ -505,7 +494,8 @@ def exp_sum_verifier(
 
     Returns per instance, in order, one check per set.  Each instance is
     measured once on each cell of I cut at every set's endpoints: one
-    ``sup_abs`` search over every instance at p = inf, and at finite p
+    ``sup_abs`` search over every instance at p = inf (the table's value row
+    samples, its rows f .. f^(TAYLOR_ORDER) expand), and at finite p
     ``piece_integrals`` calls, instance-major, each instance at its own panel
     width: one at even p, and for other p rounds that cut a cell's pieces
     where a second rule disagrees, since |r|^p has kinks where r nearly
@@ -556,12 +546,13 @@ def exp_sum_verifier(
     K, n = len(parsed), max(shape[0] for shape in shapes)
     lams = np.array([np.pad(row, (0, n - row.size)) for row, _ in parsed])
     padded = [arr for _, arrays in parsed for arr in arrays + [np.zeros(1)] * (n - len(arrays))]
-    table = _expsum_table(lams.ravel(), padded, math.isinf(p))
+    table = _expsum_table(lams.ravel(), padded, TAYLOR_ORDER + 1 if math.isinf(p) else 1)
     table = table.reshape(len(table), K, n, -1)
     widths = [panel_width(float(np.max(np.abs(row))), RESOLUTION) for row in lams]
     if math.isinf(p):
         counts = [[max(17, 2 * int(math.ceil((b - a) / w)) + 1) for a, b in cells] for w in widths]
-        values = sup_abs(_expsum_closure(lams, table, mid), cells, counts)
+        sample = _expsum_closure(lams, table[:1], mid)
+        values = sup_abs(lambda x: sample(x)[0], _expsum_closure(lams, table, mid), cells, counts)
     else:
         evaluators = [_expsum_closure(lams[k : k + 1], table[:, k : k + 1], mid) for k in range(K)]
 

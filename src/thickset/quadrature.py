@@ -1,4 +1,4 @@
-"""Composite Gauss-Legendre panels, per-piece integrals and a batched Newton sup search.
+"""Composite Gauss-Legendre panels, per-piece integrals and a batched Taylor-model sup search.
 
 The fixed order-16 rule integrates polynomials up to degree 31 exactly per
 panel; callers control accuracy through the panel width alone, one for all
@@ -21,13 +21,13 @@ GL_ORDER = 16
 # Default panel oversampling: a panel is 1/RESOLUTION of min(1, 2 pi / nu_max).
 RESOLUTION = 8
 
-# Points of sup_abs's one zoom round; it narrows a grid bracket to 1/8.
-ZOOM_POINTS = 17
-# sup_abs stops a piece when its Newton step or bracket is this small (abscissa
-# units) or |g'| <= 2 _ROUNDING |f| |f'| (|f| constant), or after _ZOOM_ROUNDS rounds.
-ZOOM_TOL = 1e-12
-_ROUNDING = 4.0 * np.finfo(float).eps
-_ZOOM_ROUNDS = 64
+# sup_abs models f at a grid argmax from its rows f .. f^(TAYLOR_ORDER): a scan, then Newton steps.
+TAYLOR_ORDER, _NEWTON_STEPS = 20, 3
+_ORDERS = np.arange(TAYLOR_ORDER + 1.0)
+_SLOPE = np.diag(_ORDERS[1:], -1)  # coefficients of a polynomial to those of its derivative
+_ROWS = np.stack([np.eye(len(_ORDERS)), _SLOPE, _SLOPE @ _SLOPE], 2).reshape(len(_ORDERS), -1) + 0j
+_SCAN = np.linspace(-1.0, 1.0, 33)  # grid cells in 32 steps; 0 and +-1 among its points
+_SCAN_POWERS = _SCAN ** _ORDERS[:, None] + 0j
 
 # Entries of each geometry cache, and the most points of a rule or grid it keeps.
 _CACHE_ENTRIES, _CACHE_NODES = 32, 4096
@@ -153,58 +153,64 @@ def piece_integrals(integrand, pieces, max_width, block: int | None = None) -> n
     return total
 
 
-def sup_abs(evaluate, pieces, counts) -> np.ndarray:
+def sup_abs(sample, expand, pieces, counts) -> np.ndarray:
     """Max of |f| over each closed piece for K functions at once, shape (K, P).
 
     Function k samples piece i at counts[k, i] >= 2 equally spaced points.
-    evaluate(x) gets x of shape (K, n), row k holding points of function k
-    (a grid row is padded with copies of its last point, which count as it),
-    and returns the rows f, f', f'' there, shape (3, K, n).  The two cells
-    around each (function, piece) pair's grid argmax are zoomed once at
-    ZOOM_POINTS points, and safeguarded Newton steps on g = |f|^2 refine
-    every pair's best point x each round: the sign of g' = 2 Re(f* f') moves
-    an end of the bracket (two zoom cells) to x, and the next x is x - g'/g''
-    if g'' < 0 and that lies in the bracket, else its midpoint.  A pair is
-    done, and keeps its x, once its step or bracket is at most ZOOM_TOL (a
-    maximum at a piece endpoint closes the bracket there) or |g'| is rounding
-    noise (|f| constant); if a value does not depend on the other points
-    evaluated, each function's maxima have the bits of a search on it alone.
-    Entry (k, i) is the largest value sampled before the pair was done: the
-    peak the grid argmax sits on, which need not be the highest one.
+    sample(x) gets x of shape (K, n), row k holding points of function k (a
+    grid row is padded with copies of its last point, which count as it), and
+    returns f there; expand(x) gets each (function, piece) pair's first grid
+    argmax, shape (K, P), and returns the rows f, f', ..., f^(TAYLOR_ORDER)
+    there, shape (TAYLOR_ORDER + 1, K, P).  Entry (k, i) is the larger of the
+    grid's max and the peak of the Taylor model on the argmax's grid cells
+    (``_model_peaks``): the peak the grid argmax sits on, not always the
+    highest.  Bernstein's |f^(r)| <= nu^r ||f||_inf, nu the top frequency,
+    bounds the model's error by (nu h)^21 / 21! ||f||_inf: 1e-22 ||f||_inf at
+    the cell width h <= pi / (4 nu) of every caller.  If a value does not
+    depend on the other points evaluated, each function's maxima have the bits
+    of a search on it alone.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 2 or counts.shape[1] != len(pieces) or counts.min() < 2:
         raise ValueError(f"sup_abs needs counts >= 2 of shape (K, {len(pieces)}), got {counts}")
     funcs, key = len(counts), tuple(map(tuple, counts.tolist()))
     grid, first, last, span = _cached(_sup_grid, funcs * max(map(sum, key)), pieces, key)
-    vals = np.abs(evaluate(grid)[0]).ravel()
+    vals = np.abs(sample(grid)).ravel()
     best = np.maximum.reduceat(vals, first)
     hits = np.flatnonzero(vals == np.repeat(best, span))
     k = np.minimum(hits[np.searchsorted(hits, first)], last)  # first argmax, copies as last point
-    lo, hi = grid.flat[np.maximum(k - 1, first)], grid.flat[np.minimum(k + 1, last)]
-    xs = lo[:, None] + (hi - lo)[:, None] * (np.arange(ZOOM_POINTS) / (ZOOM_POINTS - 1))
-    xs[:, -1] = hi
-    rows = evaluate(xs.reshape(funcs, -1)).reshape(3, -1, ZOOM_POINTS)
-    pair, k = np.arange(best.size), np.argmax(np.abs(rows[0]), axis=1)
-    x, rows = xs[pair, k], rows[:, pair, k]
-    lo, hi = xs[pair, np.maximum(k - 1, 0)], xs[pair, np.minimum(k + 1, ZOOM_POINTS - 1)]
-    size, dsize = np.abs(rows[:2])
-    best, live = np.maximum(best, size), np.ones(best.size, dtype=bool)
-    for _ in range(_ZOOM_ROUNDS - 1):
-        slope, curve = (rows[0].conj() * rows[1:]).real  # g'/2, and g''/2 less |f'|^2
-        curve += dsize**2
-        lo, hi = np.where(slope > 0, x, lo), np.where(slope < 0, x, hi)
-        x1 = x + np.divide(slope, -curve, out=np.full_like(x, np.inf), where=curve < 0)
-        x1 = np.where((lo <= x1) & (x1 <= hi), x1, (lo + hi) / 2)
-        live &= np.minimum(hi - lo, np.abs(x1 - x)) > ZOOM_TOL
-        live &= np.abs(slope) > _ROUNDING * size * dsize
-        if not live.any():
-            break
-        x = np.where(live, x1, x)
-        rows = evaluate(x.reshape(funcs, -1)).reshape(3, -1)
-        size, dsize = np.abs(rows[:2])
-        best = np.where(live, np.maximum(best, size), best)
-    return best.reshape(funcs, -1)
+    x = grid.flat[k]
+    lo, hi = grid.flat[np.maximum(k - 1, first)] - x, grid.flat[np.minimum(k + 1, last)] - x
+    peaks, _ = _model_peaks(expand(x.reshape(funcs, -1)).reshape(TAYLOR_ORDER + 1, -1), lo, hi)
+    return np.fmax(best, peaks).reshape(funcs, -1)  # the grid's max where the rows overflow
+
+
+def _model_peaks(rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Max of |sum_r rows[r] t^r / r!| over each column's t in [lo, hi] (lo <= 0 <= hi), and its t.
+
+    In s = t / h, h = max(-lo, hi), with coefficients rows[r] h^r / r! over a power of two near
+    their largest modulus (|.|^2 cannot under- or overflow; |rows[0]| keeps its bits), the peak
+    is the larger of _SCAN's best point in [sign lo, sign hi] and _NEWTON_STEPS Newton steps
+    from it on |.|^2, clipped to its scan cells (uphill where not concave); h = 0 gives |rows[0]|.
+    """
+    h, left, right = np.maximum(-lo, hi), np.sign(lo)[:, None], np.sign(hi)[:, None]
+    steps = np.ones((h.size, TAYLOR_ORDER + 1))  # of the products h^r / r!, then of s^r
+    steps[:, 1:] = h[:, None] / _ORDERS[1:]
+    coeffs = rows.T * np.multiply.accumulate(steps, axis=1)
+    scale = np.ldexp(1.0, np.frexp(np.abs(coeffs).max(axis=1))[1])
+    coeffs /= scale[:, None]
+    scan = np.abs(coeffs @ _SCAN_POWERS)
+    j = np.argmax(np.where((left <= _SCAN) & (_SCAN <= right), scan, -1.0), axis=1)
+    s, (lo, hi) = _SCAN[j], np.clip(_SCAN[np.clip(j[:, None] + [-1, 1], 0, 32)], left, right).T
+    model = (coeffs @ _ROWS).reshape(h.size, -1, 3)
+    for step in range(_NEWTON_STEPS + 1):
+        steps[:, 1:] = s[:, None]
+        rows = (np.multiply.accumulate(steps, axis=1)[:, None] @ model)[:, 0]  # P, P', P'' at s
+        if step == _NEWTON_STEPS:
+            return scale * np.maximum(scan[np.arange(h.size), j], np.abs(rows[:, 0])), s * h
+        slope, bend = (rows[:, :1].conj() * rows[:, 1:]).real.T  # g'/2, g''/2 - |P'|^2, g = |P|^2
+        s = s - slope / np.minimum(bend + np.abs(rows[:, 1]) ** 2, -1e-300)  # |g'/2| < 1e4: finite
+        s = np.minimum(np.maximum(s, lo), hi)
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)

@@ -252,30 +252,33 @@ class TestExpsumSuite:
 
 
 class TestSupEvaluatorContract:
-    """A search still runs when its evaluator is wrapped as a one-argument callable.
+    """A search still runs when its sampler is wrapped as a one-argument callable.
 
-    A tracer that counts evaluations wraps what ``sup_abs`` receives as
-    ``counted(t)``, so the evaluator must take its points as its only argument.
-    Every caller hands it points of shape (K, n).
+    A tracer that counts evaluations wraps the first argument ``sup_abs``
+    receives, its sampler, as ``counted(t)``, so the sampler must take its
+    points as its only argument.  Every caller hands it points of shape (K, n),
+    once per search.
     """
 
     @staticmethod
-    def probe(monkeypatch) -> list:
-        """Wrap every module's sup_abs evaluator as counted(t); returns the x.ndim of each call."""
+    def probe(monkeypatch) -> tuple[list, list]:
+        """Wrap every module's sup_abs sampler as counted(t); returns the x.ndim of
+        each sampler call, and one entry per search."""
         from thickset import bandlimited, proofcheck, quadrature
 
-        real, probes = quadrature.sup_abs, []
+        real, probes, searches = quadrature.sup_abs, [], []
 
-        def probed(evaluate, *args, **kwargs):
+        def probed(sample, *args, **kwargs):
             def counted(t):
                 probes.append(t.ndim)
-                return evaluate(t)
+                return sample(t)
 
+            searches.append(None)
             return real(counted, *args, **kwargs)
 
         for module in (proofcheck, bandlimited):
             monkeypatch.setattr(module, "sup_abs", probed)
-        return probes
+        return probes, searches
 
     @pytest.mark.parametrize(
         "config",
@@ -288,9 +291,9 @@ class TestSupEvaluatorContract:
     )
     def test_one_argument_wrapper_keeps_rows(self, monkeypatch, config):
         want = run(config)
-        probes = self.probe(monkeypatch)
+        probes, searches = self.probe(monkeypatch)
         got = run(config)
-        assert probes and set(probes) == {2}
+        assert probes and set(probes) == {2} and len(probes) == len(searches)
         assert got.table.rows == want.table.rows
         assert got.violations == want.violations
 
@@ -300,9 +303,9 @@ class TestSupEvaluatorContract:
         f = random_bandlimited(BandSpec((0.0, 6.0 * math.pi), 2.0 * math.pi), 8.0, seed=4)
         query = NormQuery(math.inf, two_sliver_set(0.1))
         want = lp_norm(f, query)
-        probes = self.probe(monkeypatch)
+        probes, searches = self.probe(monkeypatch)
         assert repr(lp_norm(f, query)) == repr(want)
-        assert probes and set(probes) == {2}
+        assert probes == [2] and len(searches) == 1
 
 
 class TestProofSuites:

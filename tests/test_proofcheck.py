@@ -39,7 +39,7 @@ from thickset import (
 )
 from thickset import proofcheck
 from thickset.proofcheck import TAIL_EPS
-from thickset.quadrature import RESOLUTION, panel_nodes, panel_width
+from thickset.quadrature import RESOLUTION, TAYLOR_ORDER, panel_nodes, panel_width
 
 B4 = 4.0 * math.pi
 L = 8.0
@@ -327,11 +327,12 @@ class TestGrowthEnvelope:
         envelopes = growth_envelope(f, labels, 4.5)
         assert len(envelopes) == len(labels.good_intervals)
         columns = f.coeffs[:, None] * (1j * f.frequencies[:, None]) ** np.arange(3)
-        dense = lambda x: (np.exp(1j * np.outer(x, f.frequencies)) @ columns).T[:, None]
+        sample = lambda x: (np.exp(1j * np.outer(x, f.frequencies)) @ columns).T[:1]
+        expand = lambda x: f.eval(x, derivatives=TAYLOR_ORDER)
         n = int(math.ceil(9.0 / panel_width(f.max_frequency, 8))) + 1
         for (lo, hi), env in zip(labels.good_intervals, envelopes):
             center = 0.5 * (lo + hi)
-            peak = sup_abs(dense, ((center - 4.5, center + 4.5),), [(n,)])[0, 0]
+            peak = sup_abs(sample, expand, ((center - 4.5, center + 4.5),), [(n,)])[0, 0]
             want = peak / _dense_mass(f, ((lo, hi),), p) ** (1.0 / p)
             assert math.isclose(env.ratio, want, rel_tol=1e-13)
 
@@ -655,7 +656,7 @@ class TestExpSumVerifier:
         real_sup_abs = proofcheck.sup_abs
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append(args[2])
             return real_sup_abs(*args)
 
         monkeypatch.setattr(proofcheck, "sup_abs", counted)
@@ -738,21 +739,25 @@ class TestExpSumClosure:
         ]
         x0 = 0.3
         xs = np.linspace(-1.0, 2.0, 1001)
-        table = proofcheck._expsum_table(lams, coeff_arrays, True)
+        rows = TAYLOR_ORDER + 1
+        table = proofcheck._expsum_table(lams, coeff_arrays, rows)
         got = proofcheck._expsum_closure(lams[None], table[:, None], x0)(xs[None])[:, 0]
-        want = np.zeros((3,) + xs.shape, dtype=np.complex128)
-        scale = np.zeros((3,) + xs.shape)
+        want = np.zeros((rows,) + xs.shape, dtype=np.complex128)
+        scale = np.zeros((rows,) + xs.shape)
         for lam, coeffs in zip(lams.tolist(), coeff_arrays):
             # (p e^(i lam x))^(r) = sum_j C(r, j) (i lam)^(r - j) p^(j) e^(i lam x)
-            derivs = [npoly.polyval(xs - x0, npoly.polyder(coeffs, j)) for j in range(3)]
-            for r in range(3):
+            derivs = [npoly.polyval(xs - x0, npoly.polyder(coeffs, j)) for j in range(rows)]
+            for r in range(rows):
                 for j in range(r + 1):
                     term = math.comb(r, j) * (1j * lam) ** (r - j) * derivs[j]
                     want[r] += term * np.exp(1j * lam * xs)
                     scale[r] += np.abs(term)
-        assert got.shape == (3,) + xs.shape
+        assert got.shape == (rows,) + xs.shape
         assert np.all(np.abs(got[0] - want[0]) <= 1e-15 * scale[0])
         assert np.all(np.abs(got[1:] - want[1:]) <= 1e-14 * scale[1:])
+        # a one-row table evaluates f with the bits of the value row
+        value = proofcheck._expsum_closure(lams[None], table[:1, None], x0)(xs[None])
+        assert value.shape == (1, 1) + xs.shape and value[0, 0].tobytes() == got[0].tobytes()
 
     def test_value_does_not_depend_on_other_points(self):
         # five terms: numpy's own sum over them regroups when one point is
@@ -762,7 +767,7 @@ class TestExpSumClosure:
         coeff_arrays = [
             rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (2, 1, 3, 2, 1)
         ]
-        table = proofcheck._expsum_table(lams, coeff_arrays, True)
+        table = proofcheck._expsum_table(lams, coeff_arrays, 3)
         evaluate = proofcheck._expsum_closure(lams[None], table[:, None], 0.5)
         xs = rng.uniform(0.0, 1.0, 24)
         full = evaluate(xs[None])[:, 0]
@@ -782,7 +787,7 @@ class TestExpSumClosure:
         lams = np.array([-3.0, 5.5])
         coeff_arrays = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (4, 2)]
         xs = np.linspace(0.0, 1.0, 257)
-        table = proofcheck._expsum_table(lams, coeff_arrays, False)
+        table = proofcheck._expsum_table(lams, coeff_arrays, 1)
         rows = proofcheck._expsum_closure(lams[None], table[:, None], 0.0)(xs[None])[:, 0]
         table = np.zeros((2, 4), np.complex128)
         table[0], table[1, :2] = coeff_arrays

@@ -1,4 +1,4 @@
-"""Panel Gauss-Legendre rule, per-piece integrals and the batched sup search."""
+"""Panel Gauss-Legendre rule, per-piece integrals and the batched Taylor-model sup search."""
 import math
 
 import numpy as np
@@ -8,6 +8,7 @@ from thickset import quadrature
 from thickset.bandlimited import TrigPoly
 from thickset.quadrature import (
     GL_ORDER,
+    TAYLOR_ORDER,
     base_cell,
     panel_count,
     panel_nodes,
@@ -179,10 +180,24 @@ def test_panel_width_tracks_top_frequency():
     assert panel_width(4.0 * math.pi, 8) == 0.5 / 8
 
 
+def _taylor(rows):
+    """sup_abs's (sample, expand) from rows(t) -> f, f', ..., padded with zero rows.
+
+    rows(t) returns shape (r,) + t.shape; sample takes row 0, expand pads the
+    rows to TAYLOR_ORDER + 1, exact for a polynomial of degree below r.
+    """
+
+    def expand(t):
+        got = rows(t)
+        return np.concatenate([got, np.zeros((TAYLOR_ORDER + 1 - len(got),) + t.shape)])
+
+    return (lambda t: rows(t)[0]), expand
+
+
 def _trig_rows(freqs, coeffs):
-    """Rows f, f', f'' of f(t) = sum_j coeffs_j exp(i freqs_j t), shape (3,) + t.shape."""
-    columns = coeffs * (1j * freqs) ** np.arange(3)[:, None]
-    return lambda t: (columns @ np.exp(1j * np.outer(freqs, t))).reshape((3,) + t.shape)
+    """Rows f, ..., f^(TAYLOR_ORDER) of f(t) = sum_j coeffs_j exp(i freqs_j t), shape (21,) + t.shape."""
+    columns = coeffs * (1j * freqs) ** np.arange(TAYLOR_ORDER + 1)[:, None]
+    return lambda t: (columns @ np.exp(1j * np.outer(freqs, t))).reshape((-1,) + t.shape)
 
 
 def _recorded(evaluate, calls):
@@ -195,10 +210,17 @@ def _recorded(evaluate, calls):
     return recorded
 
 
+def _recorded_search(rows):
+    """_taylor(rows) with each callable recorded: (sample, expand, sampled x, expanded x)."""
+    sampled, expanded = [], []
+    sample, expand = _taylor(rows)
+    return _recorded(sample, sampled), _recorded(expand, expanded), sampled, expanded
+
+
 def test_sup_interior_quadratic_peak():
-    # Newton on g = f^2 lands on the vertex; the value error is rounding
+    # the model of a quadratic is exact, and its vertex lies between grid points
     fn = lambda t: np.stack([-(t - 1.3) ** 2 + 2.0, -2.0 * (t - 1.3), np.full(t.shape, -2.0)])
-    got = sup_abs(fn, ((0.0, 3.0),), [(5,)])
+    got = sup_abs(*_taylor(fn), ((0.0, 3.0),), [(5,)])
     assert got.shape == (1, 1)
     assert math.isclose(got[0, 0], 2.0, rel_tol=0.0, abs_tol=1e-15)
 
@@ -207,27 +229,23 @@ def test_sup_endpoint_maximum():
     one, zero = np.ones, np.zeros
     rising = lambda t: np.stack([t, one(t.shape), zero(t.shape)])
     falling = lambda t: np.stack([1.0 - t, -one(t.shape), zero(t.shape)])
-    assert sup_abs(rising, ((0.0, 1.0),), [(4,)])[0, 0] == 1.0
-    assert sup_abs(falling, ((0.0, 1.0),), [(4,)])[0, 0] == 1.0
+    assert sup_abs(*_taylor(rising), ((0.0, 1.0),), [(4,)])[0, 0] == 1.0
+    assert sup_abs(*_taylor(falling), ((0.0, 1.0),), [(4,)])[0, 0] == 1.0
 
 
 def test_sup_several_pieces_in_one_call():
-    def fn(t):
-        c, s, e = np.cos(3.0 * t), np.sin(3.0 * t), np.exp(0.1 * t)
-        return np.stack([c * e, (0.1 * c - 3.0 * s) * e, (-8.99 * c - 0.6 * s) * e])
-
-    calls = []
+    z = 0.1 + 3j  # f = Re e^(z t) = e^(0.1 t) cos 3t, and its derivatives
+    fn = lambda t: np.multiply.outer(z ** np.arange(TAYLOR_ORDER + 1), np.exp(z * t)).real
+    sample, expand, sampled, expanded = _recorded_search(fn)
     # |f| peaks near 2 pi / 3 in the second piece and near 4 pi / 3 in the
-    # third, the higher one; the grids' argmaxes are refined together, so
-    # one call serves every piece per round, done or not
+    # third, the higher one; one sample call serves every piece's grid and
+    # one expand call every piece's argmax
     pieces = ((0.1, 0.9), (1.5, 2.5), (4.0, 4.5))
-    got = sup_abs(_recorded(fn, calls), pieces, [(9, 9, 9)])
+    got = sup_abs(sample, expand, pieces, [(9, 9, 9)])
     want = float(np.max(np.abs(fn(np.linspace(4.0, 4.5, 1_000_001))[0])))
     assert got.shape == (1, 3)
     assert math.isclose(got.max(), want, rel_tol=1e-12)
-    assert calls[0].size == 27
-    assert calls[1].size == 3 * 17
-    assert all(x.size == 3 for x in calls[2:])
+    assert [x.shape for x in sampled] == [(1, 27)] and [x.shape for x in expanded] == [(1, 3)]
 
 
 def test_sup_matches_dense_scan():
@@ -236,7 +254,7 @@ def test_sup_matches_dense_scan():
     coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     fn = _trig_rows(freqs, coeffs)
     pieces = ((-1.0, 0.3), (0.5, 2.0))
-    got = sup_abs(fn, pieces, [(80, 80)]).max()
+    got = sup_abs(*_taylor(fn), pieces, [(80, 80)]).max()
     scan = max(float(np.max(np.abs(fn(np.linspace(a, b, 100_000))[0]))) for a, b in pieces)
     # the scan's spacing (~1.5e-5) leaves it below the true peak by at most
     # |f''| h^2 / 8 ~ 1e-7 relative
@@ -250,7 +268,7 @@ def test_sup_per_piece_maxima():
     coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     fn = _trig_rows(freqs, coeffs)
     pieces = ((-2.0, -0.8), (0.0, 0.7), (1.1, 2.9))
-    got = sup_abs(fn, pieces, [(60, 40, 90)])
+    got = sup_abs(*_taylor(fn), pieces, [(60, 40, 90)])
     scans = [float(np.max(np.abs(fn(np.linspace(a, b, 100_000))[0]))) for a, b in pieces]
     assert got.shape == (1, 3)
     assert len(set(scans)) == 3
@@ -263,85 +281,120 @@ def test_sup_off_grid_peak_in_few_calls():
     # sum_{|m| <= 8} e^(i m (x - sqrt 2)) peaks at 17 at x = sqrt 2, between grid points
     ms = np.arange(-8, 9)
     f = TrigPoly(2.0 * math.pi, ms, np.exp(-1j * ms * math.sqrt(2.0)))
-    calls = []
+    sampled, expanded = [], []
     n = int(math.ceil(2.0 * math.pi / panel_width(f.max_frequency, 8))) + 1
-    got = sup_abs(_recorded(lambda t: f.eval(t, derivatives=2), calls), ((0.0, 2.0 * math.pi),), [(n,)])
+    sample = _recorded(f.eval, sampled)
+    expand = _recorded(lambda t: f.eval(t, derivatives=TAYLOR_ORDER), expanded)
+    got = sup_abs(sample, expand, ((0.0, 2.0 * math.pi),), [(n,)])
     assert not np.any(np.linspace(0.0, 2.0 * math.pi, n) == math.sqrt(2.0))
     assert math.isclose(got[0, 0], 17.0, rel_tol=1e-13)
-    assert len(calls) <= 8
+    assert len(sampled) == len(expanded) == 1
 
 
 @pytest.mark.parametrize(
     "fn, piece, want",
     [
-        # cos^2 is concave at u = 0.5, where g' < 0 closes the bracket
-        (lambda u: np.stack([np.cos(u), -np.sin(u), -np.cos(u)]), (0.5, 1.5), math.cos(0.5)),
-        # (1 + u^2)^2 is convex at u = -1, where g' < 0 closes the bracket
+        # cos^2 is concave at u = 0.5, where g' < 0 points out of the piece
+        (lambda u: np.stack([np.cos(u + r * math.pi / 2) for r in range(TAYLOR_ORDER + 1)]),
+         (0.5, 1.5), math.cos(0.5)),
+        # (1 + u^2)^2 is convex at u = -1, where g' < 0 points out of the piece
         (lambda u: np.stack([1.0 + u * u, 2.0 * u, np.full(u.shape, 2.0)]), (-1.0, 0.5), 2.0),
     ],
     ids=["concave", "convex"],
 )
 def test_sup_endpoint_maximum_in_few_calls(fn, piece, want):
-    calls = []
-    got = sup_abs(_recorded(fn, calls), (piece,), [(9,)])
+    sample, expand, sampled, expanded = _recorded_search(fn)
+    got = sup_abs(sample, expand, (piece,), [(9,)])
     assert got[0, 0] == want
-    assert len(calls) <= 8
+    assert len(sampled) == len(expanded) == 1
 
 
-def test_sup_constant_modulus_stops_at_rounding():
-    # |e^(i lam x)| = 1 everywhere: g' is rounding noise after the zoom round
+def test_sup_constant_modulus_in_two_calls():
+    # |e^(i lam x)| = 1 everywhere: the model's peak is 1 to rounding
     lam = 7.3
-    fn = lambda t: np.multiply.outer(np.array([1.0, 1j * lam, -lam * lam]), np.exp(1j * lam * t))
-    calls = []
-    got = sup_abs(_recorded(fn, calls), ((0.0, 3.0), (4.0, 4.5)), [(40, 9)])
+    fn = lambda t: np.multiply.outer((1j * lam) ** np.arange(TAYLOR_ORDER + 1), np.exp(1j * lam * t))
+    sample, expand, sampled, expanded = _recorded_search(fn)
+    got = sup_abs(sample, expand, ((0.0, 3.0), (4.0, 4.5)), [(40, 9)])
     assert np.allclose(got, 1.0, rtol=1e-15, atol=0.0)
-    assert len(calls) == 2
+    assert len(sampled) == len(expanded) == 1
+
+
+def test_sup_zero_length_piece(recwarn):
+    # h = 0 on the pieces (0.3, 0.3) and (2, 2): the model is f's value there, with
+    # no warning; its row 0 may round apart from f.eval's value by an ulp
+    f = TrigPoly(8.0, np.arange(-5, 6), np.linspace(1.0, 2.0, 11) + 0.5j)
+    expand = lambda t: f.eval(t, derivatives=TAYLOR_ORDER)
+    got = sup_abs(f.eval, expand, ((0.3, 0.3), (1.0, 2.0), (2.0, 2.0)), [(5, 9, 2)])
+    assert math.isclose(got[0, 0], abs(f.eval(0.3)), rel_tol=1e-15)
+    assert math.isclose(got[0, 2], abs(f.eval(2.0)), rel_tol=1e-15)
+    assert got[0, 1] >= np.max(np.abs(f.eval(np.linspace(1.0, 2.0, 10_001))))
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("nu", [4.0, 200.0])
+def test_model_peak_matches_f_at_its_point(seed, nu):
+    # the model's peak is |f| at the point it reports, and no point of a fine scan
+    # of the bracket lies above it, at the widest spacing callers use: nu h = pi / 4
+    rng = np.random.default_rng(seed)
+    freqs = np.concatenate([[-nu, nu], rng.uniform(-nu, nu, 6)])
+    coeffs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    value = lambda t: np.exp(1j * np.multiply.outer(t, freqs)) @ coeffs
+    h, x = math.pi / (4.0 * nu), rng.uniform(-1.0, 1.0, 6)
+    # interior brackets, brackets at the end of a piece (one side empty), a point
+    lo, hi = np.array([-h, -h, -h, 0.0, -h, 0.0]), np.array([h, h, h, h, 0.0, 0.0])
+    peak, at = quadrature._model_peaks(_trig_rows(freqs, coeffs)(x), lo, hi)
+    assert np.all((lo <= at) & (at <= hi))
+    assert np.all(np.abs(peak - np.abs(value(x + at))) <= 1e-14 * peak)
+    fine = np.abs(value(x + np.linspace(lo, hi, 20_001)))
+    assert np.all(fine.max(axis=0) <= peak * (1.0 + 1e-14))
+
+
+def test_model_peak_at_its_point_keeps_the_value_bits():
+    # |f| falls from the bracket's left end: the peak is |rows[0]| bit for bit, as
+    # the power-of-two scale of the coefficients divides and multiplies exactly
+    u = np.random.default_rng(5).uniform(0.1, 1.4, 50)
+    rows = np.stack([np.cos(u + r * math.pi / 2) for r in range(TAYLOR_ORDER + 1)]) * (0.3 + 0.7j)
+    peak, at = quadrature._model_peaks(rows, np.zeros(50), np.full(50, 0.1))
+    assert np.all(at == 0.0) and peak.tobytes() == np.abs(rows[0]).tobytes()
 
 
 def test_sup_refuses_short_grids():
     fn = _trig_rows(np.array([1.0]), np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
-        sup_abs(fn, ((0.0, 1.0), (2.0, 3.0)), [(5, 1)])
+        sup_abs(*_taylor(fn), ((0.0, 1.0), (2.0, 3.0)), [(5, 1)])
 
 
 def _wave(freqs, coeffs):
-    """Rows f, f', f'' of sum_j coeffs_j exp(i freqs_j t), one term added at a time.
+    """Rows f, ..., f^(TAYLOR_ORDER) of sum_j coeffs_j exp(i freqs_j t), one term added at a time.
 
-    Shape (3,) + t.shape.  Each value depends on its own point alone, as a
+    Shape (21,) + t.shape.  Each value depends on its own point alone, as a
     K-function search needs.
     """
 
     def rows(t):
-        total = np.zeros((3,) + t.shape, dtype=np.complex128)
+        total = np.zeros((TAYLOR_ORDER + 1,) + t.shape, dtype=np.complex128)
         for lam, c in zip(freqs, coeffs):
-            total = total + np.multiply.outer(c * (1j * lam) ** np.arange(3), np.exp(1j * lam * t))
+            powers = c * (1j * lam) ** np.arange(TAYLOR_ORDER + 1)
+            total = total + np.multiply.outer(powers, np.exp(1j * lam * t))
         return total
 
     return rows
 
 
 def _together(fns, hull):
-    """One (K, n) -> (3, K, n) evaluator from K functions, recording a copy of each call's x.
+    """(sample, expand) of K functions on (K, n) points, each recording a copy of its calls' x.
 
-    It refuses points outside `hull`, so padding may only repeat a row's own points.
+    Both refuse points outside `hull`, so padding may only repeat a row's own points.
     """
-    calls = []
+    sampled, expanded = [], []
 
     def rows(x):
         assert np.all((hull[0] <= x) & (x <= hull[1]))
         return np.stack([fn(row) for fn, row in zip(fns, x)], axis=1)
 
-    return _recorded(rows, calls), calls
-
-
-def _assert_frozen(calls):
-    """A pair that did not move between two Newton calls (the third call on) never moves again.
-
-    A pair still searched always moves, by more than ZOOM_TOL, so one that did not is done.
-    """
-    steps = np.array(calls[2:])
-    still = steps[1:] == steps[:-1]
-    assert np.all(still[:-1] <= still[1:])
+    sample, expand = _taylor(rows)
+    return _recorded(sample, sampled), _recorded(expand, expanded), sampled, expanded
 
 
 @pytest.mark.parametrize("take", [slice(None), slice(0, 1)], ids=["five", "one"])
@@ -349,45 +402,42 @@ def test_sup_k_functions_match_separate_searches(take):
     rng = np.random.default_rng(17)
     fns = [
         _wave(rng.uniform(-20.0, 20.0, 4), rng.standard_normal(4) + 1j * rng.standard_normal(4)),
-        _wave([7.3], [1.0]),  # constant modulus: every piece stops after the zoom round
-        lambda t: np.stack([-(t - 2.3) ** 2 + 2.0, -2.0 * (t - 2.3), np.full(t.shape, -2.0)]),
-        lambda t: np.stack([t, np.ones(t.shape), np.zeros(t.shape)]),  # maxima at piece ends
+        _wave([7.3], [1.0]),  # constant modulus
+        lambda t: np.stack([-(t - 2.3) ** 2 + 2.0, -2.0 * (t - 2.3), np.full(t.shape, -2.0)]
+                           + [np.zeros(t.shape)] * (TAYLOR_ORDER - 2)),
+        lambda t: np.stack([t, np.ones(t.shape)] + [np.zeros(t.shape)] * (TAYLOR_ORDER - 1)),
         _wave(rng.uniform(-5.0, 5.0, 2), rng.standard_normal(2) + 1j * rng.standard_normal(2)),
     ]
     pieces = ((0.5, 1.3), (1.5, 3.0), (3.0, 3.1), (3.5, 5.0))
     counts = [(40, 60, 5, 80), (9, 9, 9, 9), (5, 17, 3, 11), (2, 4, 6, 8), (90, 7, 2, 30)]
     fns, counts = fns[take], counts[take]
-    evaluate, calls = _together(fns, (0.5, 5.0))
-    got = sup_abs(evaluate, pieces, counts)
+    sample, expand, sampled, expanded = _together(fns, (0.5, 5.0))
+    got = sup_abs(sample, expand, pieces, counts)
     assert got.shape == (len(fns), len(pieces))
-    assert all(x.ndim == 2 and x.shape[0] == len(fns) for x in calls)
-    # every Newton call evaluates every pair, and a done pair keeps its point
-    assert all(x.shape == (len(fns), len(pieces)) for x in calls[2:])
-    _assert_frozen(calls)
-    joint, longest = np.array(calls[2:]), 0
+    # one grid call of K rows and one expansion at every (function, piece) pair
+    assert len(sampled) == len(expanded) == 1
+    assert sampled[0].shape == (len(fns), max(map(sum, counts)))
+    assert expanded[0].shape == (len(fns), len(pieces))
     for k, (fn, row) in enumerate(zip(fns, counts)):
-        own = []
-        alone = sup_abs(_recorded(fn, own), pieces, [row])
+        sample, expand, own_sampled, own_expanded = _together([fn], (0.5, 5.0))
+        alone = sup_abs(sample, expand, pieces, [row])
         assert repr(got[k].tolist()) == repr(alone[0].tolist())
-        _assert_frozen(own)
-        longest = max(longest, len(own))
-        # function k's points are those of its search alone, then stay where it ended
-        assert calls[1][k].tobytes() == own[1][0].tobytes()
-        steps = np.array(own[2:]).reshape(-1, len(pieces))
-        assert joint[: len(steps), k].tobytes() == steps.tobytes()
-        assert np.all(joint[max(len(steps) - 1, 0) :, k] == joint[max(len(steps) - 1, 0), k])
-    # the searches share rounds: as many calls as the longest search alone
-    assert len(calls) == longest
+        # function k's grid and argmaxes are those of its search alone
+        assert sampled[0][k, : sum(row)].tobytes() == own_sampled[0][0, : sum(row)].tobytes()
+        assert expanded[0][k].tobytes() == own_expanded[0][0].tobytes()
 
 
-def test_sup_copy_of_last_point_zooms_its_cells():
+def test_sup_copy_of_last_point_brackets_its_cells():
     # row 0 is 0, 0.25, ..., 1 and four copies of 1; values that drift with the
-    # column rank a copy above the real last point, whose cells are zoomed all the same
-    fn = lambda t: np.stack([t + 1e-9 * np.arange(t.shape[-1]), np.ones(t.shape), np.zeros(t.shape)])
-    calls = []
-    sup_abs(_recorded(fn, calls), [(0.0, 1.0)], [(5,), (9,)])
-    assert calls[0][0].tolist() == [0.0, 0.25, 0.5, 0.75] + [1.0] * 5
-    assert calls[1][0].min() == 0.75 and calls[1][0].max() == 1.0
+    # column rank a copy above the real last point, which is expanded all the same,
+    # with the cell to its left: the model finds the vertex 2 at 0.9, inside that cell
+    rows = lambda t: np.stack([2.0 - (t - 0.9) ** 2, -2.0 * (t - 0.9), np.full(t.shape, -2.0)])
+    drift = lambda t: rows(t)[0] + 1e-9 * np.arange(t.shape[-1])
+    sample, expand, sampled, expanded = _recorded_search(rows)
+    got = sup_abs(_recorded(drift, sampled), expand, [(0.0, 1.0)], [(5,), (9,)])
+    assert sampled[0][0].tolist() == [0.0, 0.25, 0.5, 0.75] + [1.0] * 5
+    assert expanded[0][0, 0] == 1.0
+    assert math.isclose(got[0, 0], 2.0, rel_tol=0.0, abs_tol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -404,7 +454,7 @@ def test_sup_copy_of_last_point_zooms_its_cells():
 def test_sup_refuses_counts_that_do_not_match_pieces(counts):
     fn = _trig_rows(np.array([1.0]), np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
-        sup_abs(fn, ((0.0, 1.0), (2.0, 3.0)), counts)
+        sup_abs(*_taylor(fn), ((0.0, 1.0), (2.0, 3.0)), counts)
 
 
 def test_golden_max_is_sup_abs():
@@ -520,12 +570,13 @@ def test_cached_arrays_are_read_only(empty_caches):
 
     def record(t):
         calls.append(t)
-        return np.stack([np.cos(t), -np.sin(t), -np.cos(t)])
+        return np.cos(t)
 
-    sup_abs(record, [(0.0, 1.0)], [(9,)])
+    expand = _taylor(_trig_rows(np.array([1.0]), np.array([1.0 + 0j])))[1]
+    sup_abs(record, expand, [(0.0, 1.0)], [(9,)])
     start = len(calls)
     # K = 2 with rows of 14 and 11 points: the padded rectangle is cached too
-    sup_abs(record, [(0.0, 1.0), (2.0, 3.0)], [(9, 5), (4, 7)])
+    sup_abs(record, expand, [(0.0, 1.0), (2.0, 3.0)], [(9, 5), (4, 7)])
     assert calls[start].shape == (2, 14)
     for array in (xs, ws, calls[0], calls[start]):
         with pytest.raises(ValueError):
@@ -556,19 +607,19 @@ def test_large_rule_is_never_stored(empty_caches):
     a, b = panel_nodes([(0.0, 20.0)], width), panel_nodes([(0.0, 20.0)], width)
     assert a[0] is not b[0] and a[0].tobytes() == b[0].tobytes()
     assert quadrature._rule.cache_info().currsize == 0
-    fn = _trig_rows(np.array([1.0]), np.array([1.0 + 0j]))
-    sup_abs(fn, [(0.0, 1.0)], [(quadrature._CACHE_NODES + 1,)])
+    search = _taylor(_trig_rows(np.array([1.0]), np.array([1.0 + 0j])))
+    sup_abs(*search, [(0.0, 1.0)], [(quadrature._CACHE_NODES + 1,)])
     # 2051 distinct points, but a 2 x 2049 rectangle: the bound counts what is stored
-    sup_abs(fn, [(0.0, 1.0)], [(quadrature._CACHE_NODES // 2 + 1,), (2,)])
+    sup_abs(*search, [(0.0, 1.0)], [(quadrature._CACHE_NODES // 2 + 1,), (2,)])
     assert quadrature._sup_grid.cache_info().currsize == 0
 
 
 def test_caches_are_bounded(empty_caches):
-    fn = _trig_rows(np.array([1.0]), np.array([1.0 + 0j]))
+    search = _taylor(_trig_rows(np.array([1.0]), np.array([1.0 + 0j])))
     for i in range(100):
         width = 0.5 / (i + 1)
         panel_nodes([(0.0, 1.0)], width)
         base_cell([(0.0, 1.0)], width, 1.0, 1)
-        sup_abs(fn, [(0.0, 1.0)], [(i + 2,)])
+        sup_abs(*search, [(0.0, 1.0)], [(i + 2,)])
     for cache in _CACHES:
         assert cache.cache_info().currsize <= quadrature._CACHE_ENTRIES == 32
