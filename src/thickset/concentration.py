@@ -32,11 +32,11 @@ import numpy as np
 
 from .bandlimited import BandSpec, lattice_indices
 from .bounds import (
+    _LN10,
     DEFAULT_CONSTANTS,
     BoundConstants,
-    theorem1_bound,
+    _exp,
     theorem1_bound_log10,
-    theorem2_bound,
     theorem2_bound_log10,
 )
 from .errors import DuplicateFrequencyError, SizeLimitError
@@ -247,11 +247,10 @@ def sharpness_gap(
     ab = window * spec.width
     exact = math.sqrt(max(result.lambda_min, 0.0))
     if spec.count == 1:
-        bound = theorem1_bound(cert.gamma, ab, 2, constants)
         log10_bound = theorem1_bound_log10(cert.gamma, ab, 2, constants)
     else:
-        bound = theorem2_bound(cert.gamma, spec.count, ab, 2, constants)
         log10_bound = theorem2_bound_log10(cert.gamma, spec.count, ab, 2, constants)
+    bound = _exp(log10_bound * _LN10)  # the bits of theorem1_bound or theorem2_bound
     log10_margin = math.log10(exact) - log10_bound if exact > 0 else -math.inf
     return SharpnessReport(
         gamma=cert.gamma,

@@ -46,7 +46,7 @@ class DuplicateFrequencyError(ThicksetError):
 
 
 class SizeLimitError(ThicksetError):
-    """A dense-linear-algebra size cap was exceeded."""
+    """A size cap (dense solve, kernel power, sup-search grid) was exceeded."""
 
 
 class InvalidBandError(ThicksetError):

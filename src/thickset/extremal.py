@@ -22,6 +22,7 @@ from .errors import (
     InsufficientDataError,
     InvalidWindowError,
     NonIntegrableError,
+    SizeLimitError,
 )
 from .quadrature import panel_count, panel_nodes
 from .sets import IntervalSet, two_sliver_set
@@ -36,6 +37,8 @@ _SMALL_X = 1e-4
 # supplied or derived, may exceed MAX_TRUNCATION, as [-X, X] holds 2X slivers.
 TRUNCATION_REL_TOL = 1e-10
 MAX_TRUNCATION = 1e6
+# A mass keeps about 0.3 m p panels of 16 nodes: m p = 1.2e6 took 1.3 s and 580 MB (2 vCPUs).
+MAX_POWER = 1e5
 
 
 def _unit_kernel(x: np.ndarray) -> np.ndarray:
@@ -70,6 +73,8 @@ def extremal_pair(bandwidth: float, gamma: float) -> ExtremalInstance:
     b = float(bandwidth)
     if not b >= FOUR_PI:
         raise BandTooSmallError(f"bandwidth must be at least 4 pi, got {b}")
+    if b == math.inf:
+        raise SizeLimitError(f"b = {b} gives an infinite kernel power m")
     m = int(math.floor(b / FOUR_PI + 1e-12))
     return ExtremalInstance(bandwidth=b, power=m, gamma=float(gamma), set=two_sliver_set(gamma))
 
@@ -134,6 +139,19 @@ def _log_central_mass(mp: float) -> float:
             - math.log(2.0 * math.tau))
 
 
+def _kernel_power(inst: ExtremalInstance, p: float) -> float:
+    """m p, refused unless in (1, MAX_POWER]: the kernel is not integrable at m p <= 1."""
+    p = finite_exponent(p, "the extremal ratio")
+    mp = inst.power * p
+    if mp <= 1.0:
+        raise NonIntegrableError(f"kernel power m*p = {mp:g} is not integrable")
+    if not mp <= MAX_POWER:
+        raise SizeLimitError(
+            f"kernel power m*p = {mp:g} exceeds {MAX_POWER:g}: lower b = {inst.bandwidth:g} or p"
+        )
+    return mp
+
+
 def default_truncation(inst: ExtremalInstance, p: float) -> float:
     """Half-width X making the closed-form tail below TRUNCATION_REL_TOL of the mass.
 
@@ -142,10 +160,7 @@ def default_truncation(inst: ExtremalInstance, p: float) -> float:
     twice _log_central_mass, a closed-form lower bound, which can only widen X.
     X is at least 4; an X beyond MAX_TRUNCATION raises InvalidWindowError.
     """
-    p = finite_exponent(p, "the extremal ratio")
-    mp = inst.power * p
-    if mp <= 1.0:
-        raise NonIntegrableError(f"kernel power m*p = {mp:g} is not integrable")
+    mp = _kernel_power(inst, p)
     log_target = math.log(TRUNCATION_REL_TOL) + math.log(2.0) + _log_central_mass(mp)
     log_tail_at_one = math.log(2.0) - mp * math.log(math.tau) - math.log(mp - 1.0)
     # tail(X) = exp(log_tail_at_one) * X^(1-mp) <= target
@@ -165,10 +180,7 @@ def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = 
     unnormalized family as well; its log10 never underflows, and it is
     -inf only when E carries no mass in the window.  X > MAX_TRUNCATION is refused.
     """
-    p = finite_exponent(p, "the extremal ratio")
-    mp = inst.power * p
-    if mp <= 1.0:
-        raise NonIntegrableError(f"kernel power m*p = {mp:g} is not integrable")
+    mp = _kernel_power(inst, p)
     if truncation is None:
         truncation = default_truncation(inst, p)
     x_max = float(truncation)

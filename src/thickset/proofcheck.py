@@ -35,9 +35,12 @@ from .errors import (
     InvalidBandError,
     InvalidDegreeError,
     InvalidWindowError,
+    SizeLimitError,
     ZeroFunctionError,
 )
-from .quadrature import RESOLUTION, TAYLOR_ORDER, panel_count, panel_width, piece_integrals, sup_abs
+from .quadrature import (
+    RESOLUTION, TAYLOR_ORDER, kinked_integrals, panel_width, piece_integrals, sup_abs
+)
 from .sets import IntervalSet
 
 
@@ -201,6 +204,10 @@ def local_estimate_check(
     return tuple(checks)
 
 
+# growth_envelope samples a window's grid on every mode at once: 2^20 phases are 16 MB.
+MAX_GROWTH_PHASES = 2**20
+
+
 @dataclass(frozen=True)
 class GrowthEnvelope:
     """Measured off-interval growth against the exponential envelope."""
@@ -216,20 +223,22 @@ def growth_envelope(
     """Max of |f| within `radius` of each good interval's center over its Lp norm.
 
     One envelope per good interval of `labels`, in order, with the norm
-    ``labels.mass[i] ** (1/p)``.  The contract is ratio <= 2^(1/p) *
-    exp(b * (radius + 1/2)) with b the tightest band width, compared in log
-    space.  The measured side is the max of |f| on a grid at the quadrature
-    spacing, refined around each window's grid argmax by one
-    ``quadrature.sup_abs`` call with each window a piece of its one function
-    (its Taylor model from f.eval's rows f .. f^(TAYLOR_ORDER) at the argmax),
-    so a higher peak elsewhere in a window can be missed.
+    ``labels.mass[i] ** (1/p)``.  The contract is ratio <= 2^(1/p) exp(b (radius + 1/2)), b
+    the tightest band width, compared in log space.  The measured side is the max of |f| on
+    a grid at the quadrature spacing, refined around each window's grid argmax by one
+    ``quadrature.sup_abs`` call with each window a piece of its one function (its Taylor
+    model from f.eval's rows f .. f^(TAYLOR_ORDER) at the argmax), so a higher peak
+    elsewhere in a window can be missed.  A radius whose window grid (points x modes)
+    needs more than MAX_GROWTH_PHASES phases is refused.
     """
     if not radius > 0:
         raise InvalidWindowError(f"radius must be positive, got {radius}")
+    width = panel_width(f.max_frequency, RESOLUTION)
+    if not (2.0 * radius / width + 1.0) * f.ms.size <= MAX_GROWTH_PHASES:  # points x modes
+        raise SizeLimitError(f"radius {radius:g} needs over {MAX_GROWTH_PHASES} grid phases")
     p, goods = labels.params.p, labels.good_intervals
     if not goods:
         return ()
-    width = panel_width(f.max_frequency, RESOLUTION)
     n = max(9, int(math.ceil(2.0 * radius / width)) + 1)
     # Dense phases, not f.eval, sample the grid: a window wider than the period
     # holds grid points one period apart, which f.eval's argument reduction makes
@@ -333,7 +342,7 @@ def taylor_split(
     if any(abs(g.period - period) > 1e-12 * max(1.0, period) for g in components):
         raise ValueError("components must share one period")
     lo, hi = float(interval[0]), float(interval[1])
-    if hi <= lo:
+    if not -math.inf < lo < hi < math.inf:
         raise InvalidWindowError(f"invalid interval ({lo}, {hi})")
     factorials = np.cumprod(np.maximum(np.arange(degree), 1.0))
     polys = [np.atleast_1d(g.eval(lo, derivatives=degree - 1)) / factorials for g in components]
@@ -357,6 +366,11 @@ def taylor_remainder_bound(split: TaylorSplit, p: float) -> float:
     n = len(split.components)
     m = split.degree
     a = split.length
+    logs = ((p - 1.0) * math.log(n), p * m * math.log(a), p * math.lgamma(m + 1.0))
+    if max(logs) > np.log(np.finfo(float).max):
+        raise InvalidDegreeError(
+            f"degree m = {m} at p = {p:g} puts n^(p-1), a^(pm) or (m!)^p beyond double range"
+        )
     window = IntervalSet(((split.base, split.base + a),))
     norms = (lp_norm(g, NormQuery(p, window)) for g in split.mth_derivatives if not g.is_zero)
     total = sum(v ** p for v in norms)
@@ -492,21 +506,18 @@ def exp_sum_verifier(
     p : float
         Exponent in [1, inf]; for p = inf sups are used.
 
-    Returns per instance, in order, one check per set.  Each instance is
-    measured once on each cell of I cut at every set's endpoints: one
-    ``sup_abs`` search over every instance at p = inf (the table's value row
-    samples, its rows f .. f^(TAYLOR_ORDER) expand), and at finite p
-    ``piece_integrals`` calls, instance-major, each instance at its own panel
-    width: one at even p, and for other p rounds that cut a cell's pieces
-    where a second rule disagrees, since |r|^p has kinks where r nearly
-    vanishes.  A set takes the max or the sum over its cells, norm_I over all.
-    Checks have the bits of a call on their instance alone, and do not change
-    when sets are permuted or repeated; a call on one set cuts I elsewhere, so
-    agrees to quadrature accuracy.  Coefficients are divided by their largest
-    modulus, which the ratio does not see, and the norms scaled back.
-    The `bound` is the norm-transfer bound with the configured constants; the
-    Nazarov (pure exponential sums, p = inf) and Remez (single zero-frequency
-    polynomial, p = inf) forms are attached when they apply.
+    Returns per instance, in order, one check per set.  Each instance is measured once on
+    each cell of I cut at every set's endpoints, in one call over every instance,
+    instance-major: ``sup_abs`` at p = inf (the table's value row samples, its rows
+    f .. f^(TAYLOR_ORDER) expand), else ``piece_integrals`` at even p and
+    ``kinked_integrals`` at other p, each instance at its own panel width.  A set takes the
+    max or the sum over its cells, norm_I over all.  Checks have the bits of a call on
+    their instance alone, and do not change when sets are permuted or repeated; a call on
+    one set cuts I elsewhere, so agrees to quadrature accuracy.  Coefficients are divided
+    by their largest modulus, which the ratio does not see, and the norms scaled back.
+    The `bound` is the norm-transfer bound with the configured constants; the Nazarov
+    (pure exponential sums, p = inf) and Remez (single zero-frequency polynomial,
+    p = inf) forms are attached when they apply.
     """
     p = check_exponent(p)
     lo, hi = float(interval[0]), float(interval[1])
@@ -555,36 +566,14 @@ def exp_sum_verifier(
         values = sup_abs(lambda x: sample(x)[0], _expsum_closure(lams, table, mid), cells, counts)
     else:
         evaluators = [_expsum_closure(lams[k : k + 1], table[:, k : k + 1], mid) for k in range(K)]
+        firsts = np.arange(1, K) * len(cells)  # the first piece of each later instance
 
         def integrand(x, piece):
             runs = np.split(x, np.searchsorted(piece, firsts))
             return np.abs(np.concatenate([f(r[None])[0, 0] for f, r in zip(evaluators, runs)])) ** p
 
-        # unless p is even, |r|^p has a kink where r nearly vanishes: a piece of n
-        # panels at width w is cut in two, at 0.6 w, until a rule of 2n + 1 panels
-        # (no inner edge shared) agrees with it to 1e-14 of its cell
-        k, c = np.repeat(np.arange(K), len(cells)), np.tile(np.arange(len(cells)), K)
-        ends, w = np.array(cells * K), np.repeat(widths, len(cells))
-        values, rules = np.zeros((K, len(cells))), 1 if p % 2 == 0 else 2
-        for depth in range(40):
-            firsts = np.searchsorted(np.repeat(k, rules), np.arange(1, K))  # later instances
-            rule_w = w[:, None]
-            if rules == 2:
-                panels = [panel_count(a, b, x) for (a, b), x in zip(ends.tolist(), w.tolist())]
-                rule_w = np.stack([w, (ends[:, 1] - ends[:, 0]) / (2 * np.array(panels) + 0.5)], 1)
-            got = piece_integrals(integrand, np.repeat(ends, rules, axis=0).tolist(),
-                                  rule_w.ravel().tolist()).reshape(-1, rules)
-            scale = got[:, -1].reshape(K, -1) if depth == 0 else scale
-            done = (np.abs(got[:, -1] - got[:, 0]) <= 1e-14 * scale[k, c]) | (depth == 39)
-            np.add.at(values, (k[done], c[done]), got[done, -1])
-            if done.all():
-                break
-            bad = np.flatnonzero(~done)  # cut at 0.4 or 0.6, where |r| is larger: off a zero
-            tries = ends[bad] @ np.array([[0.6, 0.4], [0.4, 0.6]])
-            size = integrand(tries.ravel(), np.repeat(bad * rules, 2)).reshape(-1, 2)
-            cut = tries[np.arange(bad.size), np.argmax(size, axis=1)]
-            ends = np.stack([ends[bad, 0], cut, cut, ends[bad, 1]], 1).reshape(-1, 2)
-            k, c, w = (np.repeat(v[bad], 2) for v in (k, c, 0.6 * w))
+        rule = piece_integrals if p % 2 == 0 else kinked_integrals  # |r|^p kinks at zeros of r
+        values = rule(integrand, cells * K, np.repeat(widths, len(cells))).reshape(K, -1)
     held = np.where(member, values[:, None], 0.0)  # instance x (I, sets) x cell
     norms = held.max(axis=2) if math.isinf(p) else held.sum(axis=2) ** (1.0 / p)
     # a sum that underflows on E has ratio inf, and fails its bound

@@ -1,13 +1,13 @@
 """Composite Gauss-Legendre panels, per-piece integrals and a batched Taylor-model sup search.
 
-The fixed order-16 rule integrates polynomials up to degree 31 exactly per
-panel; callers control accuracy through the panel width alone, one for all
-pieces or one per piece.  One ``panel_nodes``, ``piece_integrals`` or ``sup_abs``
-call covers every piece, and one ``sup_abs`` call searches K functions over
-them, laid out as K rows; only this module knows how nodes map to pieces.
-Node rules, base cells and sup grids depend on the pieces and the panel or grid
-counts alone, so each is built once per process and kept, read-only, in an LRU
-cache; a rule or grid of more than _CACHE_NODES points is rebuilt per call.
+The order-16 rule is exact on polynomials of degree <= 31 per panel; callers set accuracy
+by the panel width, one for all pieces or one per piece, and ``kinked_integrals`` also cuts
+pieces where a second rule disagrees.  One ``panel_nodes``, ``piece_integrals`` or
+``sup_abs`` call covers every piece, and one ``sup_abs`` call searches K functions over
+them, laid out as K rows; only this module knows how nodes map to pieces.  Node rules,
+base cells and sup grids depend on the pieces and the panel or grid counts alone, so each
+is built once per process and kept, read-only, in an LRU cache; a rule or grid of more
+than _CACHE_NODES points is rebuilt per call.
 """
 from __future__ import annotations
 
@@ -151,6 +151,37 @@ def piece_integrals(integrand, pieces, max_width, block: int | None = None) -> n
             total = np.zeros(sums.shape[:-1] + (len(pieces),), dtype=sums.dtype)
         total[..., ids[cuts]] += sums
     return total
+
+
+def kinked_integrals(integrand, pieces, widths) -> np.ndarray:
+    """``piece_integrals`` of a real integrand with kinks, such as |f|^p at p not even.
+
+    A piece of n panels at its entry w of `widths` is also integrated on 2n + 1 panels,
+    sharing no inner edge, and takes the finer value once the two agree to 1e-14 of its
+    first finer value; else it is cut at 0.4 or 0.6 of its length, where the integrand is
+    larger, and both halves go on at width 0.6 w.  Round 40 keeps the finer value.
+    integrand(x, piece) sees the caller's piece indices in nondecreasing order.
+    """
+    ends = np.array(pieces, dtype=float).reshape(-1, 2)
+    owner, total = np.arange(len(ends)), np.zeros(len(ends))
+    width = np.array(widths, dtype=float)
+    for depth in range(40):
+        counts = np.array(_panel_counts(ends.tolist(), width.tolist()))
+        rules = np.stack([width, (ends[:, 1] - ends[:, 0]) / (2 * counts + 0.5)], 1)
+        got = piece_integrals(lambda x, piece: integrand(x, owner[piece // 2]),
+                              ends.repeat(2, axis=0).tolist(), rules.ravel().tolist())
+        got = got.reshape(-1, 2)
+        scale = got[:, 1] if depth == 0 else scale
+        done = (np.abs(got[:, 1] - got[:, 0]) <= 1e-14 * scale[owner]) | (depth == 39)
+        np.add.at(total, owner[done], got[done, 1])
+        bad = np.flatnonzero(~done)
+        if not bad.size:
+            return total
+        tries = ends[bad] @ np.array([[0.6, 0.4], [0.4, 0.6]])
+        size = integrand(tries.ravel(), owner[bad].repeat(2)).reshape(-1, 2)
+        cut = tries[np.arange(bad.size), np.argmax(size, axis=1)]
+        ends = np.stack([ends[bad, 0], cut, cut, ends[bad, 1]], 1).reshape(-1, 2)
+        owner, width = owner[bad].repeat(2), (0.6 * width[bad]).repeat(2)
 
 
 def sup_abs(sample, expand, pieces, counts) -> np.ndarray:

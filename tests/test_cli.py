@@ -195,11 +195,13 @@ class TestGridOrder:
 
 
 class TestExpsumSuite:
-    @pytest.mark.parametrize("p, searches, integrals", [("inf", 1, 0), (2, 0, 1)])
-    def test_one_verifier_call_per_cell(self, monkeypatch, p, searches, integrals):
+    @pytest.mark.parametrize(
+        "p, searches, integrals, kinked", [("inf", 1, 0, 0), (2, 0, 1, 0), (1, 0, 0, 1)]
+    )
+    def test_one_verifier_call_per_cell(self, monkeypatch, p, searches, integrals, kinked):
         from thickset import proofcheck
 
-        calls = {"exp_sum_verifier": 0, "sup_abs": 0, "piece_integrals": 0}
+        calls = {"exp_sum_verifier": 0, "sup_abs": 0, "piece_integrals": 0, "kinked_integrals": 0}
 
         def counted(name):
             real = getattr(proofcheck, name)
@@ -213,9 +215,11 @@ class TestExpsumSuite:
         for name in calls:
             counted(name)
         run({"command": "verify", "suite": "expsum", "seeds": 3, "n": 2, "m": 2, "p": p})
-        # one call checks the three instances against all nine default fractions:
-        # one sup search over them all at p = inf, one integral over them all at p = 2
-        assert calls == {"exp_sum_verifier": 1, "sup_abs": searches, "piece_integrals": integrals}
+        # one call checks the three instances against all nine default fractions: one
+        # sup search over them all at p = inf, one integral over them all at p = 2, and
+        # one kink-aware integral at p = 1
+        assert calls == {"exp_sum_verifier": 1, "sup_abs": searches,
+                         "piece_integrals": integrals, "kinked_integrals": kinked}
 
     @pytest.mark.parametrize(
         "extra, tails",
@@ -434,6 +438,29 @@ class TestMain:
         cfg = {"command": "extremal", "b": 40.0 * math.pi, "gamma": 0.1, "truncation": truncation}
         assert main(["--config", write_config(tmp_path, cfg)]) == 2
         assert "truncation must be in (0, 1e+06]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"command": "extremal", "b": 1e20, "gamma": 0.1}, "lower b = 1e+20 or p"),
+            ({"command": "extremal", "b": 1e308, "gamma": 0.1}, "lower b = 1e+308 or p"),
+            ({"command": "verify", "suite": "growth", "seeds": 1, "radius": 1e300},
+             "radius 1e+300 needs over 1048576 grid phases"),
+            ({"command": "verify", "suite": "growth", "seeds": 1, "radius": 1e6},
+             "radius 1e+06 needs over 1048576 grid phases"),
+            ({"command": "verify", "suite": "taylor", "seeds": 1, "m": 99, "p": 2},
+             "degree m = 99 at p = 2 puts"),
+            ({"command": "extremal", "b": math.inf, "gamma": 0.1}, "b = inf gives"),
+            ({"command": "verify", "suite": "taylor", "seeds": 1, "window": math.inf},
+             "invalid interval (1.0, inf)"),
+        ],
+        ids=["extremal-b-1e20", "extremal-b-1e308", "growth-radius-1e300", "growth-radius-1e6",
+             "taylor-m-99", "extremal-b-inf", "taylor-window-inf"],
+    )
+    def test_domain_beyond_cap_exits_two(self, tmp_path, capsys, config, message):
+        # each raised an uncaught overflow (exit 1), or ran out of time and memory
+        # (radius 1e6), before the library refused it
+        assert message in config_error(tmp_path, capsys, config)
 
     @pytest.mark.parametrize("value", [2.5, True, "2"])
     @pytest.mark.parametrize(

@@ -690,16 +690,16 @@ class TestExpSumVerifier:
         # |r|^p bends sharply there unless p is even; 2^14 panels resolve it
         E = IntervalSet(((0.1, 0.3), (0.6, 0.7)))
         calls = []
-        real_piece_integrals = proofcheck.piece_integrals
 
-        def counted(*args):
-            calls.append(args[1])
-            return real_piece_integrals(*args)
+        def counted(name):
+            real = getattr(proofcheck, name)
+            monkeypatch.setattr(proofcheck, name, lambda *args: calls.append(name) or real(*args))
 
-        monkeypatch.setattr(proofcheck, "piece_integrals", counted)
+        counted("piece_integrals")
+        counted("kinked_integrals")
         ((check,),) = exp_sum_verifier([[(0.0, [1.0]), (20.0, [0.999])]], (0.0, 1.0), (E,), p)
-        # an even p keeps one pass over the cells
-        assert (len(calls) == 1) == (p == 2.0)
+        # one call over the cells: the fixed rule at even p, the kink-aware one otherwise
+        assert calls == ["piece_integrals" if p == 2.0 else "kinked_integrals"]
         nodes, weights = np.polynomial.legendre.leggauss(16)
 
         def dense(a, b):

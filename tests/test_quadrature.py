@@ -10,6 +10,7 @@ from thickset.quadrature import (
     GL_ORDER,
     TAYLOR_ORDER,
     base_cell,
+    kinked_integrals,
     panel_count,
     panel_nodes,
     panel_width,
@@ -172,6 +173,70 @@ def test_piece_integrals_one_row_and_no_nodes():
     empty = piece_integrals(_stacked, [(1.0, 1.0), (3.0, 2.0)], 0.1)
     assert empty.shape == (2, 2) and empty.dtype == complex and not empty.any()
     assert piece_integrals(_stacked, [], 0.1).shape == (2, 0)
+
+
+def _abs_cos_integral(lam, a, b):
+    """int_a^b |cos lam x| dx for 0 <= a <= b, from int_0^u |cos| = 2q + (sin v or 2 - sin v)."""
+
+    def up_to(u):
+        q, v = divmod(u, math.pi)
+        return 2 * q + (math.sin(v) if v <= math.pi / 2 else 2 - math.sin(v))
+
+    return (up_to(lam * b) - up_to(lam * a)) / lam
+
+
+# cos(lam x) vanishes at pi / (2 lam) = 0.25 + 5e-5, just past the panel edge 0.25
+# of (0, 1) at width 1/8; the other pieces put zeros inside their panels
+_KINK = math.pi / (2 * 0.25005)
+_KINKED = [(0.0, 1.0), (1.0, 1.7), (2.05, 3.3)]
+
+
+def test_kinked_integrals_match_closed_form_near_a_zero():
+    integrand = lambda x, _: np.abs(np.cos(_KINK * x))
+    got = kinked_integrals(integrand, _KINKED, [0.125] * 3)
+    want = [_abs_cos_integral(_KINK, a, b) for a, b in _KINKED]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # the fixed rule alone misses the kink by far more
+    fixed = piece_integrals(integrand, _KINKED, 0.125)
+    assert abs(fixed[0] - want[0]) > 1e-9 * want[0]
+
+
+def test_kinked_integrals_see_the_callers_pieces_in_order():
+    seen = []
+
+    def integrand(x, piece):
+        seen.append((x, piece))
+        return (piece + 1) * np.abs(np.cos(_KINK * x))
+
+    got = kinked_integrals(integrand, _KINKED, [0.125, 0.2, 0.3])
+    want = [(j + 1) * _abs_cos_integral(_KINK, a, b) for j, (a, b) in enumerate(_KINKED)]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert len(seen) > 2  # refinement rounds ran
+    for x, piece in seen:
+        assert piece.dtype.kind == "i" and np.all(np.diff(piece) >= 0)
+        ends = np.array(_KINKED)[piece]
+        assert np.all((ends[:, 0] <= x) & (x <= ends[:, 1]))
+
+
+def test_kinked_integrals_of_an_empty_piece_are_zero():
+    pieces = [(0.5, 0.5), (0.0, 1.0), (2.0, 1.5)]
+    got = kinked_integrals(lambda x, _: np.abs(np.cos(_KINK * x)), pieces, [0.125] * 3)
+    assert got[0] == 0.0 and got[2] == 0.0
+    assert math.isclose(got[1], _abs_cos_integral(_KINK, 0.0, 1.0), rel_tol=1e-13)
+
+
+def test_kinked_integrals_of_a_smooth_integrand_take_one_round():
+    calls = []
+
+    def integrand(x, piece):
+        calls.append(x.size)
+        return 2.0 + np.cos(3.0 * x)
+
+    got = kinked_integrals(integrand, _KINKED, [0.125] * 3)
+    # one piece_integrals pass over both rules, and no cut
+    assert len(calls) == 1
+    want = [2 * (b - a) + (math.sin(3 * b) - math.sin(3 * a)) / 3 for a, b in _KINKED]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_panel_width_tracks_top_frequency():
