@@ -27,6 +27,7 @@ from .errors import (
     InvalidDegreeError,
     InvalidIntervalError,
     InvalidResolutionError,
+    SizeLimitError,
 )
 from .quadrature import RESOLUTION, TAYLOR_ORDER, base_cell, panel_width, piece_integrals, sup_abs
 from .sets import IntervalSet, period_ratio
@@ -34,6 +35,8 @@ from .sets import IntervalSet, period_ratio
 
 # Cap on points * (table + output entries) per evaluation block: 1 MB of complex128.
 _EVAL_BLOCK = 1 << 16
+
+_MAX_MODES = 1 << 20  # modes of one spectrum: 16 MB of complex128 coefficients
 
 
 @dataclass(frozen=True)
@@ -315,15 +318,16 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
 
 
 def lattice_indices(spec: BandSpec, period: float) -> np.ndarray:
-    """Sorted integer modes m with 2 pi m / period inside some band."""
+    """Sorted integer modes m with 2 pi m / period inside some band; at most _MAX_MODES."""
     found: set[int] = set()
     for lo, hi in spec.bands():
         m_lo = math.ceil(lo * period / math.tau - 1e-9)
         m_hi = math.floor(hi * period / math.tau + 1e-9)
         if m_hi < m_lo:
-            raise EmptyBandError(
-                f"band ({lo:g}, {hi:g}) holds no lattice frequency at period {period:g}"
-            )
+            raise EmptyBandError(f"band ({lo:g}, {hi:g}) holds no lattice frequency "
+                                 f"at period {period:g}")
+        if len(found) + m_hi + 1 - m_lo > _MAX_MODES:  # counted before the band is built
+            raise SizeLimitError(f"b = {spec.width:g} at L = {period:g} needs over {_MAX_MODES} modes")
         found.update(range(m_lo, m_hi + 1))
     return np.array(sorted(found), dtype=np.int64)
 

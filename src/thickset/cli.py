@@ -30,7 +30,9 @@ import numpy as np
 from . import proofcheck
 from .bandlimited import BandSpec, random_bandlimited
 from .bounds import (
+    _LN10,
     BoundConstants,
+    _exp,
     holder_share,
     lemma1_corollary_bound,
     lemma3_bound,
@@ -452,8 +454,8 @@ def _suite_taylor(v, axes) -> RunResult:
         identity_error = float(np.max(np.abs(direct - rebuilt))) / scale
         remainder_mass = lambda x, _: np.abs(split.remainder(x)) ** p
         lhs = float(piece_integrals(remainder_mass, (interval,), panel_width(b / 2.0, RESOLUTION))[0])
-        rhs = proofcheck.taylor_remainder_bound(split, p)
-        holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
+        log10_rhs = proofcheck.taylor_remainder_bound_log10(split, p)
+        holds = lhs == 0.0 or math.log10(lhs) <= log10_rhs + math.log10(1.0 + 1e-9)
         violations = []
         if identity_error > 1e-8:
             violations.append(
@@ -463,7 +465,7 @@ def _suite_taylor(v, axes) -> RunResult:
             violations.append(
                 f"taylor: seed={seed} b={b:g} m={m} remainder mass over budget"
             )
-        return [(seed, b, p, m, identity_error, lhs, rhs, holds)], violations
+        return [(seed, b, p, m, identity_error, lhs, _exp(log10_rhs * _LN10), holds)], violations
 
     return _tabulate(header, axes + [_seeds(v)], cell)
 

@@ -198,9 +198,7 @@ def min_concentration(freqs, E: IntervalSet, period: float) -> ConcentrationResu
     norm = float(np.max(np.abs(eigenvalues)))
     residual = float(np.linalg.norm(block @ witness[support] - lam * witness[support]))
     if residual > RESIDUAL_TOL * max(norm, 1e-300):
-        raise RuntimeError(
-            f"eigensolver residual {residual:.3e} violates the contract"
-        )
+        raise RuntimeError(f"eigensolver residual {residual:.3e} violates the contract")
     eigenvalues.setflags(write=False)
     witness.setflags(write=False)
     return ConcentrationResult(

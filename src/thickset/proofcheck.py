@@ -19,6 +19,7 @@ import numpy as np
 
 from .bandlimited import BandSpec, NormQuery, TrigPoly, full_torus, lp_norm, piece_masses
 from .bounds import (
+    _LN10,
     DEFAULT_CONSTANTS,
     BoundConstants,
     _exp,
@@ -360,21 +361,27 @@ def taylor_split(
     )
 
 
-def taylor_remainder_bound(split: TaylorSplit, p: float) -> float:
-    """Closed-form budget n^(p-1) a^(pm) / (m!)^p * sum_k integral_I |f_k^(m)|^p."""
+def taylor_remainder_bound_log10(split: TaylorSplit, p: float) -> float:
+    """log10 of the budget n^(p-1) a^(pm) / (m!)^p * sum_k integral_I |f_k^(m)|^p, from logs."""
     p = finite_exponent(p, "the remainder budget")
-    n = len(split.components)
-    m = split.degree
-    a = split.length
+    n, m, a = len(split.components), split.degree, split.length
     logs = ((p - 1.0) * math.log(n), p * m * math.log(a), p * math.lgamma(m + 1.0))
     if max(logs) > np.log(np.finfo(float).max):
         raise InvalidDegreeError(
             f"degree m = {m} at p = {p:g} puts n^(p-1), a^(pm) or (m!)^p beyond double range"
         )
     window = IntervalSet(((split.base, split.base + a),))
-    norms = (lp_norm(g, NormQuery(p, window)) for g in split.mth_derivatives if not g.is_zero)
-    total = sum(v ** p for v in norms)
-    return n ** (p - 1.0) * a ** (p * m) / math.factorial(m) ** p * total
+    norms = [lp_norm(g, NormQuery(p, window)) for g in split.mth_derivatives if not g.is_zero]
+    top = max(norms, default=0.0)
+    if top == 0.0:
+        return -math.inf
+    log_total = p * math.log(top) + math.log(sum((v / top) ** p for v in norms))
+    return (logs[0] + logs[1] - logs[2] + log_total) / _LN10
+
+
+def taylor_remainder_bound(split: TaylorSplit, p: float) -> float:
+    """Closed-form budget n^(p-1) a^(pm) / (m!)^p * sum_k integral_I |f_k^(m)|^p."""
+    return _exp(taylor_remainder_bound_log10(split, p) * _LN10)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,31 @@ class TestGridOrder:
         assert float(row["log10_ratio"]) == pytest.approx(-384.837, abs=1e-3)
 
 
+class TestTaylorSuite:
+    CFG = {"command": "verify", "suite": "taylor", "seeds": 1, "m": 98, "p": 2}
+
+    def row(self, tmp_path, capsys):
+        status = main(["--config", write_config(tmp_path, self.CFG)])
+        header, line = capsys.readouterr().out.splitlines()
+        return status, dict(zip(header.split(","), line.split(",")))
+
+    def test_budget_below_double_range_is_printed(self, tmp_path, capsys):
+        # a^(pm) / (m!)^p ~ 1e-367 underflowed before the sum (~7e97)
+        # multiplied it, and rhs printed 0
+        status, row = self.row(tmp_path, capsys)
+        assert status == 0 and row["holds"] == "1"
+        assert float(row["rhs"]) == pytest.approx(1.5171e-269, rel=1e-4, abs=0.0)
+        assert 0.0 < float(row["lhs"]) < float(row["rhs"])
+
+    def test_budget_below_lhs_fails(self, tmp_path, capsys, monkeypatch):
+        lhs = float(self.row(tmp_path, capsys)[1]["lhs"])
+        monkeypatch.setattr(cli_mod.proofcheck, "taylor_remainder_bound_log10",
+                            lambda split, p: math.log10(lhs) - 1.0)
+        status, row = self.row(tmp_path, capsys)
+        assert status == 1 and row["holds"] == "0"
+        assert float(row["rhs"]) == pytest.approx(lhs / 10.0, rel=1e-12, abs=0.0)
+
+
 class TestExpsumSuite:
     @pytest.mark.parametrize(
         "p, searches, integrals, kinked", [("inf", 1, 0, 0), (2, 0, 1, 0), (1, 0, 0, 1)]
@@ -453,13 +478,14 @@ class TestMain:
             ({"command": "extremal", "b": math.inf, "gamma": 0.1}, "b = inf gives"),
             ({"command": "verify", "suite": "taylor", "seeds": 1, "window": math.inf},
              "invalid interval (1.0, inf)"),
+            ({"command": "classify", "b": 1e9}, "b = 1e+09 at L = 8 needs over 1048576 modes"),
         ],
         ids=["extremal-b-1e20", "extremal-b-1e308", "growth-radius-1e300", "growth-radius-1e6",
-             "taylor-m-99", "extremal-b-inf", "taylor-window-inf"],
+             "taylor-m-99", "extremal-b-inf", "taylor-window-inf", "classify-b-1e9"],
     )
     def test_domain_beyond_cap_exits_two(self, tmp_path, capsys, config, message):
         # each raised an uncaught overflow (exit 1), or ran out of time and memory
-        # (radius 1e6), before the library refused it
+        # (radius 1e6, classify b 1e9), before the library refused it
         assert message in config_error(tmp_path, capsys, config)
 
     @pytest.mark.parametrize("value", [2.5, True, "2"])

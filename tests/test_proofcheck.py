@@ -3,6 +3,7 @@ band component norms, and the exponential-sum transfer verifier."""
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -33,6 +34,7 @@ from thickset import (
     minimal_transfer_constant,
     random_bandlimited,
     taylor_remainder_bound,
+    taylor_remainder_bound_log10,
     taylor_split,
     two_sliver_set,
     unit_partition,
@@ -419,6 +421,23 @@ class TestTaylorSplit:
             lhs = float(ws @ np.abs(split.remainder(xs)) ** p)
             rhs = taylor_remainder_bound(split, p)
             assert lhs <= rhs * (1.0 + 1e-9)
+
+    def test_budget_past_the_double_range(self):
+        # ||f_k^(98)|| reaches ~1e196 at b = 64 pi, so its square overflows a
+        # double (the budget raised OverflowError); summed in logs it is finite
+        b, m, interval = 64.0 * math.pi, 98, (1.0, 1.5)
+        comps = [make_poly(b=b, seed=41), make_poly(b=b, seed=42)]
+        split = taylor_split(comps, (0.0, 3.0 * b), interval, m)
+        window = IntervalSet((interval,))
+        norms = [lp_norm(g, NormQuery(2.0, window)) for g in split.mth_derivatives]
+        with pytest.raises(OverflowError):
+            max(norms) ** 2.0
+        with mpmath.workdps(40):
+            a = mpmath.mpf(interval[1] - interval[0])
+            want = 2 * a ** (2 * m) / mpmath.factorial(m) ** 2 * sum(mpmath.mpf(v) ** 2 for v in norms)
+            want_log10 = float(mpmath.log10(want))
+        assert taylor_remainder_bound_log10(split, 2.0) == pytest.approx(want_log10, abs=1e-12)
+        assert taylor_remainder_bound(split, 2.0) == pytest.approx(float(want), rel=1e-11)
 
     def test_single_component_matches_taylor_series(self):
         # one pure mode: the split's polynomial part is the usual Taylor

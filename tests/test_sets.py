@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thickset import (
     EmptySetError,
@@ -180,3 +180,76 @@ def test_normalize_measure_never_exceeds_raw_total(raw):
     raw_total = sum(w for _, w in raw)
     assert E.measure <= raw_total + 1e-12
     assert E.measure > 0
+
+
+def scan_oracle(E, a, domain=None):
+    """gamma by the O(K^2) scan: every breakpoint window is materialized and summed."""
+    if E.period is not None:
+        L = E.period
+        ts = {0.0} | {t % L for iv in E.intervals for e in iv for t in (e, e - a)}
+    else:
+        d_lo, t_hi = domain[0], domain[1] - a
+        ts = {d_lo, t_hi} | {
+            t for iv in E.intervals for e in iv for t in (e, e - a) if d_lo <= t <= t_hi
+        }
+    worst = min(sum(hi - lo for lo, hi in E.materialize(t, t + a)) for t in ts)
+    return min(max(worst / a, 0.0), 1.0)
+
+
+@st.composite
+def random_sets(draw):
+    """(set, window length, domain): K <= 40 intervals, periodic or aperiodic."""
+    scale = draw(st.floats(min_value=0.25, max_value=4.0))
+    ends = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=80))
+    ends = sorted(scale * e for e in ends)
+    pairs = [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi]
+    assume(pairs)
+    a = draw(st.floats(min_value=0.05, max_value=3.0)) * scale
+    if draw(st.booleans()):
+        return normalize(pairs, scale), a, None
+    d_lo = draw(st.floats(min_value=-1.0, max_value=1.0)) * scale
+    d_hi = d_lo + a + draw(st.floats(min_value=0.0, max_value=2.0)) * scale
+    assume(d_hi - d_lo >= a)
+    return normalize(pairs), a, (d_lo, d_hi)
+
+
+class TestCumulativeMeasure:
+    @settings(max_examples=200, deadline=None)
+    @given(case=random_sets())
+    def test_thickness_matches_the_materialized_scan(self, case):
+        E, a, domain = case
+        assert thickness(E, a, domain).gamma == pytest.approx(scan_oracle(E, a, domain), abs=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=random_sets(),
+        lo=st.floats(min_value=-60.0, max_value=60.0),
+        length=st.floats(min_value=1e-6, max_value=40.0),
+    )
+    def test_measure_within_matches_the_materialized_sum(self, case, lo, length):
+        # windows at negative x and windows spanning many periods
+        E = case[0]
+        pieces = E.materialize(lo, lo + length)
+        assert measure_within(E, (lo, lo + length)) == pytest.approx(
+            math.fsum(hi - a for a, hi in pieces), abs=1e-11
+        )
+
+    def test_short_window_keeps_its_digits(self):
+        # the error is relative to the window ends, not to the set's total
+        # measure (1000 here, whose ulp is 1e-13)
+        E = IntervalSet(((0.0, 1000.0),))
+        assert measure_within(E, (1.0, 1.0 + 1e-9)) == pytest.approx(1e-9, rel=1e-6, abs=0.0)
+        periodic = IntervalSet(((0.0, 999.0),), period=1000.0)
+        assert measure_within(periodic, (1.0, 1.0 + 1e-9)) == pytest.approx(1e-9, rel=1e-6, abs=0.0)
+
+    def test_nothing_is_materialized(self, monkeypatch):
+        def refuse(self, lo, hi):
+            raise AssertionError("materialize called")
+
+        monkeypatch.setattr(IntervalSet, "materialize", refuse)
+        assert thickness(two_sliver_set(0.2), 1.0).gamma == pytest.approx(0.2, rel=1e-12)
+        E = IntervalSet(((0.0, 0.5),))
+        assert thickness(E, 0.25, domain=(-1.0, 1.0)).gamma == 0.0
+        assert thickness(E, 0.25, domain=(0.0, 0.5)).gamma == 1.0
+        assert measure_within(two_sliver_set(0.2), (-3.05, 4.0)) == pytest.approx(1.4, rel=1e-12)
+        assert measure_within(E, (-2.0, 0.25)) == 0.25
