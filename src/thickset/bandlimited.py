@@ -77,7 +77,7 @@ class BandSpec:
 
 @dataclass(frozen=True)
 class TrigPoly:
-    """Immutable trig polynomial: integer lattice modes and complex weights."""
+    """Immutable trig polynomial: lattice modes and complex weights; norms evaluate ``unit``."""
 
     period: float
     ms: np.ndarray
@@ -118,6 +118,16 @@ class TrigPoly:
         if not np.any(live):
             return 0.0
         return float(np.max(np.abs(self.frequencies[live])))
+
+    @cached_property
+    def unit(self) -> tuple[float, "TrigPoly"]:
+        """(s, f / s), s = 2^e with max|c_j| in [2^(e-1), 2^e), e <= 1023 (s = 1 for f = 0):
+        s is a power of two, so s * (f / s).eval(x) has the bits of f.eval(x)."""
+        s = math.ldexp(1.0, min(math.frexp(float(np.abs(self.coeffs).max(initial=0.0)))[1], 1023))
+        unit = object.__new__(TrigPoly)  # f's modes, neither re-sorted nor re-validated
+        unit.__dict__.update(period=self.period, ms=self.ms, coeffs=self.coeffs / s)
+        unit.coeffs.setflags(write=False)
+        return s, unit
 
     @property
     def is_zero(self) -> bool:
@@ -242,8 +252,8 @@ def _eval_translates(ms: np.ndarray, rows: np.ndarray, period: float, copies: in
 def piece_masses(f: TrigPoly, rows, pieces, copies: int, p: float, resolution: int) -> np.ndarray:
     """Masses integral |sum_m rows[r, m] e^(i nu_m x)|^p over each piece, shape (k, len(pieces)).
 
-    Only the nodes of ``quadrature.base_cell`` (`copies` as there) are built,
-    in runs of at most _EVAL_BLOCK entries, each evaluated at all Q translates.
+    Only the nodes of ``quadrature.base_cell`` (`copies` as there) are built, in runs of at
+    most _EVAL_BLOCK entries, each at all Q translates.  Callers pass ``TrigPoly.unit`` rows.
     """
     if not (f.ms.size and len(pieces)):  # no step table, or no piece to fold back into
         return np.zeros((len(rows), len(pieces)))
@@ -290,31 +300,29 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
         values come from one length-Q FFT.  At resolution 8, p = 1 torus
         norms of the benchmark ``restriction`` spectra are off by 1.4e-8 to
         3.7e-7 relative (resolution 128 as reference): |f| is nearly kinked
-        at zeros of f near the real axis.  The coefficients go in over a power
-        of two near their largest modulus, so |f|^p neither under- nor overflows.
-        For ``p = inf`` one ``quadrature.sup_abs`` call, f its one function,
-        samples f.eval on a grid with that spacing on every piece and models f
-        at each piece's grid argmax from f.eval(x, derivatives=TAYLOR_ORDER);
+        at zeros of f near the real axis.
+        For ``p = inf`` one ``quadrature.sup_abs`` call, (s, u) = f.unit,
+        samples u.eval on a grid with that spacing on every piece and models u
+        at each piece's grid argmax from u.eval(x, derivatives=TAYLOR_ORDER);
         a peak away from those argmaxes may be missed.
 
     Returns
     -------
     float
-        ``( integral_E |f|^p )^(1/p)`` or the refined sup for ``p = inf``.
+        ``( integral_E |f|^p )^(1/p)`` or the refined sup: u's times s, inf past the range.
     """
     E = query.set
     q = period_ratio(E, f.period)  # raises unless E's period divides f's
     pieces = E.intervals if E.period is None else E.materialize(0.0, f.period)
     if not pieces or sum(b - a for a, b in pieces) <= 0:
         raise EmptySetError("norm query over a set of zero measure")
-    width = panel_width(f.max_frequency, query.resolution)
+    width, (s, u) = panel_width(f.max_frequency, query.resolution), f.unit
     if math.isinf(query.p):
         counts = [max(3, int(math.ceil((hi - lo) / width)) + 1) for lo, hi in pieces]
-        expand = lambda x: f.eval(x, derivatives=TAYLOR_ORDER)
-        return float(sup_abs(f.eval, expand, pieces, [counts]).max())
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(f.coeffs).max(initial=0.0)))[1])
-    mass = piece_masses(f, f.coeffs[None] / scale, pieces, q, query.p, query.resolution).sum()
-    return float(mass) ** (1.0 / query.p) * scale
+        expand = lambda x: u.eval(x, derivatives=TAYLOR_ORDER)
+        return float(sup_abs(u.eval, expand, pieces, [counts]).max()) * s
+    mass = piece_masses(f, u.coeffs[None], pieces, q, query.p, query.resolution).sum()
+    return float(mass) ** (1.0 / query.p) * s
 
 
 def lattice_indices(spec: BandSpec, period: float) -> np.ndarray:

@@ -37,6 +37,7 @@ from .errors import (
     InvalidDegreeError,
     InvalidWindowError,
     SizeLimitError,
+    ThicksetError,
     ZeroFunctionError,
 )
 from .quadrature import (
@@ -116,9 +117,9 @@ def classify_intervals(
     """Label partition intervals good/bad by scaled derivative masses.
 
     The order-alpha test compares the mass of the rescaled derivative
-    g_alpha = f^(alpha) / (A C b)^alpha against the mass of f itself, term
-    by term on the spectrum, so no overflow occurs at any order.  The rows
-    of every order go through one ``piece_masses`` call.
+    g_alpha = f^(alpha) / (A C b)^alpha against the mass of f, term by term on
+    the spectrum of (s, u) = f.unit: no overflow at any order or scale.  One ``piece_masses``
+    call takes every order's rows; ``mass`` is u's times s^p (inf or 0 past the range).
     """
     if not band_width > 0:
         raise InvalidBandError(f"band width must be positive, got {band_width}")
@@ -133,22 +134,30 @@ def classify_intervals(
         if any(hi <= lo for lo, hi in partition):
             raise InvalidWindowError("partition intervals need lo < hi")
     damping = 1j * f.frequencies / (params.bad_threshold * params.bernstein_constant * band_width)
-    rows = np.empty((params.resolved_alpha_max() + 1, f.ms.size), dtype=np.complex128)
-    rows[0] = f.coeffs
+    (s, u), rows = f.unit, np.empty((params.resolved_alpha_max() + 1, f.ms.size), complex)
+    rows[0] = u.coeffs
     for alpha in range(1, rows.shape[0]):
         rows[alpha] = rows[alpha - 1] * damping
     masses = piece_masses(f, rows, partition, len(partition), params.p, RESOLUTION)
     bad = masses[1:] >= masses[0]
     first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
-    good, mass = first_bad == 0, masses[0].copy()
+    scale = s ** params.p if params.p * math.log2(s) < 1024 else math.inf  # not OverflowError
+    good, mass = first_bad == 0, masses[0] * scale
     for arr in (good, mass, first_bad):
         arr.setflags(write=False)
     return IntervalClassification(partition, good, mass, first_bad, params)
 
 
+def _in_range(masses: np.ndarray) -> np.ndarray:
+    """The masses a check reads, refused where one fell past the double range."""
+    if not ((masses > 0) & (masses < math.inf)).all():
+        raise ThicksetError("an interval mass of |f|^p is 0 or inf, past the double range")
+    return masses
+
+
 def good_mass_check(labels: IntervalClassification) -> float:
     """Fraction of integral |f|^p carried by the good intervals, read off ``labels.mass``."""
-    total = float(labels.mass.sum())
+    total = float(_in_range(labels.mass).sum())
     if not total > 0:
         raise ZeroFunctionError("no mass on the partition")
     return float(labels.mass[labels.good].sum()) / total
@@ -184,10 +193,11 @@ def local_estimate_check(
     the unit partition builds the nodes of its pieces in [0, 1] only.  The
     verdict compares logs; the reported rhs underflows to 0 below double range.
     """
-    params, c, b_eff = labels.params, constants.c_one, 2.0 * f.max_frequency
+    p, c, b_eff = labels.params.p, constants.c_one, 2.0 * f.max_frequency
+    _in_range(labels.mass[labels.good])
     piece_lists = [E.materialize(lo, hi) for lo, hi in labels.intervals]
-    pieces, copies = sum(piece_lists, ()), len(piece_lists)
-    masses = piece_masses(f, f.coeffs[None], pieces, copies, params.p, RESOLUTION)[0]
+    pieces, copies, (s, u) = sum(piece_lists, ()), len(piece_lists), f.unit
+    masses = piece_masses(f, u.coeffs[None], pieces, copies, p, RESOLUTION)[0] * s ** p
     checks, start = [], 0
     for (lo, hi), own, good, whole in zip(
         labels.intervals, piece_lists, labels.good.tolist(), labels.mass.tolist()
@@ -198,7 +208,7 @@ def local_estimate_check(
         density = sum(b - a for a, b in own) / (hi - lo)
         if density <= 0:
             raise EmptySetError("the set misses a good interval entirely")
-        log_factor = (c * b_eff * params.p + 2.0) * math.log(density / c)
+        log_factor = (c * b_eff * p + 2.0) * math.log(density / c)
         holds = lhs > 0 and math.log(lhs) >= log_factor + math.log(whole)
         rhs = _exp(log_factor) * whole
         checks.append(LocalEstimate(lhs, rhs, holds, density, log_factor / math.log(10.0)))
@@ -228,36 +238,37 @@ def growth_envelope(
     the tightest band width, compared in log space.  The measured side is the max of |f| on
     a grid at the quadrature spacing, refined around each window's grid argmax by one
     ``quadrature.sup_abs`` call with each window a piece of its one function (its Taylor
-    model from f.eval's rows f .. f^(TAYLOR_ORDER) at the argmax), so a higher peak
-    elsewhere in a window can be missed.  A radius whose window grid (points x modes)
-    needs more than MAX_GROWTH_PHASES phases is refused.
+    model from u.eval's rows u .. u^(TAYLOR_ORDER) at the argmax, (s, u) = f.unit), so a
+    higher peak elsewhere in a window can be missed.  A radius whose window grid (points x
+    modes) needs more than MAX_GROWTH_PHASES phases is refused, as is a mass past the range.
     """
     if not radius > 0:
         raise InvalidWindowError(f"radius must be positive, got {radius}")
     width = panel_width(f.max_frequency, RESOLUTION)
     if not (2.0 * radius / width + 1.0) * f.ms.size <= MAX_GROWTH_PHASES:  # points x modes
         raise SizeLimitError(f"radius {radius:g} needs over {MAX_GROWTH_PHASES} grid phases")
-    p, goods = labels.params.p, labels.good_intervals
+    p, goods, (s, u) = labels.params.p, labels.good_intervals, f.unit
     if not goods:
         return ()
+    wholes = _in_range(labels.mass[labels.good])
     n = max(9, int(math.ceil(2.0 * radius / width)) + 1)
     # Dense phases, not f.eval, sample the grid: a window wider than the period
     # holds grid points one period apart, which f.eval's argument reduction makes
     # tie; unreduced phases, in a product on three columns (f, f', f''), break the
     # ties as the benchmark's recorded growth rows (seeds 501724, 473638, 169677)
     # expect.  One window's grid per product keeps the phase matrix small.
-    columns = f.coeffs[:, None] * (1j * f.frequencies[:, None]) ** np.arange(3)
+    columns = u.coeffs[:, None] * (1j * f.frequencies[:, None]) ** np.arange(3)
     sample = lambda x: np.concatenate(
         [np.exp(1j * np.outer(x[0, i : i + n], f.frequencies)) @ columns
          for i in range(0, x.shape[1], n)]
     ).T[:1]
     windows = tuple((0.5 * (lo + hi) - radius, 0.5 * (lo + hi) + radius) for lo, hi in goods)
-    expand = lambda x: f.eval(x, derivatives=TAYLOR_ORDER)
+    expand = lambda x: u.eval(x, derivatives=TAYLOR_ORDER)
     (peaks,) = sup_abs(sample, expand, windows, [(n,) * len(windows)])
     b_eff = 2.0 * f.max_frequency
     bound = (2.0 ** inv_p(p)) * _exp(b_eff * (radius + 0.5))
     log_bound = math.log(2.0) * inv_p(p) + b_eff * (radius + 0.5)
-    ratios = (peak / whole ** (1.0 / p) for peak, whole in zip(peaks, labels.mass[labels.good]))
+    ratios = (peak / (whole ** (1.0 / p) / s) for peak, whole in zip(peaks, wholes))
     return tuple(GrowthEnvelope(float(r), bound, math.log(r) <= log_bound) for r in ratios)
 
 

@@ -197,9 +197,9 @@ def sup_abs(sample, expand, pieces, counts) -> np.ndarray:
     (``_model_peaks``): the peak the grid argmax sits on, not always the
     highest.  Bernstein's |f^(r)| <= nu^r ||f||_inf, nu the top frequency,
     bounds the model's error by (nu h)^21 / 21! ||f||_inf: 1e-22 ||f||_inf at
-    the cell width h <= pi / (4 nu) of every caller.  If a value does not
-    depend on the other points evaluated, each function's maxima have the bits
-    of a search on it alone.
+    the cell width h <= pi / (4 nu) of every caller, whose rows are of unit scale (N modes
+    under 1, ``TrigPoly.unit``): |rows[r]| h^r / r! <= N (nu h)^r / r!.  Each function's
+    maxima have the bits of a search on it alone if no value depends on the other points.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 2 or counts.shape[1] != len(pieces) or counts.min() < 2:
@@ -213,23 +213,20 @@ def sup_abs(sample, expand, pieces, counts) -> np.ndarray:
     x = grid.flat[k]
     lo, hi = grid.flat[np.maximum(k - 1, first)] - x, grid.flat[np.minimum(k + 1, last)] - x
     peaks, _ = _model_peaks(expand(x.reshape(funcs, -1)).reshape(TAYLOR_ORDER + 1, -1), lo, hi)
-    return np.fmax(best, peaks).reshape(funcs, -1)  # the grid's max where the rows overflow
+    return np.maximum(best, peaks).reshape(funcs, -1)
 
 
 def _model_peaks(rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Max of |sum_r rows[r] t^r / r!| over each column's t in [lo, hi] (lo <= 0 <= hi), and its t.
 
-    In s = t / h, h = max(-lo, hi), with coefficients rows[r] h^r / r! over a power of two near
-    their largest modulus (|.|^2 cannot under- or overflow; |rows[0]| keeps its bits), the peak
-    is the larger of _SCAN's best point in [sign lo, sign hi] and _NEWTON_STEPS Newton steps
-    from it on |.|^2, clipped to its scan cells (uphill where not concave); h = 0 gives |rows[0]|.
+    In s = t / h, h = max(-lo, hi), with coefficients rows[r] h^r / r! of unit scale (``sup_abs``),
+    the peak is the larger of _SCAN's best point in [sign lo, sign hi] and _NEWTON_STEPS Newton
+    steps from it on |.|^2, clipped to its scan cells (uphill where not concave); h = 0: |rows[0]|.
     """
     h, left, right = np.maximum(-lo, hi), np.sign(lo)[:, None], np.sign(hi)[:, None]
     steps = np.ones((h.size, TAYLOR_ORDER + 1))  # of the products h^r / r!, then of s^r
     steps[:, 1:] = h[:, None] / _ORDERS[1:]
     coeffs = rows.T * np.multiply.accumulate(steps, axis=1)
-    scale = np.ldexp(1.0, np.frexp(np.abs(coeffs).max(axis=1))[1])
-    coeffs /= scale[:, None]
     scan = np.abs(coeffs @ _SCAN_POWERS)
     j = np.argmax(np.where((left <= _SCAN) & (_SCAN <= right), scan, -1.0), axis=1)
     s, (lo, hi) = _SCAN[j], np.clip(_SCAN[np.clip(j[:, None] + [-1, 1], 0, 32)], left, right).T
@@ -238,9 +235,9 @@ def _model_peaks(rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         steps[:, 1:] = s[:, None]
         rows = (np.multiply.accumulate(steps, axis=1)[:, None] @ model)[:, 0]  # P, P', P'' at s
         if step == _NEWTON_STEPS:
-            return scale * np.maximum(scan[np.arange(h.size), j], np.abs(rows[:, 0])), s * h
+            return np.maximum(scan[np.arange(h.size), j], np.abs(rows[:, 0])), s * h
         slope, bend = (rows[:, :1].conj() * rows[:, 1:]).real.T  # g'/2, g''/2 - |P'|^2, g = |P|^2
-        s = s - slope / np.minimum(bend + np.abs(rows[:, 1]) ** 2, -1e-300)  # |g'/2| < 1e4: finite
+        s = s - slope / np.minimum(bend + np.abs(rows[:, 1]) ** 2, -1e-280)  # |g'/2| < 4 N^2
         s = np.minimum(np.maximum(s, lo), hi)
 
 

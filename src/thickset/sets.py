@@ -4,8 +4,8 @@ A set is a sorted tuple of disjoint (lo, hi) pairs.  A periodic set stores
 one fundamental cell inside [0, period] and repeats it over the whole line.
 Windows are measured by one cumulative measure M(x) = |E intersect (c, x)|
 (c = 0 if periodic, else -inf): a running sum of lengths, then a bisect per x.
-t -> |E intersect (t, t+a)| is piecewise linear, so the thickness minimum is
-attained at one of ~4K breakpoints: O(K log K) for K intervals, no unrolling.
+t -> |E intersect (t, t+a)| is piecewise linear, and its minimum ties with one
+at a right end or a range end: K + 2 candidates, O(K log K), no unrolling.
 """
 from __future__ import annotations
 
@@ -143,9 +143,9 @@ def thickness(
 ) -> ThicknessCertificate:
     """Exact gamma = min_t |E intersect (t, t+a)| / a for a window length a > 0.
 
-    Each window holds M(t + a) - M(t).  A periodic set scans (0, period + a),
-    its breakpoints reduced mod the period; an aperiodic set needs a compact
-    `domain`, and its windows range over [domain lo, domain hi - a].
+    Window t holds M(t + a) - M(t); it stops falling at t = hi or at t = lo - a, where it
+    stays flat until t = hi or it falls again.  So the minimum ties with one at a right end hi
+    (mod the period) or a range end: (0, period + a) if periodic, else [lo, hi - a] of `domain`.
     """
     if not (a > 0 and math.isfinite(a)):
         raise InvalidWindowError(f"window length must be positive, got {a}")
@@ -158,8 +158,8 @@ def thickness(
     if d_hi - d_lo < a:
         raise InvalidWindowError("domain shorter than the window")
     t_hi = d_hi - a
-    breaks = {t % L if L else t for iv in E.intervals for e in iv for t in (e, e - a)}
-    ts = list({d_lo, t_hi}.union(t for t in breaks if d_lo <= t <= t_hi))
+    ends = {hi % L if L else hi for _, hi in E.intervals}
+    ts = list({d_lo, t_hi}.union(t for t in ends if d_lo <= t <= t_hi))
     m = _cumulative(E, ts + [t + a for t in ts])
     worst = min(hi - lo for lo, hi in zip(m, m[len(ts):]))
     return ThicknessCertificate(window=a, gamma=min(max(worst / a, 0.0), 1.0))

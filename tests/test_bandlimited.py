@@ -50,6 +50,22 @@ class TestTrigPoly:
         f = TrigPoly.from_terms(TWO_PI, [(1, 1.0), (7, 0.0)])
         assert math.isclose(f.max_frequency, 1.0, rel_tol=1e-15)
 
+    @pytest.mark.parametrize("c", [1e-300, 1.0, 3.0, 1e280])
+    def test_unit_keeps_the_value_bits(self, c):
+        # s is a power of two, so s * u.eval has the bits of f.eval, derivative rows too
+        g = random_bandlimited(BandSpec((0.0,), 16.0 * math.pi), 8.0, seed=4)
+        f = TrigPoly(g.period, g.ms, c * g.coeffs)
+        s, u = f.unit
+        assert math.frexp(s)[0] == 0.5 and 0.5 <= np.abs(u.coeffs).max() < 1.0
+        assert u.ms is f.ms and u.max_frequency == f.max_frequency and f.unit[1] is u
+        x = np.random.default_rng(1).uniform(-3.0, 11.0, 40)
+        assert (s * u.eval(x, derivatives=2)).tobytes() == f.eval(x, derivatives=2).tobytes()
+
+    def test_unit_of_the_zero_function_and_of_the_largest_weights(self):
+        assert TrigPoly.from_terms(1.0, [(0, 0.0), (2, 0.0)]).unit[0] == 1.0
+        s, u = TrigPoly.from_terms(1.0, [(0, 1e308), (1, -1.0)]).unit
+        assert s == 2.0 ** 1023 and u.coeffs[0] * s == 1e308
+
 
 def _mp_reference(f, xs, dps=40):
     """Values of f at xs in `dps`-digit arithmetic, for consecutive modes.
@@ -300,15 +316,17 @@ class TestLpNorm:
             else:
                 assert top * (1.0 - 1e-13) <= got <= top * (1.0 + 1e-7)
 
-    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e250])
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e250, 1e280, 1e300, 1e307])
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
     def test_scale_covariant(self, c, p):
-        # |f|^p of c f neither under- nor overflows, and the sup's model is scaled
+        # every route evaluates f.unit: |f|^p and the sup's derivative rows of c f
+        # neither under- nor overflow, and a norm past the double range reads inf
         f = random_bandlimited(BandSpec((0.0,), 64.0 * math.pi), 8.0, seed=3)
         scaled = TrigPoly(f.period, f.ms, c * f.coeffs)
         for E in (two_sliver_set(0.3), full_torus(8.0)):
             want = c * lp_norm(f, NormQuery(p, E))
-            assert math.isclose(lp_norm(scaled, NormQuery(p, E)), want, rel_tol=1e-13)
+            got = lp_norm(scaled, NormQuery(p, E))
+            assert got == want == math.inf if c == 1e307 else math.isclose(got, want, rel_tol=1e-13)
 
     def test_invalid_exponent(self):
         f = TrigPoly.from_terms(1.0, [(0, 1.0)])

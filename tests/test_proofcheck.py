@@ -21,6 +21,7 @@ from thickset import (
     InvalidExponentError,
     InvalidWindowError,
     NormQuery,
+    ThicksetError,
     TrigPoly,
     ZeroFunctionError,
     band_component_norms,
@@ -101,6 +102,33 @@ class TestClassifier:
         labels = classify_intervals(f, B4, ClassifierParams(p=2.0))
         assert len(labels.intervals) == 8
         assert len(labels.good_intervals) + int((~labels.good).sum()) == 8
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_labels_of_any_scale(self, c, p):
+        # the labels come from f.unit's masses, so c f is labelled as f is; its masses
+        # c^p integral_I |f|^p reach 1e-400 or 1e400 at p = 2, where every check that
+        # reads them refuses, and at p = 1 the checks give f's verdicts
+        f = make_poly(seed=0)
+        g = TrigPoly(f.period, f.ms, c * f.coeffs)
+        labels = classify_intervals(f, B4, ClassifierParams(p=p))
+        scaled = classify_intervals(g, B4, ClassifierParams(p=p))
+        assert np.array_equal(scaled.good, labels.good) and scaled.good.all()
+        assert np.array_equal(scaled.first_bad_order, labels.first_bad_order)
+        E = two_sliver_set(0.3)
+        if p == 2.0:
+            assert np.all(scaled.mass == (0.0 if c < 1.0 else math.inf))
+            for check in (lambda: good_mass_check(scaled), lambda: local_estimate_check(g, E, scaled),
+                          lambda: growth_envelope(g, scaled, 4.5)):
+                with pytest.raises(ThicksetError, match="past the double range"):
+                    check()
+            return
+        np.testing.assert_allclose(scaled.mass, c * labels.mass, rtol=1e-13)
+        assert math.isclose(good_mass_check(scaled), good_mass_check(labels), rel_tol=1e-13)
+        for ours, theirs in zip(local_estimate_check(g, E, scaled), local_estimate_check(f, E, labels)):
+            assert math.isclose(ours.lhs, c * theirs.lhs, rel_tol=1e-13) and ours.holds == theirs.holds
+        for ours, theirs in zip(growth_envelope(g, scaled, 4.5), growth_envelope(f, labels, 4.5)):
+            assert math.isclose(ours.ratio, theirs.ratio, rel_tol=1e-13) and ours.holds == theirs.holds
 
     def test_constant_function_all_good(self):
         # a constant has zero derivatives: every interval is good

@@ -415,15 +415,6 @@ def test_model_peak_matches_f_at_its_point(seed, nu):
     assert np.all(fine.max(axis=0) <= peak * (1.0 + 1e-14))
 
 
-def test_model_peak_at_its_point_keeps_the_value_bits():
-    # |f| falls from the bracket's left end: the peak is |rows[0]| bit for bit, as
-    # the power-of-two scale of the coefficients divides and multiplies exactly
-    u = np.random.default_rng(5).uniform(0.1, 1.4, 50)
-    rows = np.stack([np.cos(u + r * math.pi / 2) for r in range(TAYLOR_ORDER + 1)]) * (0.3 + 0.7j)
-    peak, at = quadrature._model_peaks(rows, np.zeros(50), np.full(50, 0.1))
-    assert np.all(at == 0.0) and peak.tobytes() == np.abs(rows[0]).tobytes()
-
-
 def test_sup_refuses_short_grids():
     fn = _trig_rows(np.array([1.0]), np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
