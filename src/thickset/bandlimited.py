@@ -220,9 +220,6 @@ def _eval_translates(ms: np.ndarray, rows: np.ndarray, period: float, copies: in
     (w and ``_eval_rows``'s), with a phase error of about u eps.
     """
     k = rows.shape[0]
-    if copies == 1:
-        table = _step_tables(ms, rows)
-        return (lambda x0: _eval_rows(table, k, period, 0, x0)[:, None]), sum(table.shape) + k
     t, s = np.divmod(ms - ms[0], copies)
     live = np.flatnonzero(np.bincount(s, minlength=copies))  # the residues that carry a mode
     split = np.zeros((k, live.size, t[-1] + 1), dtype=np.complex128)

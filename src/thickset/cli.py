@@ -45,7 +45,7 @@ from .bounds import (
     theorem2_bound,
 )
 from .concentration import min_concentration, sharpness_gap
-from .errors import ConfigError, ThicksetError
+from .errors import ConfigError, InvalidDegreeError, ThicksetError
 from .extremal import extremal_pair, extremal_ratio
 from .quadrature import RESOLUTION, panel_width, piece_integrals
 from .sets import IntervalSet, normalize, thickness, two_sliver_set
@@ -438,6 +438,7 @@ def _suite_growth(v, axes) -> RunResult:
 
 def _suite_taylor(v, axes) -> RunResult:
     header = ("seed", "b", "p", "m", "identity_error", "lhs", "rhs", "holds")
+    tol = 1e-8  # above it an identity error is a violation, and its rounding floor a refusal
 
     def cell(b, p, m, seed):
         centers = tuple(3.0 * b * k for k in range(v["n"]))
@@ -447,6 +448,15 @@ def _suite_taylor(v, axes) -> RunResult:
         ]
         interval = (1.0, 1.0 + v["window"])
         split = proofcheck.taylor_split(components, centers, interval, m)
+        # the polynomial part sums terms up to (nu a)^j / j!, nu the top frequency and a the
+        # window, so the identity rounds to about eps max_{j <= m} (nu a)^j / j!
+        nu_a = max(g.max_frequency for g in components) * split.length
+        j = int(min(nu_a, m))  # the largest term's j: nu a >= 1 unless j = 0
+        floor = np.finfo(float).eps * _exp(j * math.log(max(nu_a, 1.0)) - math.lgamma(j + 1.0))
+        if floor > tol:
+            raise InvalidDegreeError(
+                f"taylor: b = {b:g}, m = {m}, window = {v['window']:g} put the identity's "
+                f"rounding floor at {floor:.1e}, above {tol:g}")
         xs = np.linspace(interval[0], interval[1], 17)
         direct = split.total(xs)
         rebuilt = split.exp_sum(xs) + split.remainder(xs)
@@ -457,7 +467,7 @@ def _suite_taylor(v, axes) -> RunResult:
         log10_rhs = proofcheck.taylor_remainder_bound_log10(split, p)
         holds = lhs == 0.0 or math.log10(lhs) <= log10_rhs + math.log10(1.0 + 1e-9)
         violations = []
-        if identity_error > 1e-8:
+        if identity_error > tol:
             violations.append(
                 f"taylor: seed={seed} b={b:g} m={m} identity error {identity_error:.3e}"
             )

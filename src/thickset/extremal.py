@@ -6,8 +6,9 @@ two-sliver set of density gamma: its norm ratio scales like gamma^(m + 1/p)
 up to a geometric constant, so log-log regressions of ratio against gamma
 recover a slope linear in b with coefficient close to 1 / (4 pi).
 
-Each ratio takes two quadratures clipped at a reach from 0, on a window [-X, X]
-set by a closed-form lower bound on the central mass.
+Each ratio takes two quadratures on a window [-X, X] set by a closed-form lower bound
+on the central mass; each builds only the set's pieces within a reach of 0, from a
+closed-form panel count, so a truncation up to MAX_TRUNCATION costs no more than the default.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .errors import (
     NonIntegrableError,
     SizeLimitError,
 )
-from .quadrature import panel_count, panel_nodes
+from .quadrature import panel_nodes
 from .sets import IntervalSet, two_sliver_set
 
 FOUR_PI = 4.0 * math.pi
@@ -80,10 +81,9 @@ def extremal_pair(bandwidth: float, gamma: float) -> ExtremalInstance:
 
 
 # _log_mass drops panels holding at most 2^-CUT_BITS of the mass, guessed to within
-# 2^_GUESS_BITS first; up to _DIRECT_PANELS panels it evaluates them all.
+# 2^_GUESS_BITS first.
 CUT_BITS = 60
 _GUESS_BITS = 16
-_DIRECT_PANELS = 256
 
 
 def _log_sum(pieces, mp: float) -> float:
@@ -95,38 +95,30 @@ def _log_sum(pieces, mp: float) -> float:
     return -math.inf if top == -np.inf else float(top + np.log(np.exp(terms - top).sum()))
 
 
-def _log_mass(pieces, mp: float) -> float:
-    """log of sum w |kernel|^mp over the panels of width 0.5/mp within reach of 0.
+def _log_mass(E: IntervalSet, x_max: float, mp: float) -> float:
+    """log of sum w |kernel|^mp over the panels of width w = 0.5/mp on E within (-X, X).
 
-    |kernel(x)| <= 1 / (2 pi |x|) and a panel's weights sum to at most 0.5/mp, so
-    each panel beyond |x| = reach, where log(0.5/mp) - mp log(2 pi reach) = c, has
-    log mass below the cut c.  Each piece is clipped to its panels within reach, with
-    one more panel at each end for rounding, and the clipped runs go through one
-    panel_nodes call and one log-sum-exp.  Their log mass M bounds the whole from
-    below, so c <= M - CUT_BITS ln 2 - ln(#panels) keeps the dropped mass under
-    2^-CUT_BITS of it.  c takes M to be at least 2^-_GUESS_BITS of one panel at the
-    kernel's value nearest 0; if not, every panel is evaluated.
+    |kernel(x)| <= 1 / (2 pi |x|), so a panel beyond |x| = reach, where
+    log w - mp log(2 pi reach) = c, has log mass below the cut c; E is materialized only
+    to reach + w, for one log-sum-exp of log mass M.  As 2X/w + K (2X/P + 2) bounds the
+    window's panels (K cell intervals, P the period, or X if aperiodic), c <= M - CUT_BITS
+    ln 2 - ln(that bound) keeps the dropped mass under 2^-CUT_BITS of M.  c takes M to be at
+    least 2^-_GUESS_BITS of one panel, of width min(w, its length), at the kernel's value on
+    the piece nearest 0, sought over one period (or the window if shorter, or E aperiodic);
+    if not, E's whole window is summed.
     """
-    width = 0.5 / mp
-    n = np.array([panel_count(lo, hi, width) for lo, hi in pieces], dtype=np.int64)
-    if n.sum() <= _DIRECT_PANELS:
-        return _log_sum(pieces, mp)
-    (lo, hi), n = np.array(pieces, dtype=float)[n > 0].T, n[n > 0]
-    step = (hi - lo) / n
-    near = np.abs(np.maximum(lo, np.minimum(hi, 0.0)))  # each piece's distance to 0
-    i = np.argmin(near)
-    x = math.tau * near[i]  # the guess: one panel at the kernel's value there
-    guess = math.log(step[i]) + (mp * min(0.0, math.log(abs(math.sin(x)) / x)) if x else 0.0)
-    margin = CUT_BITS * math.log(2.0) + math.log(n.sum())
-    cut = guess - _GUESS_BITS * math.log(2.0) - margin
-    reach = min(math.exp(min((math.log(width) - cut) / mp, 700.0)) / math.tau,
-                np.abs((lo, hi)).max())
-    with np.errstate(over="ignore"):  # a subnormal step gives +-inf, clipped to 0 or n
-        first = np.clip(np.floor((-reach - lo) / step) - 1.0, 0.0, n)  # panel indices, as floats
-        last = np.clip(np.floor((reach - lo) / step) + 2.0, 0.0, n)
-    runs = np.column_stack((first * step + lo, np.where(last == n, hi, last * step + lo)))
-    mass = _log_sum(runs[last > first].tolist(), mp)
-    return mass if mass - margin >= cut else _log_sum(pieces, mp)
+    width, period = 0.5 / mp, E.period or x_max
+    half = x_max if E.period is None else min(x_max, 0.5 * period)
+    x, length = min(((math.tau * abs(max(lo, min(hi, 0.0))), hi - lo)  # the piece nearest 0
+                     for lo, hi in E.materialize(-half, half)), default=(0.0, width))
+    floor = math.log(min(width, length)) - _GUESS_BITS * math.log(2.0)
+    floor += mp * min(0.0, math.log(abs(math.sin(x)) / x)) if x else 0.0
+    panels = 2.0 * x_max / width + len(E.intervals) * (2.0 * x_max / period + 2.0)
+    cut = floor - CUT_BITS * math.log(2.0) - math.log(panels)
+    reach = min(math.exp(min((math.log(width) - cut) / mp, 700.0)) / math.tau + width, x_max)
+    # a window that misses E sums no panel, here or in the fallback: -inf
+    mass = _log_sum(E.materialize(-reach, reach), mp)
+    return mass if mass >= floor else _log_sum(E.materialize(-x_max, x_max), mp)
 
 
 def _log_central_mass(mp: float) -> float:
@@ -186,8 +178,8 @@ def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = 
     x_max = float(truncation)
     if not 0.0 < x_max <= MAX_TRUNCATION:
         raise InvalidWindowError(f"truncation must be in (0, {MAX_TRUNCATION:g}], got {truncation}")
-    log_total = math.log(2.0) + _log_mass([(0.0, x_max)], mp)
-    log_kept = _log_mass(inst.set.materialize(-x_max, x_max), mp)
+    log_total = math.log(2.0) + _log_mass(IntervalSet(((0.0, x_max),)), x_max, mp)
+    log_kept = _log_mass(inst.set, x_max, mp)
     return (log_kept - log_total) / (p * math.log(10.0))
 
 

@@ -218,6 +218,25 @@ class TestTaylorSuite:
         assert status == 1 and row["holds"] == "0"
         assert float(row["rhs"]) == pytest.approx(lhs / 10.0, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("m, floor", [(7, "3.6e-08"), (10, "6.3e-06"), (20, "9.7e-01"),
+                                          (40, "3.1e+04")])
+    def test_identity_below_rounding_floor_exits_two(self, tmp_path, capsys, m, floor):
+        # at b = 64 pi and window 0.5 the identity read 3.7e-6, 0.84 and 3.1e4 at
+        # m = 10, 20 and 40: rounding of terms up to (nu a)^j / j!, nu a ~ 50
+        cfg = {"command": "verify", "suite": "taylor", "seeds": 1, "m": m, "b": 64.0 * math.pi}
+        err = config_error(tmp_path, capsys, cfg)
+        assert f"b = 201.062, m = {m}, window = 0.5" in err and f"floor at {floor}" in err
+
+    def test_identity_above_rounding_floor_runs(self, tmp_path, capsys):
+        # m = 6 puts the floor at 4.9e-9, below the 1e-8 tolerance, and the identity
+        # error tracks it: 4.7e-9 on these seeds
+        cfg = {"command": "verify", "suite": "taylor", "seeds": 3, "m": 6, "b": 64.0 * math.pi}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        errors = [float(dict(zip(header.split(","), line.split(",")))["identity_error"])
+                  for line in lines]
+        assert len(errors) == 3 and 1e-10 < max(errors) < 1e-8
+
 
 class TestExpsumSuite:
     @pytest.mark.parametrize(

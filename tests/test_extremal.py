@@ -1,7 +1,6 @@
 """The sinc-power family that pins the exponent's linear shape."""
 import math
 from functools import lru_cache
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -19,6 +18,7 @@ from thickset import (
     exponent_fit,
     extremal_pair,
     extremal_ratio,
+    normalize,
     theorem1_bound_log10,
     two_sliver_set,
 )
@@ -205,9 +205,20 @@ class TestExtremalRatio:
         calls = []
         log_mass = extremal_mod._log_mass
         monkeypatch.setattr(extremal_mod, "_log_mass",
-                            lambda pieces, mp: calls.append(pieces) or log_mass(pieces, mp))
+                            lambda E, x_max, mp: calls.append(E) or log_mass(E, x_max, mp))
         extremal_ratio(extremal_pair(320.0 * math.pi, 0.05), 4.0)
         assert len(calls) == 2
+
+    def test_truncation_cap_materializes_within_reach(self, monkeypatch):
+        # [-1e6, 1e6] holds 2e6 slivers, but only those within reach of 0 are built
+        sizes = []
+        materialize = IntervalSet.materialize
+        spy = lambda E, lo, hi: sizes.append(len(out := materialize(E, lo, hi))) or out
+        monkeypatch.setattr(IntervalSet, "materialize", spy)
+        inst = extremal_pair(40.0 * math.pi, 0.1)
+        capped = extremal_ratio(inst, 2.0, truncation=1e6)
+        assert 0 < sum(sizes) <= 1_000
+        assert capped == pytest.approx(extremal_ratio(inst, 2.0), rel=1e-9)
 
     def test_default_truncation_positive(self):
         inst = extremal_pair(2.0 * FOUR_PI, 0.3)
@@ -266,34 +277,33 @@ PRUNE_SETS = {
 
 
 class TestPanelCut:
-    """_log_mass evaluates only the panels within reach of 0."""
+    """_log_mass materializes and evaluates only the pieces within reach of 0."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
     @pytest.mark.parametrize("truncation", [None, 0.3, 50.0])
     @pytest.mark.parametrize("name", sorted(PRUNE_SETS))
-    def test_matches_every_panel(self, monkeypatch, name, truncation, p):
-        monkeypatch.setattr(extremal_mod, "_DIRECT_PANELS", 0)  # cut small inputs too
+    def test_matches_every_panel(self, name, truncation, p):
         inst = extremal_pair(40.0 * math.pi, 0.1)  # m = 10
         x_max = default_truncation(inst, p) if truncation is None else truncation
         mp = inst.power * p
-        for pieces in ([(0.0, x_max)], PRUNE_SETS[name].materialize(-x_max, x_max)):
-            want = _full_log_mass(pieces, mp)
-            got = extremal_mod._log_mass(pieces, mp)
+        for E in (IntervalSet(((0.0, x_max),)), PRUNE_SETS[name]):
+            want = _full_log_mass(E.materialize(-x_max, x_max), mp)
+            got = extremal_mod._log_mass(E, x_max, mp)
             assert got == want or abs(got - want) <= 1e-14 * abs(want)
 
     def test_short_guess_falls_back_to_every_panel(self, monkeypatch):
         # a guess 2^8 above the mass sets a cut the kept mass cannot vouch for,
-        # so every panel is evaluated after all
+        # so E's whole window is evaluated after all
         monkeypatch.setattr(extremal_mod, "_GUESS_BITS", -8)
-        monkeypatch.setattr(extremal_mod, "_DIRECT_PANELS", 0)
         sums = []
         log_sum = extremal_mod._log_sum
         monkeypatch.setattr(extremal_mod, "_log_sum",
                             lambda pieces, mp: sums.append(pieces) or log_sum(pieces, mp))
-        for pieces in ([(0.0, 4.0)], two_sliver_set(0.05).materialize(-4.0, 4.0)):
+        for E in (IntervalSet(((0.0, 4.0),)), two_sliver_set(0.05)):
             sums.clear()
-            got = extremal_mod._log_mass(pieces, 320.0)
-            assert len(sums) == 2 and sums[1] is pieces and got == log_sum(pieces, 320.0)
+            got = extremal_mod._log_mass(E, 4.0, 320.0)
+            window = E.materialize(-4.0, 4.0)
+            assert len(sums) == 2 and sums[1] == window and got == log_sum(window, 320.0)
 
     def test_far_panels_get_no_nodes(self, monkeypatch):
         # at m p = 40, |kernel|^40 < e^-73 beyond |x| = 1, against a mass ~ e^-3:
@@ -306,26 +316,30 @@ class TestPanelCut:
             return xs, ws
 
         monkeypatch.setattr(extremal_mod, "panel_nodes", counted)
-        extremal_mod._log_mass([(0.0, 50.0)], 40.0)
+        extremal_mod._log_mass(IntervalSet(((0.0, 50.0),)), 50.0, 40.0)
         assert len(sizes) == 1 and 0 < sizes[0] <= 16 * 80
 
     @settings(max_examples=200, deadline=None)
     @given(
-        pieces=st.lists(st.tuples(st.floats(-30.0, 30.0), st.floats(0.0, 1.0)),
-                        min_size=1, max_size=8),
+        cells=st.lists(st.tuples(st.floats(0.0, 0.9), st.floats(0.01, 1.0)),
+                       min_size=1, max_size=8),
+        period=st.none() | st.floats(0.25, 8.0),
+        x_max=st.floats(0.1, 40.0),
         mp=st.floats(1.01, 2000.0),
     )
-    @example(pieces=[(-4.0, 1.0)], mp=2000.0)  # through 0
-    @example(pieces=[(-0.55, 0.1), (0.45, 0.1)], mp=40.0)  # two slivers
-    @example(pieces=[(29.0, 1.0), (-30.0, 1.0)], mp=2000.0)  # far out only
-    @example(pieces=[(0.5, 0.0), (3.0, 0.0)], mp=10.0)  # no length
-    def test_matches_every_panel_on_random_pieces(self, pieces, mp):
-        # pieces (left, share) of total length <= 8; the masses agree to 1e-14
-        # relative, so their logs to 1e-14 absolute (or relative, beyond 1)
-        pieces = [(left, left + 8.0 * share / len(pieces)) for left, share in pieces]
-        with mock.patch.object(extremal_mod, "_DIRECT_PANELS", 0):
-            got = extremal_mod._log_mass(pieces, mp)
-        want = _full_log_mass(pieces, mp)
+    @example(cells=[(13.0 / 30.0, 0.625)], period=None, x_max=40.0, mp=2000.0)  # through 0
+    @example(cells=[(0.45, 0.1)], period=1.0, x_max=4.0, mp=40.0)  # slivers at gamma 0.1
+    @example(cells=[(0.9, 0.1)], period=None, x_max=40.0, mp=2000.0)  # far out only
+    @example(cells=[(0.9, 0.1)], period=None, x_max=10.0, mp=10.0)  # none in the window
+    def test_matches_every_panel_on_random_sets(self, cells, period, x_max, mp):
+        # cells (start, share) of [0, P] when periodic, else of [-30, 30], of total
+        # length <= P or 8; the masses agree to 1e-14 relative, so their logs to
+        # 1e-14 absolute (or relative, beyond 1)
+        lo, span, total = (-30.0, 60.0, 8.0) if period is None else (0.0, period, period)
+        starts = [(lo + span * start, total * share / len(cells)) for start, share in cells]
+        E = normalize([(left, min(lo + span, left + length)) for left, length in starts], period)
+        got = extremal_mod._log_mass(E, x_max, mp)
+        want = _full_log_mass(E.materialize(-x_max, x_max), mp)
         assert got == want or abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
 
