@@ -465,6 +465,8 @@ def _suite_taylor(v, axes) -> RunResult:
         remainder_mass = lambda x, _: np.abs(split.remainder(x)) ** p
         lhs = float(piece_integrals(remainder_mass, (interval,), panel_width(b / 2.0, RESOLUTION))[0])
         log10_rhs = proofcheck.taylor_remainder_bound_log10(split, p)
+        if lhs == math.inf or not log10_rhs < math.inf:  # nan: a norm of f_k^(m) overflowed
+            raise ThicksetError(f"taylor: p = {p:g} at m = {m} puts the remainder mass past the range")
         holds = lhs == 0.0 or math.log10(lhs) <= log10_rhs + math.log10(1.0 + 1e-9)
         violations = []
         if identity_error > tol:

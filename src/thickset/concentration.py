@@ -43,7 +43,7 @@ from .errors import DuplicateFrequencyError, SizeLimitError
 from .sets import IntervalSet, period_ratio, thickness
 
 
-# Dense eigensolves above this size are refused.
+# The distinct Gram blocks hold at most MAX_DENSE_SIZE**2 entries; GramMatrix.matrix, N up to it.
 MAX_DENSE_SIZE = 2000
 
 MODE_LIMIT = 2**52  # bound on |m|: mode differences are exact in int64 and float64
@@ -87,7 +87,9 @@ class GramMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense N x N matrix (read-only), built on first read."""
+        """The dense N x N matrix (read-only), built on first read; refused past MAX_DENSE_SIZE."""
+        if self.size > MAX_DENSE_SIZE:
+            raise SizeLimitError(f"{self.size} frequencies exceed the dense cap {MAX_DENSE_SIZE}")
         matrix = np.zeros((self.size, self.size), dtype=np.complex128)
         for ix, stack, carrier in self.groups:
             matrix[ix[:, :, None], ix[:, None, :]] = stack[carrier]
@@ -113,7 +115,8 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     GramMatrix
         One block per distinct pattern d = (m - m_first) / q of the residue
         classes m mod q.  Hermitian by construction: entries are computed
-        for nonnegative steps and mirrored by conjugation.
+        for nonnegative steps and mirrored by conjugation.  Refused, before any
+        block is built, past MAX_DENSE_SIZE**2 entries in the distinct blocks.
     """
     ms = np.asarray(list(freqs))  # an object array if some |m| exceeds int64
     if not np.all((ms > -MODE_LIMIT) & (ms < MODE_LIMIT)):
@@ -139,13 +142,16 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     centers = (starts + stops) / (2.0 * cell)
     widths = (stops - starts) / cell
 
-    classes, steps, carriers = _residue_blocks(ms, q), [], []
+    classes, patterns, carriers = _residue_blocks(ms, q), [], []
     for ix in classes:
         d = (ms[ix] - ms[ix[:, :1]]) // q  # equal rows, as bytes, give equal blocks
         rows = d.view(f"V{d.strides[0]}")
         _, first, carrier = np.unique(rows, return_index=True, return_inverse=True)
-        steps.append(d[first][:, :, None] - d[first][:, None, :])
+        patterns.append(d[first])
         carriers.append(carrier.ravel())
+    if sum(d.shape[0] * d.shape[1] ** 2 for d in patterns) > MAX_DENSE_SIZE**2:  # distinct blocks
+        raise SizeLimitError(f"the Gram blocks of {ms.size} modes exceed {MAX_DENSE_SIZE}^2 entries")
+    steps = [d[:, :, None] - d[:, None, :] for d in patterns]
     unique = np.unique(np.abs(np.concatenate([s.ravel() for s in steps])), return_index=True)[0]
     phases = np.exp(1j * (math.tau * np.mod(np.outer(unique, centers), 1.0)))
     values = (phases * (widths * np.sinc(np.outer(unique, widths)))).sum(axis=1)
@@ -172,17 +178,14 @@ class ConcentrationResult:
 def min_concentration(freqs, E: IntervalSet, period: float) -> ConcentrationResult:
     """Smallest concentration eigenvalue and a unit witness vector.
 
-    LAPACK solves each distinct block once (one batched call per block size)
-    and no dense matrix is built.  The block with the smallest eigenvalue
-    supplies lambda_min; its eigenvector, on the first class carrying that
-    block and zero elsewhere, is the witness.  `eigenvalues` is the sorted
-    union of the spectra of all classes.  The residual contract
-    ``||G_b v - lambda v|| <= 1e-10 ||G||`` is checked on that block G_b; it
-    equals the full-matrix residual, as entries between classes are zeros.
+    LAPACK solves each distinct block once (one batched call per block size);
+    no dense matrix is built, so N is not capped, only ``gram_matrix``'s blocks.
+    The block with the smallest eigenvalue supplies lambda_min; its eigenvector,
+    on the first class carrying that block and zero elsewhere, is the witness.
+    `eigenvalues` is the sorted union of the spectra of all classes.  The residual
+    contract ``||G_b v - lambda v|| <= 1e-10 ||G||`` is checked on that block G_b;
+    it equals the full-matrix residual, as entries between classes are zeros.
     """
-    freqs = list(freqs)
-    if len(freqs) > MAX_DENSE_SIZE:
-        raise SizeLimitError(f"{len(freqs)} frequencies exceed the dense cap {MAX_DENSE_SIZE}")
     g = gram_matrix(freqs, E, period)
     spectra = []
     lam = math.inf

@@ -30,10 +30,6 @@ from .sets import IntervalSet, two_sliver_set
 
 FOUR_PI = 4.0 * math.pi
 
-# Below this the kernel switches to its even Taylor expansion; the next
-# omitted term is ~ (2 pi x)^6 / 5040 < 1e-19 at the cutoff.
-_SMALL_X = 1e-4
-
 # default_truncation keeps the kernel tail below this fraction of the mass; no X,
 # supplied or derived, may exceed MAX_TRUNCATION, as [-X, X] holds 2X slivers.
 TRUNCATION_REL_TOL = 1e-10
@@ -43,16 +39,8 @@ MAX_POWER = 1e5
 
 
 def _unit_kernel(x: np.ndarray) -> np.ndarray:
-    """sin(2 pi x) / (2 pi x) with a stable series through the origin."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < _SMALL_X
-    u = math.tau * x[small]
-    u2 = u * u
-    out[small] = 1.0 - u2 / 6.0 + u2 * u2 / 120.0
-    xl = x[~small]
-    out[~small] = np.sin(math.tau * xl) / (math.tau * xl)
-    return out
+    """sin(2 pi x) / (2 pi x), 1 at the origin: ``np.sinc(2 x)``, as in ``gram_matrix``."""
+    return np.sinc(2.0 * np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)

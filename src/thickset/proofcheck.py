@@ -342,6 +342,8 @@ def taylor_split(
         Window on which the split is used; `lo` is the expansion point.
     degree : int
         Remainder order m >= 1; polynomials have degree m - 1.
+        Refused, before anything is built, where (m - 1)! (from m = 172) or an entry
+        c (i nu)^r, r <= m, of a component's derivative rows passes the largest double.
     """
     components = tuple(components)
     centers = tuple(float(c) for c in centers)
@@ -350,6 +352,12 @@ def taylor_split(
     if int(degree) != degree or degree < 1:
         raise InvalidDegreeError(f"degree must be an integer >= 1, got {degree}")
     degree = int(degree)
+    m = min(degree, 1 << 20)  # capped to convert to a float: past 171, (m - 1)! overflows anyway
+    c = np.concatenate([g.coeffs for g in components])
+    nu = np.concatenate([g.frequencies for g in components])[c != 0]
+    rows = np.log(np.abs(c[c != 0])) + m * np.log(np.maximum(np.abs(nu), 1.0))
+    if np.max(rows, initial=math.lgamma(m)) > math.log(np.finfo(float).max):
+        raise InvalidDegreeError(f"degree m = {degree} puts (m - 1)! or c (i nu)^m past double range")
     period = components[0].period
     if any(abs(g.period - period) > 1e-12 * max(1.0, period) for g in components):
         raise ValueError("components must share one period")
@@ -373,14 +381,12 @@ def taylor_split(
 
 
 def taylor_remainder_bound_log10(split: TaylorSplit, p: float) -> float:
-    """log10 of the budget n^(p-1) a^(pm) / (m!)^p * sum_k integral_I |f_k^(m)|^p, from logs."""
+    """log10 of the budget n^(p-1) a^(pm) / (m!)^p * sum_k integral_I |f_k^(m)|^p.
+
+    Summed in logs, so no m or p is refused; nan where a norm of f_k^(m) reads inf."""
     p = finite_exponent(p, "the remainder budget")
     n, m, a = len(split.components), split.degree, split.length
     logs = ((p - 1.0) * math.log(n), p * m * math.log(a), p * math.lgamma(m + 1.0))
-    if max(logs) > np.log(np.finfo(float).max):
-        raise InvalidDegreeError(
-            f"degree m = {m} at p = {p:g} puts n^(p-1), a^(pm) or (m!)^p beyond double range"
-        )
     window = IntervalSet(((split.base, split.base + a),))
     norms = [lp_norm(g, NormQuery(p, window)) for g in split.mth_derivatives if not g.is_zero]
     top = max(norms, default=0.0)
@@ -628,13 +634,13 @@ CONSTANT_GRID = tuple(sorted({1.0, 1.5} | {2.0 ** (k / 2.0) for k in range(1, 19
 def minimal_transfer_constant(samples, exponent: float) -> float | None:
     """Smallest grid constant C with ratio <= (C * scale)^exponent for all samples.
 
-    `samples` is an iterable of (scale, ratio) pairs with scale = |I|/|E|.
-    Returns None when even the largest grid constant fails.
+    `samples` is an iterable of (scale, ratio) pairs with scale = |I|/|E|, compared in
+    logs with a 1e-12 relative slack.  Returns None when even the largest grid constant fails.
     """
-    pairs = [(float(s), float(r)) for s, r in samples]
+    pairs = [(float(s), -math.inf if r == 0 else math.log(r)) for s, r in samples]
     if any(s <= 0 for s, _ in pairs):
         raise ValueError("scales must be positive")
     for c in CONSTANT_GRID:
-        if all(r <= (c * s) ** exponent * (1.0 + 1e-12) for s, r in pairs):
+        if all(log_r <= exponent * math.log(c * s) + math.log1p(1e-12) for s, log_r in pairs):
             return c
     return None

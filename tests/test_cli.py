@@ -227,6 +227,23 @@ class TestTaylorSuite:
         err = config_error(tmp_path, capsys, cfg)
         assert f"b = 201.062, m = {m}, window = 0.5" in err and f"floor at {floor}" in err
 
+    @pytest.mark.parametrize("m, p", [(120, 2), (171, 1)])
+    def test_factorial_power_past_the_double_range_runs(self, tmp_path, capsys, m, p):
+        # (m!)^p passes the largest double, but the budget is a sum of logs that never forms it
+        cfg = {"command": "verify", "suite": "taylor", "seeds": 1, "m": m, "p": p}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 0
+        header, line = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert row["holds"] == "1" and float(row["rhs"]) < math.inf
+
+    @pytest.mark.parametrize("p", [2000, 1e300])
+    def test_remainder_mass_past_the_double_range_exits_two(self, tmp_path, capsys, p):
+        # |R|^p overflows the remainder mass to inf, and no verdict can be read from it
+        cfg = {"command": "verify", "suite": "taylor", "seeds": 1, "p": p}
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            err = config_error(tmp_path, capsys, cfg)
+        assert f"taylor: p = {p:g} at m = 3 puts the remainder mass past the range" in err
+
     def test_identity_above_rounding_floor_runs(self, tmp_path, capsys):
         # m = 6 puts the floor at 4.9e-9, below the 1e-8 tolerance, and the identity
         # error tracks it: 4.7e-9 on these seeds
@@ -286,6 +303,13 @@ class TestExpsumSuite:
                   "constants": {"c_aux": 1.01}}
         result = run({**config, **extra})
         assert result.violations == tuple(f"expsum: n=1 m=2 p=inf {t}" for t in tails)
+
+    @pytest.mark.parametrize("m, p", [(400, 2), (3000, "inf")])
+    def test_exponent_past_the_double_range_runs(self, tmp_path, capsys, m, p):
+        # (c s)^(nm - 1/p) overflowed in minimal_transfer_constant (OverflowError, exit 1)
+        cfg = {"command": "verify", "suite": "expsum", "seeds": 1, "n": 1, "m": m, "p": p}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10
 
     def test_steep_slope_within_bound_passes(self, tmp_path):
         # near fraction 1 the fitted slope (1.52) exceeds nm - (p-1)/p + 0.1,
@@ -492,15 +516,15 @@ class TestMain:
              "radius 1e+300 needs over 1048576 grid phases"),
             ({"command": "verify", "suite": "growth", "seeds": 1, "radius": 1e6},
              "radius 1e+06 needs over 1048576 grid phases"),
-            ({"command": "verify", "suite": "taylor", "seeds": 1, "m": 99, "p": 2},
-             "degree m = 99 at p = 2 puts"),
+            ({"command": "verify", "suite": "taylor", "seeds": 1, "m": 172},
+             "degree m = 172 puts"),
             ({"command": "extremal", "b": math.inf, "gamma": 0.1}, "b = inf gives"),
             ({"command": "verify", "suite": "taylor", "seeds": 1, "window": math.inf},
              "invalid interval (1.0, inf)"),
             ({"command": "classify", "b": 1e9}, "b = 1e+09 at L = 8 needs over 1048576 modes"),
         ],
         ids=["extremal-b-1e20", "extremal-b-1e308", "growth-radius-1e300", "growth-radius-1e6",
-             "taylor-m-99", "extremal-b-inf", "taylor-window-inf", "classify-b-1e9"],
+             "taylor-m-172", "extremal-b-inf", "taylor-window-inf", "classify-b-1e9"],
     )
     def test_domain_beyond_cap_exits_two(self, tmp_path, capsys, config, message):
         # each raised an uncaught overflow (exit 1), or ran out of time and memory

@@ -161,6 +161,17 @@ class TestMinConcentration:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_many_modes_in_small_blocks(self):
+        # b = 128 pi, L = 32: 2049 modes, over the dense cap, in 32 residue classes of
+        # 64 and 65 modes; each block is the L = 1 Gram of range(64) or range(65)
+        E = two_sliver_set(0.9)
+        res = min_concentration(lattice_indices(BandSpec((0.0,), 128.0 * math.pi), 32.0), E, 32.0)
+        blocks = [min_concentration(range(n), E, 1.0).lambda_min for n in (64, 65)]
+        assert res.gram.size == 2049
+        assert res.lambda_min == min(blocks) == 2.7180446497842684e-08
+        with pytest.raises(SizeLimitError, match="2049 frequencies exceed the dense cap 2000"):
+            res.gram.matrix
+
 
 class TestBlockSolve:
     # (copies q of the set's cell in the torus, modes); the sparse lists

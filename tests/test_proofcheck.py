@@ -1,6 +1,7 @@
 """Constructive checks: interval classifier, local estimates, Taylor split,
 band component norms, and the exponential-sum transfer verifier."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -450,10 +451,12 @@ class TestTaylorSplit:
             rhs = taylor_remainder_bound(split, p)
             assert lhs <= rhs * (1.0 + 1e-9)
 
-    def test_budget_past_the_double_range(self):
+    @pytest.mark.parametrize("m", [98, 120])
+    def test_budget_past_the_double_range(self, m):
         # ||f_k^(98)|| reaches ~1e196 at b = 64 pi, so its square overflows a
-        # double (the budget raised OverflowError); summed in logs it is finite
-        b, m, interval = 64.0 * math.pi, 98, (1.0, 1.5)
+        # double (the budget raised OverflowError); summed in logs it is finite.
+        # At m = 120, (m!)^2 ~ 1e397 passes the range too, which the budget refused
+        b, interval = 64.0 * math.pi, (1.0, 1.5)
         comps = [make_poly(b=b, seed=41), make_poly(b=b, seed=42)]
         split = taylor_split(comps, (0.0, 3.0 * b), interval, m)
         window = IntervalSet((interval,))
@@ -466,6 +469,30 @@ class TestTaylorSplit:
             want_log10 = float(mpmath.log10(want))
         assert taylor_remainder_bound_log10(split, 2.0) == pytest.approx(want_log10, abs=1e-12)
         assert taylor_remainder_bound(split, 2.0) == pytest.approx(float(want), rel=1e-11)
+
+    @pytest.mark.parametrize("m", [172, 10**7])
+    def test_degree_cap(self, m):
+        # (m - 1)! passes the largest double from m = 172, where the remainder raised
+        # OverflowError; m = 10**7 first built a 10**7-row derivative table (1.3 GiB)
+        comps = [make_poly(b=B4, seed=51), make_poly(b=B4, seed=52)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidDegreeError, match=f"degree m = {m} puts"):
+                taylor_split(comps, (0.0, 3.0 * B4), (1.0, 1.5), m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_degree_cap_reads_the_rows(self):
+        # c (i nu)^m passes the largest double before (m - 1)! does: at nu = 2 pi 1000 / 8
+        # and c = 1 the split runs to m = 106 (nu^m ~ 7e306) and is refused from 107
+        f = TrigPoly.from_terms(L, [(1000, 1.0)])
+        nu = 2.0 * math.pi * 1000 / L
+        m = math.floor(math.log(np.finfo(float).max) / math.log(nu))
+        assert taylor_split([f], (0.0,), (0.0, 0.01), m).degree == m
+        with pytest.raises(InvalidDegreeError):
+            taylor_split([f], (0.0,), (0.0, 0.01), m + 1)
 
     def test_single_component_matches_taylor_series(self):
         # one pure mode: the split's polynomial part is the usual Taylor
@@ -860,3 +887,8 @@ class TestMinimalTransferConstant:
     def test_none_when_no_grid_point_works(self):
         samples = [(2.0, 1e12)]
         assert minimal_transfer_constant(samples, 1.0) is None
+
+    def test_exponent_past_the_double_range(self):
+        # (c s)^400 overflowed (OverflowError); compared in logs, C = 1 already holds
+        assert minimal_transfer_constant([(10.0, 1e300)], 400.0) == 1.0
+        assert minimal_transfer_constant([(10.0, 1e300)], 299.0) == 2.0 ** 0.5
