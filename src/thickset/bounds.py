@@ -3,8 +3,8 @@
 All bounds share the convention that for p = inf the terms 1/p and
 (p-1)/p are read as 0 and 1.  Evaluators compute in log space internally,
 so extreme exponents underflow to 0.0 (or overflow to inf) instead of
-raising; `theorem1_bound_log10` and `theorem2_bound_log10` expose the exact
-order of magnitude for reporting when the linear value leaves the double range.
+raising; the `_log10` forms keep the exact order of magnitude, and every
+check is a `Verdict` decided on them, when the linear value leaves the range.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from .errors import (
     InvalidExponentError,
     InvalidGammaError,
     InvalidMError,
+    ThicksetError,
 )
 
 _LN10 = math.log(10.0)
@@ -28,6 +29,42 @@ def _exp(x: float) -> float:
     if x < -745.0:
         return 0.0
     return math.exp(x)
+
+
+def _log10(x: float) -> float:
+    """log10 of a magnitude, with 0 (or a rounding below it) read as -inf instead of raising."""
+    return math.log10(x) if x > 0 else (-math.inf if x <= 0 else math.nan)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A check lhs <= rhs in log10: its margin log10 rhs - log10 lhs lies in [low, high].
+
+    It holds when low >= 0, fails when high < 0 and is unresolved otherwise.  A
+    nan end is no margin: a side left the double range, and it is refused.  A
+    stated slack is part of the rhs.
+    """
+
+    low: float
+    high: float
+
+    def __post_init__(self):
+        if math.isnan(self.low) or math.isnan(self.high):
+            raise ThicksetError("a check's log10 margin is nan: a side is past the double range")
+
+    @classmethod
+    def of(cls, log10_lhs: float, log10_rhs: float) -> Verdict:
+        """The check with both ends at the margin; a lhs of 0 (log -inf) holds."""
+        margin = math.inf if log10_lhs == -math.inf else log10_rhs - log10_lhs
+        return cls(margin, margin)
+
+    @property
+    def holds(self) -> bool:
+        return self.low >= 0.0
+
+    @property
+    def fails(self) -> bool:
+        return self.high < 0.0
 
 
 def check_exponent(p: float) -> float:
@@ -228,6 +265,27 @@ def lemma1_corollary_bound(
     return _exp(expo * math.log(constants.c_aux / meas_E))
 
 
+def _lemma3_log(len_I, meas_E, n, m, p, constants: BoundConstants) -> float:
+    """ln of the norm-transfer bound (C |I| / |E|)^(n m - (p-1)/p)."""
+    len_I, meas_E = _check_measures(len_I, meas_E)
+    n = _check_count(n)
+    m = _check_count(m, "m")
+    check_exponent(p)
+    return (n * m - holder_share(p)) * math.log(constants.c_aux * len_I / meas_E)
+
+
+def lemma3_bound_log10(
+    len_I: float,
+    meas_E: float,
+    n: int,
+    m: int,
+    p: float,
+    constants: BoundConstants = DEFAULT_CONSTANTS,
+) -> float:
+    """log10 of the exponential-sum norm-transfer bound (C |I| / |E|)^(n m - (p-1)/p)."""
+    return _lemma3_log(len_I, meas_E, n, m, p, constants) / _LN10
+
+
 def lemma3_bound(
     len_I: float,
     meas_E: float,
@@ -237,12 +295,7 @@ def lemma3_bound(
     constants: BoundConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Exponential-sum norm-transfer bound (C |I| / |E|)^(n m - (p-1)/p)."""
-    len_I, meas_E = _check_measures(len_I, meas_E)
-    n = _check_count(n)
-    m = _check_count(m, "m")
-    check_exponent(p)
-    expo = n * m - holder_share(p)
-    return _exp(expo * math.log(constants.c_aux * len_I / meas_E))
+    return _exp(_lemma3_log(len_I, meas_E, n, m, p, constants))
 
 
 @dataclass(frozen=True)

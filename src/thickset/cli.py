@@ -12,7 +12,8 @@ in one table of `_ENTRIES`.  One reader, `_read`, parses a config against
 its table, refuses the keys the table does not declare, and hands the
 sweeping keys, in declared order, to one grid loop, `_tabulate`: a cell
 function runs at each point of the cross product of the axes and returns
-its rows and violations.
+its rows and its checks, each a label with its `Verdict`.  A check that
+fails is a violation; one that is unresolved is not.
 """
 from __future__ import annotations
 
@@ -32,7 +33,9 @@ from .bandlimited import BandSpec, random_bandlimited
 from .bounds import (
     _LN10,
     BoundConstants,
+    Verdict,
     _exp,
+    _log10,
     holder_share,
     lemma1_corollary_bound,
     lemma3_bound,
@@ -102,10 +105,18 @@ def emit_csv(table: ExperimentTable) -> bytes:
 
 
 def _parse_float(value, key: str) -> float:
-    """A real field: a JSON number (int or float), not a bool; true and "2" are refused."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    """A real field: a JSON number (int or float), not a bool or NaN; true and "2" are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or value != value:
         raise ConfigError(f"{key!r} must be a number, got {value!r}")
     return float(value)
+
+
+def _parse_finite(value, key: str) -> float:
+    """A real field that must be finite, as a period is."""
+    value = _parse_float(value, key)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key!r} must be finite, got {value!r}")
+    return value
 
 
 def _parse_p(value, key: str) -> float:
@@ -263,14 +274,16 @@ def _seeds(values: dict) -> list[int]:
 def _tabulate(header: tuple[str, ...], axes, cell) -> RunResult:
     """Run `cell(*point)` over the product of `axes`, first axis outermost.
 
-    Each cell returns (rows, violations); both are concatenated in grid order.
+    Each cell returns (rows, checks), checks being (label, Verdict) pairs.  Rows
+    are concatenated in grid order, and so are the labels of the checks that fail:
+    the violations.
     """
     rows: list[tuple] = []
     violations: list[str] = []
     for point in itertools.product(*axes):
-        cell_rows, cell_violations = cell(*point)
+        cell_rows, checks = cell(*point)
         rows.extend(cell_rows)
-        violations.extend(cell_violations)
+        violations.extend(label for label, verdict in checks if verdict.fails)
     return RunResult(ExperimentTable(header, tuple(rows)), tuple(violations))
 
 
@@ -280,16 +293,16 @@ def _classified(b: float, p: float, period: float, seed: int):
     return f, proofcheck.classify_intervals(f, b, proofcheck.ClassifierParams(p=p))
 
 
-def _mass_budget(labels, where: str) -> tuple[float, float, float, list[str]]:
-    """Bad and good mass fractions, the bad-mass budget 1 / (A^p - 1) and the violated ones."""
-    good = proofcheck.good_mass_check(labels)
-    bad, budget = 1.0 - good, 1.0 / (labels.params.bad_threshold ** labels.params.p - 1.0)
-    violations = []
-    if bad > budget + 1e-4:
-        violations.append(f"{where}: bad mass fraction {bad:.6g} exceeds budget {budget:.6g}")
-    if good < 0.5 - 1e-4:
-        violations.append(f"{where}: good mass fraction {good:.6g} below one half")
-    return bad, good, budget, violations
+def _mass_budget(labels, where: str) -> tuple[float, float, float, list]:
+    """Bad and good mass fractions, the budget 1 / (A^p - 1) (0 past the range), their checks."""
+    good, a, p = proofcheck.good_mass_check(labels), labels.params.bad_threshold, labels.params.p
+    bad, budget = 1.0 - good, 1.0 / (a ** p - 1.0) if p * math.log2(a) < 1024 else 0.0
+    return bad, good, budget, [
+        (f"{where}: bad mass fraction {bad:.6g} exceeds budget {budget:.6g}",
+         Verdict.of(_log10(bad), _log10(budget + 1e-4))),
+        (f"{where}: good mass fraction {good:.6g} below one half",
+         Verdict.of(_log10(0.5 - 1e-4), _log10(good))),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +354,9 @@ def _run_sharpness(v, axes) -> RunResult:
             BandSpec((0.0,), b), two_sliver_set(gamma), v["L"], v["constants"], v["window"]
         )
         row = (report.gamma, b, report.n_freqs, report.lambda_min, report.exact, report.bound,
-               report.log10_bound, report.log10_margin, report.holds)
-        violations = [] if report.holds else [
-            f"concentration: exact {report.exact:.6g} below bound at gamma={gamma:g} b={b:g}"
-        ]
-        return [row], violations
+               report.log10_bound, report.log10_margin, report.verdict.holds)
+        label = f"concentration: exact {report.exact:.6g} below bound at gamma={gamma:g} b={b:g}"
+        return [row], [(label, report.verdict)]
 
     return _tabulate(header, axes, cell)
 
@@ -359,12 +370,11 @@ def _run_extremal(v, axes) -> RunResult:
         log10_ratio = extremal_ratio(inst, p, v["truncation"])
         bound_log10 = theorem1_bound_log10(gamma, b, p, v["constants"])
         example_log10 = (inst.power - 1) * math.log10(gamma)
-        holds = log10_ratio >= bound_log10
-        violations = [] if holds else [
-            f"extremal: ratio 10^{log10_ratio:.6g} below bound at b={b:g} gamma={gamma:g} p={p:g}"
-        ]
+        verdict = Verdict.of(bound_log10, log10_ratio)
+        label = (f"extremal: ratio 10^{log10_ratio:.6g} below bound "
+                 f"at b={b:g} gamma={gamma:g} p={p:g}")
         row = (b, gamma, p, inst.power, 10.0 ** log10_ratio, log10_ratio)
-        return [row + (bound_log10, example_log10, holds)], violations
+        return [row + (bound_log10, example_log10, verdict.holds)], [(label, verdict)]
 
     return _tabulate(header, axes, cell)
 
@@ -374,11 +384,10 @@ def _run_classify(v, axes) -> RunResult:
 
     def instance():
         labels = _classified(v["b"], v["p"], v["L"], v["seed"])[1]
-        violations = _mass_budget(labels, "classify")[3]
         columns = (labels.good.tolist(), labels.first_bad_order.tolist(), labels.mass.tolist())
         indexed = enumerate(zip(labels.intervals, *columns))
         rows = [(i, lo, hi, *rest) for i, ((lo, hi), *rest) in indexed]
-        return rows, violations
+        return rows, _mass_budget(labels, "classify")[3]
 
     return _tabulate(header, axes, instance)
 
@@ -393,9 +402,9 @@ def _suite_good_bad(v, axes) -> RunResult:
     def cell(b, p, seed):
         labels = _classified(b, p, v["L"], seed)[1]
         where = f"good_bad: seed={seed} b={b:g} p={p:g}"
-        bad_fraction, good_fraction, budget, violations = _mass_budget(labels, where)
+        bad_fraction, good_fraction, budget, checks = _mass_budget(labels, where)
         n_bad = int((~labels.good).sum())
-        return [(seed, b, p, n_bad, bad_fraction, good_fraction, budget)], violations
+        return [(seed, b, p, n_bad, bad_fraction, good_fraction, budget)], checks
 
     return _tabulate(header, axes + [_seeds(v)], cell)
 
@@ -405,14 +414,14 @@ def _suite_local_estimate(v, axes) -> RunResult:
 
     def cell(b, p, gamma, seed):
         f, labels = _classified(b, p, v["L"], seed)
-        checks = proofcheck.local_estimate_check(f, two_sliver_set(gamma), labels, v["constants"])
-        n_holds = sum(check.holds for check in checks)
-        all_hold = n_holds == len(checks)
-        violations = [] if all_hold else [
-            f"local_estimate: seed={seed} b={b:g} p={p:g} gamma={gamma:g} "
-            f"{len(checks) - n_holds} good intervals fail"
-        ]
-        return [(seed, b, p, gamma, len(checks), n_holds, all_hold)], violations
+        verdicts = [check.verdict for check in proofcheck.local_estimate_check(
+            f, two_sliver_set(gamma), labels, v["constants"])]
+        n_holds = sum(verdict.holds for verdict in verdicts)
+        label = (f"local_estimate: seed={seed} b={b:g} p={p:g} gamma={gamma:g} "
+                 f"{sum(verdict.fails for verdict in verdicts)} good intervals fail")
+        worst = min(verdicts, key=lambda verdict: verdict.high, default=Verdict(0.0, 0.0))
+        all_hold = n_holds == len(verdicts)
+        return [(seed, b, p, gamma, len(verdicts), n_holds, all_hold)], [(label, worst)]
 
     return _tabulate(header, axes + [_seeds(v)], cell)
 
@@ -422,16 +431,13 @@ def _suite_growth(v, axes) -> RunResult:
 
     def cell(b, p, seed):
         f, labels = _classified(b, p, v["L"], seed)
-        rows = []
-        violations = []
+        rows, checks = [], []
         envelopes = proofcheck.growth_envelope(f, labels, v["radius"])
-        for iv, env in zip(labels.good_intervals, envelopes):
-            rows.append((seed, b, p, iv[0], env.ratio, env.bound, env.holds))
-            if not env.holds:
-                violations.append(
-                    f"growth: seed={seed} b={b:g} p={p:g} interval at {iv[0]:g} breaks the envelope"
-                )
-        return rows, violations
+        for (lo, _), env in zip(labels.good_intervals, envelopes):
+            rows.append((seed, b, p, lo, env.ratio, env.bound, env.verdict.holds))
+            label = f"growth: seed={seed} b={b:g} p={p:g} interval at {lo:g} breaks the envelope"
+            checks.append((label, env.verdict))
+        return rows, checks
 
     return _tabulate(header, axes + [_seeds(v)], cell)
 
@@ -467,17 +473,13 @@ def _suite_taylor(v, axes) -> RunResult:
         log10_rhs = proofcheck.taylor_remainder_bound_log10(split, p)
         if lhs == math.inf or not log10_rhs < math.inf:  # nan: a norm of f_k^(m) overflowed
             raise ThicksetError(f"taylor: p = {p:g} at m = {m} puts the remainder mass past the range")
-        holds = lhs == 0.0 or math.log10(lhs) <= log10_rhs + math.log10(1.0 + 1e-9)
-        violations = []
-        if identity_error > tol:
-            violations.append(
-                f"taylor: seed={seed} b={b:g} m={m} identity error {identity_error:.3e}"
-            )
-        if not holds:
-            violations.append(
-                f"taylor: seed={seed} b={b:g} m={m} remainder mass over budget"
-            )
-        return [(seed, b, p, m, identity_error, lhs, _exp(log10_rhs * _LN10), holds)], violations
+        budget = Verdict.of(_log10(lhs), log10_rhs + math.log10(1.0 + 1e-9))
+        checks = [
+            (f"taylor: seed={seed} b={b:g} m={m} identity error {identity_error:.3e}",
+             Verdict.of(_log10(identity_error), math.log10(tol))),
+            (f"taylor: seed={seed} b={b:g} m={m} remainder mass over budget", budget),
+        ]
+        return [(seed, b, p, m, identity_error, lhs, _exp(log10_rhs * _LN10), budget.holds)], checks
 
     return _tabulate(header, axes + [_seeds(v)], cell)
 
@@ -489,19 +491,18 @@ def _suite_band_norms(v, axes) -> RunResult:
         spec = BandSpec(tuple(3.0 * b * k for k in range(v["n"])), b)
         f = random_bandlimited(spec, v["L"], seed=seed)
         report = proofcheck.band_component_norms(f, spec, p)
-        gap = math.nan
-        violations = []
+        gap, checks = math.nan, []
         if p == 2.0:
             total = report.total
             gap = abs(sum(x * x for x in report.norms) - total * total) / total ** 2
-            if report.max_ratio > 1.0 + 1e-6:
-                violations.append(
-                    f"band_norms: seed={seed} b={b:g} component ratio "
-                    f"{report.max_ratio:.6g} over 1 at p=2"
-                )
-            if gap > 1e-6:
-                violations.append(f"band_norms: seed={seed} b={b:g} Parseval gap {gap:.3e}")
-        return [(seed, b, p, v["n"], report.max_ratio, gap)], violations
+            checks = [
+                (f"band_norms: seed={seed} b={b:g} component ratio "
+                 f"{report.max_ratio:.6g} over 1 at p=2",
+                 Verdict.of(_log10(report.max_ratio), math.log10(1.0 + 1e-6))),
+                (f"band_norms: seed={seed} b={b:g} Parseval gap {gap:.3e}",
+                 Verdict.of(_log10(gap), math.log10(1e-6))),
+            ]
+        return [(seed, b, p, v["n"], report.max_ratio, gap)], checks
 
     return _tabulate(header, axes + [_seeds(v)], cell)
 
@@ -526,10 +527,8 @@ def _suite_expsum(v, axes) -> RunResult:
             ])
         checks = proofcheck.exp_sum_verifier(instances, (0.0, 1.0), sets, p, v["constants"])
         columns = list(zip(*checks))  # one per fraction
-        violations = [
-            f"expsum: n={n} m={m} p={p:g} fraction={fraction:g} ratio over bound"
-            for fraction, column in zip(fractions, columns) for check in column if not check.holds
-        ]
+        labels = [f"expsum: n={n} m={m} p={p:g} fraction={fraction:g} ratio over bound"
+                  for fraction in fractions]
         worst = [(1.0 / f, max(c.ratio for c in column)) for f, column in zip(fractions, columns)]
         slope = float(np.polyfit(*np.log(worst).T, 1)[0])
         exponent = n * m - holder_share(p)
@@ -538,7 +537,7 @@ def _suite_expsum(v, axes) -> RunResult:
         return [
             (n, m, p, fraction, best, column[0].bound, slope, exponent + 0.1, minimal)
             for fraction, (_, best), column in zip(fractions, worst, columns)
-        ], violations
+        ], [(label, check.verdict) for label, column in zip(labels, columns) for check in column]
 
     return _tabulate(header, axes, cell)
 
@@ -547,7 +546,7 @@ def _suite_expsum(v, axes) -> RunResult:
 # the key tables: (command, "which" / "suite" / concentration mode) -> (table, runner)
 
 _CONSTANTS = _one("constants", {}, _parse_constants)
-_L = _one("L", 8.0)
+_L = _one("L", 8.0, _parse_finite)
 _SEED = _one("seed", 0, _parse_seed)
 
 
@@ -602,7 +601,7 @@ _ENTRIES = {
     ),
     ("concentration", "freqs"): (
         (_one("freqs", _REQUIRED, partial(_parse_list, parser=_parse_int)),
-         _one("set", _REQUIRED, _parse_set), _one("L", 1.0)),
+         _one("set", _REQUIRED, _parse_set), _one("L", 1.0, _parse_finite)),
         _run_freqs,
     ),
     ("concentration", "sharpness"): (

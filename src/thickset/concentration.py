@@ -35,7 +35,9 @@ from .bounds import (
     _LN10,
     DEFAULT_CONSTANTS,
     BoundConstants,
+    Verdict,
     _exp,
+    _log10,
     theorem1_bound_log10,
     theorem2_bound_log10,
 )
@@ -226,7 +228,7 @@ class SharpnessReport:
     bound: float
     log10_bound: float
     log10_margin: float
-    holds: bool
+    verdict: Verdict
 
 
 def sharpness_gap(
@@ -240,7 +242,9 @@ def sharpness_gap(
 
     The thickness of E is certified at the given window length; the bound is
     the single-band form for one band and the n-band tower otherwise.
-    `log10_margin` stays finite as long as the exact value is positive.
+    `log10_margin` stays finite as long as the exact value is positive.  The
+    verdict reads lambda_min as known to within eigh's backward error
+    N eps ||G||_2, so it is unresolved while lambda_min is that close to 0.
     """
     ms = lattice_indices(spec, period)
     result = min_concentration(ms, E, period)
@@ -252,7 +256,9 @@ def sharpness_gap(
     else:
         log10_bound = theorem2_bound_log10(cert.gamma, spec.count, ab, 2, constants)
     bound = _exp(log10_bound * _LN10)  # the bits of theorem1_bound or theorem2_bound
-    log10_margin = math.log10(exact) - log10_bound if exact > 0 else -math.inf
+    log10_margin = _log10(exact) - log10_bound
+    noise = ms.size * np.finfo(float).eps * float(np.max(np.abs(result.eigenvalues)))
+    low, high = (_log10(max(result.lambda_min + d, 0.0)) / 2.0 for d in (-noise, noise))
     return SharpnessReport(
         gamma=cert.gamma,
         ab=ab,
@@ -263,5 +269,5 @@ def sharpness_gap(
         bound=bound,
         log10_bound=log10_bound,
         log10_margin=log10_margin,
-        holds=exact >= bound,
+        verdict=Verdict(low - log10_bound, high - log10_bound),
     )

@@ -22,11 +22,14 @@ from .bounds import (
     _LN10,
     DEFAULT_CONSTANTS,
     BoundConstants,
+    Verdict,
     _exp,
+    _log10,
     check_exponent,
     finite_exponent,
     inv_p,
     lemma3_bound,
+    lemma3_bound_log10,
     nazarov_remez_bounds,
 )
 from .errors import (
@@ -87,17 +90,32 @@ class ClassifierParams:
 
 @dataclass(frozen=True)
 class IntervalClassification:
-    """Labels plus the per-interval |f|^p masses used to produce them."""
+    """Labels plus the per-interval masses integral_I |u|^p, (s, u) = f.unit, used to produce them.
+
+    The checks read ratios of masses of one f, in which s^p cancels, so they
+    read `unit_mass`; `mass` is f's, unit_mass s^p (inf or 0 past the range).
+    """
 
     intervals: tuple[tuple[float, float], ...]
     good: np.ndarray
-    mass: np.ndarray
+    unit_mass: np.ndarray
+    scale: float
     first_bad_order: np.ndarray
     params: ClassifierParams
 
     @property
     def good_intervals(self) -> tuple[tuple[float, float], ...]:
         return tuple(iv for iv, g in zip(self.intervals, self.good.tolist()) if g)
+
+    @property
+    def mass_scale(self) -> float:
+        """s^p, inf where it passes the largest double (not OverflowError)."""
+        p = self.params.p
+        return self.scale ** p if p * math.log2(self.scale) < 1024 else math.inf
+
+    @property
+    def mass(self) -> np.ndarray:
+        return self.unit_mass * self.mass_scale
 
 
 def unit_partition(period: float) -> tuple[tuple[float, float], ...]:
@@ -119,7 +137,8 @@ def classify_intervals(
     The order-alpha test compares the mass of the rescaled derivative
     g_alpha = f^(alpha) / (A C b)^alpha against the mass of f, term by term on
     the spectrum of (s, u) = f.unit: no overflow at any order or scale.  One ``piece_masses``
-    call takes every order's rows; ``mass`` is u's times s^p (inf or 0 past the range).
+    call takes every order's rows; ``unit_mass`` is u's.  |u|^p is raised in linear space,
+    so a p that puts a mass of u at 0 or inf, where no label can be read, is refused.
     """
     if not band_width > 0:
         raise InvalidBandError(f"band width must be positive, got {band_width}")
@@ -139,28 +158,22 @@ def classify_intervals(
     for alpha in range(1, rows.shape[0]):
         rows[alpha] = rows[alpha - 1] * damping
     masses = piece_masses(f, rows, partition, len(partition), params.p, RESOLUTION)
+    if not ((masses[0] > 0) & (masses[0] < math.inf)).all():
+        raise ThicksetError(f"p = {params.p:g} puts an interval mass of |u|^p past the double range")
     bad = masses[1:] >= masses[0]
     first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
-    scale = s ** params.p if params.p * math.log2(s) < 1024 else math.inf  # not OverflowError
-    good, mass = first_bad == 0, masses[0] * scale
-    for arr in (good, mass, first_bad):
+    good, unit_mass = first_bad == 0, masses[0]
+    for arr in (good, unit_mass, first_bad):
         arr.setflags(write=False)
-    return IntervalClassification(partition, good, mass, first_bad, params)
-
-
-def _in_range(masses: np.ndarray) -> np.ndarray:
-    """The masses a check reads, refused where one fell past the double range."""
-    if not ((masses > 0) & (masses < math.inf)).all():
-        raise ThicksetError("an interval mass of |f|^p is 0 or inf, past the double range")
-    return masses
+    return IntervalClassification(partition, good, unit_mass, s, first_bad, params)
 
 
 def good_mass_check(labels: IntervalClassification) -> float:
-    """Fraction of integral |f|^p carried by the good intervals, read off ``labels.mass``."""
-    total = float(_in_range(labels.mass).sum())
+    """Fraction of integral |f|^p carried by the good intervals, read off ``labels.unit_mass``."""
+    total = float(labels.unit_mass.sum())
     if not total > 0:
         raise ZeroFunctionError("no mass on the partition")
-    return float(labels.mass[labels.good].sum()) / total
+    return float(labels.unit_mass[labels.good].sum()) / total
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +186,7 @@ class LocalEstimate:
 
     lhs: float
     rhs: float
-    holds: bool
+    verdict: Verdict
     local_density: float
     log10_factor: float
 
@@ -191,16 +204,16 @@ def local_estimate_check(
     spectrum.  The pieces of E in every partition interval go through one
     ``piece_masses`` call with one copy per interval, so a 1-periodic E on
     the unit partition builds the nodes of its pieces in [0, 1] only.  The
-    verdict compares logs; the reported rhs underflows to 0 below double range.
+    verdict compares logs of u's masses, (s, u) = f.unit, so it decides at any
+    scale; the reported lhs and rhs are f's, and read 0, inf or nan past the double range.
     """
     p, c, b_eff = labels.params.p, constants.c_one, 2.0 * f.max_frequency
-    _in_range(labels.mass[labels.good])
     piece_lists = [E.materialize(lo, hi) for lo, hi in labels.intervals]
-    pieces, copies, (s, u) = sum(piece_lists, ()), len(piece_lists), f.unit
-    masses = piece_masses(f, u.coeffs[None], pieces, copies, p, RESOLUTION)[0] * s ** p
-    checks, start = [], 0
+    pieces, copies, u = sum(piece_lists, ()), len(piece_lists), f.unit[1]
+    masses = piece_masses(f, u.coeffs[None], pieces, copies, p, RESOLUTION)[0]
+    checks, start, scale = [], 0, labels.mass_scale
     for (lo, hi), own, good, whole in zip(
-        labels.intervals, piece_lists, labels.good.tolist(), labels.mass.tolist()
+        labels.intervals, piece_lists, labels.good.tolist(), labels.unit_mass.tolist()
     ):
         lhs, start = float(masses[start : start + len(own)].sum()), start + len(own)
         if not good:
@@ -209,9 +222,9 @@ def local_estimate_check(
         if density <= 0:
             raise EmptySetError("the set misses a good interval entirely")
         log_factor = (c * b_eff * p + 2.0) * math.log(density / c)
-        holds = lhs > 0 and math.log(lhs) >= log_factor + math.log(whole)
-        rhs = _exp(log_factor) * whole
-        checks.append(LocalEstimate(lhs, rhs, holds, density, log_factor / math.log(10.0)))
+        verdict = Verdict.of(log_factor / _LN10 + _log10(whole), _log10(lhs))
+        rhs = _exp(log_factor) * whole * scale
+        checks.append(LocalEstimate(lhs * scale, rhs, verdict, density, log_factor / _LN10))
     return tuple(checks)
 
 
@@ -225,7 +238,7 @@ class GrowthEnvelope:
 
     ratio: float
     bound: float
-    holds: bool
+    verdict: Verdict
 
 
 def growth_envelope(
@@ -240,17 +253,17 @@ def growth_envelope(
     ``quadrature.sup_abs`` call with each window a piece of its one function (its Taylor
     model from u.eval's rows u .. u^(TAYLOR_ORDER) at the argmax, (s, u) = f.unit), so a
     higher peak elsewhere in a window can be missed.  A radius whose window grid (points x
-    modes) needs more than MAX_GROWTH_PHASES phases is refused, as is a mass past the range.
+    modes) needs more than MAX_GROWTH_PHASES phases is refused.  Peaks and masses are
+    u's, so the ratio is read at any scale of f.
     """
     if not radius > 0:
         raise InvalidWindowError(f"radius must be positive, got {radius}")
     width = panel_width(f.max_frequency, RESOLUTION)
     if not (2.0 * radius / width + 1.0) * f.ms.size <= MAX_GROWTH_PHASES:  # points x modes
         raise SizeLimitError(f"radius {radius:g} needs over {MAX_GROWTH_PHASES} grid phases")
-    p, goods, (s, u) = labels.params.p, labels.good_intervals, f.unit
+    p, goods, u = labels.params.p, labels.good_intervals, f.unit[1]
     if not goods:
         return ()
-    wholes = _in_range(labels.mass[labels.good])
     n = max(9, int(math.ceil(2.0 * radius / width)) + 1)
     # Dense phases, not f.eval, sample the grid: a window wider than the period
     # holds grid points one period apart, which f.eval's argument reduction makes
@@ -265,11 +278,11 @@ def growth_envelope(
     windows = tuple((0.5 * (lo + hi) - radius, 0.5 * (lo + hi) + radius) for lo, hi in goods)
     expand = lambda x: u.eval(x, derivatives=TAYLOR_ORDER)
     (peaks,) = sup_abs(sample, expand, windows, [(n,) * len(windows)])
-    b_eff = 2.0 * f.max_frequency
-    bound = (2.0 ** inv_p(p)) * _exp(b_eff * (radius + 0.5))
-    log_bound = math.log(2.0) * inv_p(p) + b_eff * (radius + 0.5)
-    ratios = (peak / (whole ** (1.0 / p) / s) for peak, whole in zip(peaks, wholes))
-    return tuple(GrowthEnvelope(float(r), bound, math.log(r) <= log_bound) for r in ratios)
+    head, power = 2.0 ** inv_p(p), 2.0 * f.max_frequency * (radius + 0.5)  # bound head e^power
+    log10_bound = _log10(head) + power / _LN10
+    wholes, bound = labels.unit_mass[labels.good], head * _exp(power)
+    ratios = [float(peak / whole ** (1.0 / p)) for peak, whole in zip(peaks, wholes)]
+    return tuple(GrowthEnvelope(r, bound, Verdict.of(_log10(r), log10_bound)) for r in ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +473,7 @@ class ExpSumCheck:
 
     ratio: float
     bound: float
-    holds: bool
+    verdict: Verdict
     norm_I: float
     norm_E: float
     nazarov_bound: float | None
@@ -612,15 +625,15 @@ def exp_sum_verifier(
             nazarov = nazarov_remez_bounds(length, meas, n, constants).nazarov
         if math.isinf(p) and degree is not None:
             remez = nazarov_remez_bounds(length, meas, degree, constants).remez
-        return lemma3_bound(length, meas, n, m, p, constants), nazarov, remez
+        # a single pure exponential attains the bound at p = inf: a relative slack of 1e-9
+        rhs = lemma3_bound_log10(length, meas, n, m, p, constants) + math.log10(1.0 + 1e-9)
+        return lemma3_bound(length, meas, n, m, p, constants), rhs, nazarov, remez
 
-    # the bound is attained with equality by a single pure exponential at
-    # p = inf, so the verdict carries a small relative tolerance
     return tuple(
         tuple(
-            ExpSumCheck(r, bound, r <= bound * (1.0 + 1e-9), norm_I, norm_E, nazarov, remez)
+            ExpSumCheck(r, bound, Verdict.of(_log10(r), rhs), norm_I, norm_E, nazarov, remez)
             for meas, r, norm_E in zip(measures, ratios, norm_Es)
-            for bound, nazarov, remez in (bounds(meas, *shape),)
+            for bound, rhs, nazarov, remez in (bounds(meas, *shape),)
         )
         for shape, ratios, (norm_I, *norm_Es) in zip(shapes, ratio.tolist(), norms.tolist())
     )

@@ -125,17 +125,22 @@ def test_criterion_3_sharpness_sandwich():
     period = 16.0
     rows = []
     violations = 0
+    unresolved = []
     max_n = 0
     for gamma in (0.1, 0.3, 0.7):
         for b in (4.0 * PI, 16.0 * PI, 32.0 * PI):
             rep = sharpness_gap(BandSpec((0.0,), b), two_sliver_set(gamma), period)
             max_n = max(max_n, rep.n_freqs)
             rows.append((gamma, b, rep.n_freqs, rep.log10_margin))
-            if not rep.holds:
-                violations += 1
+            violations += rep.verdict.fails
+            if not (rep.verdict.holds or rep.verdict.fails):
+                unresolved.append(rep)
+    # a cell is unresolved only while lambda_min is within eigh's noise N eps ||G||_2, ||G||_2 <= 1
+    noisy = all(abs(rep.lambda_min) <= rep.n_freqs * np.finfo(float).eps for rep in unresolved)
     margins = ", ".join(f"g={g:g} b={b:.0f} N={n} log10margin={m:.1f}" for g, b, n, m in rows)
-    ok = violations == 0 and max_n <= 257
-    report(3, ok, f"0 violations, N_max={max_n} (<=257); margins: {margins}")
+    ok = violations == 0 and noisy and max_n <= 257
+    report(3, ok, f"{violations} violations, {len(unresolved)} unresolved within the noise, "
+                  f"N_max={max_n} (<=257); margins: {margins}")
 
 
 def test_criterion_4_good_bad_machinery():
@@ -161,7 +166,7 @@ def test_criterion_4_good_bad_machinery():
         if good_fraction < 0.5 - 1e-4:
             good_mass_failures += 1
         checks = local_estimate_check(f, two_sliver_set(gamma), labels)
-        local_failures += sum(not check.holds for check in checks)
+        local_failures += sum(not check.verdict.holds for check in checks)
     ok = bad_mass_failures == 0 and good_mass_failures == 0 and local_failures == 0
     report(
         4,
@@ -193,7 +198,7 @@ def test_criterion_5_transfer_shape():
                         for lam in lams
                     ])
                 per_instance = exp_sum_verifier(instances, interval, sets, p)
-                bound_violations += sum(not c.holds for checks in per_instance for c in checks)
+                bound_violations += sum(not c.verdict.holds for checks in per_instance for c in checks)
                 worst = [max(c.ratio for c in column) for column in zip(*per_instance)]
                 xs = np.log([1.0 / s for s in fractions])
                 ys = np.log(worst)

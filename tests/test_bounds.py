@@ -12,8 +12,11 @@ from thickset import (
     InvalidGammaError,
     InvalidMError,
     MultiDimParams,
+    ThicksetError,
+    Verdict,
     lemma1_corollary_bound,
     lemma3_bound,
+    lemma3_bound_log10,
     multidim_bound,
     nazarov_remez_bounds,
     remark1_bounds,
@@ -206,6 +209,17 @@ class TestLemma3:
         vals = [lemma3_bound(1.0, 0.3, n, 2, 2.0) for n in (1, 2, 3)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("n, m, p", [(1, 1, 2.0), (2, 3, math.inf), (3, 2, 1.0)])
+    def test_log10_form(self, n, m, p):
+        want = math.log10(lemma3_bound(1.0, 0.3, n, m, p))
+        assert math.isclose(lemma3_bound_log10(1.0, 0.3, n, m, p), want, rel_tol=1e-14)
+
+    def test_log10_form_past_the_double_range(self):
+        # n m = 400 puts (300 / 0.1)^(400 - 1/2) near 10^1389, where the linear form reads inf
+        assert lemma3_bound(1.0, 0.1, 1, 400, 2.0) == math.inf
+        want = float(mpmath.mpf(399.5) * mpmath.log10(3000))
+        assert math.isclose(lemma3_bound_log10(1.0, 0.1, 1, 400, 2.0), want, rel_tol=1e-14)
+
     def test_measures_checked(self):
         with pytest.raises(EmptySetError):
             lemma3_bound(1.0, 0.0, 1, 1, 2.0)
@@ -213,6 +227,46 @@ class TestLemma3:
             lemma3_bound(1.0, 1.5, 1, 1, 2.0)
         with pytest.raises(ValueError):
             lemma3_bound(0.0, 0.3, 1, 1, 2.0)
+
+
+class TestVerdict:
+    """A check lhs <= rhs decided on log10 lhs and log10 rhs."""
+
+    @staticmethod
+    def classes(verdict):
+        """(holds, fails, unresolved): unresolved is neither of the other two."""
+        return verdict.holds, verdict.fails, not (verdict.holds or verdict.fails)
+
+    def test_three_classes(self):
+        holds, fails, unresolved = Verdict.of(-3.0, -2.0), Verdict.of(-2.0, -3.0), Verdict(-1.0, 1.0)
+        assert self.classes(holds) == (True, False, False)
+        assert self.classes(fails) == (False, True, False)
+        assert self.classes(unresolved) == (False, False, True)
+        assert (holds.low, holds.high, fails.low, fails.high) == (1.0, 1.0, -1.0, -1.0)
+
+    def test_zero_margin_holds(self):
+        verdict = Verdict.of(-17.25, -17.25)
+        assert verdict.low == verdict.high == 0.0 and verdict.holds and not verdict.fails
+        assert Verdict(0.0, 0.0).holds
+        assert self.classes(Verdict(-1e-300, 1.0)) == (False, False, True)
+
+    @pytest.mark.parametrize("log10_rhs", [-math.inf, -400.0, 0.0, math.inf])
+    def test_lhs_of_zero_holds(self, log10_rhs):
+        # 0 <= rhs whatever rhs is, a rhs of 0 too
+        verdict = Verdict.of(-math.inf, log10_rhs)
+        assert verdict.holds and verdict.low == verdict.high == math.inf
+
+    def test_rhs_of_zero_or_infinite_lhs_fails(self):
+        assert Verdict.of(-400.0, -math.inf).fails
+        assert Verdict.of(math.inf, 400.0).fails
+
+    @pytest.mark.parametrize("ends", [(math.nan, 0.0), (0.0, math.nan), (math.inf, math.inf)])
+    def test_nan_margin_is_refused(self, ends):
+        # a side past the double range gives no margin: no verdict, not a quiet pass
+        with pytest.raises(ThicksetError, match="margin is nan"):
+            Verdict.of(*ends)
+        with pytest.raises(ThicksetError, match="margin is nan"):
+            Verdict(-1.0, math.nan)
 
 
 class TestNazarovRemez:

@@ -194,6 +194,21 @@ class TestGridOrder:
         assert float(row["log10_ratio"]) == pytest.approx(-384.837, abs=1e-3)
 
 
+class TestConcentrationVerdict:
+    def test_lambda_within_noise_prints_zero(self, tmp_path, capsys):
+        # at b = 64 pi and L = 32 eigh reads lambda_min ~ -2e-16 at gamma = 0.1, inside its
+        # noise: the row printed holds 1 against a bound of 0.0; unresolved, it prints 0
+        # and adds no violation, while gamma = 0.7 (lambda_min 2.7e-13) still holds
+        cfg = {"command": "concentration", "gamma_list": [0.1, 0.7], "b": 64.0 * math.pi,
+               "L": 32}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 0
+        out, err = capsys.readouterr()
+        header, *lines = out.splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [row["holds"] for row in rows] == ["0", "1"] and "violation" not in err
+        assert rows[0]["log10_margin"] == "-inf" and float(rows[1]["log10_margin"]) > 0
+
+
 class TestTaylorSuite:
     CFG = {"command": "verify", "suite": "taylor", "seeds": 1, "m": 98, "p": 2}
 
@@ -321,6 +336,41 @@ class TestExpsumSuite:
         slope, cap = (result.table.header.index(name) for name in ("slope", "slope_cap"))
         assert all(row[slope] > row[cap] for row in result.table.rows)
         assert main(["--config", write_config(tmp_path, config)]) == 0
+
+
+class TestLargeExponent:
+    # piece_masses raises |u|^p in linear space, so from p ~ 650 a mass of u reaches 0 or
+    # inf; no label or check can be read from it, where growth printed ratio 0 and holds 1
+    @pytest.mark.parametrize("p", [1000, 1e300])
+    @pytest.mark.parametrize("config", [
+        {"command": "verify", "suite": "good_bad", "seeds": 1},
+        {"command": "verify", "suite": "local_estimate", "seeds": 1},
+        {"command": "verify", "suite": "growth", "seeds": 1},
+        {"command": "classify"},
+    ], ids=["good_bad", "local_estimate", "growth", "classify"])
+    def test_mass_past_the_double_range_exits_two(self, tmp_path, capsys, config, p):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            err = config_error(tmp_path, capsys, {**config, "p": p})
+        assert f"p = {p:g} puts an interval mass of |u|^p past the double range" in err
+
+    def test_unit_masses_in_range_run(self, tmp_path, capsys):
+        # at p = 700 f's masses s^p integral |u|^p pass the range (refused before the checks
+        # read u's), and A^p = 3^700 does too: the bad-mass budget reads 0, not OverflowError
+        for suite in ("good_bad", "local_estimate", "growth"):
+            cfg = {"command": "verify", "suite": suite, "seeds": 1, "p": 700}
+            assert main(["--config", write_config(tmp_path, cfg)]) == 0, suite
+            header, *lines = capsys.readouterr().out.splitlines()
+            rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+            assert rows and all(row.get("bad_budget", "0") == "0" for row in rows)
+            assert all(row.get("holds", row.get("all_hold", "1")) == "1" for row in rows)
+
+    def test_nan_margin_exits_two(self, tmp_path, capsys):
+        # both expsum norms overflow at p = 1e300 and the ratio reads inf / inf = nan: the
+        # check is refused, where a nan verdict would add no violation and pass quietly
+        cfg = {"command": "verify", "suite": "expsum", "seeds": 1, "n": 1, "m": 1, "p": 1e300}
+        with pytest.warns(RuntimeWarning):
+            err = config_error(tmp_path, capsys, cfg)
+        assert "a check's log10 margin is nan" in err
 
 
 class TestSupEvaluatorContract:
@@ -760,8 +810,31 @@ def config_error(tmp_path, capsys, config) -> str:
     return capsys.readouterr().err
 
 
+# Python's json reads NaN and Infinity.  A NaN bound parameter printed nan and
+# exited 0, and an infinite period exited 1 with OverflowError.
+PERIOD_ENTRIES = [entry for entry, (table, _) in cli_mod._ENTRIES.items()
+                  if "L" in {row[0] for row in table}]
+NON_FINITE = [
+    pytest.param(entry, key, value, id=f"{entry[0]}-{entry[1]}-{key}={value}")
+    for entry, key, value in [
+        (("bound", "lemma1"), "meas_E", math.nan), (("bound", "lemma1"), "M", math.nan),
+        (("bound", "lemma3"), "meas_E", math.nan), (("bound", "lemma3"), "len_I", math.nan),
+        (("bound", "nazarov_remez"), "meas_E", math.nan),
+        (("bound", "nazarov_remez"), "len_I", math.nan),
+    ] + [(entry, "L", math.inf) for entry in PERIOD_ENTRIES]
+]
+
+
 class TestKeyTables:
     """Every entry refuses what its table does not declare, and sweeps what it does."""
+
+    def test_period_entries(self):
+        assert len(PERIOD_ENTRIES) == 8 and ("concentration", "freqs") in PERIOD_ENTRIES
+
+    @pytest.mark.parametrize("entry, key, value", NON_FINITE)
+    def test_nan_or_infinite_period_exits_two(self, tmp_path, capsys, entry, key, value):
+        err = config_error(tmp_path, capsys, {**minimal(entry), key: value})
+        assert f"{key!r} must be" in err
 
     def test_every_entry_has_a_minimal_config(self):
         assert set(MINIMAL) == set(cli_mod._ENTRIES)

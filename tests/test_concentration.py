@@ -265,14 +265,28 @@ class TestSharpnessGap:
         # closed-form bound
         report = sharpness_gap(BandSpec((0.0,), 0.1), two_sliver_set(0.25), 8.0)
         assert math.isclose(report.exact, math.sqrt(0.25), rel_tol=1e-9)
-        assert report.holds
+        assert report.verdict.holds
         assert report.log10_margin > 0
 
     def test_band_grid_holds(self):
         for gamma in (0.1, 0.5):
             report = sharpness_gap(BandSpec((0.0,), 4.0 * math.pi), two_sliver_set(gamma), 16.0)
-            assert report.holds
+            assert report.verdict.holds
             assert report.exact >= theorem1_bound(gamma, 4.0 * math.pi, 2.0)
+
+    def test_lambda_within_noise_is_unresolved(self):
+        # at b = 64 pi and L = 32 (N = 1025) eigh reads lambda_min ~ -2e-16 at gamma = 0.1,
+        # inside its backward error N eps ||G||_2 ~ 2.3e-13: neither holds nor fails, where
+        # it held against a bound that underflowed to 0.0; at gamma = 0.7 it is 2.7e-13
+        spec = BandSpec((0.0,), 64.0 * math.pi)
+        noise = 1025 * np.finfo(float).eps
+        low = sharpness_gap(spec, two_sliver_set(0.1), 32.0)
+        assert low.n_freqs == 1025 and abs(low.lambda_min) < noise and low.bound == 0.0
+        assert not (low.verdict.holds or low.verdict.fails)  # unresolved
+        assert low.verdict.low == -math.inf < 0.0 < low.verdict.high
+        high = sharpness_gap(spec, two_sliver_set(0.7), 32.0)
+        assert high.lambda_min > noise and high.verdict.holds
+        assert math.isclose(high.verdict.low, high.log10_margin, rel_tol=1e-3)
 
     def test_exact_decreases_with_bandwidth(self):
         wide = sharpness_gap(BandSpec((0.0,), 8.0 * math.pi), two_sliver_set(0.2), 16.0)

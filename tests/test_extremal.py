@@ -259,7 +259,12 @@ class TestExtremalRatio:
 
 
 def _full_log_mass(pieces, mp: float) -> float:
-    """The log-sum-exp over every panel of width 0.5/mp, none cut, summed by fsum."""
+    """The log-sum-exp over every panel of width 0.5/mp, none cut, summed by fsum.
+
+    The kernel is even, so each piece is laid from its end nearer the peak at 0:
+    panels laid from a far end put edges near 0 off by the rounding of that end.
+    """
+    pieces = [(-hi, -lo) if abs(lo) > abs(hi) else (lo, hi) for lo, hi in pieces]
     xs, ws = panel_nodes(pieces, 0.5 / mp)
     with np.errstate(divide="ignore"):  # a zero of the kernel, or a weight that underflows
         terms = np.log(ws) + mp * np.log(np.abs(extremal_mod._unit_kernel(xs)))
@@ -331,6 +336,7 @@ class TestPanelCut:
     @example(cells=[(0.45, 0.1)], period=1.0, x_max=4.0, mp=40.0)  # slivers at gamma 0.1
     @example(cells=[(0.9, 0.1)], period=None, x_max=40.0, mp=2000.0)  # far out only
     @example(cells=[(0.9, 0.1)], period=None, x_max=10.0, mp=10.0)  # none in the window
+    @example(cells=[(0.2774141174352404, 1.0)], period=8.0, x_max=6.0, mp=900.0)  # ends at the peak
     def test_matches_every_panel_on_random_sets(self, cells, period, x_max, mp):
         # cells (start, share) of [0, P] when periodic, else of [-30, 30], of total
         # length <= P or 8; the masses agree to 1e-14 relative, so their logs to

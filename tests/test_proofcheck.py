@@ -104,12 +104,12 @@ class TestClassifier:
         assert len(labels.intervals) == 8
         assert len(labels.good_intervals) + int((~labels.good).sum()) == 8
 
-    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_labels_of_any_scale(self, c, p):
-        # the labels come from f.unit's masses, so c f is labelled as f is; its masses
-        # c^p integral_I |f|^p reach 1e-400 or 1e400 at p = 2, where every check that
-        # reads them refuses, and at p = 1 the checks give f's verdicts
+        # the labels come from f.unit's masses, so c f is labelled as f is; at p = 2 its
+        # masses c^p integral_I |f|^p pass the double range, yet every check reads u's
+        # masses, in which c^p cancels, and gives f's verdicts; at p = 1 the values scale too
         f = make_poly(seed=0)
         g = TrigPoly(f.period, f.ms, c * f.coeffs)
         labels = classify_intervals(f, B4, ClassifierParams(p=p))
@@ -117,19 +117,27 @@ class TestClassifier:
         assert np.array_equal(scaled.good, labels.good) and scaled.good.all()
         assert np.array_equal(scaled.first_bad_order, labels.first_bad_order)
         E = two_sliver_set(0.3)
+        assert math.isclose(good_mass_check(scaled), good_mass_check(labels), rel_tol=1e-13)
+        local = list(zip(local_estimate_check(g, E, scaled), local_estimate_check(f, E, labels)))
+        growth = list(zip(growth_envelope(g, scaled, 4.5), growth_envelope(f, labels, 4.5)))
+        assert local and growth
+        for ours, theirs in local + growth:
+            assert ours.verdict.holds == theirs.verdict.holds
+            assert math.isclose(ours.verdict.low, theirs.verdict.low, rel_tol=1e-12)
+        for ours, theirs in growth:
+            assert math.isclose(ours.ratio, theirs.ratio, rel_tol=1e-13)
         if p == 2.0:
             assert np.all(scaled.mass == (0.0 if c < 1.0 else math.inf))
-            for check in (lambda: good_mass_check(scaled), lambda: local_estimate_check(g, E, scaled),
-                          lambda: growth_envelope(g, scaled, 4.5)):
-                with pytest.raises(ThicksetError, match="past the double range"):
-                    check()
             return
         np.testing.assert_allclose(scaled.mass, c * labels.mass, rtol=1e-13)
-        assert math.isclose(good_mass_check(scaled), good_mass_check(labels), rel_tol=1e-13)
-        for ours, theirs in zip(local_estimate_check(g, E, scaled), local_estimate_check(f, E, labels)):
-            assert math.isclose(ours.lhs, c * theirs.lhs, rel_tol=1e-13) and ours.holds == theirs.holds
-        for ours, theirs in zip(growth_envelope(g, scaled, 4.5), growth_envelope(f, labels, 4.5)):
-            assert math.isclose(ours.ratio, theirs.ratio, rel_tol=1e-13) and ours.holds == theirs.holds
+        for ours, theirs in local:
+            assert math.isclose(ours.lhs, c * theirs.lhs, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("p", [1000.0, 1e300])
+    def test_mass_past_the_double_range_is_refused(self, p):
+        # |u|^p overflows on some interval of this f: no label can be read from an inf mass
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ThicksetError):
+            classify_intervals(make_poly(seed=0), B4, ClassifierParams(p=p))
 
     def test_constant_function_all_good(self):
         # a constant has zero derivatives: every interval is good
@@ -271,7 +279,7 @@ class TestLocalEstimate:
         checks = local_estimate_check(f, IntervalSet(((0.0, 8.0),)), labels)
         assert len(checks) == len(labels.good_intervals) > 0
         for check in checks:
-            assert check.holds
+            assert check.verdict.holds
             assert math.isclose(check.local_density, 1.0, rel_tol=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.2, 0.6])
@@ -280,7 +288,7 @@ class TestLocalEstimate:
         labels = classify_intervals(f, B4, ClassifierParams(p=2.0))
         checks = local_estimate_check(f, two_sliver_set(gamma), labels)
         assert len(checks) == len(labels.good_intervals) > 0
-        assert all(check.holds for check in checks)
+        assert all(check.verdict.holds for check in checks)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("partition", [None, UNEVEN])
@@ -306,10 +314,10 @@ class TestLocalEstimate:
         labels = classify_intervals(f, B4, ClassifierParams(p=2.0))
         constants = BoundConstants(c_one=2.0)
         E = two_sliver_set(0.7)
-        assert all(check.holds for check in local_estimate_check(f, E, labels, constants))
-        inflated = replace(labels, mass=labels.mass * 1e300)
+        assert all(check.verdict.holds for check in local_estimate_check(f, E, labels, constants))
+        inflated = replace(labels, unit_mass=labels.unit_mass * 1e300)
         checks = local_estimate_check(f, E, inflated, constants)
-        assert checks and not any(check.holds for check in checks)
+        assert checks and not any(check.verdict.holds for check in checks)
         assert all(check.rhs > check.lhs for check in checks)
 
     def test_decided_below_double_range(self):
@@ -317,10 +325,10 @@ class TestLocalEstimate:
         # verdict still compares logs, and inflated masses cannot flip it
         f = make_poly(seed=3)
         labels = classify_intervals(f, B4, ClassifierParams(p=2.0))
-        inflated = replace(labels, mass=labels.mass * 1e300)
+        inflated = replace(labels, unit_mass=labels.unit_mass * 1e300)
         for check in local_estimate_check(f, two_sliver_set(0.7), inflated):
             assert check.rhs == 0.0 and check.log10_factor < -19000
-            assert check.holds
+            assert check.verdict.holds
 
     def test_missed_good_interval_rejected(self):
         f = make_poly(seed=3)
@@ -337,7 +345,7 @@ class TestGrowthEnvelope:
         envelopes = growth_envelope(f, labels, 4.5)
         assert len(envelopes) == len(labels.good_intervals) > 0
         for env in envelopes:
-            assert env.holds
+            assert env.verdict.holds
             assert env.ratio > 0
 
     def test_bound_formula(self):
@@ -373,9 +381,9 @@ class TestGrowthEnvelope:
         # the envelope 2^(1/p) e^(5 b)
         f = make_poly(seed=13)
         labels = classify_intervals(f, B4, ClassifierParams(p=p))
-        assert all(env.holds for env in growth_envelope(f, labels, 4.5))
-        envelopes = growth_envelope(f, replace(labels, mass=labels.mass * 1e-300), 4.5)
-        assert envelopes and not any(env.holds for env in envelopes)
+        assert all(env.verdict.holds for env in growth_envelope(f, labels, 4.5))
+        envelopes = growth_envelope(f, replace(labels, unit_mass=labels.unit_mass * 1e-300), 4.5)
+        assert envelopes and not any(env.verdict.holds for env in envelopes)
         assert all(env.ratio > env.bound for env in envelopes)
 
 
@@ -550,14 +558,34 @@ class TestExpSumVerifier:
         (checks,) = exp_sum_verifier([[(3.0, [1.0 + 0.5j])]], (0.0, 1.0), sets, 2.0)
         for meas, check in zip((0.4, 0.4, 0.2), checks):
             assert math.isclose(check.ratio, math.sqrt(1.0 / meas), rel_tol=1e-10)
-            assert check.holds
+            assert check.verdict.holds
 
     def test_single_exponential_sup_is_one(self):
         E = IntervalSet(((0.0, 0.4),))
         ((check,),) = exp_sum_verifier([[(3.0, [2.0])]], (0.0, 1.0), (E,), math.inf)
         assert math.isclose(check.ratio, 1.0, rel_tol=1e-12)
         assert math.isclose(check.bound, 1.0, rel_tol=1e-12)
-        assert check.holds
+        assert check.verdict.holds
+
+    def test_margin_past_the_double_range_is_finite(self):
+        # at n m = 400 the bound (C |I| / |E|)^(nm - 1/2) reads inf, and every ratio held
+        # against it; the verdict reads its log10 instead
+        rng = np.random.default_rng(0)
+        terms = [(3.0, rng.standard_normal(400) + 1j * rng.standard_normal(400))]
+        ((check,),) = exp_sum_verifier([terms], (0.0, 1.0), (IntervalSet(((0.0, 0.1),)),), 2.0)
+        assert check.bound == math.inf and math.isfinite(check.ratio)
+        assert math.isfinite(check.verdict.low) and check.verdict.holds
+
+    def test_small_constant_fails(self):
+        # r = x - 0.05 on I = [0, 1], E = [0, 0.1]: sup_I / sup_E = 0.95 / 0.05 = 19, above
+        # the bound C |I| / |E| = 10.1 at C = 1.01 and below it at the default C = 300
+        terms = [(3.0, [0.45, 1.0])]  # powers of x - 1/2
+        E = (IntervalSet(((0.0, 0.1),)),)
+        ((held,),) = exp_sum_verifier([terms], (0.0, 1.0), E, math.inf)
+        ((failed,),) = exp_sum_verifier([terms], (0.0, 1.0), E, math.inf, BoundConstants(c_aux=1.01))
+        assert math.isclose(failed.ratio, 19.0, rel_tol=1e-9) and held.ratio == failed.ratio
+        assert held.verdict.holds and failed.verdict.fails
+        assert math.isclose(failed.verdict.high, math.log10(10.1 / 19.0), rel_tol=1e-8)
 
     def test_chebyshev_oracle(self):
         # p = T_3(x / 0.45) with E = [-0.45, 0.45] inside
@@ -650,7 +678,7 @@ class TestExpSumVerifier:
             ]
             for p in (2.0, math.inf):
                 ((check,),) = exp_sum_verifier([terms], (0.0, 1.0), (E,), p)
-                assert check.holds
+                assert check.verdict.holds
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_instances_match_one_instance_at_a_time(self, p):
@@ -714,7 +742,7 @@ class TestExpSumVerifier:
         assert math.isclose(tiny.ratio, unit.ratio, rel_tol=1e-15)
         assert math.isclose(tiny.norm_I, 1e-200 * unit.norm_I, rel_tol=1e-15)
         assert math.isclose(tiny.norm_E, 1e-200 * unit.norm_E, rel_tol=1e-15)
-        assert tiny.holds
+        assert tiny.verdict.holds
 
     @pytest.mark.parametrize("pure_poly", [False, True])
     def test_sup_norms_match_dense_scan(self, monkeypatch, pure_poly):
