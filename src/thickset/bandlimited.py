@@ -19,16 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import check_exponent
-from .errors import (
-    DuplicateFrequencyError,
-    EmptyBandError,
-    EmptySetError,
-    InvalidBandError,
-    InvalidDegreeError,
-    InvalidIntervalError,
-    InvalidResolutionError,
-    SizeLimitError,
-)
+from .errors import ThicksetError
 from .quadrature import RESOLUTION, TAYLOR_ORDER, base_cell, panel_width, piece_integrals, sup_abs
 from .sets import IntervalSet, period_ratio
 
@@ -51,11 +42,11 @@ class BandSpec:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "width", float(self.width))
         if not centers:
-            raise InvalidBandError("a band spec needs at least one center")
+            raise ThicksetError("a band spec needs at least one center")
         if not (self.width > 0 and math.isfinite(self.width)):
-            raise InvalidBandError(f"band width must be positive, got {self.width}")
+            raise ThicksetError(f"band width must be positive, got {self.width}")
         if any(b <= a for a, b in zip(centers, centers[1:])):
-            raise InvalidBandError("band centers must be strictly increasing")
+            raise ThicksetError("band centers must be strictly increasing")
 
     @property
     def count(self) -> int:
@@ -86,7 +77,7 @@ class TrigPoly:
     def __post_init__(self) -> None:
         period = float(self.period)
         if not (period > 0 and math.isfinite(period)):
-            raise InvalidIntervalError(f"period must be positive and finite, got {self.period}")
+            raise ThicksetError(f"period must be positive and finite, got {self.period}")
         ms = np.asarray(self.ms, dtype=np.int64).ravel()
         coeffs = np.asarray(self.coeffs, dtype=np.complex128).ravel()
         if ms.shape != coeffs.shape:
@@ -95,7 +86,7 @@ class TrigPoly:
         ms = ms[order].copy()
         coeffs = coeffs[order].copy()
         if ms.size > 1 and np.any(np.diff(ms) == 0):
-            raise DuplicateFrequencyError("repeated lattice mode")
+            raise ThicksetError("repeated lattice mode")
         ms.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "period", period)
@@ -152,7 +143,7 @@ class TrigPoly:
         ||c||_2 at span 257, about 2e-11 * ||c||_2 at span 65537.
         """
         if int(derivatives) != derivatives or derivatives < 0:
-            raise InvalidDegreeError(f"derivatives must be an integer >= 0, got {derivatives}")
+            raise ThicksetError(f"derivatives must be an integer >= 0, got {derivatives}")
         xs, k = np.asarray(x, dtype=float), int(derivatives) + 1
         flat, out = xs.ravel(), np.zeros((k, xs.size), dtype=np.complex128)
         if self.ms.size:
@@ -166,7 +157,7 @@ class TrigPoly:
     def derivative(self, order: int = 1) -> "TrigPoly":
         """Termwise derivative of the given nonnegative integer order."""
         if int(order) != order or order < 0:
-            raise InvalidDegreeError(f"derivative order must be an integer >= 0, got {order}")
+            raise ThicksetError(f"derivative order must be an integer >= 0, got {order}")
         factors = (1j * self.frequencies) ** int(order)
         return TrigPoly(self.period, self.ms, self.coeffs * factors)
 
@@ -250,7 +241,9 @@ def piece_masses(f: TrigPoly, rows, pieces, copies: int, p: float, resolution: i
     """Masses integral |sum_m rows[r, m] e^(i nu_m x)|^p over each piece, shape (k, len(pieces)).
 
     Only the nodes of ``quadrature.base_cell`` (`copies` as there) are built, in runs of at
-    most _EVAL_BLOCK entries, each at all Q translates.  Callers pass ``TrigPoly.unit`` rows.
+    most _EVAL_BLOCK entries, each at all Q translates.  Callers pass ``TrigPoly.unit`` rows,
+    u itself in row 0: |u|^p is raised in linear space, so a p that puts a mass of a nonzero
+    u at 0 or inf on some piece, where no norm or label can be read, is refused.
     """
     if not (f.ms.size and len(pieces)):  # no step table, or no piece to fold back into
         return np.zeros((len(rows), len(pieces)))
@@ -259,7 +252,10 @@ def piece_masses(f: TrigPoly, rows, pieces, copies: int, p: float, resolution: i
     evaluate, entries = _eval_translates(f.ms, rows, f.period, copies)
     block = max(1, _EVAL_BLOCK // entries)
     masses = piece_integrals(lambda x, _: np.abs(evaluate(x)) ** p, base, width, block)
-    return masses.reshape(len(rows), len(pieces), -1).sum(axis=-1)
+    masses = masses.reshape(len(rows), len(pieces), -1).sum(axis=-1)
+    if rows[0].any() and not ((masses[0] > 0) & (masses[0] < math.inf)).all():
+        raise ThicksetError(f"p = {p:g} puts an interval mass of |u|^p past the double range")
+    return masses
 
 
 @dataclass(frozen=True)
@@ -274,7 +270,7 @@ class NormQuery:
         object.__setattr__(self, "p", check_exponent(self.p))
         r = self.resolution
         if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
-            raise InvalidResolutionError(f"resolution must be a positive integer, got {r!r}")
+            raise ThicksetError(f"resolution must be a positive integer, got {r!r}")
         object.__setattr__(self, "resolution", int(r))
 
 
@@ -307,12 +303,13 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     -------
     float
         ``( integral_E |f|^p )^(1/p)`` or the refined sup: u's times s, inf past the range.
+        ``piece_masses`` refuses a p that puts u's mass at 0 or inf.
     """
     E = query.set
     q = period_ratio(E, f.period)  # raises unless E's period divides f's
     pieces = E.intervals if E.period is None else E.materialize(0.0, f.period)
     if not pieces or sum(b - a for a, b in pieces) <= 0:
-        raise EmptySetError("norm query over a set of zero measure")
+        raise ThicksetError("norm query over a set of zero measure")
     width, (s, u) = panel_width(f.max_frequency, query.resolution), f.unit
     if math.isinf(query.p):
         counts = [max(3, int(math.ceil((hi - lo) / width)) + 1) for lo, hi in pieces]
@@ -329,10 +326,10 @@ def lattice_indices(spec: BandSpec, period: float) -> np.ndarray:
         m_lo = math.ceil(lo * period / math.tau - 1e-9)
         m_hi = math.floor(hi * period / math.tau + 1e-9)
         if m_hi < m_lo:
-            raise EmptyBandError(f"band ({lo:g}, {hi:g}) holds no lattice frequency "
-                                 f"at period {period:g}")
+            raise ThicksetError(f"band ({lo:g}, {hi:g}) holds no lattice frequency "
+                                f"at period {period:g}")
         if len(found) + m_hi + 1 - m_lo > _MAX_MODES:  # counted before the band is built
-            raise SizeLimitError(f"b = {spec.width:g} at L = {period:g} needs over {_MAX_MODES} modes")
+            raise ThicksetError(f"b = {spec.width:g} at L = {period:g} needs over {_MAX_MODES} modes")
         found.update(range(m_lo, m_hi + 1))
     return np.array(sorted(found), dtype=np.int64)
 

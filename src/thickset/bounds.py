@@ -11,13 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    EmptySetError,
-    InvalidExponentError,
-    InvalidGammaError,
-    InvalidMError,
-    ThicksetError,
-)
+from .errors import ThicksetError
 
 _LN10 = math.log(10.0)
 
@@ -73,7 +67,7 @@ def check_exponent(p: float) -> float:
     if math.isinf(p) and p > 0:
         return p
     if not p >= 1.0:  # also rejects NaN
-        raise InvalidExponentError(f"p must be in [1, inf], got {p}")
+        raise ThicksetError(f"p must be in [1, inf], got {p}")
     return p
 
 
@@ -81,7 +75,7 @@ def finite_exponent(p: float, what: str) -> float:
     """check_exponent(p), refusing p = inf as well: `what` is an integral."""
     p = check_exponent(p)
     if math.isinf(p):
-        raise InvalidExponentError(f"{what} is integral-based; p must be finite")
+        raise ThicksetError(f"{what} is integral-based; p must be finite")
     return p
 
 
@@ -128,14 +122,14 @@ DEFAULT_CONSTANTS = BoundConstants()
 def _check_gamma_unit(gamma: float) -> float:
     gamma = float(gamma)
     if not (0.0 < gamma <= 1.0):
-        raise InvalidGammaError(f"gamma must be in (0, 1], got {gamma}")
+        raise ThicksetError(f"gamma must be in (0, 1], got {gamma}")
     return gamma
 
 
 def _check_gamma_positive(gamma: float) -> float:
     gamma = float(gamma)
     if not gamma > 0.0:
-        raise InvalidGammaError(f"gamma must be positive, got {gamma}")
+        raise ThicksetError(f"gamma must be positive, got {gamma}")
     return gamma
 
 
@@ -151,7 +145,7 @@ def _check_measures(len_I: float, meas_E: float) -> tuple[float, float]:
     len_I = float(len_I)
     meas_E = float(meas_E)
     if meas_E <= 0:
-        raise EmptySetError(f"subset measure must be positive, got {meas_E}")
+        raise ThicksetError(f"subset measure must be positive, got {meas_E}")
     if len_I <= 0 or meas_E > len_I + 1e-12:
         raise ValueError("need 0 < |E| <= |I|")
     return len_I, meas_E
@@ -256,11 +250,11 @@ def lemma1_corollary_bound(
     """
     meas_E = float(meas_E)
     if meas_E <= 0:
-        raise EmptySetError(f"subset measure must be positive, got {meas_E}")
+        raise ThicksetError(f"subset measure must be positive, got {meas_E}")
     if meas_E > 1.0 + 1e-12:
         raise ValueError(f"subset measure must be at most 1, got {meas_E}")
     if M < 1.0:
-        raise InvalidMError(f"growth ratio M must be >= 1, got {M}")
+        raise ThicksetError(f"growth ratio M must be >= 1, got {M}")
     expo = math.log(M) / math.log(2.0) + inv_p(p)
     return _exp(expo * math.log(constants.c_aux / meas_E))
 

@@ -48,7 +48,7 @@ from .bounds import (
     theorem2_bound,
 )
 from .concentration import min_concentration, sharpness_gap
-from .errors import ConfigError, InvalidDegreeError, ThicksetError
+from .errors import ConfigError, ThicksetError
 from .extremal import extremal_pair, extremal_ratio
 from .quadrature import RESOLUTION, panel_width, piece_integrals
 from .sets import IntervalSet, normalize, thickness, two_sliver_set
@@ -460,7 +460,7 @@ def _suite_taylor(v, axes) -> RunResult:
         j = int(min(nu_a, m))  # the largest term's j: nu a >= 1 unless j = 0
         floor = np.finfo(float).eps * _exp(j * math.log(max(nu_a, 1.0)) - math.lgamma(j + 1.0))
         if floor > tol:
-            raise InvalidDegreeError(
+            raise ThicksetError(
                 f"taylor: b = {b:g}, m = {m}, window = {v['window']:g} put the identity's "
                 f"rounding floor at {floor:.1e}, above {tol:g}")
         xs = np.linspace(interval[0], interval[1], 17)
@@ -470,8 +470,9 @@ def _suite_taylor(v, axes) -> RunResult:
         identity_error = float(np.max(np.abs(direct - rebuilt))) / scale
         remainder_mass = lambda x, _: np.abs(split.remainder(x)) ** p
         lhs = float(piece_integrals(remainder_mass, (interval,), panel_width(b / 2.0, RESOLUTION))[0])
-        log10_rhs = proofcheck.taylor_remainder_bound_log10(split, p)
-        if lhs == math.inf or not log10_rhs < math.inf:  # nan: a norm of f_k^(m) overflowed
+        # an lhs of inf skips the budget, whose lp_norm would refuse the same p in other words
+        log10_rhs = proofcheck.taylor_remainder_bound_log10(split, p) if lhs < math.inf else lhs
+        if not log10_rhs < math.inf:  # inf: lhs overflowed; nan: a norm of f_k^(m) did
             raise ThicksetError(f"taylor: p = {p:g} at m = {m} puts the remainder mass past the range")
         budget = Verdict.of(_log10(lhs), log10_rhs + math.log10(1.0 + 1e-9))
         checks = [

@@ -41,7 +41,7 @@ from .bounds import (
     theorem1_bound_log10,
     theorem2_bound_log10,
 )
-from .errors import DuplicateFrequencyError, SizeLimitError
+from .errors import ThicksetError
 from .sets import IntervalSet, period_ratio, thickness
 
 
@@ -91,7 +91,7 @@ class GramMatrix:
     def matrix(self) -> np.ndarray:
         """The dense N x N matrix (read-only), built on first read; refused past MAX_DENSE_SIZE."""
         if self.size > MAX_DENSE_SIZE:
-            raise SizeLimitError(f"{self.size} frequencies exceed the dense cap {MAX_DENSE_SIZE}")
+            raise ThicksetError(f"{self.size} frequencies exceed the dense cap {MAX_DENSE_SIZE}")
         matrix = np.zeros((self.size, self.size), dtype=np.complex128)
         for ix, stack, carrier in self.groups:
             matrix[ix[:, :, None], ix[:, None, :]] = stack[carrier]
@@ -127,7 +127,7 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     if ms.size == 0:
         raise ValueError("need at least one frequency")
     if np.any(np.diff(np.sort(ms)) == 0):
-        raise DuplicateFrequencyError("repeated lattice mode")
+        raise ThicksetError("repeated lattice mode")
     period = float(period)
     q = period_ratio(E, period)
     cell = period / q
@@ -152,7 +152,7 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
         patterns.append(d[first])
         carriers.append(carrier.ravel())
     if sum(d.shape[0] * d.shape[1] ** 2 for d in patterns) > MAX_DENSE_SIZE**2:  # distinct blocks
-        raise SizeLimitError(f"the Gram blocks of {ms.size} modes exceed {MAX_DENSE_SIZE}^2 entries")
+        raise ThicksetError(f"the Gram blocks of {ms.size} modes exceed {MAX_DENSE_SIZE}^2 entries")
     steps = [d[:, :, None] - d[:, None, :] for d in patterns]
     unique = np.unique(np.abs(np.concatenate([s.ravel() for s in steps])), return_index=True)[0]
     phases = np.exp(1j * (math.tau * np.mod(np.outer(unique, centers), 1.0)))

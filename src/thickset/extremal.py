@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import finite_exponent
-from .errors import (
-    BandTooSmallError,
-    InsufficientDataError,
-    InvalidWindowError,
-    NonIntegrableError,
-    SizeLimitError,
-)
+from .errors import ThicksetError
 from .quadrature import panel_nodes
 from .sets import IntervalSet, two_sliver_set
 
@@ -61,9 +55,9 @@ def extremal_pair(bandwidth: float, gamma: float) -> ExtremalInstance:
     """Instance for a bandwidth b >= 4 pi and a sliver density gamma."""
     b = float(bandwidth)
     if not b >= FOUR_PI:
-        raise BandTooSmallError(f"bandwidth must be at least 4 pi, got {b}")
+        raise ThicksetError(f"bandwidth must be at least 4 pi, got {b}")
     if b == math.inf:
-        raise SizeLimitError(f"b = {b} gives an infinite kernel power m")
+        raise ThicksetError(f"b = {b} gives an infinite kernel power m")
     m = int(math.floor(b / FOUR_PI + 1e-12))
     return ExtremalInstance(bandwidth=b, power=m, gamma=float(gamma), set=two_sliver_set(gamma))
 
@@ -124,9 +118,9 @@ def _kernel_power(inst: ExtremalInstance, p: float) -> float:
     p = finite_exponent(p, "the extremal ratio")
     mp = inst.power * p
     if mp <= 1.0:
-        raise NonIntegrableError(f"kernel power m*p = {mp:g} is not integrable")
+        raise ThicksetError(f"kernel power m*p = {mp:g} is not integrable")
     if not mp <= MAX_POWER:
-        raise SizeLimitError(
+        raise ThicksetError(
             f"kernel power m*p = {mp:g} exceeds {MAX_POWER:g}: lower b = {inst.bandwidth:g} or p"
         )
     return mp
@@ -138,7 +132,7 @@ def default_truncation(inst: ExtremalInstance, p: float) -> float:
     Uses |kernel(x)| <= 1/(2 pi |x|), so the tail beyond X is at most
     2 (2 pi)^(-mp) X^(1-mp) / (mp - 1); the central mass on [-2, 2] is at least
     twice _log_central_mass, a closed-form lower bound, which can only widen X.
-    X is at least 4; an X beyond MAX_TRUNCATION raises InvalidWindowError.
+    X is at least 4; an X beyond MAX_TRUNCATION raises ThicksetError.
     """
     mp = _kernel_power(inst, p)
     log_target = math.log(TRUNCATION_REL_TOL) + math.log(2.0) + _log_central_mass(mp)
@@ -146,7 +140,7 @@ def default_truncation(inst: ExtremalInstance, p: float) -> float:
     # tail(X) = exp(log_tail_at_one) * X^(1-mp) <= target
     log_x = (log_target - log_tail_at_one) / (1.0 - mp)
     if log_x > math.log(MAX_TRUNCATION):
-        raise InvalidWindowError(f"truncation would exceed {MAX_TRUNCATION:g}; pass one explicitly")
+        raise ThicksetError(f"truncation would exceed {MAX_TRUNCATION:g}; pass one explicitly")
     return float(max(4.0, math.ceil(math.exp(log_x))))
 
 
@@ -165,7 +159,7 @@ def extremal_ratio(inst: ExtremalInstance, p: float, truncation: float | None = 
         truncation = default_truncation(inst, p)
     x_max = float(truncation)
     if not 0.0 < x_max <= MAX_TRUNCATION:
-        raise InvalidWindowError(f"truncation must be in (0, {MAX_TRUNCATION:g}], got {truncation}")
+        raise ThicksetError(f"truncation must be in (0, {MAX_TRUNCATION:g}], got {truncation}")
     log_total = math.log(2.0) + _log_mass(IntervalSet(((0.0, x_max),)), x_max, mp)
     log_kept = _log_mass(inst.set, x_max, mp)
     return (log_kept - log_total) / (p * math.log(10.0))
@@ -211,7 +205,7 @@ def exponent_fit(
     b_list = tuple(float(b) for b in bandwidths)
     g_list = tuple(float(g) for g in gammas)
     if len(b_list) < 3 or len(g_list) < 3:
-        raise InsufficientDataError("need at least 3 bandwidths and 3 gammas")
+        raise ThicksetError("need at least 3 bandwidths and 3 gammas")
     log10s = [[extremal_ratio(extremal_pair(b, g), p, truncation) for g in g_list] for b in b_list]
     slopes = [_line_fit(np.log10(np.array(g_list)), np.array(row))[0] for row in log10s]
     slope2, intercept, r2 = _line_fit(np.array(b_list), np.array(slopes))

@@ -14,12 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import (
-    EmptySetError,
-    InvalidGammaError,
-    InvalidIntervalError,
-    InvalidWindowError,
-)
+from .errors import ThicksetError
 
 # Endpoints closer than this are merged; measure is insensitive to it.
 MERGE_TOL = 1e-12
@@ -46,21 +41,21 @@ class IntervalSet:
         ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
         object.__setattr__(self, "intervals", ivs)
         if not ivs:
-            raise EmptySetError("an interval set needs at least one interval")
+            raise ThicksetError("an interval set needs at least one interval")
         prev_hi = None
         for lo, hi in ivs:
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-                raise InvalidIntervalError(f"invalid interval ({lo}, {hi})")
+                raise ThicksetError(f"invalid interval ({lo}, {hi})")
             if prev_hi is not None and lo < prev_hi - MERGE_TOL:
-                raise InvalidIntervalError("intervals overlap; use normalize()")
+                raise ThicksetError("intervals overlap; use normalize()")
             prev_hi = hi
         if self.period is not None:
             L = float(self.period)
             object.__setattr__(self, "period", L)
             if not math.isfinite(L) or L <= 0:
-                raise InvalidIntervalError(f"invalid period {self.period}")
+                raise ThicksetError(f"invalid period {self.period}")
             if ivs[0][0] < -MERGE_TOL or ivs[-1][1] > L + MERGE_TOL:
-                raise InvalidIntervalError("periodic cell must lie in [0, period]")
+                raise ThicksetError("periodic cell must lie in [0, period]")
 
     @property
     def measure(self) -> float:
@@ -86,10 +81,10 @@ def normalize(raw_intervals, period: float | None = None) -> IntervalSet:
     """Sort, validate and merge raw (lo, hi) pairs into an IntervalSet."""
     pairs = [(float(lo), float(hi)) for lo, hi in raw_intervals]
     if not pairs:
-        raise EmptySetError("no intervals given")
+        raise ThicksetError("no intervals given")
     for lo, hi in pairs:
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-            raise InvalidIntervalError(f"invalid interval ({lo}, {hi})")
+            raise ThicksetError(f"invalid interval ({lo}, {hi})")
     return IntervalSet(_merge(pairs), period)
 
 
@@ -97,11 +92,14 @@ def period_ratio(E: IntervalSet, period: float) -> int:
     """Number q of set periods in a torus of length `period`; 1 if aperiodic.
 
     A periodic set lives on the torus only when its period divides the
-    torus length; otherwise ValueError.
+    torus length; otherwise ValueError.  Modes are reduced mod q in int64,
+    so a q from 2^63 is refused.
     """
     if E.period is None:
         return 1
     ratio = float(period) / E.period
+    if not ratio < 2.0**63:
+        raise ThicksetError(f"the torus holds q = {ratio:g} set periods, past the int64 range")
     q = round(ratio)
     if abs(ratio - q) > 1e-9 or q < 1:
         raise ValueError("set period must divide the torus period")
@@ -125,7 +123,7 @@ def measure_within(E: IntervalSet, window: tuple[float, float]) -> float:
     """Exact Lebesgue measure of E in the open window: M(hi) - M(lo)."""
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise InvalidWindowError(f"invalid window ({lo}, {hi})")
+        raise ThicksetError(f"invalid window ({lo}, {hi})")
     m_lo, m_hi = _cumulative(E, (lo, hi))
     return m_hi - m_lo
 
@@ -148,15 +146,15 @@ def thickness(
     (mod the period) or a range end: (0, period + a) if periodic, else [lo, hi - a] of `domain`.
     """
     if not (a > 0 and math.isfinite(a)):
-        raise InvalidWindowError(f"window length must be positive, got {a}")
+        raise ThicksetError(f"window length must be positive, got {a}")
     L = E.period
     if L is not None:
         domain = (0.0, L + a)
     elif domain is None:
-        raise InvalidWindowError("aperiodic thickness needs a compact domain")
+        raise ThicksetError("aperiodic thickness needs a compact domain")
     d_lo, d_hi = float(domain[0]), float(domain[1])
     if d_hi - d_lo < a:
-        raise InvalidWindowError("domain shorter than the window")
+        raise ThicksetError("domain shorter than the window")
     t_hi = d_hi - a
     ends = {hi % L if L else hi for _, hi in E.intervals}
     ts = list({d_lo, t_hi}.union(t for t in ends if d_lo <= t <= t_hi))
@@ -175,5 +173,5 @@ def two_sliver_set(gamma: float) -> IntervalSet:
     """
     g = float(gamma)
     if not (0.0 < g <= 1.0) or not math.isfinite(g):
-        raise InvalidGammaError(f"gamma must be in (0, 1], got {gamma}")
+        raise ThicksetError(f"gamma must be in (0, 1], got {gamma}")
     return IntervalSet(((0.5 - g / 2.0, 0.5 + g / 2.0),), period=1.0)

@@ -340,14 +340,16 @@ class TestExpsumSuite:
 
 class TestLargeExponent:
     # piece_masses raises |u|^p in linear space, so from p ~ 650 a mass of u reaches 0 or
-    # inf; no label or check can be read from it, where growth printed ratio 0 and holds 1
-    @pytest.mark.parametrize("p", [1000, 1e300])
+    # inf; no label, norm or check can be read from it, where growth printed ratio 0 and
+    # holds 1, and band_norms max_ratio nan (inf / inf) with exit status 0
+    @pytest.mark.parametrize("p", [1000, 1e6, 1e300])
     @pytest.mark.parametrize("config", [
         {"command": "verify", "suite": "good_bad", "seeds": 1},
         {"command": "verify", "suite": "local_estimate", "seeds": 1},
         {"command": "verify", "suite": "growth", "seeds": 1},
+        {"command": "verify", "suite": "band_norms", "seeds": 1},
         {"command": "classify"},
-    ], ids=["good_bad", "local_estimate", "growth", "classify"])
+    ], ids=["good_bad", "local_estimate", "growth", "band_norms", "classify"])
     def test_mass_past_the_double_range_exits_two(self, tmp_path, capsys, config, p):
         with pytest.warns(RuntimeWarning, match="overflow"):
             err = config_error(tmp_path, capsys, {**config, "p": p})
@@ -371,6 +373,21 @@ class TestLargeExponent:
         with pytest.warns(RuntimeWarning):
             err = config_error(tmp_path, capsys, cfg)
         assert "a check's log10 margin is nan" in err
+
+
+class TestStrideOverflow:
+    # the Gram build reduces int64 modes mod q = L / period: from q = 2**63 it raised
+    # OverflowError (exit 1); below it a two-mode Gram on a half-density set still runs
+    @pytest.mark.parametrize("L", [9e18, 9.3e18, 1e20, 1e300])
+    def test_period_ratio_past_int64_exits_two(self, tmp_path, capsys, L):
+        cfg = {"command": "concentration", "freqs": [0, 1], "set": {"two_sliver": 0.5}, "L": L}
+        status = main(["--config", write_config(tmp_path, cfg)])
+        out, err = capsys.readouterr()
+        if L < 2.0**63:
+            row = dict(zip(*(line.split(",") for line in out.splitlines())))
+            assert status == 0 and row["lambda_min"] == "0.5"
+        else:
+            assert status == 2 and not out and f"q = {L:g} set periods" in err
 
 
 class TestSupEvaluatorContract:

@@ -8,12 +8,14 @@ import pytest
 from thickset import (
     BandSpec,
     IntervalSet,
-    SizeLimitError,
+    ThicksetError,
     gram_matrix,
     lattice_indices,
     min_concentration,
     sharpness_gap,
     theorem1_bound,
+    theorem2_bound_log10,
+    thickness,
     two_sliver_set,
 )
 
@@ -154,7 +156,7 @@ class TestMinConcentration:
         # refused before the 2001 x 2001 matrix is built
         tracemalloc.start()
         try:
-            with pytest.raises(SizeLimitError):
+            with pytest.raises(ThicksetError, match="the Gram blocks of 2001 modes exceed"):
                 min_concentration(list(range(2001)), IntervalSet(((0.0, 1.0),)), 8.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -169,7 +171,7 @@ class TestMinConcentration:
         blocks = [min_concentration(range(n), E, 1.0).lambda_min for n in (64, 65)]
         assert res.gram.size == 2049
         assert res.lambda_min == min(blocks) == 2.7180446497842684e-08
-        with pytest.raises(SizeLimitError, match="2049 frequencies exceed the dense cap 2000"):
+        with pytest.raises(ThicksetError, match="2049 frequencies exceed the dense cap 2000"):
             res.gram.matrix
 
 
@@ -287,6 +289,18 @@ class TestSharpnessGap:
         high = sharpness_gap(spec, two_sliver_set(0.7), 32.0)
         assert high.lambda_min > noise and high.verdict.holds
         assert math.isclose(high.verdict.low, high.log10_margin, rel_tol=1e-3)
+
+    def test_two_bands_take_the_theorem2_bound(self):
+        # the n-band branch: bands of width 4 pi at 0 and 12 pi hold 34 modes at L = 8
+        spec, E = BandSpec((0.0, 12.0 * math.pi), 4.0 * math.pi), two_sliver_set(0.5)
+        report, ms = sharpness_gap(spec, E, 8.0), lattice_indices(spec, 8.0)
+        assert report.n_bands == 2 and report.n_freqs == ms.size == 34
+        gamma = thickness(E, 1.0).gamma
+        assert report.log10_bound == theorem2_bound_log10(gamma, 2, 4.0 * math.pi, 2)
+        lam = min_concentration(ms, E, 8.0).lambda_min
+        assert report.exact == math.sqrt(lam)
+        assert abs(lam - mpmath_lambda_min(ms, E, 8.0)) <= 1e-14  # 0.0306
+        assert report.verdict.holds
 
     def test_exact_decreases_with_bandwidth(self):
         wide = sharpness_gap(BandSpec((0.0,), 8.0 * math.pi), two_sliver_set(0.2), 16.0)

@@ -5,11 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from thickset import (
-    EmptySetError,
     IntervalSet,
-    InvalidGammaError,
-    InvalidIntervalError,
-    InvalidWindowError,
+    ThicksetError,
     measure_within,
     normalize,
     thickness,
@@ -24,19 +21,19 @@ class TestIntervalSet:
         assert math.isclose(E.measure, 0.4, rel_tol=1e-15)
 
     def test_rejects_empty(self):
-        with pytest.raises(EmptySetError):
+        with pytest.raises(ThicksetError, match="an interval set needs at least one interval"):
             IntervalSet(())
 
     def test_rejects_reversed_endpoints(self):
-        with pytest.raises(InvalidIntervalError):
+        with pytest.raises(ThicksetError, match=r"invalid interval \(0.3, 0.1\)"):
             IntervalSet(((0.3, 0.1),))
 
     def test_rejects_overlap(self):
-        with pytest.raises(InvalidIntervalError):
+        with pytest.raises(ThicksetError, match="intervals overlap"):
             IntervalSet(((0.0, 0.5), (0.4, 0.9)))
 
     def test_periodic_cell_must_fit(self):
-        with pytest.raises(InvalidIntervalError):
+        with pytest.raises(ThicksetError, match=r"periodic cell must lie in \[0, period\]"):
             IntervalSet(((0.0, 1.5),), period=1.0)
 
     def test_normalize_merges_touching(self):
@@ -127,7 +124,7 @@ class TestThickness:
 
     def test_aperiodic_needs_domain(self):
         E = IntervalSet(((0.0, 0.5),))
-        with pytest.raises(InvalidWindowError):
+        with pytest.raises(ThicksetError, match="aperiodic thickness needs a compact domain"):
             thickness(E, 0.25)
 
     def test_aperiodic_with_domain(self):
@@ -137,7 +134,7 @@ class TestThickness:
 
     def test_invalid_gamma_rejected(self):
         for bad in (0.0, -0.5, 1.5, math.nan):
-            with pytest.raises(InvalidGammaError):
+            with pytest.raises(ThicksetError, match=r"gamma must be in \(0, 1\]"):
                 two_sliver_set(bad)
 
 
