@@ -3,12 +3,11 @@
 A function lives on a torus of length ``period`` and is a finite sum
 ``f(x) = sum_j c_j exp(i nu_j x)`` over lattice frequencies
 ``nu_j = 2 pi m_j / period`` with distinct integers ``m_j``.  Derivatives are
-exact and termwise; Lp norms are composite Gauss-Legendre integrals whose
-panel width tracks the highest frequency, so the p = 2 norm can be checked
-against the exact coefficient formula ``integral |f|^2 = period * sum |c_j|^2``.
-``TrigPoly.eval`` is the one evaluator of scattered points; every mass
-integral |g|^p over pieces, of lp_norm and the proof checks alike, is one
-``piece_masses`` call, which builds the nodes of one base cell only.
+exact and termwise.  ``TrigPoly.eval`` is the one evaluator of scattered points;
+every mass integral |g|^p over pieces, of lp_norm and the proof checks alike, is
+one ``piece_masses`` call: at p = 2 a closed form exact up to its rounding bound,
+with no node, else composite Gauss-Legendre on the nodes of one base cell only,
+whose panel width tracks the highest frequency.
 """
 from __future__ import annotations
 
@@ -20,7 +19,8 @@ import numpy as np
 
 from .bounds import check_exponent
 from .errors import ThicksetError
-from .quadrature import RESOLUTION, TAYLOR_ORDER, base_cell, panel_width, piece_integrals, sup_abs
+from .quadrature import RESOLUTION, TAYLOR_ORDER, base_cell, panel_width, piece_integrals
+from .quadrature import set_transform, sup_abs
 from .sets import IntervalSet, period_ratio
 
 
@@ -240,27 +240,61 @@ def _eval_translates(ms: np.ndarray, rows: np.ndarray, period: float, copies: in
 def piece_masses(f: TrigPoly, rows, pieces, copies: int, p: float, resolution: int) -> np.ndarray:
     """Masses integral |sum_m rows[r, m] e^(i nu_m x)|^p over each piece, shape (k, len(pieces)).
 
-    Only the nodes of ``quadrature.base_cell`` (`copies` as there) are built, in runs of at
-    most _EVAL_BLOCK entries, each at all Q translates.  Callers pass ``TrigPoly.unit`` rows,
-    u itself in row 0: |u|^p is raised in linear space, so a p that puts a mass of a nonzero
-    u at 0 or inf on some piece, where no norm or label can be read, is refused.
+    p = 2 is ``_quadratic_masses``, which ignores `resolution`; else only the nodes of
+    ``quadrature.base_cell`` (`copies` as there) are built, in runs of at most _EVAL_BLOCK
+    entries, each at all Q translates.  Callers pass ``TrigPoly.unit`` rows, u in row 0:
+    |u|^p is raised in linear space, so a p that puts a mass of a nonzero u at 0 or inf on
+    some piece, where no norm or label can be read, is refused.
     """
     if not (f.ms.size and len(pieces)):  # no step table, or no piece to fold back into
         return np.zeros((len(rows), len(pieces)))
+    if p == 2:
+        return _quadratic_masses(f, rows, pieces, copies)
     width = panel_width(f.max_frequency, resolution)
     base, copies = base_cell(pieces, width, f.period, copies)
     evaluate, entries = _eval_translates(f.ms, rows, f.period, copies)
     block = max(1, _EVAL_BLOCK // entries)
-    masses = piece_integrals(lambda x, _: np.abs(evaluate(x)) ** p, base, width, block)
+    with np.errstate(over="ignore"):  # an inf mass is refused below
+        masses = piece_integrals(lambda x, _: np.abs(evaluate(x)) ** p, base, width, block)
     masses = masses.reshape(len(rows), len(pieces), -1).sum(axis=-1)
     if rows[0].any() and not ((masses[0] > 0) & (masses[0] < math.inf)).all():
         raise ThicksetError(f"p = {p:g} puts an interval mass of |u|^p past the double range")
     return masses
 
 
+def _quadratic_masses(f: TrigPoly, rows, pieces, copies: int) -> np.ndarray:
+    """``piece_masses`` at p = 2: L Re sum_d r(d) K(d), r(d) = sum_m rows[:, m + d] rows[:, m]*.
+
+    r comes from one FFT; r(-d) K(-d) conjugates r(d) K(d), so d >= 0 is summed with weights
+    1, 2, 2, ...  K = ``set_transform`` is built on the base cell (``base_cell`` at one panel
+    a piece: translates by L/Q) in runs of at most _EVAL_BLOCK entries; translate t scales
+    K(d) by e^(2 pi i d t / Q), so one length-Q FFT over d mod Q gives every translate.  A
+    row-0 mass not above its rounding bound (2 span + 1) eps L (|r| @ |K|) is refused.
+    """
+    span, k = int(f.ms[-1] - f.ms[0]) + 1, len(rows)
+    base, copies = base_cell(pieces, f.period, f.period, copies)
+    dense = np.zeros((k, 1 << (2 * span - 1).bit_length()), dtype=np.complex128)
+    dense[:, f.ms - f.ms[0]] = rows
+    lags = np.zeros((k, -(-span // copies) * copies), dtype=np.complex128)
+    lags[:, :span] = np.fft.ifft(np.abs(np.fft.fft(dense)) ** 2)[:, :span]
+    lags[:, 1:] *= 2.0
+    lags = lags.reshape(k, -1, copies).transpose(2, 0, 1)  # [d mod Q, row, d // Q]
+    sums, floor = np.zeros((copies, k, len(base)), dtype=np.complex128), np.zeros(len(base))
+    block = max(1, _EVAL_BLOCK // (copies * len(base)))
+    for i in range(0, lags.shape[2], block):
+        d = np.arange(i * copies, min(i + block, lags.shape[2]) * copies)
+        K = set_transform(d, base, f.period).reshape(-1, copies, len(base)).transpose(1, 0, 2)
+        sums += lags[:, :, i : i + block] @ K
+        floor += np.abs(lags[:, 0, i : i + block]).ravel() @ np.abs(K).reshape(-1, len(base))
+    masses = np.fft.ifft(sums, axis=0, norm="forward").real  # [translate, row, piece], over L
+    if rows[0].any() and not (masses[:, 0] > (2 * span + 1) * np.finfo(float).eps * floor).all():
+        raise ThicksetError("a p = 2 interval mass of u is not above its rounding bound")
+    return f.period * masses.transpose(1, 0, 2).reshape(k, -1)
+
+
 @dataclass(frozen=True)
 class NormQuery:
-    """Which Lp norm to take and over which set, with a panel oversampling."""
+    """Which Lp norm to take and over which set, with a panel oversampling (unused at p = 2)."""
 
     p: float
     set: IntervalSet
@@ -286,7 +320,8 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     ----------
     f : TrigPoly
     query : NormQuery
-        For finite p the result is a composite Gauss-Legendre integral with
+        At p = 2 ``piece_masses`` takes the closed form and ignores `resolution`;
+        for other finite p the result is a composite Gauss-Legendre integral with
         panel width ``min(1, 2 pi / nu_max) / resolution``, taken by
         ``piece_masses``: on the full torus or an unmerged periodic set only
         one cell's nodes are built and evaluated, and the other cells'
@@ -303,7 +338,7 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     -------
     float
         ``( integral_E |f|^p )^(1/p)`` or the refined sup: u's times s, inf past the range.
-        ``piece_masses`` refuses a p that puts u's mass at 0 or inf.
+        ``piece_masses`` refuses a p that puts u's mass at 0 or inf (p = 2: at its floor).
     """
     E = query.set
     q = period_ratio(E, f.period)  # raises unless E's period divides f's

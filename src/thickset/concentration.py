@@ -42,6 +42,7 @@ from .bounds import (
     theorem2_bound_log10,
 )
 from .errors import ThicksetError
+from .quadrature import set_transform
 from .sets import IntervalSet, period_ratio, thickness
 
 
@@ -137,12 +138,6 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
         pieces = E.intervals
     else:
         pieces = E.materialize(0.0, cell)
-    starts = np.array([a for a, _ in pieces])
-    stops = np.array([b for _, b in pieces])
-    # integral over (a, b) of exp(i 2 pi d x / P) / P
-    #   = w sinc(d w) exp(i 2 pi d c), with c the midpoint and w the width in cells
-    centers = (starts + stops) / (2.0 * cell)
-    widths = (stops - starts) / cell
 
     classes, patterns, carriers = _residue_blocks(ms, q), [], []
     for ix in classes:
@@ -155,8 +150,7 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
         raise ThicksetError(f"the Gram blocks of {ms.size} modes exceed {MAX_DENSE_SIZE}^2 entries")
     steps = [d[:, :, None] - d[:, None, :] for d in patterns]
     unique = np.unique(np.abs(np.concatenate([s.ravel() for s in steps])), return_index=True)[0]
-    phases = np.exp(1j * (math.tau * np.mod(np.outer(unique, centers), 1.0)))
-    values = (phases * (widths * np.sinc(np.outer(unique, widths)))).sum(axis=1)
+    values = set_transform(unique, pieces, cell).sum(axis=1)
     groups = []
     for ix, step, carrier in zip(classes, steps, carriers):
         table = values[np.searchsorted(unique, np.abs(step))]

@@ -7,7 +7,7 @@ pieces where a second rule disagrees.  One ``panel_nodes``, ``piece_integrals`` 
 them, laid out as K rows; only this module knows how nodes map to pieces.  Node rules,
 base cells and sup grids depend on the pieces and the panel or grid counts alone, so each
 is built once per process and kept, read-only, in an LRU cache; a rule or grid of more
-than _CACHE_NODES points is rebuilt per call.
+than _CACHE_NODES points is rebuilt per call.  ``set_transform`` integrates in closed form.
 """
 from __future__ import annotations
 
@@ -127,6 +127,15 @@ def _base_cell(pieces, max_width, period, copies) -> tuple[tuple, int]:
         if np.all(counts == counts[0]) and np.all(np.abs(runs - runs[0]) <= tol):
             return tuple(pieces[: len(ends) // copies]), copies
     return tuple(pieces), 1
+
+
+def set_transform(d, pieces, period: float) -> np.ndarray:
+    """(1/L) integral_a^b e^(2 pi i d x / L) dx for each d and piece (a, b): w sinc(d w) times
+    e^(2 pi i d c), w = (b - a) / L, c = (a + b) / (2 L), d c reduced mod 1; (len(d), P)."""
+    lo, hi = np.array(pieces, dtype=float).reshape(-1, 2).T
+    widths, centers = (hi - lo) / period, (lo + hi) / (2.0 * period)
+    phases = np.exp(1j * (math.tau * np.mod(np.outer(d, centers), 1.0)))
+    return phases * (widths * np.sinc(np.outer(d, widths)))
 
 
 def piece_integrals(integrand, pieces, max_width, block: int | None = None) -> np.ndarray:

@@ -92,7 +92,7 @@ def period_ratio(E: IntervalSet, period: float) -> int:
     """Number q of set periods in a torus of length `period`; 1 if aperiodic.
 
     A periodic set lives on the torus only when its period divides the
-    torus length; otherwise ValueError.  Modes are reduced mod q in int64,
+    torus length; otherwise ThicksetError.  Modes are reduced mod q in int64,
     so a q from 2^63 is refused.
     """
     if E.period is None:
@@ -102,7 +102,7 @@ def period_ratio(E: IntervalSet, period: float) -> int:
         raise ThicksetError(f"the torus holds q = {ratio:g} set periods, past the int64 range")
     q = round(ratio)
     if abs(ratio - q) > 1e-9 or q < 1:
-        raise ValueError("set period must divide the torus period")
+        raise ThicksetError("set period must divide the torus period")
     return q
 
 

@@ -1,5 +1,6 @@
 """Trigonometric polynomials, norms, spectra, and derivative ratios."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from thickset import (
     random_bandlimited,
     two_sliver_set,
 )
-from thickset import quadrature
+from thickset import bandlimited, quadrature
 from thickset.bandlimited import piece_masses
 from thickset.quadrature import base_cell, panel_nodes, panel_width
 from thickset.sets import period_ratio
@@ -330,7 +331,8 @@ class TestLpNorm:
         # divided into a max_ratio of nan
         message = r"puts an interval mass of \|u\|\^p past the double range"
         five = TrigPoly.from_terms(1.0, [(k, 1.0) for k in range(5)])
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():  # the refusal comes alone, with no overflow warning
+            warnings.simplefilter("error")
             with pytest.raises(ThicksetError, match="p = 1000 " + message):
                 lp_norm(five, NormQuery(1000.0, full_torus(1.0)))
         one = TrigPoly.from_terms(1.0, [(3, 1.0)])
@@ -429,8 +431,20 @@ class TestTranslateRoute:
             return xs, ws
 
         monkeypatch.setattr(quadrature, "panel_nodes", counting)
-        lp_norm(f, NormQuery(2.0, E))
+        lp_norm(f, NormQuery(1.0, E))
         assert built == [full // _copies(f, E)]
+
+    @pytest.mark.parametrize("set_name", ["torus", "sliver_0.1", "period_L/3"])
+    def test_p2_builds_no_nodes(self, monkeypatch, set_name):
+        # p = 2 masses come from the closed form: no node is built and f is never evaluated
+        f, E = TRANSLATE_FUNCTIONS["wide"](), TRANSLATE_SETS[set_name]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a p = 2 mass built quadrature nodes or evaluated f")
+
+        monkeypatch.setattr(quadrature, "panel_nodes", refuse)
+        monkeypatch.setattr(bandlimited, "_eval_translates", refuse)
+        assert math.isclose(lp_norm(f, NormQuery(2.0, E)), _dense_norm(f, E, 2.0), rel_tol=1e-13)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_classifier_derivative_rows(self, p):
@@ -470,6 +484,83 @@ class TestTranslateRoute:
         assert _copies(f, E) == 1
         got = lp_norm(f, NormQuery(p, E))
         assert math.isclose(got, _dense_norm(f, E, p), rel_tol=1e-13)
+
+
+def _mp_masses(period, ms, rows, pieces, dps=30):
+    """integral_piece |sum_m row[m] e^(2 pi i m x / L)|^2 dx by `dps`-digit mpmath quadrature.
+
+    Nothing of thickset is used: the integrand is z^m_min times mpmath's Horner sum in
+    z = exp(2 pi i x / L) at mpmath's own nodes, each piece cut into unit-length panels.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        L, m0 = mpmath.mpf(period), int(ms[0])
+        out = []
+        for row in rows:
+            dense = [0] * (int(ms[-1]) - m0 + 1)
+            for m, c in zip(ms, row):
+                dense[int(m) - m0] = mpmath.mpc(c.real, c.imag)
+            dense.reverse()
+
+            def square(x):
+                z = mpmath.expj(2 * mpmath.pi * x / L)
+                return abs(z**m0 * mpmath.polyval(dense, z)) ** 2
+
+            out.append([float(mpmath.quad(square, mpmath.linspace(lo, hi, math.ceil(hi - lo) + 1),
+                                          method="gauss-legendre"))
+                        for lo, hi in pieces])
+        return np.array(out)
+
+
+class TestClosedFormMasses:
+    """p = 2 masses L Re sum_d r(d) K(d) against 30-digit quadrature and the Gram matrix."""
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.7])
+    def test_two_sliver_pieces_match_mpmath(self, gamma):
+        f = random_bandlimited(BandSpec((0.0,), 4.0 * math.pi), 8.0, seed=11)
+        pieces, u = two_sliver_set(gamma).materialize(0.0, 8.0), f.unit[1]
+        got = piece_masses(f, u.coeffs[None], pieces, 8, 2.0, 8)
+        want = _mp_masses(8.0, f.ms, u.coeffs[None], pieces)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_classifier_rows_match_mpmath(self):
+        # f and its damped derivative rows g_1, g_2 on the unit partition of L = 32: Q = 32
+        f = random_bandlimited(BandSpec((0.0,), 4.0 * math.pi), 32.0, seed=5)
+        partition = tuple((float(i), i + 1.0) for i in range(32))
+        rows = f.unit[1].coeffs * (1j * f.frequencies / (1.5 * 4.0 * math.pi)) ** np.arange(3)[:, None]
+        got = piece_masses(f, rows, partition, len(partition), 2.0, 8)
+        some = [0, 1, 13, 22, 31]  # translates t of [0, 1] for several residues of the fold
+        want = _mp_masses(32.0, f.ms, rows, [partition[t] for t in some])
+        np.testing.assert_allclose(got[:, some], want, rtol=1e-13, atol=0.0)
+
+    def test_aperiodic_window_across_zero_matches_mpmath(self):
+        # the taylor budget's norms of f_k^(m) on an aperiodic window; this one straddles 0
+        g = random_bandlimited(BandSpec((0.0,), 4.0 * math.pi), 8.0, seed=2).derivative(3)
+        window = ((-0.6, 1.4),)
+        got = lp_norm(g, NormQuery(2.0, IntervalSet(window))) ** 2
+        want = _mp_masses(8.0, g.ms, g.coeffs[None], window)[0, 0]
+        assert math.isclose(got, want, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("E", [two_sliver_set(0.3), IntervalSet(((0.3, 2.2), (5.0, 7.9)))])
+    def test_rayleigh_quotient_of_the_gram_matrix(self, E):
+        # G[j, k] = (1/L) integral_E e_j conj(e_k), so integral_E |f|^2 = L c^T G conj(c)
+        from thickset.concentration import gram_matrix
+
+        f = random_bandlimited(BandSpec((0.0,), 16.0 * math.pi), 8.0, seed=4)
+        G = gram_matrix(f.ms, E, 8.0).matrix
+        want = 8.0 * (f.coeffs @ G @ f.coeffs.conj()).real
+        assert math.isclose(lp_norm(f, NormQuery(2.0, E)) ** 2, want, rel_tol=1e-13)
+
+    def test_mass_below_its_rounding_bound_refused(self):
+        # f = (1 - z)^8 vanishes to order 8 at 0: on (0, 1e-3) |f|^2 < 1e-35, far below the
+        # rounding of the sum over lags, which would return noise as the mass
+        f = TrigPoly.from_terms(1.0, [(k, math.comb(8, k) * (-1) ** k) for k in range(9)])
+        with pytest.raises(ThicksetError, match="p = 2 interval mass of u is not above its rounding"):
+            lp_norm(f, NormQuery(2.0, IntervalSet(((0.0, 1e-3),))))
+        far = _mp_masses(1.0, f.ms, f.coeffs[None], ((0.4, 0.6),))[0, 0]
+        assert math.isclose(lp_norm(f, NormQuery(2.0, IntervalSet(((0.4, 0.6),)))) ** 2, far,
+                            rel_tol=1e-13)
 
 
 class TestLatticeAndRandom:

@@ -2,6 +2,7 @@
 band component norms, and the exponential-sum transfer verifier."""
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -128,7 +129,8 @@ class TestClassifier:
     @pytest.mark.parametrize("p", [1000.0, 1e300])
     def test_mass_past_the_double_range_is_refused(self, p):
         # |u|^p overflows on some interval of this f: no label can be read from an inf mass
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ThicksetError):
+        with warnings.catch_warnings(), pytest.raises(ThicksetError):
+            warnings.simplefilter("error")
             classify_intervals(make_poly(seed=0), B4, ClassifierParams(p=p))
 
     def test_constant_function_all_good(self):
