@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import check_exponent
 from .errors import ThicksetError
-from .quadrature import RESOLUTION, TAYLOR_ORDER, base_cell, panel_width, piece_integrals
+from .quadrature import TAYLOR_ORDER, base_cell, panel_width, piece_integrals
 from .quadrature import set_transform, sup_abs
 from .sets import IntervalSet, period_ratio
 
@@ -237,11 +237,11 @@ def _eval_translates(ms: np.ndarray, rows: np.ndarray, period: float, copies: in
     return evaluate, sum(table.shape) + k * copies
 
 
-def piece_masses(f: TrigPoly, rows, pieces, copies: int, p: float, resolution: int) -> np.ndarray:
+def piece_masses(f: TrigPoly, rows, pieces, copies: int, p: float) -> np.ndarray:
     """Masses integral |sum_m rows[r, m] e^(i nu_m x)|^p over each piece, shape (k, len(pieces)).
 
-    p = 2 is ``_quadratic_masses``, which ignores `resolution`; else only the nodes of
-    ``quadrature.base_cell`` (`copies` as there) are built, in runs of at most _EVAL_BLOCK
+    p = 2 is ``_quadratic_masses``; else only the nodes of ``quadrature.base_cell`` at
+    ``quadrature.panel_width`` (`copies` as there) are built, in runs of at most _EVAL_BLOCK
     entries, each at all Q translates.  Callers pass ``TrigPoly.unit`` rows, u in row 0:
     |u|^p is raised in linear space, so a p that puts a mass of a nonzero u at 0 or inf on
     some piece, where no norm or label can be read, is refused.
@@ -250,7 +250,7 @@ def piece_masses(f: TrigPoly, rows, pieces, copies: int, p: float, resolution: i
         return np.zeros((len(rows), len(pieces)))
     if p == 2:
         return _quadratic_masses(f, rows, pieces, copies)
-    width = panel_width(f.max_frequency, resolution)
+    width = panel_width(f.max_frequency)
     base, copies = base_cell(pieces, width, f.period, copies)
     evaluate, entries = _eval_translates(f.ms, rows, f.period, copies)
     block = max(1, _EVAL_BLOCK // entries)
@@ -294,18 +294,13 @@ def _quadratic_masses(f: TrigPoly, rows, pieces, copies: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormQuery:
-    """Which Lp norm to take and over which set, with a panel oversampling (unused at p = 2)."""
+    """Which Lp norm to take and over which set; the panels are ``quadrature.panel_width``'s."""
 
     p: float
     set: IntervalSet
-    resolution: int = RESOLUTION
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", check_exponent(self.p))
-        r = self.resolution
-        if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
-            raise ThicksetError(f"resolution must be a positive integer, got {r!r}")
-        object.__setattr__(self, "resolution", int(r))
 
 
 def full_torus(period: float) -> IntervalSet:
@@ -320,15 +315,15 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     ----------
     f : TrigPoly
     query : NormQuery
-        At p = 2 ``piece_masses`` takes the closed form and ignores `resolution`;
-        for other finite p the result is a composite Gauss-Legendre integral with
-        panel width ``min(1, 2 pi / nu_max) / resolution``, taken by
+        At p = 2 ``piece_masses`` takes the closed form; for other finite p the
+        result is a composite Gauss-Legendre integral with panel width
+        ``quadrature.panel_width``, min(1, 2 pi / nu_max) / 8, taken by
         ``piece_masses``: on the full torus or an unmerged periodic set only
         one cell's nodes are built and evaluated, and the other cells'
-        values come from one length-Q FFT.  At resolution 8, p = 1 torus
+        values come from one length-Q FFT.  At that width, p = 1 torus
         norms of the benchmark ``restriction`` spectra are off by 1.4e-8 to
-        3.7e-7 relative (resolution 128 as reference): |f| is nearly kinked
-        at zeros of f near the real axis.
+        3.7e-7 relative (panels 16 times narrower as reference): |f| is nearly
+        kinked at zeros of f near the real axis.
         For ``p = inf`` one ``quadrature.sup_abs`` call, (s, u) = f.unit,
         samples u.eval on a grid with that spacing on every piece and models u
         at each piece's grid argmax from u.eval(x, derivatives=TAYLOR_ORDER);
@@ -345,12 +340,12 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
     pieces = E.intervals if E.period is None else E.materialize(0.0, f.period)
     if not pieces or sum(b - a for a, b in pieces) <= 0:
         raise ThicksetError("norm query over a set of zero measure")
-    width, (s, u) = panel_width(f.max_frequency, query.resolution), f.unit
+    width, (s, u) = panel_width(f.max_frequency), f.unit
     if math.isinf(query.p):
         counts = [max(3, int(math.ceil((hi - lo) / width)) + 1) for lo, hi in pieces]
         expand = lambda x: u.eval(x, derivatives=TAYLOR_ORDER)
         return float(sup_abs(u.eval, expand, pieces, [counts]).max()) * s
-    mass = piece_masses(f, u.coeffs[None], pieces, q, query.p, query.resolution).sum()
+    mass = piece_masses(f, u.coeffs[None], pieces, q, query.p).sum()
     return float(mass) ** (1.0 / query.p) * s
 
 

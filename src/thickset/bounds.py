@@ -113,7 +113,7 @@ class BoundConstants:
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
             if not (value > 1.0 and math.isfinite(value)):
-                raise ValueError(f"constant {name} must exceed 1, got {value}")
+                raise ThicksetError(f"constant {name} must exceed 1, got {value}")
 
 
 DEFAULT_CONSTANTS = BoundConstants()
@@ -136,7 +136,7 @@ def _check_gamma_positive(gamma: float) -> float:
 def _check_ab(ab: float) -> float:
     ab = float(ab)
     if ab < 0 or not math.isfinite(ab):
-        raise ValueError(f"duration-bandwidth product must be >= 0, got {ab}")
+        raise ThicksetError(f"duration-bandwidth product must be >= 0, got {ab}")
     return ab
 
 
@@ -147,13 +147,13 @@ def _check_measures(len_I: float, meas_E: float) -> tuple[float, float]:
     if meas_E <= 0:
         raise ThicksetError(f"subset measure must be positive, got {meas_E}")
     if len_I <= 0 or meas_E > len_I + 1e-12:
-        raise ValueError("need 0 < |E| <= |I|")
+        raise ThicksetError("need 0 < |E| <= |I|")
     return len_I, meas_E
 
 
 def _check_count(n, name: str = "n") -> int:
     if int(n) != n or n < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {n}")
+        raise ThicksetError(f"{name} must be an integer >= 1, got {n}")
     return int(n)
 
 
@@ -252,7 +252,7 @@ def lemma1_corollary_bound(
     if meas_E <= 0:
         raise ThicksetError(f"subset measure must be positive, got {meas_E}")
     if meas_E > 1.0 + 1e-12:
-        raise ValueError(f"subset measure must be at most 1, got {meas_E}")
+        raise ThicksetError(f"subset measure must be at most 1, got {meas_E}")
     if M < 1.0:
         raise ThicksetError(f"growth ratio M must be >= 1, got {M}")
     expo = math.log(M) / math.log(2.0) + inv_p(p)
@@ -310,40 +310,21 @@ def nazarov_remez_bounds(
     degree-n polynomials.  n = 0 is allowed and gives the trivial constants."""
     len_I, meas_E = _check_measures(len_I, meas_E)
     if int(n) != n or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n}")
+        raise ThicksetError(f"n must be an integer >= 0, got {n}")
     n = int(n)
     naz = _exp(max(n - 1, 0) * math.log(constants.c_aux * len_I / meas_E))
     rem = _exp(n * math.log(4.0 * len_I / meas_E))
     return NazarovRemezBounds(nazarov=naz, remez=rem)
 
 
-@dataclass(frozen=True)
-class MultiDimParams:
-    """Dimension and the per-axis duration-bandwidth products."""
-
-    d: int
-    ab_products: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
-        products = tuple(float(v) for v in self.ab_products)
-        object.__setattr__(self, "ab_products", products)
-        if len(products) != self.d:
-            raise ValueError("need one ab product per axis")
-        if any(v < 0 for v in products):
-            raise ValueError("ab products must be >= 0")
-
-
 def multidim_bound(
     gamma: float,
-    params: MultiDimParams,
+    ab_products,
     p: float,
     n: int | None = None,
     constants: BoundConstants = DEFAULT_CONSTANTS,
 ) -> float:
-    """Product-domain bounds.
+    """Product-domain bounds in dimension d = len(ab_products), one a_k b_k >= 0 per axis.
 
     Single band per axis (n is None):
         (gamma / C^d)^(C (d + sum_k a_k b_k)),  C = c_one.
@@ -352,11 +333,14 @@ def multidim_bound(
     """
     gamma = _check_gamma_positive(gamma)
     check_exponent(p)
-    s = _check_ab(sum(params.ab_products))
+    products = tuple(float(v) for v in ab_products)
+    if not products or any(v < 0 for v in products):
+        raise ThicksetError(f"need one ab product >= 0 per axis, got {products}")
+    d, s = len(products), _check_ab(sum(products))
     if n is None:
         c = constants.c_one
-        log_base = math.log(gamma) - params.d * math.log(c)
-        return _exp(c * (params.d + s) * log_base)
+        log_base = math.log(gamma) - d * math.log(c)
+        return _exp(c * (d + s) * log_base)
     n = _check_count(n)
-    log_base = params.d * math.log(constants.c_multi) - math.log(gamma)
+    log_base = d * math.log(constants.c_multi) - math.log(gamma)
     return _exp(_tower_exponent(log_base, n, s, p) * log_base)

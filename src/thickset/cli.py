@@ -21,7 +21,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import astuple, dataclass, fields
 from functools import partial
@@ -40,7 +39,6 @@ from .bounds import (
     lemma1_corollary_bound,
     lemma3_bound,
     multidim_bound,
-    MultiDimParams,
     nazarov_remez_bounds,
     remark1_bounds,
     theorem1_bound,
@@ -50,10 +48,8 @@ from .bounds import (
 from .concentration import min_concentration, sharpness_gap
 from .errors import ConfigError, ThicksetError
 from .extremal import extremal_pair, extremal_ratio
-from .quadrature import RESOLUTION, panel_width, piece_integrals
+from .quadrature import panel_width, piece_integrals
 from .sets import IntervalSet, normalize, thickness, two_sliver_set
-
-SEED_ENV_VAR = "THICKSET_SEED"
 
 COMMANDS = ("bound", "thickness", "concentration", "verify", "extremal", "classify")
 
@@ -137,14 +133,16 @@ def _parse_int(value, key: str, least: int | None = None) -> int:
     return value
 
 
-def _parse_seed(value, key: str) -> int:
-    """The first instance seed: `seed`, a nonnegative integer, unless THICKSET_SEED overrides it."""
-    seed, env = _parse_int(value, key, least=0), os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return seed
-    if not env.isdigit():
-        raise ConfigError(f"{SEED_ENV_VAR} must be a nonnegative integer, got {env}")
-    return int(env)
+# A verify suite builds each of its seeds, bands or terms, so a count past this is refused.
+_MAX_COUNT = 1 << 20
+
+
+def _parse_count(value, key: str) -> int:
+    """A count of instances, bands or terms of a verify suite: an integer in [1, _MAX_COUNT]."""
+    value = _parse_int(value, key, least=1)
+    if value > _MAX_COUNT:
+        raise ConfigError(f"{key!r} must be at most {_MAX_COUNT}, got {value}")
+    return value
 
 
 def _optional(parser):
@@ -321,9 +319,9 @@ def _bound(header: tuple[str, ...], evaluate):
 
 def _multidim(v, gamma, n, p):
     # without n the single-band form is evaluated, printed as n = 0
-    params = MultiDimParams(d=len(v["ab_products"]), ab_products=v["ab_products"])
-    value = multidim_bound(gamma, params, p, n, v["constants"])
-    return gamma, params.d, sum(v["ab_products"]), 0 if n is None else n, p, value
+    products = v["ab_products"]
+    value = multidim_bound(gamma, products, p, n, v["constants"])
+    return gamma, len(products), sum(products), 0 if n is None else n, p, value
 
 
 def _run_thickness(v, axes) -> RunResult:
@@ -469,7 +467,7 @@ def _suite_taylor(v, axes) -> RunResult:
         scale = float(np.max(np.abs(direct))) or 1.0
         identity_error = float(np.max(np.abs(direct - rebuilt))) / scale
         remainder_mass = lambda x, _: np.abs(split.remainder(x)) ** p
-        lhs = float(piece_integrals(remainder_mass, (interval,), panel_width(b / 2.0, RESOLUTION))[0])
+        lhs = float(piece_integrals(remainder_mass, (interval,), panel_width(b / 2.0))[0])
         # an lhs of inf skips the budget, whose lp_norm would refuse the same p in other words
         log10_rhs = proofcheck.taylor_remainder_bound_log10(split, p) if lhs < math.inf else lhs
         if not log10_rhs < math.inf:  # inf: lhs overflowed; nan: a norm of f_k^(m) did
@@ -548,12 +546,12 @@ def _suite_expsum(v, axes) -> RunResult:
 
 _CONSTANTS = _one("constants", {}, _parse_constants)
 _L = _one("L", 8.0, _parse_finite)
-_SEED = _one("seed", 0, _parse_seed)
+_SEED = _one("seed", 0, partial(_parse_int, least=0))
 
 
 def _instances(count: int) -> tuple:
     """`seed`, the first instance seed, and `seeds`, the number of instances per cell."""
-    return _SEED, _one("seeds", count, partial(_parse_int, least=1))
+    return _SEED, _one("seeds", count, _parse_count)
 
 
 _ENTRIES = {
@@ -633,12 +631,12 @@ _ENTRIES = {
         _suite_growth,
     ),
     ("verify", "taylor"): (
-        (_L, _one("n", 2, _parse_int), _one("window", 0.5), _sweep("b", 2.0 * math.pi),
+        (_L, _one("n", 2, _parse_count), _one("window", 0.5), _sweep("b", 2.0 * math.pi),
          _sweep("p", 2.0, _parse_p), _sweep("m", 3, _parse_int), *_instances(5)),
         _suite_taylor,
     ),
     ("verify", "band_norms"): (
-        (_L, _one("n", 2, _parse_int), _sweep("b", 2.0 * math.pi), _sweep("p", 2.0, _parse_p),
+        (_L, _one("n", 2, _parse_count), _sweep("b", 2.0 * math.pi), _sweep("p", 2.0, _parse_p),
          *_instances(5)),
         _suite_band_norms,
     ),
@@ -646,7 +644,7 @@ _ENTRIES = {
     ("verify", "expsum"): (
         (*_instances(8), _CONSTANTS,
          ("fraction", _parse_float, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], _LIST),
-         _sweep("n", [1, 2, 3], _parse_int), _sweep("m", [1, 2, 3], _parse_int),
+         _sweep("n", [1, 2, 3], _parse_count), _sweep("m", [1, 2, 3], _parse_count),
          _sweep("p", [2.0, "inf"], _parse_p)),
         _suite_expsum,
     ),

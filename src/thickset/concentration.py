@@ -123,7 +123,7 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     """
     ms = np.asarray(list(freqs))  # an object array if some |m| exceeds int64
     if not np.all((ms > -MODE_LIMIT) & (ms < MODE_LIMIT)):
-        raise ValueError("lattice modes must satisfy |m| < 2**52")
+        raise ThicksetError("lattice modes must satisfy |m| < 2**52")
     ms = ms.astype(np.int64)
     if ms.size == 0:
         raise ValueError("need at least one frequency")
@@ -134,7 +134,7 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     cell = period / q
     if E.period is None:
         if E.intervals[0][0] < -1e-9 or E.intervals[-1][1] > period + 1e-9:
-            raise ValueError("aperiodic set must lie inside one period [0, L]")
+            raise ThicksetError("aperiodic set must lie inside one period [0, L]")
         pieces = E.intervals
     else:
         pieces = E.materialize(0.0, cell)

@@ -175,43 +175,33 @@ class ExponentFit:
     ratios: tuple[tuple[float, ...], ...]
     slopes: tuple[float, ...]
     slope_of_slopes: float
-    intercept: float
     r_squared: float
-    example_rate: float
-    fitted_base: float
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope and r^2 of the least-squares line through (x, y)."""
     slope, intercept = np.polyfit(x, y, 1)
     predicted = slope * x + intercept
     ss_res = float(np.sum((y - predicted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    return float(slope), r2
 
 
-def exponent_fit(
-    bandwidths,
-    gammas,
-    p: float,
-    truncation: float | None = None,
-) -> ExponentFit:
+def exponent_fit(bandwidths, gammas, p: float) -> ExponentFit:
     """Fit log(ratio) against log(gamma) per bandwidth, then slope against b.
 
-    Needs at least three bandwidths and three gammas.  `fitted_base` is the
-    smallest c with ratio <= (gamma/c)^(m-1) across gammas at the largest
-    bandwidth (the near-extremal upper envelope).
+    Needs at least three bandwidths and three gammas; each ratio takes the
+    derived ``default_truncation``.  The family predicts a slope of slopes
+    near 1 / FOUR_PI.
     """
     b_list = tuple(float(b) for b in bandwidths)
     g_list = tuple(float(g) for g in gammas)
     if len(b_list) < 3 or len(g_list) < 3:
         raise ThicksetError("need at least 3 bandwidths and 3 gammas")
-    log10s = [[extremal_ratio(extremal_pair(b, g), p, truncation) for g in g_list] for b in b_list]
+    log10s = [[extremal_ratio(extremal_pair(b, g), p) for g in g_list] for b in b_list]
     slopes = [_line_fit(np.log10(np.array(g_list)), np.array(row))[0] for row in log10s]
-    slope2, intercept, r2 = _line_fit(np.array(b_list), np.array(slopes))
-    m_top = extremal_pair(b_list[-1], g_list[0]).power
-    fitted_base = min((g * 10.0 ** (-r / (m_top - 1)) for g, r in zip(g_list, log10s[-1])
-                       if m_top > 1 and r > -math.inf), default=math.inf)
+    slope2, r2 = _line_fit(np.array(b_list), np.array(slopes))
     return ExponentFit(
         bandwidths=b_list,
         gammas=g_list,
@@ -219,8 +209,5 @@ def exponent_fit(
         ratios=tuple(tuple(10.0 ** r for r in row) for row in log10s),
         slopes=tuple(slopes),
         slope_of_slopes=slope2,
-        intercept=intercept,
         r_squared=r2,
-        example_rate=1.0 / FOUR_PI,
-        fitted_base=fitted_base,
     )

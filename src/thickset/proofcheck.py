@@ -33,16 +33,14 @@ from .bounds import (
     nazarov_remez_bounds,
 )
 from .errors import ThicksetError
-from .quadrature import (
-    RESOLUTION, TAYLOR_ORDER, kinked_integrals, panel_width, piece_integrals, sup_abs
-)
+from .quadrature import TAYLOR_ORDER, kinked_integrals, panel_width, piece_integrals, sup_abs
 from .sets import IntervalSet
 
 
 # ---------------------------------------------------------------------------
 # interval classification
 
-# Bound on the classifier's untested mass-budget tail; sets the default alpha_max.
+# Bound on the classifier's untested mass-budget tail; sets alpha_max.
 TAIL_EPS = 1e-6
 
 
@@ -52,15 +50,14 @@ class ClassifierParams:
 
     An interval I is bad when some derivative order alpha <= alpha_max has
     integral_I |f^(alpha)|^p >= (A * C * b)^(alpha p) integral_I |f|^p with
-    A = bad_threshold and C = bernstein_constant.  The default alpha_max
-    keeps the untested tail sum_{alpha > alpha_max} A^(-alpha p) below
-    TAIL_EPS.  Masses use panels of the default ``quadrature.RESOLUTION``.
+    A = bad_threshold and C = bernstein_constant.  alpha_max, derived from p
+    and A, keeps the untested tail sum_{alpha > alpha_max} A^(-alpha p) below
+    TAIL_EPS.  Masses use panels of ``quadrature.panel_width``.
     """
 
     p: float
     bad_threshold: float = 3.0
     bernstein_constant: float = 0.5
-    alpha_max: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", finite_exponent(self.p, "the classifier"))
@@ -68,12 +65,8 @@ class ClassifierParams:
             raise ValueError("bad_threshold must exceed 1")
         if not self.bernstein_constant > 0.0:
             raise ValueError("bernstein_constant must be positive")
-        if self.alpha_max is not None and (int(self.alpha_max) != self.alpha_max or self.alpha_max < 1):
-            raise ValueError("alpha_max must be a positive integer")
 
     def resolved_alpha_max(self) -> int:
-        if self.alpha_max is not None:
-            return int(self.alpha_max)
         depth = math.log(1.0 / TAIL_EPS) / (self.p * math.log(self.bad_threshold))
         return max(1, math.ceil(depth))
 
@@ -147,7 +140,7 @@ def classify_intervals(
     rows[0] = u.coeffs
     for alpha in range(1, rows.shape[0]):
         rows[alpha] = rows[alpha - 1] * damping
-    masses = piece_masses(f, rows, partition, len(partition), params.p, RESOLUTION)
+    masses = piece_masses(f, rows, partition, len(partition), params.p)
     bad = masses[1:] >= masses[0]
     first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
     good, unit_mass = first_bad == 0, masses[0]
@@ -198,7 +191,7 @@ def local_estimate_check(
     p, c, b_eff = labels.params.p, constants.c_one, 2.0 * f.max_frequency
     piece_lists = [E.materialize(lo, hi) for lo, hi in labels.intervals]
     pieces, copies, u = sum(piece_lists, ()), len(piece_lists), f.unit[1]
-    masses = piece_masses(f, u.coeffs[None], pieces, copies, p, RESOLUTION)[0]
+    masses = piece_masses(f, u.coeffs[None], pieces, copies, p)[0]
     checks, start, scale = [], 0, labels.mass_scale
     for (lo, hi), own, good, whole in zip(
         labels.intervals, piece_lists, labels.good.tolist(), labels.unit_mass.tolist()
@@ -246,7 +239,7 @@ def growth_envelope(
     """
     if not radius > 0:
         raise ThicksetError(f"radius must be positive, got {radius}")
-    width = panel_width(f.max_frequency, RESOLUTION)
+    width = panel_width(f.max_frequency)
     if not (2.0 * radius / width + 1.0) * f.ms.size <= MAX_GROWTH_PHASES:  # points x modes
         raise ThicksetError(f"radius {radius:g} needs over {MAX_GROWTH_PHASES} grid phases")
     p, goods, u = labels.params.p, labels.good_intervals, f.unit[1]
@@ -311,7 +304,7 @@ class TaylorSplit:
             lambda t, piece: np.stack([g.eval(t) for g in self.mth_derivatives])
             * (ends[piece] - t) ** (m - 1),
             [(min(self.base, v), max(self.base, v)) for v in ends.tolist()],
-            panel_width(max(g.max_frequency for g in self.mth_derivatives), RESOLUTION),
+            panel_width(max(g.max_frequency for g in self.mth_derivatives)),
         )
         acc = (np.exp(1j * np.outer(self.centers, ends)) * integrals).sum(axis=0)
         out = (np.sign(ends - self.base) * acc / math.factorial(m - 1)).reshape(xs.shape)
@@ -396,11 +389,6 @@ def taylor_remainder_bound_log10(split: TaylorSplit, p: float) -> float:
         return -math.inf
     log_total = p * math.log(top) + math.log(sum((v / top) ** p for v in norms))
     return (logs[0] + logs[1] - logs[2] + log_total) / _LN10
-
-
-def taylor_remainder_bound(split: TaylorSplit, p: float) -> float:
-    """Closed-form budget n^(p-1) a^(pm) / (m!)^p * sum_k integral_I |f_k^(m)|^p."""
-    return _exp(taylor_remainder_bound_log10(split, p) * _LN10)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +573,7 @@ def exp_sum_verifier(
     padded = [arr for _, arrays in parsed for arr in arrays + [np.zeros(1)] * (n - len(arrays))]
     table = _expsum_table(lams.ravel(), padded, TAYLOR_ORDER + 1 if math.isinf(p) else 1)
     table = table.reshape(len(table), K, n, -1)
-    widths = [panel_width(float(np.max(np.abs(row))), RESOLUTION) for row in lams]
+    widths = [panel_width(float(np.max(np.abs(row)))) for row in lams]
     if math.isinf(p):
         counts = [[max(17, 2 * int(math.ceil((b - a) / w)) + 1) for a, b in cells] for w in widths]
         sample = _expsum_closure(lams, table[:1], mid)

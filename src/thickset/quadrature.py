@@ -18,7 +18,7 @@ import numpy as np
 
 GL_ORDER = 16
 
-# Default panel oversampling: a panel is 1/RESOLUTION of min(1, 2 pi / nu_max).
+# Panel oversampling: a panel is 1/RESOLUTION of min(1, 2 pi / nu_max).
 RESOLUTION = 8
 
 # sup_abs models f at a grid argmax from its rows f .. f^(TAYLOR_ORDER): a scan, then Newton steps.
@@ -44,10 +44,10 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     return _read_only(*np.polynomial.legendre.leggauss(GL_ORDER))
 
 
-def panel_width(nu_max: float, resolution: int) -> float:
-    """Panel width min(1, 2 pi / nu_max) / resolution for top frequency nu_max."""
+def panel_width(nu_max: float) -> float:
+    """Panel width min(1, 2 pi / nu_max) / RESOLUTION for top frequency nu_max."""
     base = 1.0 if nu_max == 0.0 else min(1.0, 2.0 * math.pi / nu_max)
-    return base / resolution
+    return base / RESOLUTION
 
 
 def panel_count(lo: float, hi: float, max_width: float) -> int:

@@ -350,23 +350,15 @@ class TestLpNorm:
         with pytest.raises(ThicksetError, match=r"p must be in \[1, inf\]"):
             NormQuery(0.5, full_torus(1.0))
 
-    @pytest.mark.parametrize("resolution", [0, True, 2.0])
-    def test_invalid_resolution(self, resolution):
-        with pytest.raises(ThicksetError, match="resolution must be a positive integer"):
-            NormQuery(2.0, full_torus(1.0), resolution=resolution)
-
-    def test_numpy_integer_resolution(self):
-        assert NormQuery(2.0, full_torus(1.0), resolution=np.int64(4)).resolution == 4
-
     def test_degenerate_interval_rejected_at_construction(self):
         with pytest.raises(ThicksetError, match=r"invalid interval \(0.0, 0.0\)"):
             IntervalSet(((0.0, 0.0),))
 
 
 def _panel_pieces(f, E):
-    """The pieces lp_norm integrates over and its panel width at resolution 8."""
+    """The pieces lp_norm integrates over and its panel width."""
     pieces = E.intervals if E.period is None else E.materialize(0.0, f.period)
-    return pieces, panel_width(f.max_frequency, 8)
+    return pieces, panel_width(f.max_frequency)
 
 
 def _dense_norm(f, E, p):
@@ -453,9 +445,9 @@ class TestTranslateRoute:
         partition = tuple((float(i), i + 1.0) for i in range(32))
         damping = 1j * f.frequencies / (3.0 * 0.5 * 16.0 * math.pi)
         rows = f.coeffs * damping ** np.arange(5)[:, None]
-        got = piece_masses(f, rows, partition, len(partition), p, 8)
-        assert base_cell(partition, panel_width(f.max_frequency, 8), 32.0, 32)[1] == 32
-        xs, ws = panel_nodes(partition, panel_width(f.max_frequency, 8))
+        got = piece_masses(f, rows, partition, len(partition), p)
+        assert base_cell(partition, panel_width(f.max_frequency), 32.0, 32)[1] == 32
+        xs, ws = panel_nodes(partition, panel_width(f.max_frequency))
         owner = np.repeat(np.arange(32), xs.size // 32)
         for r, row in enumerate(rows):
             values = ws * np.abs(TrigPoly(32.0, f.ms, row).eval(xs)) ** p
@@ -520,7 +512,7 @@ class TestClosedFormMasses:
     def test_two_sliver_pieces_match_mpmath(self, gamma):
         f = random_bandlimited(BandSpec((0.0,), 4.0 * math.pi), 8.0, seed=11)
         pieces, u = two_sliver_set(gamma).materialize(0.0, 8.0), f.unit[1]
-        got = piece_masses(f, u.coeffs[None], pieces, 8, 2.0, 8)
+        got = piece_masses(f, u.coeffs[None], pieces, 8, 2.0)
         want = _mp_masses(8.0, f.ms, u.coeffs[None], pieces)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -529,7 +521,7 @@ class TestClosedFormMasses:
         f = random_bandlimited(BandSpec((0.0,), 4.0 * math.pi), 32.0, seed=5)
         partition = tuple((float(i), i + 1.0) for i in range(32))
         rows = f.unit[1].coeffs * (1j * f.frequencies / (1.5 * 4.0 * math.pi)) ** np.arange(3)[:, None]
-        got = piece_masses(f, rows, partition, len(partition), 2.0, 8)
+        got = piece_masses(f, rows, partition, len(partition), 2.0)
         some = [0, 1, 13, 22, 31]  # translates t of [0, 1] for several residues of the fold
         want = _mp_masses(32.0, f.ms, rows, [partition[t] for t in some])
         np.testing.assert_allclose(got[:, some], want, rtol=1e-13, atol=0.0)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from thickset import (
     BoundConstants,
-    MultiDimParams,
     ThicksetError,
     Verdict,
     lemma1_corollary_bound,
@@ -294,15 +293,13 @@ class TestMultiDim:
     SMALL = BoundConstants(c_one=2.0, c_multi=2.0)
 
     def test_product_form_shape(self):
-        params = MultiDimParams(d=2, ab_products=(1.0, 2.0))
-        got = multidim_bound(0.5, params, 2.0, constants=self.SMALL)
+        got = multidim_bound(0.5, (1.0, 2.0), 2.0, constants=self.SMALL)
         want = (0.5 / 2.0 ** 2) ** (2.0 * (2 + 3.0))  # 2^-30 = 9.31e-10
         assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_tower_form_decreasing_in_n(self):
         # (C^d/gamma)^(-(C^d/gamma)^n sum ab - n + 1/2): 2.74e-16, then 2.11e-202
-        params = MultiDimParams(d=2, ab_products=(0.5, 0.5))
-        vals = [multidim_bound(0.3, params, 2.0, n, self.SMALL) for n in (1, 2)]
+        vals = [multidim_bound(0.3, (0.5, 0.5), 2.0, n, self.SMALL) for n in (1, 2)]
         with mpmath.workdps(40):
             base = mpmath.mpf(2.0) ** 2 / mpmath.mpf(0.3)
             refs = [base ** (-(base**n) - n + mpmath.mpf(0.5)) for n in (1, 2)]
@@ -312,19 +309,13 @@ class TestMultiDim:
 
     def test_one_axis_tower_is_theorem2(self):
         # d = 1: the n-band product bound is the n-band line bound, 4^-0.9 = 0.28717...
-        params = MultiDimParams(d=1, ab_products=(0.1,))
-        got = multidim_bound(0.5, params, 2.0, 1, self.SMALL)
+        got = multidim_bound(0.5, (0.1,), 2.0, 1, self.SMALL)
         assert math.isclose(got, theorem2_bound(0.5, 1, 0.1, 2.0, self.SMALL), rel_tol=1e-14)
         assert math.isclose(got, 4.0**-0.9, rel_tol=1e-14)
 
     def test_infinite_ab_sum_rejected(self):
-        params = MultiDimParams(d=2, ab_products=(1e308, 1e308))
         with pytest.raises(ValueError):
-            multidim_bound(0.5, params, 2.0, 1)
-
-    def test_dimension_match_enforced(self):
-        with pytest.raises(Exception):
-            MultiDimParams(d=3, ab_products=(1.0,))
+            multidim_bound(0.5, (1e308, 1e308), 2.0, 1)
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from thickset import cli as cli_mod
 from thickset.cli import (
     ExperimentTable,
     RunResult,
-    SEED_ENV_VAR,
     emit_csv,
     main,
     run,
@@ -554,6 +554,12 @@ class TestMain:
         assert main(["--config", path]) == 2
         assert "'seeds' must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["abc", -1])
+    def test_bad_seed_exits_two(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, {"command": "classify", "seed": seed})
+        assert main(["--config", path]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -605,22 +611,27 @@ class TestMain:
 
     @pytest.mark.parametrize("value", [2.5, True, "2"])
     @pytest.mark.parametrize(
-        "config, key",
+        "config, key, kind",
         [
-            ({"command": "bound", "which": "theorem2", "gamma": 0.5, "ab": 1, "p": 2}, "n"),
-            ({"command": "bound", "which": "lemma3", "meas_E": 0.5, "n": 1, "p": 2}, "m"),
-            ({"command": "verify", "suite": "taylor", "seeds": 1}, "m"),
-            ({"command": "verify", "suite": "taylor", "seeds": 1}, "n"),
-            ({"command": "verify", "suite": "band_norms", "seeds": 1}, "n"),
-            ({"command": "verify", "suite": "expsum", "seeds": 1, "m": 1, "p": 2}, "n"),
-            ({"command": "verify", "suite": "expsum", "seeds": 1, "n": 1, "p": 2}, "m"),
+            ({"command": "bound", "which": "theorem2", "gamma": 0.5, "ab": 1, "p": 2}, "n",
+             "an integer"),
+            ({"command": "bound", "which": "lemma3", "meas_E": 0.5, "n": 1, "p": 2}, "m",
+             "an integer"),
+            ({"command": "verify", "suite": "taylor", "seeds": 1}, "m", "an integer"),
+            # the counts of a verify suite are read as positive integers
+            ({"command": "verify", "suite": "taylor", "seeds": 1}, "n", "a positive integer"),
+            ({"command": "verify", "suite": "band_norms", "seeds": 1}, "n", "a positive integer"),
+            ({"command": "verify", "suite": "expsum", "seeds": 1, "m": 1, "p": 2}, "n",
+             "a positive integer"),
+            ({"command": "verify", "suite": "expsum", "seeds": 1, "n": 1, "p": 2}, "m",
+             "a positive integer"),
         ],
     )
-    def test_non_integer_field_exits_two(self, tmp_path, capsys, config, key, value):
+    def test_non_integer_field_exits_two(self, tmp_path, capsys, config, key, kind, value):
         # int() would run 2.5 as 2, true as 1 and "2" as 2
         path = write_config(tmp_path, {**config, key: value})
         assert main(["--config", path]) == 2
-        assert f"'{key}' must be an integer, got {value!r}" in capsys.readouterr().err
+        assert f"'{key}' must be {kind}, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config, key, value",
@@ -708,39 +719,74 @@ class TestMain:
 
 
 class TestSeedEnv:
-    def test_env_overrides_config_seed(self, tmp_path, monkeypatch):
+    def test_environment_does_not_change_the_output(self, monkeypatch):
+        # the config's seed is the one seed, so one config's bytes do not depend on the environment
         cfg = {"command": "classify", "seed": 3, "b": 12.566370614359172, "p": 2}
         baseline = emit_csv(run(cfg).table)
-        monkeypatch.setenv(SEED_ENV_VAR, "99")
-        overridden = emit_csv(run(cfg).table)
-        assert baseline != overridden
-        monkeypatch.setenv(SEED_ENV_VAR, "3")
+        monkeypatch.setenv("THICKSET_SEED", "99")
         assert emit_csv(run(cfg).table) == baseline
 
-    @pytest.mark.parametrize("suite", ["expsum", "good_bad"])
-    def test_negative_env_seed_exits_two(self, tmp_path, capsys, monkeypatch, suite):
-        monkeypatch.setenv(SEED_ENV_VAR, "-3")
-        path = write_config(tmp_path, {"command": "verify", "suite": suite, "seeds": 1})
-        assert main(["--config", path]) == 2
-        assert f"{SEED_ENV_VAR} must be a nonnegative integer, got -3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", ["abc", -1])
-    def test_env_does_not_hide_a_bad_config_seed(self, tmp_path, capsys, monkeypatch, seed):
-        monkeypatch.setenv(SEED_ENV_VAR, "3")
-        path = write_config(tmp_path, {"command": "classify", "seed": seed})
-        assert main(["--config", path]) == 2
-        assert "'seed'" in capsys.readouterr().err
+class TestCountCap:
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"command": "verify", "suite": "band_norms", "seeds": 1, "n": 10**12}, "n"),
+            ({"command": "verify", "suite": "taylor", "seeds": 1, "n": 10**12}, "n"),
+            ({"command": "verify", "suite": "expsum", "seeds": 1, "n": 10**12, "m": 1, "p": 2},
+             "n"),
+            ({"command": "verify", "suite": "expsum", "seeds": 1, "n": 1, "m": 10**12, "p": 2},
+             "m"),
+            ({"command": "verify", "suite": "good_bad", "seeds": 10**12}, "seeds"),
+        ],
+        ids=["band_norms-n", "taylor-n", "expsum-n", "expsum-m", "good_bad-seeds"],
+    )
+    def test_huge_count_exits_two_before_building(self, tmp_path, capsys, config, key):
+        # each built its 10**12 bands, terms or seeds first and ran out of memory (exit 1)
+        path = write_config(tmp_path, config)
+        tracemalloc.start()
+        try:
+            status = main(["--config", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert status == 2
+        assert f"{key!r} must be at most 1048576, got {10**12}" in err
+        assert "Traceback" not in err
+        assert peak < 1_000_000
 
-    def test_env_overrides_a_valid_config_seed(self, monkeypatch):
-        cfg = {"command": "classify", "b": 12.566370614359172, "p": 2}
-        want = emit_csv(run({**cfg, "seed": 99}).table)
-        monkeypatch.setenv(SEED_ENV_VAR, "99")
-        assert emit_csv(run({**cfg, "seed": 3}).table) == want
 
-    def test_bad_env_seed_rejected(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        with pytest.raises(ConfigError):
-            run({"command": "classify", "seed": 3, "b": 12.566370614359172, "p": 2})
+class TestDomainRefusal:
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"command": "bound", "gamma": 0.5, "ab": -1, "p": 2},
+             "duration-bandwidth product must be >= 0, got -1.0"),
+            ({"command": "bound", "which": "lemma3", "len_I": 1, "meas_E": 2, "n": 1, "m": 1,
+              "p": 2}, "need 0 < |E| <= |I|"),
+            ({"command": "bound", "which": "lemma1", "meas_E": 1.5, "M": 2},
+             "subset measure must be at most 1, got 1.5"),
+            ({"command": "bound", "which": "nazarov_remez", "meas_E": 0.5, "n": -1},
+             "n must be an integer >= 0, got -1"),
+            ({"command": "bound", "gamma": 0.5, "ab": 1, "p": 2, "constants": {"c_one": 0.5}},
+             "constant c_one must exceed 1, got 0.5"),
+            ({"command": "bound", "which": "multidim", "gamma": 0.5, "ab_products": [-1, 2]},
+             "need one ab product >= 0 per axis, got (-1.0, 2.0)"),
+            ({"command": "concentration", "freqs": [0, 1], "L": 1.0,
+              "set": {"intervals": [[0.5, 1.5]]}},
+             "aperiodic set must lie inside one period [0, L]"),
+            ({"command": "concentration", "freqs": [0, 2**52], "L": 8.0,
+              "set": {"intervals": [[0.0, 0.5]]}},
+             "lattice modes must satisfy |m| < 2**52"),
+        ],
+        ids=["theorem1-ab", "lemma3-measures", "lemma1-measure", "nazarov_remez-n",
+             "constants-c_one", "multidim-ab_products", "freqs-aperiodic-set", "freqs-mode"],
+    )
+    def test_library_refusal_is_not_a_bad_config(self, tmp_path, capsys, config, message):
+        # a schema-valid config the library refuses prints `error: <message>`; these
+        # printed `error: bad config: malformed config for ...`
+        assert config_error(tmp_path, capsys, config) == f"error: {message}\n"
 
 
 class TestSubprocess:

@@ -428,7 +428,7 @@ class TestExponentFit:
         assert 34.0 <= fit.slopes[2] <= 52.0
         assert fit.r_squared >= 0.9
         # slope of the slopes against bandwidth stays near 1/(4 pi)
-        assert fit.slope_of_slopes == pytest.approx(fit.example_rate, rel=4.0)
+        assert fit.slope_of_slopes == pytest.approx(1 / FOUR_PI, rel=4.0)
 
     def test_needs_three_gammas(self):
         with pytest.raises(ThicksetError, match="need at least 3 bandwidths and 3 gammas"):
