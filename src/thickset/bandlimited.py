@@ -351,17 +351,18 @@ def lp_norm(f: TrigPoly, query: NormQuery) -> float:
 
 def lattice_indices(spec: BandSpec, period: float) -> np.ndarray:
     """Sorted integer modes m with 2 pi m / period inside some band; at most _MAX_MODES."""
-    found: set[int] = set()
+    runs: list[range] = []  # bands come in increasing order, and so do their ends
     for lo, hi in spec.bands():
         m_lo = math.ceil(lo * period / math.tau - 1e-9)
         m_hi = math.floor(hi * period / math.tau + 1e-9)
         if m_hi < m_lo:
             raise ThicksetError(f"band ({lo:g}, {hi:g}) holds no lattice frequency "
                                 f"at period {period:g}")
-        if len(found) + m_hi + 1 - m_lo > _MAX_MODES:  # counted before the band is built
-            raise ThicksetError(f"b = {spec.width:g} at L = {period:g} needs over {_MAX_MODES} modes")
-        found.update(range(m_lo, m_hi + 1))
-    return np.array(sorted(found), dtype=np.int64)
+        start = runs.pop().start if runs and m_lo <= runs[-1].stop else m_lo  # one run if touching
+        runs.append(range(start, m_hi + 1))
+    if sum(r.stop - r.start for r in runs) > _MAX_MODES:  # counted before anything is built
+        raise ThicksetError(f"b = {spec.width:g} at L = {period:g} needs over {_MAX_MODES} modes")
+    return np.concatenate([np.arange(r.start, r.stop, dtype=np.int64) for r in runs])
 
 
 def random_bandlimited(spec: BandSpec, period: float, *, seed: int = 0) -> TrigPoly:

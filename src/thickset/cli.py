@@ -345,14 +345,15 @@ def _run_freqs(v, axes) -> RunResult:
 
 def _run_sharpness(v, axes) -> RunResult:
     header = ("gamma", "b", "n_freqs", "lambda_min", "exact", "bound", "log10_bound",
-              "log10_margin", "holds")
+              "log10_margin", "holds", "verdict")
 
     def cell(gamma, b):
         report = sharpness_gap(
             BandSpec((0.0,), b), two_sliver_set(gamma), v["L"], v["constants"], v["window"]
         )
         row = (report.gamma, b, report.n_freqs, report.lambda_min, report.exact, report.bound,
-               report.log10_bound, report.log10_margin, report.verdict.holds)
+               report.log10_bound, report.log10_margin, report.verdict.holds,
+               "holds" if report.verdict.holds else "fails" if report.verdict.fails else "unresolved")
         label = f"concentration: exact {report.exact:.6g} below bound at gamma={gamma:g} b={b:g}"
         return [row], [(label, report.verdict)]
 
@@ -467,7 +468,8 @@ def _suite_taylor(v, axes) -> RunResult:
         scale = float(np.max(np.abs(direct))) or 1.0
         identity_error = float(np.max(np.abs(direct - rebuilt))) / scale
         remainder_mass = lambda x, _: np.abs(split.remainder(x)) ** p
-        lhs = float(piece_integrals(remainder_mass, (interval,), panel_width(b / 2.0))[0])
+        with np.errstate(over="ignore"):  # an lhs of inf is refused below
+            lhs = float(piece_integrals(remainder_mass, (interval,), panel_width(b / 2.0))[0])
         # an lhs of inf skips the budget, whose lp_norm would refuse the same p in other words
         log10_rhs = proofcheck.taylor_remainder_bound_log10(split, p) if lhs < math.inf else lhs
         if not log10_rhs < math.inf:  # inf: lhs overflowed; nan: a norm of f_k^(m) did

@@ -18,9 +18,10 @@ between classes, and a within-class entry is the one-cell integral
 whose phase d x / P stays within d turns (an aperiodic set has q = 1 and
 P = L).  Entries come from the closed form of that integral, so the matrix
 is exact up to rounding and the module serves as the independent oracle for
-the closed-form bounds.  Classes with the same steps d carry identical
-blocks, so there is one solve per distinct block, the residual is checked on
-that block, and the dense N x N matrix is built only on demand.
+the closed-form bounds.  Blocks are sections of one Toeplitz matrix, and one
+whose steps d are a run 0, 1, .., n - 1 is skipped when a longer run is a
+block too (Cauchy interlacing); the dense N x N matrix and full spectrum are
+built on demand.
 """
 from __future__ import annotations
 
@@ -55,28 +56,21 @@ MODE_LIMIT = 2**52  # bound on |m|: mode differences are exact in int64 and floa
 RESIDUAL_TOL = 1e-10
 
 
-def _residue_blocks(ms: np.ndarray, stride: int) -> list[np.ndarray]:
-    residues = np.mod(ms, stride)
-    order = np.argsort(residues, kind="stable")
-    starts = np.flatnonzero(np.diff(residues[order], prepend=-1))
-    sizes = np.diff(starts, append=ms.size)
-    return [order[starts[sizes == n][:, None] + np.arange(n)] for n in sorted(set(sizes.tolist()))]
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """Frequencies, period and one Hermitian block per distinct class pattern.
 
     `stride` is the number q of set periods in the torus period; entries
     between modes of different residue classes m mod q are exact zeros.
-    `groups` holds, per class size, the matrix indices of its residue classes
-    (one row per class, in mode order), the distinct blocks (read-only) and
-    the block index of each class; the dense `matrix` is built on demand.
+    `groups` holds, per class size (largest first), the matrix indices of its residue
+    classes (a row per class, in mode order), the distinct blocks (read-only) and each
+    class's block index, `maximal` the blocks to solve; `matrix` is built on demand.
     """
 
-    freqs: tuple[int, ...]
+    freqs: np.ndarray
     period: float
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    maximal: tuple[np.ndarray, ...]
     stride: int = 1
 
     @property
@@ -117,11 +111,11 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     -------
     GramMatrix
         One block per distinct pattern d = (m - m_first) / q of the residue
-        classes m mod q.  Hermitian by construction: entries are computed
-        for nonnegative steps and mirrored by conjugation.  Refused, before any
-        block is built, past MAX_DENSE_SIZE**2 entries in the distinct blocks.
+        classes m mod q, and which are maximal.  Hermitian by construction: entries
+        are computed for nonnegative steps and mirrored by conjugation.  Refused, before
+        any block is built, past MAX_DENSE_SIZE**2 entries in the distinct blocks.
     """
-    ms = np.asarray(list(freqs))  # an object array if some |m| exceeds int64
+    ms = np.asarray(freqs if isinstance(freqs, np.ndarray) else list(freqs))  # object past int64
     if not np.all((ms > -MODE_LIMIT) & (ms < MODE_LIMIT)):
         raise ThicksetError("lattice modes must satisfy |m| < 2**52")
     ms = ms.astype(np.int64)
@@ -139,71 +133,86 @@ def gram_matrix(freqs, E: IntervalSet, period: float) -> GramMatrix:
     else:
         pieces = E.materialize(0.0, cell)
 
-    classes, patterns, carriers = _residue_blocks(ms, q), [], []
-    for ix in classes:
-        d = (ms[ix] - ms[ix[:, :1]]) // q  # equal rows, as bytes, give equal blocks
-        rows = d.view(f"V{d.strides[0]}")
-        _, first, carrier = np.unique(rows, return_index=True, return_inverse=True)
-        patterns.append(d[first])
-        carriers.append(carrier.ravel())
-    if sum(d.shape[0] * d.shape[1] ** 2 for d in patterns) > MAX_DENSE_SIZE**2:  # distinct blocks
+    order = np.lexsort((ms, ms % q))  # the classes m mod q, each in mode order
+    ranked = ms[order]
+    cuts = np.flatnonzero(np.concatenate(([True], np.diff(ranked % q) != 0, [True])))
+    starts, sizes = cuts[:-1], np.diff(cuts)
+    offsets = (ranked - np.repeat(ranked[starts], sizes)) // q  # each class's pattern d
+    run, groups, maximal = False, [], []  # run: a larger class's pattern is 0, 1, .., M - 1
+    for n in sorted(set(sizes.tolist()), reverse=True):  # larger patterns first
+        members = starts[sizes == n][:, None] + np.arange(n)
+        d = offsets[members]  # equal rows, as bytes, give equal blocks
+        _, first, carrier = np.unique(d.view(f"V{d.strides[0]}"), return_index=True,
+                                      return_inverse=True)
+        d = d[first]
+        runs = d[:, -1] == n - 1  # sorted distinct steps from 0 ending at n - 1: 0, 1, .., n - 1
+        groups.append((order[members], d, carrier.ravel()))
+        maximal.append(np.flatnonzero(~(runs & run)))  # a run inside a longer run is skipped
+        run |= bool(runs.any())
+    if sum(d.shape[0] * d.shape[1] ** 2 for _, d, _ in groups) > MAX_DENSE_SIZE**2:  # distinct blocks
         raise ThicksetError(f"the Gram blocks of {ms.size} modes exceed {MAX_DENSE_SIZE}^2 entries")
-    steps = [d[:, :, None] - d[:, None, :] for d in patterns]
+    steps = [d[:, :, None] - d[:, None, :] for _, d, _ in groups]
     unique = np.unique(np.abs(np.concatenate([s.ravel() for s in steps])), return_index=True)[0]
     values = set_transform(unique, pieces, cell).sum(axis=1)
-    groups = []
-    for ix, step, carrier in zip(classes, steps, carriers):
-        table = values[np.searchsorted(unique, np.abs(step))]
-        groups.append((ix, np.where(step >= 0, table, np.conj(table)), carrier))
-        for array in groups[-1]:
-            array.setflags(write=False)
-    return GramMatrix(freqs=tuple(ms.tolist()), period=period, groups=tuple(groups), stride=q)
+    tables = [values[np.searchsorted(unique, np.abs(step))] for step in steps]
+    groups = [(ix, np.where(step >= 0, table, np.conj(table)), carrier)
+              for (ix, _, carrier), step, table in zip(groups, steps, tables)]
+    for array in (ms, *maximal, *(array for group in groups for array in group)):
+        array.setflags(write=False)
+    return GramMatrix(freqs=ms, period=period, groups=tuple(groups), maximal=tuple(maximal),
+                      stride=q)
 
 
 @dataclass(frozen=True)
 class ConcentrationResult:
-    """Smallest eigenvalue with its witness and the full spectrum."""
+    """Smallest eigenvalue, its witness, ||G||_2 and, solved on first read, the full spectrum."""
 
     lambda_min: float
     witness: np.ndarray
-    eigenvalues: np.ndarray
+    norm: float
     residual: float
     gram: GramMatrix
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Sorted union of the spectra of all classes (read-only)."""
+        spectra = [np.linalg.eigvalsh(stack)[carrier] for _, stack, carrier in self.gram.groups]
+        eigenvalues = np.sort(np.concatenate([spectrum.ravel() for spectrum in spectra]))
+        eigenvalues.setflags(write=False)
+        return eigenvalues
 
 
 def min_concentration(freqs, E: IntervalSet, period: float) -> ConcentrationResult:
     """Smallest concentration eigenvalue and a unit witness vector.
 
-    LAPACK solves each distinct block once (one batched call per block size);
-    no dense matrix is built, so N is not capped, only ``gram_matrix``'s blocks.
+    LAPACK solves each maximal block once (one batched call per block size); the
+    others' spectra lie within theirs, so lambda_min and ||G||_2 are read off them.
+    No dense matrix is built, so N is not capped, only ``gram_matrix``'s blocks.
     The block with the smallest eigenvalue supplies lambda_min; its eigenvector,
     on the first class carrying that block and zero elsewhere, is the witness.
-    `eigenvalues` is the sorted union of the spectra of all classes.  The residual
-    contract ``||G_b v - lambda v|| <= 1e-10 ||G||`` is checked on that block G_b;
-    it equals the full-matrix residual, as entries between classes are zeros.
+    The residual contract ``||G_b v - lambda v|| <= 1e-10 ||G||`` is checked on that
+    block G_b; it equals the full-matrix residual, as entries between classes are zeros.
     """
     g = gram_matrix(freqs, E, period)
-    spectra = []
-    lam = math.inf
-    for ix, stack, carrier in g.groups:
-        w, V = np.linalg.eigh(stack)
-        spectra.append(w[carrier].ravel())
+    lam, norm = math.inf, 0.0
+    for (ix, stack, carrier), keep in filter(lambda pair: pair[1].size, zip(g.groups, g.maximal)):
+        w, V = np.linalg.eigh(stack[keep])
+        norm = max(norm, float(np.max(np.abs(w))))
         low = int(np.argmin(w[:, 0]))
         if w[low, 0] < lam:
-            lam, block, support = float(w[low, 0]), stack[low], ix[np.argmax(carrier == low)]
-            witness = np.zeros(g.size, dtype=np.complex128)
-            witness[support] = V[low, :, 0] / np.linalg.norm(V[low, :, 0])
-    eigenvalues = np.sort(np.concatenate(spectra))
-    norm = float(np.max(np.abs(eigenvalues)))
-    residual = float(np.linalg.norm(block @ witness[support] - lam * witness[support]))
+            lam, block, vector = float(w[low, 0]), stack[keep[low]], V[low, :, 0]
+            support = ix[np.argmax(carrier == keep[low])]
+    vector = vector / np.linalg.norm(vector)
+    residual = float(np.linalg.norm(block @ vector - lam * vector))
     if residual > RESIDUAL_TOL * max(norm, 1e-300):
         raise RuntimeError(f"eigensolver residual {residual:.3e} violates the contract")
-    eigenvalues.setflags(write=False)
+    witness = np.zeros(g.size, dtype=np.complex128)
+    witness[support] = vector
     witness.setflags(write=False)
     return ConcentrationResult(
         lambda_min=lam,
         witness=witness,
-        eigenvalues=eigenvalues,
+        norm=norm,
         residual=residual,
         gram=g,
     )
@@ -251,7 +260,7 @@ def sharpness_gap(
         log10_bound = theorem2_bound_log10(cert.gamma, spec.count, ab, 2, constants)
     bound = _exp(log10_bound * _LN10)  # the bits of theorem1_bound or theorem2_bound
     log10_margin = _log10(exact) - log10_bound
-    noise = ms.size * np.finfo(float).eps * float(np.max(np.abs(result.eigenvalues)))
+    noise = ms.size * np.finfo(float).eps * result.norm
     low, high = (_log10(max(result.lambda_min + d, 0.0)) / 2.0 for d in (-noise, noise))
     return SharpnessReport(
         gamma=cert.gamma,

@@ -587,7 +587,10 @@ def exp_sum_verifier(
             return np.abs(np.concatenate([f(r[None])[0, 0] for f, r in zip(evaluators, runs)])) ** p
 
         rule = piece_integrals if p % 2 == 0 else kinked_integrals  # |r|^p kinks at zeros of r
-        values = rule(integrand, cells * K, np.repeat(widths, len(cells))).reshape(K, -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a mass of inf is refused below
+            values = rule(integrand, cells * K, np.repeat(widths, len(cells))).reshape(K, -1)
+        if not np.all(values < np.inf):
+            raise ThicksetError(f"p = {p:g} puts an interval mass of |f|^p past the double range")
     held = np.where(member, values[:, None], 0.0)  # instance x (I, sets) x cell
     norms = held.max(axis=2) if math.isinf(p) else held.sum(axis=2) ** (1.0 / p)
     # a sum that underflows on E has ratio inf, and fails its bound

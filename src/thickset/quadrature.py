@@ -168,7 +168,7 @@ def kinked_integrals(integrand, pieces, widths) -> np.ndarray:
     A piece of n panels at its entry w of `widths` is also integrated on 2n + 1 panels,
     sharing no inner edge, and takes the finer value once the two agree to 1e-14 of its
     first finer value; else it is cut at 0.4 or 0.6 of its length, where the integrand is
-    larger, and both halves go on at width 0.6 w.  Round 40 keeps the finer value.
+    larger, and both halves go on at width 0.6 w.  Round 40 and a finer inf keep the finer value.
     integrand(x, piece) sees the caller's piece indices in nondecreasing order.
     """
     ends = np.array(pieces, dtype=float).reshape(-1, 2)
@@ -181,7 +181,8 @@ def kinked_integrals(integrand, pieces, widths) -> np.ndarray:
                               ends.repeat(2, axis=0).tolist(), rules.ravel().tolist())
         got = got.reshape(-1, 2)
         scale = got[:, 1] if depth == 0 else scale
-        done = (np.abs(got[:, 1] - got[:, 0]) <= 1e-14 * scale[owner]) | (depth == 39)
+        done = (np.abs(got[:, 1] - got[:, 0]) <= 1e-14 * scale[owner]) | (got[:, 1] == np.inf)
+        done |= depth == 39
         np.add.at(total, owner[done], got[done, 1])
         bad = np.flatnonzero(~done)
         if not bad.size:

@@ -1,5 +1,6 @@
 """Trigonometric polynomials, norms, spectra, and derivative ratios."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -569,6 +570,18 @@ class TestLatticeAndRandom:
         with pytest.raises(ThicksetError, match="holds no lattice frequency"):
             lattice_indices(BandSpec((0.5,), 0.25), TWO_PI)
 
+    def test_mode_cap_counted_before_building(self):
+        # two bands of 600001 modes each pass the 2**20 cap together: refused before either
+        # is built, where the first band's set of ints alone was about 40 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ThicksetError, match="b = 600000 at L = 6.28319 needs over 1048576"):
+                lattice_indices(BandSpec((0.0, 1e7), 6e5), TWO_PI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_random_bandlimited_spectrum_inside_band(self):
         b = 4.0 * math.pi
         f = random_bandlimited(BandSpec((0.0,), b), 8.0, seed=9)
@@ -638,3 +651,33 @@ def test_quadrature_matches_parseval(seed):
     exact = math.sqrt(L * sum(abs(c) ** 2 for _, c in terms))
     got = lp_norm(f, NormQuery(2.0, full_torus(L)))
     assert math.isclose(got, exact, rel_tol=1e-10)
+
+
+def _lattice_by_set(spec, period):
+    """The modes of each band gathered in a set of ints and sorted, band by band."""
+    found = set()
+    for lo, hi in spec.bands():
+        m_lo = math.ceil(lo * period / math.tau - 1e-9)
+        m_hi = math.floor(hi * period / math.tau + 1e-9)
+        if m_hi < m_lo:
+            return None
+        found.update(range(m_lo, m_hi + 1))
+    return sorted(found)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    centers=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=5, unique=True),
+    width=st.floats(0.1, 40.0),
+    period=st.sampled_from([1.0, TWO_PI, 8.0, 32.0]),
+)
+def test_lattice_indices_match_the_set_union(centers, width, period):
+    # bands that overlap, touch, nest at the lattice or hold no mode at all
+    spec = BandSpec(tuple(sorted(centers)), width)
+    want = _lattice_by_set(spec, period)
+    if want is None:
+        with pytest.raises(ThicksetError, match="holds no lattice frequency"):
+            lattice_indices(spec, period)
+        return
+    ms = lattice_indices(spec, period)
+    assert ms.dtype == np.int64 and ms.tolist() == want

@@ -209,6 +209,18 @@ class TestConcentrationVerdict:
         assert [row["holds"] for row in rows] == ["0", "1"] and "violation" not in err
         assert rows[0]["log10_margin"] == "-inf" and float(rows[1]["log10_margin"]) > 0
 
+    def test_rows_print_the_verdict_class(self, tmp_path, capsys):
+        # at gamma = 0.3, b = 32 pi the 17 x 17 section reads lambda_min ~ 5e-18, a finite
+        # log10_margin but inside the noise: `holds` 0 alone does not say it is unresolved
+        cfg = {"command": "concentration", "gamma_list": [0.1, 0.3, 0.7], "b": 32.0 * math.pi,
+               "L": 32}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split(",")[-2:] == ["holds", "verdict"]
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [(row["holds"], row["verdict"]) for row in rows] == [
+            ("0", "unresolved"), ("0", "unresolved"), ("1", "holds")]
+
 
 class TestTaylorSuite:
     CFG = {"command": "verify", "suite": "taylor", "seeds": 1, "m": 98, "p": 2}
@@ -252,13 +264,15 @@ class TestTaylorSuite:
         row = dict(zip(header.split(","), line.split(",")))
         assert row["holds"] == "1" and float(row["rhs"]) < math.inf
 
-    @pytest.mark.parametrize("p", [2000, 1e300])
+    @pytest.mark.parametrize("p", [2000, 1e6, 1e300])
     def test_remainder_mass_past_the_double_range_exits_two(self, tmp_path, capsys, p):
-        # |R|^p overflows the remainder mass to inf, and no verdict can be read from it
+        # |R|^p overflows the remainder mass to inf, and no verdict can be read from it;
+        # stderr is the one error line, with no RuntimeWarning from the power before it
         cfg = {"command": "verify", "suite": "taylor", "seeds": 1, "p": p}
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             err = config_error(tmp_path, capsys, cfg)
-        assert f"taylor: p = {p:g} at m = 3 puts the remainder mass past the range" in err
+        assert err == f"error: taylor: p = {p:g} at m = 3 puts the remainder mass past the range\n"
 
     def test_identity_above_rounding_floor_runs(self, tmp_path, capsys):
         # m = 6 puts the floor at 4.9e-9, below the 1e-8 tolerance, and the identity
@@ -369,13 +383,16 @@ class TestLargeExponent:
             assert rows and all(row.get("bad_budget", "0") == "0" for row in rows)
             assert all(row.get("holds", row.get("all_hold", "1")) == "1" for row in rows)
 
-    def test_nan_margin_exits_two(self, tmp_path, capsys):
-        # both expsum norms overflow at p = 1e300 and the ratio reads inf / inf = nan: the
-        # check is refused, where a nan verdict would add no violation and pass quietly
-        cfg = {"command": "verify", "suite": "expsum", "seeds": 1, "n": 1, "m": 1, "p": 1e300}
-        with pytest.warns(RuntimeWarning):
+    @pytest.mark.parametrize("p", [1001, 1e6, 1e300])
+    def test_expsum_mass_past_the_double_range_exits_two(self, tmp_path, capsys, p):
+        # both expsum norms overflow and the ratio read inf / inf = nan, refused as a nan
+        # margin after numpy's RuntimeWarnings; the masses are refused first, naming p.
+        # At odd p the kinked rule refined a piece of inf for 40 rounds and ran out of memory
+        cfg = {"command": "verify", "suite": "expsum", "seeds": 1, "p": p}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             err = config_error(tmp_path, capsys, cfg)
-        assert "a check's log10 margin is nan" in err
+        assert err == f"error: p = {p:g} puts an interval mass of |f|^p past the double range\n"
 
 
 class TestStrideOverflow:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thickset import (
     BandSpec,
@@ -230,15 +231,17 @@ class TestBlockSolve:
     @pytest.mark.parametrize(
         "modes, E, period, sizes",
         [
+            # classes of 32 and 33 consecutive modes: the 32-run lies inside the 33-run
             (lattice_indices(BandSpec((0.0,), 64.0 * math.pi), 32.0), two_sliver_set(0.7), 32.0,
-             [32, 33]),
-            # classes 0 and 2 both have steps (0, 1, 2), class 1 has (0, 2, 3)
+             [33]),
+            # classes 0 and 2 both have steps (0, 1, 2), class 1 has (0, 2, 3), and class 3's
+            # (0) lies inside both
             ([-8, 1, 2, -4, 9, 6, 0, 3, 13, 10],
-             IntervalSet(((0.1, 0.35), (0.6, 0.7)), period=1.0), 4.0, [1, 3, 3]),
+             IntervalSet(((0.1, 0.35), (0.6, 0.7)), period=1.0), 4.0, [3, 3]),
         ],
         ids=["two-sliver-N1025", "q4-sparse"],
     )
-    def test_one_solve_per_distinct_block(self, monkeypatch, modes, E, period, sizes):
+    def test_one_solve_per_maximal_pattern(self, monkeypatch, modes, E, period, sizes):
         solved = []
         eigh = np.linalg.eigh
 
@@ -254,6 +257,33 @@ class TestBlockSolve:
         assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(G), rtol=0, atol=1e-12)
         v = res.witness
         assert abs(res.residual - np.linalg.norm(G @ v - res.lambda_min * v)) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.sampled_from([1, 2, 3, 4, 32]),
+        modes=st.lists(st.integers(-70, 70), min_size=1, max_size=40, unique=True),
+        as_array=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_maximal_sections_decide(self, q, modes, as_array, seed):
+        # random periodic sets, sparse and unsorted mode lists: only the maximal blocks are
+        # solved, and interlacing is checked on every skipped block, not assumed.  Each solve
+        # reads an eigenvalue to within N eps ||G||_2, so two solves agree to twice that
+        rng = np.random.default_rng(seed)
+        cell = float(rng.choice([0.5, 1.0, 2.0]))
+        res = min_concentration(np.array(modes) if as_array else modes,
+                                random_periodic_set(rng, cell), q * cell)
+        G = res.gram.matrix
+        dense = np.linalg.eigvalsh(G)
+        noise = 2 * len(modes) * np.finfo(float).eps * np.max(np.abs(dense))
+        assert abs(res.lambda_min - dense[0]) <= noise
+        assert math.isclose(res.norm, dense[-1], rel_tol=0, abs_tol=noise)
+        assert np.allclose(res.eigenvalues, dense, rtol=0, atol=1e-12)
+        v = res.witness
+        assert math.isclose((v.conj() @ (G @ v)).real, res.lambda_min, rel_tol=0, abs_tol=noise)
+        for (_, stack, _), keep in zip(res.gram.groups, res.gram.maximal):
+            for skipped in np.setdiff1d(np.arange(len(stack)), keep):
+                assert np.linalg.eigvalsh(stack[skipped])[0] >= res.lambda_min - noise
 
     def test_aperiodic_set_has_stride_one(self):
         g = gram_matrix(list(range(-3, 4)), IntervalSet(((0.2, 0.9), (1.5, 3.0))), 4.0)
@@ -301,6 +331,31 @@ class TestSharpnessGap:
         assert report.exact == math.sqrt(lam)
         assert abs(lam - mpmath_lambda_min(ms, E, 8.0)) <= 1e-14  # 0.0306
         assert report.verdict.holds
+
+    # the resolved cells of the benchmark's sandwich grid (L = 32) keep the bits of solving
+    # every distinct block, as eigh did before only the maximal sections were solved.  The
+    # values are read to within N eps ||G||_2 per solve; 60-digit mpmath puts gamma = 0.7,
+    # b = 64 pi at 2.7369e-13, outside eigh's noise of 2.3e-13
+    @pytest.mark.parametrize(
+        "gamma, b, lam",
+        [
+            (0.1, 4, 1.4542256671197546e-05),
+            (0.3, 4, 0.0037162520007648515),
+            (0.3, 16, 2.87394252532109e-10),
+            (0.7, 4, 0.2523509062726334),
+            (0.7, 16, 0.002066435456423593),
+            (0.7, 32, 1.2140789919945408e-06),
+            (0.7, 64, 2.7369e-13),
+        ],
+    )
+    def test_resolved_sandwich_cells_keep_their_bits(self, gamma, b, lam):
+        spec, E = BandSpec((0.0,), b * math.pi), two_sliver_set(gamma)
+        report = sharpness_gap(spec, E, 32.0)
+        g = gram_matrix(lattice_indices(spec, 32.0), E, 32.0)
+        spectra = [np.linalg.eigh(stack)[0] for _, stack, _ in g.groups]
+        assert report.lambda_min == min(float(w[:, 0].min()) for w in spectra)
+        noise = g.size * np.finfo(float).eps * max(float(w.max()) for w in spectra)
+        assert abs(report.lambda_min - lam) <= 2 * noise and report.verdict.holds
 
     def test_exact_decreases_with_bandwidth(self):
         wide = sharpness_gap(BandSpec((0.0,), 8.0 * math.pi), two_sliver_set(0.2), 16.0)
